@@ -25,10 +25,8 @@ EXIT_UNKNOWN = 0
 
 
 def _add_solver_flags(p):
-    p.add_argument("--seed", type=int, default=0)
+    """The flags solve and bench share: conflict budget and solver settings."""
     p.add_argument("--conflicts", type=int, default=None, help="conflict budget")
-    p.add_argument("--decisions", type=int, default=None, help="decision budget")
-    p.add_argument("--time", type=float, default=None, help="wall-clock budget in seconds")
     p.add_argument("--kappa", type=float, default=1e4)
     p.add_argument("--temperature", type=float, default=4.0)
     p.add_argument("--schedule", type=int, nargs=3, default=[50_000, 1_000, 250_000],
@@ -185,10 +183,10 @@ def _cmd_train_rl(args) -> int:
     if args.metrics:
         with open(args.metrics, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["batch", "episodes", "mean_return", "policy_loss", "value_loss", "total_loss"])
+            columns = ["batch", "episodes", "mean_return", "policy_loss", "value_loss", "total_loss", "grad_norm"]
+            writer.writerow(columns)
             for row in result.history:
-                writer.writerow([row["batch"], row["episodes"], row["mean_return"],
-                                 row["policy_loss"], row["value_loss"], row["total_loss"]])
+                writer.writerow([row[c] for c in columns])
     final = result.history[-1]["mean_return"] if result.history else float("nan")
     print(f"trained {args.batches} batches; final mean return {final:.4f}; weights at {args.out}")
     return 0
@@ -282,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["vanilla", "neuro", "random"], default="vanilla")
     p.add_argument("--weights", default=None)
     p.add_argument("--model", action="store_true", help="include the model in the JSON output")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--decisions", type=int, default=None, help="decision budget")
+    p.add_argument("--time", type=float, default=None, help="wall-clock budget in seconds")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -343,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=1)
     p.set_defaults(func=_cmd_env_rollout)
 
-    p = sub.add_parser("bench", help="compare solver variants over an instance directory")
+    # no abbreviations, so solve's --seed and --time are refused here rather
+    # than read as --seeds and --timeout
+    p = sub.add_parser("bench", help="compare solver variants over an instance directory",
+                       allow_abbrev=False)
     p.add_argument("--instances", required=True)
     p.add_argument("--variants", default="vanilla,neuro,random")
     p.add_argument("--seeds", type=int, nargs="+", default=[0])

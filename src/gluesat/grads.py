@@ -19,8 +19,12 @@ def zero_grads(params: NetParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.tensors()}
 
 
-def _swap(m, n):
-    return np.concatenate([m[n:], m[:n]], axis=0)
+def _add_swapped(acc, m, n):
+    """acc += m with its first n rows and the rest swapped (the gradient of
+    pairing each literal with its negation); returns acc."""
+    acc[:n] += m[n:]
+    acc[n:] += m[:n]
+    return acc
 
 
 def _mlp_backward(layers, caches, dout, slope, grads, prefix):
@@ -31,8 +35,11 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix):
         if i == len(layers) - 1:
             dz = upstream
         else:
-            da = upstream if mask is None else upstream * mask
-            dz = da * np.where(z > 0, 1.0, slope)
+            # leaky ReLU derivative, 1 where z > 0 and slope elsewhere: for
+            # 0 <= slope <= 1 this max gives exactly where(z > 0, 1.0, slope)
+            # without a branch per element
+            dz = np.maximum(z > 0, slope)
+            dz *= upstream if mask is None else upstream * mask
         grads[f"{prefix}.{i}.w"] += h.T @ dz
         grads[f"{prefix}.{i}.b"] += dz.sum(axis=0)
         upstream = dz @ w.T
@@ -40,8 +47,20 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix):
 
 
 def _standardize_backward(dy, y, inv):
-    # y = (x - mean(x)) * inv with inv = 1/sqrt(var + eps), per row
-    return inv * (dy - dy.mean(axis=1, keepdims=True) - y * (dy * y).mean(axis=1, keepdims=True))
+    # y = (x - mean(x)) * inv with inv = 1/sqrt(var + eps), per row; returns
+    # inv * (dy - mean(dy) - y * mean(dy * y)) with the row means spelled as
+    # sum / width, which is what ndarray.mean computes
+    width = dy.shape[1]
+    dy_mean = dy.sum(axis=1, keepdims=True)
+    dy_mean /= width
+    prod = dy * y
+    prod_mean = prod.sum(axis=1, keepdims=True)
+    prod_mean /= width
+    dx = dy - dy_mean
+    np.multiply(y, prod_mean, out=prod)
+    dx -= prod
+    dx *= inv
+    return dx
 
 
 def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dvalue=0.0, grads=None):
@@ -69,7 +88,7 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         dscores = np.full((2 * n, 1), dmean / (2 * n))
         dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value")
 
-    dL = dX_final[:, :dl] + _swap(dX_final[:, dl:], n)
+    dL = _add_swapped(dX_final[:, :dl].copy(), dX_final[:, dl:], n)
     for it in reversed(cache["iters"]):
         xhat, ln_inv = it["xhat"], it["ln_inv"]
         grads["ln_scale"] += (dL * xhat).sum(axis=0)
@@ -82,7 +101,9 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         dC = _standardize_backward(dC_std, it["c_std"], it["c_inv"])
         dA = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update")
         dX = gt @ dA
-        dL = dprev + dX[:, :dl] + _swap(dX[:, dl:], n)
+        dL = dprev
+        dL += dX[:, :dl]
+        _add_swapped(dL, dX[:, dl:], n)
     grads["l_init"] += dL.sum(axis=0)
 
     for name, arr in grads.items():

@@ -56,6 +56,9 @@ class HyperParams:
             raise ValueError("tau_iters must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
+        # the leaky ReLU kernels are exact only for a slope in [0, 1]; NaN fails too
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError("leaky_slope must lie in [0, 1]")
 
 
 _PRESETS = {
@@ -163,23 +166,32 @@ def init_params(hp: HyperParams, seed=None, value_head: bool = False) -> NetPara
 
 def _concat_neg(L, n):
     # pair each literal's embedding with its negation's: rows v-1 and n+v-1 swap
-    return np.concatenate([L, np.concatenate([L[n:], L[:n]], axis=0)], axis=1)
+    d = L.shape[1]
+    X = np.empty((2 * n, 2 * d))
+    X[:, :d] = L
+    X[:n, d:] = L[n:]
+    X[n:, d:] = L[:n]
+    return X
 
 
 def _mlp_forward(layers, x, slope, dropout, drng, cache):
     h = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = h @ w + b
+        z = h @ w
+        z += b
         if i == last:
             if cache is not None:
                 cache.append((h, z, None))
             return z
-        a = np.where(z > 0, z, slope * z)
+        # leaky ReLU: for 0 <= slope <= 1 (HyperParams enforces it) this max
+        # is exactly where(z > 0, z, slope * z), without a branch per element
+        a = slope * z
+        np.maximum(z, a, out=a)
         mask = None
         if drng is not None and dropout > 0.0:
             mask = (drng.random(a.shape) >= dropout) / (1.0 - dropout)
-            a = a * mask
+            a *= mask
         if cache is not None:
             cache.append((h, z, mask))
         h = a
@@ -187,10 +199,20 @@ def _mlp_forward(layers, x, slope, dropout, drng, cache):
 
 
 def _standardize_rows(x, eps):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv
+    """Per row, y = (x - mean) * inv with inv = 1 / sqrt(var + eps).
+
+    The same operations as x.mean and x.var in the same order, so the same
+    bits, but the mean and the centred rows are computed once."""
+    width = x.shape[1]
+    mu = x.sum(axis=1, keepdims=True)
+    mu /= width
+    y = x - mu
+    inv = (y * y).sum(axis=1, keepdims=True)
+    inv /= width
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
     return y, inv
 
 
@@ -211,11 +233,11 @@ def forward_with_cache(params: NetParams, hp: HyperParams, graph, train_mode=Fal
         B = gt @ C_std
         l_cache = []
         U = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache)
-        L_res = U + 0.1 * L_prev
-        mu = L_res.mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(L_res.var(axis=1, keepdims=True) + hp.ln_eps)
-        xhat = (L_res - mu) * inv
-        L = xhat * params.ln_scale + params.ln_shift
+        L_res = 0.1 * L_prev
+        L_res += U
+        xhat, inv = _standardize_rows(L_res, hp.ln_eps)
+        L = xhat * params.ln_scale
+        L += params.ln_shift
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
         iters.append(
@@ -319,17 +341,20 @@ def load_weights(path) -> tuple[NetParams, HyperParams]:
     fields = lines[1].split()[1:]
     if len(fields) != 10:
         raise WeightFormatError("malformed hyper line")
-    hp = HyperParams(
-        delta_l=int(fields[0]),
-        delta_c=int(fields[1]),
-        tau_iters=int(fields[2]),
-        n_l=int(fields[3]),
-        n_c=int(fields[4]),
-        n_p=int(fields[5]),
-        dropout=float(fields[6]),
-        leaky_slope=float(fields[7]),
-        ln_eps=float(fields[8]),
-    )
+    try:
+        hp = HyperParams(
+            delta_l=int(fields[0]),
+            delta_c=int(fields[1]),
+            tau_iters=int(fields[2]),
+            n_l=int(fields[3]),
+            n_c=int(fields[4]),
+            n_p=int(fields[5]),
+            dropout=float(fields[6]),
+            leaky_slope=float(fields[7]),
+            ln_eps=float(fields[8]),
+        )
+    except ValueError as exc:
+        raise WeightFormatError(f"bad hyper line: {exc}") from exc
     value_head = fields[9] == "1"
     declared = []
     for line in lines[2:]:

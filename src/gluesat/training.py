@@ -224,6 +224,7 @@ class EpisodeStep:
     action: int
     behavior_logprob: float
     reward: float
+    behavior_value: float | None = None   # value estimate of the rollout policy
 
 
 @dataclass
@@ -268,7 +269,7 @@ def run_episode(formula, params: NetParams, hp: HyperParams, rng, edge_cap=10_00
         probs = probs / probs.sum()
         action = int(rng.choice(len(probs), p=probs))
         next_obs, reward, done = env.step(action)
-        steps.append(EpisodeStep(obs, action, float(logp[action]), reward))
+        steps.append(EpisodeStep(obs, action, float(logp[action]), reward, out.value))
         if done:
             return steps
         obs = next_obs
@@ -292,17 +293,32 @@ def reinforce_weights(episodes, params: NetParams, hp: HyperParams, cfg: RLConfi
     Returns (ratios, normalized advantages, value targets, returns); all are
     treated as constants by the gradient of the surrogate.
     """
-    returns = _returns_to_go(episodes)
+    logprobs = []
     values = []
-    ratios = []
-    i = 0
     for ep in episodes:
         for step in ep:
             out, _ = forward_with_cache(params, hp, step.observation)
-            logp = log_softmax(out.policy_logits)[step.action]
-            ratios.append(min(max(float(np.exp(logp - step.behavior_logprob)), 0.0), cfg.ratio_clip))
+            logprobs.append(log_softmax(out.policy_logits)[step.action])
             values.append(out.value if out.value is not None else 0.0)
-            i += 1
+    return _surrogate_weights(episodes, logprobs, values, cfg)
+
+
+def _rollout_weights(episodes, cfg: RLConfig):
+    """reinforce_weights at the params the episodes were rolled out with,
+    from the log-probabilities and values run_episode recorded: no forward
+    pass, the same numbers (every ratio is exp(0) = 1 before clipping)."""
+    steps = [step for ep in episodes for step in ep]
+    logprobs = [step.behavior_logprob for step in steps]
+    values = [step.behavior_value for step in steps]
+    return _surrogate_weights(episodes, logprobs, values, cfg)
+
+
+def _surrogate_weights(episodes, logprobs, values, cfg: RLConfig):
+    """Clipped importance ratios, normalized advantages and value targets
+    from each step's current log-probability of its action and value."""
+    returns = _returns_to_go(episodes)
+    behavior = [step.behavior_logprob for ep in episodes for step in ep]
+    ratios = [min(max(float(np.exp(lp - blp)), 0.0), cfg.ratio_clip) for lp, blp in zip(logprobs, behavior)]
     values = np.asarray(values)
     adv = returns - values
     if adv.size > 1:
@@ -376,6 +392,19 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     Each batch, every worker samples a formula and rolls out episodes under a
     snapshot of the current policy; the learner then applies grad_steps Adam
     updates, so importance ratios depart from 1 after the first step.
+
+    A batch of S episode steps makes 2 * grad_steps * S forward passes and
+    grad_steps * S backward passes: S in the rollouts, S for the first
+    surrogate gradient, whose ratios, advantages and value targets come from
+    the values recorded in the rollouts (the params are still the rollout
+    snapshot), and 2 * S for each later step, whose weights need a forward
+    at the updated params before the forward that feeds the backward.  No
+    forward cache is kept from one step to the next: at the rl preset one
+    costs about 3.5 MB on a 540-edge graph, so keeping a batch's would
+    multiply the training memory.
+
+    Each history row also records ``grad_norm``, the global gradient norm
+    of the last grad step before clipping.
     """
     cfg = config or RLConfig()
     if not formulas:
@@ -401,9 +430,13 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
         if not episodes:
             raise RuntimeError("no usable training formulas (all trivially decided)")
         last = None
-        for _ in range(cfg.grad_steps):
-            last = reinforce_loss(episodes, params, hp, cfg)
-            clip_gradients(last.grads, cfg.clip_norm)
+        for k in range(cfg.grad_steps):
+            if k == 0:
+                weights = _rollout_weights(episodes, cfg)
+            else:
+                weights = reinforce_weights(episodes, params, hp, cfg)
+            last = reinforce_surrogate(episodes, params, hp, cfg, *weights[:3])
+            grad_norm = clip_gradients(last.grads, cfg.clip_norm)
             adam_step(adam, params, last.grads, cfg.lr)
         history.append(
             {
@@ -413,6 +446,7 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                 "policy_loss": last.policy_loss,
                 "value_loss": last.value_loss,
                 "total_loss": last.total,
+                "grad_norm": grad_norm,
             }
         )
         if cfg.checkpoint_path:

@@ -177,6 +177,16 @@ class TestPipelineCommands:
         assert params.v_value is not None
         rows = list(csv.DictReader(open(metrics, newline="")))
         assert len(rows) == 2
+        assert list(rows[0]) == ["batch", "episodes", "mean_return", "policy_loss",
+                                 "value_loss", "total_loss", "grad_norm"]
+        assert all(float(row["grad_norm"]) > 0 for row in rows)
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--time", "5"], ["--decisions", "10"]])
+    def test_bench_rejects_flags_it_ignores(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--instances", str(tmp_path), "--out", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_explicit_hyperparameters(self, tmp_path, capsys):
         formulas = tmp_path / "formulas"

@@ -41,6 +41,13 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(dropout=1.0)
 
+    def test_leaky_slope_range(self):
+        for slope in (0.0, 0.01, 1.0):
+            assert HyperParams(leaky_slope=slope).leaky_slope == slope
+        for slope in (-0.01, 1.5, 2.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="leaky_slope"):
+                HyperParams(leaky_slope=slope)
+
     def test_mlp_dims(self):
         assert mlp_dims(1, 8, 4) == [8, 4]
         assert mlp_dims(3, 8, 4) == [8, 8, 8, 4]
@@ -257,6 +264,18 @@ class TestWeights:
         corrupted = text.replace(b"tensor l_init 1 3", b"tensor l_init 1 4", 1)
         path.write_bytes(corrupted)
         with pytest.raises(WeightFormatError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("slope", [b"2", b"nan"])
+    def test_bad_leaky_slope_rejected(self, tmp_path, tiny_hyper, slope):
+        path = tmp_path / "w.ngw"
+        save_weights(init_params(tiny_hyper, seed=0), tiny_hyper, path)
+        magic, hyper, rest = path.read_bytes().split(b"\n", 2)
+        fields = hyper.split(b" ")
+        assert fields[8] == repr(tiny_hyper.leaky_slope).encode()
+        fields[8] = slope
+        path.write_bytes(b"\n".join([magic, b" ".join(fields), rest]))
+        with pytest.raises(WeightFormatError, match="leaky_slope"):
             load_weights(path)
 
     def test_format_layout(self, tmp_path, tiny_hyper):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gluesat.training as training
 from gluesat.cnf import Formula, clause_literal_graph, random_ksat
 from gluesat.network import HyperParams, forward, init_params, preset
 from gluesat.training import (
@@ -279,6 +280,40 @@ class TestTrainRl:
         for (_, ta), (_, tb) in zip(a.params.tensors(), b.params.tensors()):
             assert np.array_equal(ta, tb)
 
+    def test_forward_and_backward_counts(self, monkeypatch):
+        # the first grad step reuses the rollout's log-probabilities and
+        # values, so each episode step costs 2 * grad_steps forwards
+        counts = {"steps": 0, "forward": 0, "backward": 0}
+        run_episode_, forward_, backward_ = (
+            training.run_episode, training.forward_with_cache, training.backward_from_heads)
+
+        def counted_episode(*args, **kwargs):
+            steps = run_episode_(*args, **kwargs)
+            counts["steps"] += len(steps)
+            return steps
+
+        def counted_forward(*args, **kwargs):
+            counts["forward"] += 1
+            return forward_(*args, **kwargs)
+
+        def counted_backward(*args, **kwargs):
+            counts["backward"] += 1
+            return backward_(*args, **kwargs)
+
+        monkeypatch.setattr(training, "run_episode", counted_episode)
+        monkeypatch.setattr(training, "forward_with_cache", counted_forward)
+        monkeypatch.setattr(training, "backward_from_heads", counted_backward)
+        hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        formulas = [random_ksat(8, 28, 3, s) for s in range(4)]
+        for grad_steps in (1, 2, 3):
+            counts.update(steps=0, forward=0, backward=0)
+            cfg = RLConfig(workers=2, episodes_per_worker=2, grad_steps=grad_steps, batches=2,
+                           lr=1e-3, seed=1)
+            train_rl(formulas, hp, cfg)
+            assert counts["steps"] > 0
+            assert counts["forward"] == counts["steps"] * 2 * grad_steps
+            assert counts["backward"] == counts["steps"] * grad_steps
+
     def test_requires_value_head(self):
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
         init = init_params(hp, seed=0, value_head=False)
@@ -293,6 +328,7 @@ class TestTrainRl:
                        lr=1e-3, seed=0, checkpoint_path=str(ckpt))
         res = train_rl(formulas, hp, cfg)
         assert len(res.history) == 3
+        assert all(np.isfinite(row["grad_norm"]) and row["grad_norm"] > 0 for row in res.history)
         assert ckpt.exists()
         from gluesat.network import load_weights
 
