@@ -30,7 +30,7 @@ print("round-trip OK\n")
 # --- the clause-literal graph ------------------------------------------------
 g = clause_literal_graph(f)
 print("clause-literal graph:", g.num_clauses, "rows x", 2 * g.num_vars, "columns")
-print("edges (row, col):", g.edges)
+print("edges (row, col):", list(zip(g.rows.tolist(), g.cols.tolist())))
 print("column convention: var v positive at v-1, negative at num_vars+v-1\n")
 
 # --- random instances and the bit-parallel oracle ----------------------------

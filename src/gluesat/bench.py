@@ -152,7 +152,15 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
 
     When ``records_csv`` is given, records are appended as runs finish and
     existing rows are not re-run, making an interrupted benchmark resumable.
+    Records are keyed by instance file name, so two entries sharing a name
+    (the same path twice included) raise ValueError before anything runs.
     """
+    by_name = {}
+    for path in instances:
+        name = Path(path).name
+        if name in by_name:
+            raise ValueError(f"instances {by_name[name]} and {path} share the file name {name!r}")
+        by_name[name] = path
     cfg = config or BenchConfig()
     if "neuro" in variants and weights is None:
         raise ValueError("the neuro variant requires a weights path")

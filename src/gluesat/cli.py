@@ -113,7 +113,7 @@ def _cmd_extract(args) -> int:
         return 0
     print(f"p graph {graph.num_clauses} {graph.num_vars}")
     print("varmap " + " ".join(str(v) for v in graph.var_map))
-    for row, col in graph.edges:
+    for row, col in zip(graph.rows.tolist(), graph.cols.tolist()):
         print(f"{row} {col}")
     return 0
 
@@ -163,21 +163,25 @@ def _cmd_train_supervised(args) -> int:
 
 
 def _cmd_train_rl(args) -> int:
+    try:
+        cfg = RLConfig(
+            workers=args.workers,
+            episodes_per_worker=args.episodes_per_worker,
+            grad_steps=args.grad_steps,
+            batches=args.batches,
+            lr=args.lr,
+            seed=args.seed,
+            checkpoint_path=args.out,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     paths = sorted(Path(args.formulas).glob("*.cnf"))
     formulas = [parse_dimacs(p.read_text()) for p in paths]
     if not formulas:
         print("error: no formulas found", file=sys.stderr)
         return 1
     hp = _resolve_hyper(args, "rl")
-    cfg = RLConfig(
-        workers=args.workers,
-        episodes_per_worker=args.episodes_per_worker,
-        grad_steps=args.grad_steps,
-        batches=args.batches,
-        lr=args.lr,
-        seed=args.seed,
-        checkpoint_path=args.out,
-    )
     result = train_rl(formulas, hp, cfg)
     save_weights(result.params, hp, args.out)
     if args.metrics:
@@ -241,7 +245,7 @@ def _cmd_env_rollout(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    instances = sorted(str(p) for p in Path(args.instances).glob("*.cnf"))
+    instances = sorted(str(p) for d in args.instances for p in Path(d).glob("*.cnf"))
     if not instances:
         print("error: no instances found", file=sys.stderr)
         return 1
@@ -261,10 +265,14 @@ def _cmd_bench(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = bench_mod.run_benchmark(
-        instances, variants, args.seeds, cfg, weights=args.weights,
-        records_csv=out_dir / "records.csv",
-    )
+    try:
+        records = bench_mod.run_benchmark(
+            instances, variants, args.seeds, cfg, weights=args.weights,
+            records_csv=out_dir / "records.csv",
+        )
+    except ValueError as exc:   # neuro without weights, clashing names, malformed DIMACS
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     effective_timeout = args.timeout if args.timeout is not None else 0.0
     bench_mod.write_outputs(records, out_dir, effective_timeout)
     print(f"{len(records)} records; outputs in {out_dir}")
@@ -346,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no abbreviations, so solve's --seed and --time are refused here rather
     # than read as --seeds and --timeout
-    p = sub.add_parser("bench", help="compare solver variants over an instance directory",
+    p = sub.add_parser("bench", help="compare solver variants over instance directories",
                        allow_abbrev=False)
-    p.add_argument("--instances", required=True)
+    p.add_argument("--instances", required=True, nargs="+", metavar="DIR",
+                   help="directories whose *.cnf files are benchmarked; file names must be unique")
     p.add_argument("--variants", default="vanilla,neuro,random")
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--timeout", type=float, default=60.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -147,51 +148,62 @@ def satisfies(formula: Formula, assignment) -> bool:
 class SparseGraph:
     """Clause-literal bipartite adjacency in coordinate form.
 
-    Rows index clauses; columns index literals of the *compacted* variables:
-    compacted variable ``i`` (1-based) is positive at column ``i-1`` and
-    negative at column ``num_vars + i - 1``.  ``var_map[i-1]`` gives the
-    original variable behind compacted variable ``i``.
+    Edge ``k`` joins clause ``rows[k]`` to literal column ``cols[k]``; both
+    are int32 arrays of equal length (8 bytes per edge).  Rows index clauses;
+    columns index literals of the *compacted* variables: compacted variable
+    ``i`` (1-based) is positive at column ``i-1`` and negative at column
+    ``num_vars + i - 1``.  ``var_map[i-1]`` gives the original variable
+    behind compacted variable ``i``.
     """
 
     num_clauses: int
     num_vars: int
-    edges: tuple[tuple[int, int], ...]
+    rows: np.ndarray
+    cols: np.ndarray
     var_map: tuple[int, ...]
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.int32)
+        cols = np.asarray(self.cols, dtype=np.int32)
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise ValueError(f"rows {rows.shape} and cols {cols.shape} must be equal-length vectors")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    def edge_arrays(self):
-        """Edges as (rows, cols) int64 arrays."""
-        if self.edges:
-            arr = np.asarray(self.edges, dtype=np.int64)
-            return arr[:, 0], arr[:, 1]
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return len(self.cols)
 
     def matrices(self):
-        """(G, G_transpose) as scipy CSR matrices, cached after first use."""
+        """(G, G_transpose) as scipy CSR matrices, cached after first use.
+
+        Repeated (row, col) edges sum into one entry.
+        """
         cached = self.__dict__.get("_mats")
         if cached is None:
             from scipy.sparse import coo_matrix
 
-            rows, cols = self.edge_arrays()
             shape = (self.num_clauses, 2 * self.num_vars)
-            g = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=shape).tocsr()
+            g = coo_matrix((np.ones(len(self.rows)), (self.rows, self.cols)), shape=shape).tocsr()
             cached = (g, g.T.tocsr())
             object.__setattr__(self, "_mats", cached)
         return cached
 
 
+def _flat_literals(clauses):
+    """Concatenated literals of ``clauses`` (int32) and each clause's length."""
+    lens = np.fromiter(map(len, clauses), dtype=np.int64, count=len(clauses))
+    lits = np.fromiter(chain.from_iterable(clauses), dtype=np.int32, count=int(lens.sum()))
+    return lits, lens
+
+
 def clause_literal_graph(formula: Formula) -> SparseGraph:
     """One edge per (clause, literal) occurrence; var_map is the identity."""
     n = formula.num_vars
-    edges = []
-    for row, clause in enumerate(formula.clauses):
-        for lit in clause:
-            col = lit - 1 if lit > 0 else n - lit - 1
-            edges.append((row, col))
-    return SparseGraph(len(formula.clauses), n, tuple(edges), tuple(range(1, n + 1)))
+    lits, lens = _flat_literals(formula.clauses)
+    rows = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
+    cols = np.where(lits > 0, lits - 1, n - lits - 1).astype(np.int32, copy=False)
+    return SparseGraph(len(lens), n, rows, cols, tuple(range(1, n + 1)))
 
 
 def random_ksat(n: int, m: int, k: int, seed=None) -> Formula:

@@ -7,9 +7,11 @@ original clauses traversed before learned ones under an edge cap.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from .cnf import SparseGraph
+from .cnf import SparseGraph, _flat_literals
 
 __all__ = ["extract_graph", "lift_distribution"]
 
@@ -17,53 +19,48 @@ __all__ = ["extract_graph", "lift_distribution"]
 def extract_graph(solver, edge_cap: int = 10_000_000) -> SparseGraph | None:
     """Extract the simplified clause-literal graph, or None to skip.
 
-    Must be called at a propagation fixpoint without conflict: residual
-    clauses of size < 2 are an invariant violation and are asserted against.
-    Traversal stops once adding a clause would push the edge count past
-    ``edge_cap``; if that happens among the original clauses the whole
-    extraction is skipped (returns None).  Pure read; never mutates state.
+    Must be called at a propagation fixpoint without conflict: a residual
+    clause of size < 2 met before the cap stops traversal is an invariant
+    violation and raises RuntimeError.  Traversal stops once adding a clause
+    would push the edge count past ``edge_cap``; if that happens among the
+    original clauses the whole extraction is skipped (returns None).  Each
+    row keeps its clause's surviving literals in their current order.  Pure
+    read; never mutates state.
     """
     n = solver.n
-    assign = solver.assign
-    unassigned = [v for v in range(1, n + 1) if assign[v + n] == 0]
-    index = {v: i for i, v in enumerate(unassigned)}
+    assign = np.fromiter(solver.assign, dtype=np.int8, count=2 * n + 1)
+    unassigned = np.flatnonzero(assign[n + 1:] == 0) + 1
     ng = len(unassigned)
-    edges = []
-    row = 0
+    num_original = len(solver.original)
+    lits, lens = _flat_literals([c.lits for c in chain(solver.original, solver.learned)])
+    vals = assign[lits + n]
+    free = vals == 0
+    ends = np.cumsum(lens)
+    starts = ends - lens
 
-    def residual_of(lits):
-        left = []
-        for lit in lits:
-            val = assign[lit + n]
-            if val == 1:
-                return None
-            if val == 0:
-                left.append(lit)
-        return left
+    def per_clause(mask):
+        sums = np.zeros(len(mask) + 1, dtype=np.int64)
+        np.cumsum(mask, out=sums[1:])
+        return sums[ends] - sums[starts]
 
-    for clause in solver.original:
-        left = residual_of(clause.lits)
-        if left is None:
-            continue
-        assert len(left) >= 2, "unit or empty residual clause at propagation fixpoint"
-        if len(edges) + len(left) > edge_cap:
-            return None
-        for lit in left:
-            v = index[abs(lit)]
-            edges.append((row, v if lit > 0 else ng + v))
-        row += 1
-    for clause in solver.learned:
-        left = residual_of(clause.lits)
-        if left is None:
-            continue
-        assert len(left) >= 2, "unit or empty residual clause at propagation fixpoint"
-        if len(edges) + len(left) > edge_cap:
-            break
-        for lit in left:
-            v = index[abs(lit)]
-            edges.append((row, v if lit > 0 else ng + v))
-        row += 1
-    return SparseGraph(row, ng, tuple(edges), tuple(unassigned))
+    unsatisfied = per_clause(vals == 1) == 0
+    live = np.flatnonzero(unsatisfied)
+    left = per_clause(free)[live]
+    # the first live clause whose edges would push the total past the cap
+    stop = int(np.searchsorted(np.cumsum(left), edge_cap, side="right"))
+    if np.any(left[: stop + 1] < 2):
+        raise RuntimeError("unit or empty residual clause at propagation fixpoint")
+    if stop < np.searchsorted(live, num_original):
+        return None
+    end = int(ends[live[stop - 1]]) if stop else 0
+    keep = free[:end] & np.repeat(unsatisfied, lens)[:end]
+    col_of = np.zeros(2 * n + 1, dtype=np.int32)
+    compact = np.arange(ng, dtype=np.int32)
+    col_of[n + unassigned] = compact
+    col_of[n - unassigned] = compact + ng
+    rows = np.repeat(np.arange(stop, dtype=np.int32), left[:stop])
+    cols = col_of[lits[:end][keep] + n]
+    return SparseGraph(stop, ng, rows, cols, tuple(unassigned.tolist()))
 
 
 def lift_distribution(probs, var_map, num_vars: int) -> np.ndarray:
@@ -76,6 +73,5 @@ def lift_distribution(probs, var_map, num_vars: int) -> np.ndarray:
     if len(probs) != len(var_map):
         raise ValueError("probability vector does not match var_map")
     out = np.zeros(num_vars)
-    for i, v in enumerate(var_map):
-        out[v - 1] = probs[i]
+    out[np.asarray(var_map, dtype=np.intp) - 1] = probs
     return out

@@ -485,10 +485,9 @@ class Solver:
         if abs(float(probs.sum()) - 1.0) > 1e-6:
             raise ValueError("refocus distribution is not normalized")
         scale = len(var_map) * self.cfg.kappa
-        fresh = [0.0] * (self.n + 1)
-        for i, v in enumerate(var_map):
-            fresh[v] = float(probs[i]) * scale
-        self.evsids = fresh
+        fresh = np.zeros(self.n + 1)
+        fresh[np.asarray(var_map, dtype=np.intp)] = probs * scale
+        self.evsids = fresh.tolist()
         self.inc = 1.0
         self.refocuses += 1
         self._rebuild_heap()

@@ -5,6 +5,7 @@ clipping, and importance-sampling correction for policy lag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,6 +241,17 @@ class RLConfig:
     seed: int = 0
     edge_cap: int = 10_000_000
     checkpoint_path: str | None = None
+
+    def __post_init__(self):
+        for name in ("workers", "episodes_per_worker", "grad_steps", "batches", "edge_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "clip_norm", "ratio_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.value_coef) and self.value_coef >= 0):
+            raise ValueError(f"value_coef must be finite and >= 0, got {self.value_coef}")
 
 
 @dataclass

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from gluesat.cnf import SparseGraph
 from gluesat.solver import Solver
+
+
+def edge_pairs(graph):
+    """A graph's edges as a list of (row, col) int pairs, in edge order."""
+    return list(zip(graph.rows.tolist(), graph.cols.tolist()))
 
 
 def naive_up(clauses, assign, new_lits):
@@ -75,6 +81,55 @@ def drive_watched(formula, decisions):
             return s, states, i
         states.append(set(s.trail))
     return s, states, None
+
+
+def reference_extract(solver, edge_cap=10_000_000):
+    """Clause-by-clause residual graph extraction, the loop form of
+    ``gluesat.extract.extract_graph``: same rows, literal order, var_map,
+    cap handling and skip rule."""
+    n = solver.n
+    assign = solver.assign
+    unassigned = [v for v in range(1, n + 1) if assign[v + n] == 0]
+    index = {v: i for i, v in enumerate(unassigned)}
+    ng = len(unassigned)
+    edges = []
+    row = 0
+
+    def residual_of(lits):
+        left = []
+        for lit in lits:
+            val = assign[lit + n]
+            if val == 1:
+                return None
+            if val == 0:
+                left.append(lit)
+        return left
+
+    for clause in solver.original:
+        left = residual_of(clause.lits)
+        if left is None:
+            continue
+        assert len(left) >= 2, "unit or empty residual clause at propagation fixpoint"
+        if len(edges) + len(left) > edge_cap:
+            return None
+        for lit in left:
+            v = index[abs(lit)]
+            edges.append((row, v if lit > 0 else ng + v))
+        row += 1
+    for clause in solver.learned:
+        left = residual_of(clause.lits)
+        if left is None:
+            continue
+        assert len(left) >= 2, "unit or empty residual clause at propagation fixpoint"
+        if len(edges) + len(left) > edge_cap:
+            break
+        for lit in left:
+            v = index[abs(lit)]
+            edges.append((row, v if lit > 0 else ng + v))
+        row += 1
+    rows = np.array([r for r, _ in edges], dtype=np.int32)
+    cols = np.array([c for _, c in edges], dtype=np.int32)
+    return SparseGraph(row, ng, rows, cols, tuple(unassigned))
 
 
 def drive_naive(formula, decisions):

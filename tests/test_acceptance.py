@@ -274,7 +274,7 @@ def _degree_example(seed, n=12, m=40):
     f = random_ksat(n, m, 3, seed)
     g = clause_literal_graph(f)
     counts = [0] * n
-    for _, col in g.edges:
+    for col in g.cols.tolist():
         counts[col % n] += 1
     return SupervisedExample(g, tuple(counts))
 

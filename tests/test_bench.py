@@ -73,6 +73,17 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(instances, ["neuro"], [0], desk_config())
 
+    def test_duplicate_file_names_rejected(self, tmp_path):
+        first = make_instances(tmp_path / "a", 2)
+        second = make_instances(tmp_path / "b", 1)
+        out = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match="inst00.cnf"):
+            run_benchmark(first + second, ["vanilla"], [0], desk_config(), records_csv=out)
+        assert not out.exists()   # refused before any solve or record
+        # the same path twice is the same clash
+        with pytest.raises(ValueError, match="inst01.cnf"):
+            run_benchmark(first + first[1:], ["vanilla"], [0], desk_config())
+
     def test_resume_skips_completed(self, tmp_path, weights_file):
         instances = make_instances(tmp_path / "inst", 2)
         out = tmp_path / "records.csv"

@@ -181,6 +181,43 @@ class TestPipelineCommands:
                                  "value_loss", "total_loss", "grad_norm"]
         assert all(float(row["grad_norm"]) > 0 for row in rows)
 
+    @pytest.mark.parametrize("flag", [["--grad-steps", "0"], ["--workers", "0"],
+                                      ["--episodes-per-worker", "0"], ["--lr", "-1.0"]])
+    def test_train_rl_rejects_invalid_config(self, tmp_path, capsys, flag):
+        formulas = tmp_path / "formulas"
+        formulas.mkdir()
+        (formulas / "f.cnf").write_text(write_dimacs(random_ksat(10, 36, 3, 0)))
+        weights = tmp_path / "rl.ngw"
+        code = main(["train-rl", "--formulas", str(formulas), "--out", str(weights), *flag])
+        assert code == 2
+        name = flag[0].lstrip("-").replace("-", "_")
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not weights.exists()
+
+    def test_bench_over_several_directories(self, tmp_path, capsys):
+        for name, seeds in (("a", (0, 1)), ("b", (2,))):
+            (tmp_path / name).mkdir()
+            for seed in seeds:
+                (tmp_path / name / f"i{seed}.cnf").write_text(write_dimacs(random_ksat(10, 36, 3, seed)))
+        out_dir = tmp_path / "bench"
+        args = ["bench", "--instances", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out_dir),
+                "--variants", "vanilla", "--conflicts", "1000"]
+        assert main(args) == 0
+        records = list(csv.DictReader(open(out_dir / "records.csv", newline="")))
+        assert sorted(r["instance"] for r in records) == ["i0.cnf", "i1.cnf", "i2.cnf"]
+
+    def test_bench_rejects_clashing_file_names(self, tmp_path, capsys):
+        for name in ("sat", "unsat"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "sat" / "f.cnf").write_text("p cnf 2 1\n1 2 0\n")
+        (tmp_path / "unsat" / "f.cnf").write_text("p cnf 1 2\n1 0\n-1 0\n")
+        out_dir = tmp_path / "bench"
+        code = main(["bench", "--instances", str(tmp_path / "sat"), str(tmp_path / "unsat"),
+                     "--out", str(out_dir), "--variants", "vanilla"])
+        assert code == 1
+        assert "share the file name 'f.cnf'" in capsys.readouterr().err
+        assert not (out_dir / "records.csv").exists()
+
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--time", "5"], ["--decisions", "10"]])
     def test_bench_rejects_flags_it_ignores(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:

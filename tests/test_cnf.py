@@ -6,6 +6,7 @@ import pytest
 from gluesat.cnf import (
     DimacsError,
     Formula,
+    SparseGraph,
     brute_force,
     clause_literal_graph,
     normalize_clause,
@@ -16,6 +17,8 @@ from gluesat.cnf import (
     write_dimacs,
 )
 from gluesat.solver import solve
+
+from oracles import edge_pairs
 
 
 class TestParseDimacs:
@@ -86,12 +89,12 @@ class TestWriteDimacs:
 class TestClauseLiteralGraph:
     def test_column_convention(self):
         g = clause_literal_graph(Formula(2, ((1, -2),)))
-        assert set(g.edges) == {(0, 0), (0, 3)}
+        assert set(edge_pairs(g)) == {(0, 0), (0, 3)}
         assert g.num_clauses == 1 and g.num_vars == 2
 
     def test_two_units(self):
         g = clause_literal_graph(Formula(1, ((1,), (-1,))))
-        assert set(g.edges) == {(0, 0), (1, 1)}
+        assert set(edge_pairs(g)) == {(0, 0), (1, 1)}
 
     def test_edge_count_is_occurrence_count(self):
         for seed in range(10):
@@ -103,10 +106,30 @@ class TestClauseLiteralGraph:
     def test_indices_in_range(self):
         f = random_ksat(9, 30, 3, 3)
         g = clause_literal_graph(f)
-        for row, col in g.edges:
+        edges = edge_pairs(g)
+        for row, col in edges:
             assert 0 <= row < g.num_clauses
             assert 0 <= col < 2 * g.num_vars
-        assert len(set(g.edges)) == len(g.edges)
+        assert len(set(edges)) == len(edges)
+
+    def test_edge_arrays_in_clause_order(self):
+        g = clause_literal_graph(Formula(3, ((1, -2), (), (3, 2, -1))))
+        assert g.rows.dtype == np.int32 and g.cols.dtype == np.int32
+        assert edge_pairs(g) == [(0, 0), (0, 4), (2, 2), (2, 1), (2, 3)]
+        assert g.num_clauses == 3
+
+    def test_repeated_literal_sums_in_csr(self):
+        # from_clauses keeps duplicates: two edges, one CSR entry of 2.0
+        g = clause_literal_graph(Formula.from_clauses(2, [(1, 1, -2)]))
+        assert edge_pairs(g) == [(0, 0), (0, 0), (0, 3)]
+        csr, csr_t = g.matrices()
+        assert csr.nnz == 2
+        assert csr[0, 0] == 2.0 and csr[0, 3] == 1.0
+        assert csr_t[0, 0] == 2.0
+
+    def test_mismatched_edge_arrays_rejected(self):
+        with pytest.raises(ValueError):
+            SparseGraph(1, 2, np.zeros(2, dtype=np.int32), np.zeros(1, dtype=np.int32), (1, 2))
 
 
 class TestRandomKsat:

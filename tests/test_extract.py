@@ -2,17 +2,19 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from gluesat.cnf import Formula, clause_literal_graph, random_ksat
 from gluesat.extract import extract_graph, lift_distribution
-from gluesat.solver import Solver
+from gluesat.solver import Budget, Solver, SolverConfig, _Clause
 
-from oracles import drive_watched
+from oracles import drive_watched, edge_pairs, reference_extract
 
 
 def rows_as_sets(graph):
     rows = [set() for _ in range(graph.num_clauses)]
-    for r, c in graph.edges:
+    for r, c in edge_pairs(graph):
         rows[r].add(c)
     return rows
 
@@ -27,7 +29,7 @@ class TestExtractGraph:
             assert g.num_clauses == ref.num_clauses
             assert g.num_vars == ref.num_vars
             assert g.var_map == ref.var_map
-            assert set(g.edges) == set(ref.edges)
+            assert set(edge_pairs(g)) == set(edge_pairs(ref))
 
     def test_full_graph_on_empty_trail(self):
         f = Formula(3, ((1, 2), (-1, 3)))
@@ -45,7 +47,7 @@ class TestExtractGraph:
         assert g.num_clauses == 1
         assert g.var_map == (1, 2)
         assert g.num_vars == 2
-        assert set(g.edges) == {(0, 0), (0, 1)}
+        assert set(edge_pairs(g)) == {(0, 0), (0, 1)}
 
     def test_satisfied_clauses_omitted_falsified_literals_stripped(self):
         rng = np.random.default_rng(5)
@@ -149,6 +151,138 @@ class TestExtractGraph:
             g = extract_graph(s, edge_cap=cap)
             if g is not None:
                 assert g.num_edges <= cap
+
+
+@st.composite
+def formulas(draw, max_vars=12, max_clauses=40):
+    """Random CNFs whose clauses have 1-4 distinct variables (units included)."""
+    n = draw(st.integers(2, max_vars))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(4, n), unique=True).flatmap(
+        lambda vs: st.tuples(*[st.sampled_from((v, -v)) for v in vs])
+    )
+    return Formula(n, tuple(draw(st.lists(clause, min_size=1, max_size=max_clauses))))
+
+
+def residual_edges(solver, clauses):
+    """Edges the residuals of ``clauses`` contribute, with no cap."""
+    value = solver.value
+    total = 0
+    for clause in clauses:
+        if all(value(lit) != 1 for lit in clause.lits):
+            total += sum(value(lit) == 0 for lit in clause.lits)
+    return total
+
+
+def edge_caps(draw, solver):
+    """Caps below, at and above the original edge count, and inside the
+    learned clauses' edges."""
+    base = residual_edges(solver, solver.original)
+    full = base + residual_edges(solver, solver.learned)
+    return [
+        draw(st.integers(0, max(base - 1, 0))),
+        base,
+        draw(st.integers(base, max(full, base))),
+        full + draw(st.integers(0, 3)),
+        10_000_000,
+    ]
+
+
+def outcome(extract, solver, cap, error):
+    try:
+        return extract(solver, cap)
+    except error:
+        return "invalid state"
+
+
+def assert_same_extraction(solver, cap):
+    ref = outcome(reference_extract, solver, cap, AssertionError)
+    got = outcome(extract_graph, solver, cap, RuntimeError)
+    if ref is None or isinstance(ref, str):
+        assert got == ref
+        return
+    assert got.rows.dtype == np.int32 and got.cols.dtype == np.int32
+    assert got.rows.tolist() == ref.rows.tolist()
+    assert got.cols.tolist() == ref.cols.tolist()
+    assert (got.num_clauses, got.num_vars, got.var_map) == (ref.num_clauses, ref.num_vars, ref.var_map)
+    assert isinstance(got.var_map, tuple)
+
+
+class TestMatchesReferenceExtraction:
+    """extract_graph against the clause-by-clause loop in oracles.py: the
+    same rows, within-row literal order, var_map and cap handling."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(formulas(), st.data())
+    def test_random_formulas_at_root(self, formula, data):
+        s, _, conflict = drive_watched(formula, [])
+        assume(conflict is None)
+        for cap in edge_caps(data.draw, s):
+            assert_same_extraction(s, cap)
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(formulas(), st.data())
+    def test_decision_prefixes(self, formula, data):
+        n = formula.num_vars
+        decisions = data.draw(st.lists(st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v))),
+                                       max_size=n))
+        s, _, conflict = drive_watched(formula, decisions)
+        assume(conflict is None)
+        for cap in edge_caps(data.draw, s):
+            assert_same_extraction(s, cap)
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(10, 24).flatmap(lambda n: st.builds(
+               random_ksat, st.just(n), st.integers(4 * n, 5 * n), st.just(3), st.integers(0, 2**30))),
+           st.integers(1, 40), st.integers(0, 3), st.data())
+    def test_after_short_solve(self, formula, conflicts, seed, data):
+        # learned clauses and watch-swapped literal order are present; the
+        # state straight after the budget stops may be short of a fixpoint
+        # (both sides must then refuse it), and is one after propagating;
+        # back at the root most learned clauses have live residuals
+        s = Solver(formula, SolverConfig(seed=seed))
+        s.solve(Budget(max_conflicts=conflicts))
+        for cap in edge_caps(data.draw, s):
+            assert_same_extraction(s, cap)
+        assume(s._propagate() is None)
+        for cap in edge_caps(data.draw, s):
+            assert_same_extraction(s, cap)
+        s._backjump(0)
+        assume(s._propagate() is None)
+        for cap in edge_caps(data.draw, s):
+            assert_same_extraction(s, cap)
+
+    def test_learned_clause_order_after_watch_swaps(self):
+        f = Formula(5, ((1, 2), (3, 4, 5)))
+        s = Solver(f)
+        s.learned.append(_Clause([5, -1, 4, 2], learned=True, glue=2, born=0))
+        s.original[1].lits[:] = [5, 3, 4]     # as a watch swap leaves it
+        s.trail_lim.append(0)
+        s._enqueue(-4, None)
+        g = extract_graph(s)
+        # var_map (1, 2, 3, 5): columns 0..3 positive, 4..7 negative
+        assert edge_pairs(g) == [(0, 0), (0, 1), (1, 3), (1, 2), (2, 3), (2, 4), (2, 1)]
+        assert_same_extraction(s, 10_000_000)
+
+    def test_edge_arrays_are_int32(self):
+        g = extract_graph(Solver(random_ksat(10, 30, 3, 0)))
+        assert g.rows.dtype == np.int32 and g.cols.dtype == np.int32
+
+    def test_unit_residual_raises(self):
+        # a learned clause left unit by the trail: not a propagation fixpoint
+        f = Formula(3, ((1, 2, 3),))
+        s = Solver(f)
+        s.learned.append(_Clause([-2, 3], learned=True, glue=2, born=0))
+        s.learned.append(_Clause([1, 2], learned=True, glue=2, born=0))
+        s.trail_lim.append(0)
+        s._enqueue(-1, None)
+        with pytest.raises(RuntimeError, match="fixpoint"):
+            extract_graph(s)
+        with pytest.raises(RuntimeError, match="fixpoint"):
+            extract_graph(s, edge_cap=4)
+        # the check reaches the clause the cap stops at, not beyond it
+        assert extract_graph(s, edge_cap=3).num_clauses == 1
+        for cap in range(6):
+            assert_same_extraction(s, cap)
 
 
 class TestLiftDistribution:

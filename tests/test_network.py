@@ -96,7 +96,8 @@ class TestForward:
         assert forward(p, tiny_hyper, small_graph).value is None
 
     def test_zero_edges_equal_logits(self, tiny_hyper):
-        g = SparseGraph(num_clauses=0, num_vars=5, edges=(), var_map=tuple(range(1, 6)))
+        empty = np.zeros(0, dtype=np.int32)
+        g = SparseGraph(num_clauses=0, num_vars=5, rows=empty, cols=empty, var_map=tuple(range(1, 6)))
         p = init_params(tiny_hyper, seed=2, value_head=False)
         out = forward(p, tiny_hyper, g)
         assert np.allclose(out.policy_logits, out.policy_logits[0])

@@ -156,7 +156,7 @@ def degree_example(seed, n=12, m=40):
     f = random_ksat(n, m, 3, seed)
     g = clause_literal_graph(f)
     counts = [0] * n
-    for _, col in g.edges:
+    for col in g.cols.tolist():
         counts[col % n] += 1
     return SupervisedExample(g, tuple(counts))
 
@@ -267,6 +267,31 @@ class TestReinforcePieces:
         _, _, targets, returns = reinforce_weights(episodes, p, tiny_hyper, RLConfig())
         assert (targets >= 0).all() and (targets <= 1).all()
         assert np.all(targets == np.clip(returns, 0.0, 1.0))
+
+
+class TestRLConfig:
+    @pytest.mark.parametrize("field", ["workers", "episodes_per_worker", "grad_steps", "batches", "edge_cap"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RLConfig(**{field: value})
+        RLConfig(**{field: 1})
+
+    @pytest.mark.parametrize("field", ["lr", "clip_norm", "ratio_clip"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rates_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RLConfig(**{field: value})
+        RLConfig(**{field: 1e-9})
+
+    @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
+    def test_value_coef_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="value_coef"):
+            RLConfig(value_coef=value)
+        RLConfig(value_coef=0.0)
+
+    def test_defaults_valid(self):
+        RLConfig()
 
 
 class TestTrainRl:
