@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from heapq import heappush
+
 import numpy as np
 
 from gluesat.cnf import SparseGraph
@@ -81,6 +83,163 @@ def drive_watched(formula, decisions):
             return s, states, i
         states.append(set(s.trail))
     return s, states, None
+
+
+class ReferenceSolver(Solver):
+    """The straightforward form of the CDCL hot loop: ``_propagate``,
+    ``_analyze`` and ``_backjump`` as plain loops over solver attributes.
+    The package's tuned versions must reproduce its search exactly: trail,
+    literal order inside every clause, watch-list order, learned clauses,
+    EVSIDS scores and stats."""
+
+    def _propagate(self):
+        n = self.n
+        assign = self.assign
+        watches = self.watches
+        trail = self.trail
+        while self.qhead < len(trail):
+            p = trail[self.qhead]
+            self.qhead += 1
+            self.propagations += 1
+            falsified = -p
+            ws = watches[falsified + n]
+            i = j = 0
+            conflict = None
+            while i < len(ws):
+                clause = ws[i]
+                i += 1
+                lits = clause.lits
+                if lits[0] == falsified:
+                    lits[0] = lits[1]
+                    lits[1] = falsified
+                first = lits[0]
+                if assign[first + n] == 1:
+                    ws[j] = clause
+                    j += 1
+                    continue
+                moved = False
+                for k in range(2, len(lits)):
+                    lk = lits[k]
+                    if assign[lk + n] != -1:
+                        lits[1] = lk
+                        lits[k] = falsified
+                        watches[lk + n].append(clause)
+                        moved = True
+                        break
+                if moved:
+                    continue
+                ws[j] = clause
+                j += 1
+                if assign[first + n] == -1:
+                    while i < len(ws):      # conflict: keep the rest watched
+                        ws[j] = ws[i]
+                        j += 1
+                        i += 1
+                    conflict = clause
+                    break
+                self._enqueue(first, clause)
+            del ws[j:]
+            if conflict is not None:
+                return conflict
+        return None
+
+    def _analyze(self, conflict):
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        seen = self._seen
+        cur = self.decision_level
+        counter = 0
+        tail = []
+        p = None
+        idx = len(trail) - 1
+        clause = conflict
+        while True:
+            lits = clause.lits
+            for t in range(0 if p is None else 1, len(lits)):
+                q = lits[t]
+                v = abs(q)
+                if seen[v] or level[v] == 0:
+                    continue
+                seen[v] = 1
+                self._bump(v)
+                if level[v] >= cur:
+                    counter += 1
+                else:
+                    tail.append(q)
+            while not seen[abs(trail[idx])]:
+                idx -= 1
+            p = trail[idx]
+            v = abs(p)
+            clause = reason[v]
+            seen[v] = 0
+            counter -= 1
+            idx -= 1
+            if counter == 0:
+                break
+        learned = [-p] + tail
+        if tail:
+            bj = 0
+            spot = 1
+            for t in range(1, len(learned)):
+                lv = level[abs(learned[t])]
+                if lv > bj:
+                    bj = lv
+                    spot = t
+            learned[1], learned[spot] = learned[spot], learned[1]
+        else:
+            bj = 0
+        glue = len({level[abs(l)] for l in learned})
+        for lit in tail:
+            seen[abs(lit)] = 0
+        return learned, bj, glue
+
+    def _backjump(self, target_level):
+        trail = self.trail
+        lim = self.trail_lim
+        if target_level >= len(lim):
+            return
+        keep = lim[target_level]
+        n = self.n
+        heap = self.heap
+        evsids = self.evsids
+        for i in range(len(trail) - 1, keep - 1, -1):
+            lit = trail[i]
+            v = abs(lit)
+            self.assign[lit + n] = 0
+            self.assign[-lit + n] = 0
+            self.phase[v] = lit > 0
+            self.reason[v] = None
+            heappush(heap, (-evsids[v], v))
+        del trail[keep:]
+        del lim[target_level:]
+        self.qhead = keep
+
+
+def solver_state(solver):
+    """Everything the search leaves behind, with clauses named by their
+    position in ``original + learned`` (-1 for a clause in neither)."""
+    clauses = solver.original + solver.learned
+    index = {id(c): i for i, c in enumerate(clauses)}
+
+    def name(clause):
+        return None if clause is None else index.get(id(clause), -1)
+
+    return {
+        "trail": list(solver.trail),
+        "trail_lim": list(solver.trail_lim),
+        "qhead": solver.qhead,
+        "assign": list(solver.assign),
+        "level": list(solver.level),
+        "reason": [name(c) for c in solver.reason],
+        "phase": list(solver.phase),
+        "clauses": [list(c.lits) for c in clauses],
+        "learned": [(c.glue, c.born) for c in solver.learned],
+        "watches": [[name(c) for c in ws] for ws in solver.watches],
+        "evsids": list(solver.evsids),
+        "inc": solver.inc,
+        "heap": list(solver.heap),
+    }
 
 
 def reference_extract(solver, edge_cap=10_000_000):

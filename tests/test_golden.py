@@ -1,5 +1,5 @@
-"""Golden values: the network, its gradients and both training loops against
-numbers recorded in ``golden_values.json``.
+"""Golden values: the network, its gradients, both training loops and the
+solver's search against numbers recorded in ``golden_values.json``.
 
 The determinism tests elsewhere compare one run with another, so a change
 that alters every run the same way passes them.  These tests pin the
@@ -8,12 +8,15 @@ digest: sum, L1 norm and a fixed random projection), a short ``train_rl``
 history with its final parameters, and one ``train_supervised`` epoch.
 Tolerances are 1e-10 relative to each quantity's scale, loose enough for a
 different BLAS build and far tighter than any change to the arithmetic.
+Conflict-budget solves are pinned exactly: status, search counters,
+glue counts and a digest of the final trail.
 
 Regenerate the file only for an intended change of the numbers::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -23,7 +26,8 @@ import pytest
 
 from gluesat.cnf import clause_literal_graph, random_ksat
 from gluesat.grads import backward_from_heads
-from gluesat.network import forward_with_cache, preset
+from gluesat.network import forward, forward_with_cache, init_params, preset
+from gluesat.solver import Budget, Solver, SolverConfig, random_oracle
 from gluesat.training import (
     RLConfig,
     SupervisedConfig,
@@ -39,6 +43,10 @@ TOL = 1e-10
 GRAPHS = [(12, 40, 1), (20, 70, 2)]     # (variables, clauses, seed) of random 3-SAT
 MODES = {"eval": False, "dropout": True}
 NETWORK_KEYS = [f"{name}/{i}/{mode}" for name in ("supervised", "rl") for i in range(len(GRAPHS)) for mode in MODES]
+SOLVE_FORMULAS = [(100, 426, 1), (100, 426, 2), (100, 426, 4), (150, 639, 5)]     # random 3-SAT at ratio 4.26
+SOLVE_CONFLICTS = 600
+SOLVE_CONFIGS = ("default", "reduce", "random_oracle", "network_oracle")
+SOLVE_KEYS = [f"{config}/{i}" for config in SOLVE_CONFIGS for i in range(len(SOLVE_FORMULAS))]
 
 
 def digest(arr) -> list[float]:
@@ -87,9 +95,51 @@ def supervised_case():
     return {"epoch_kl": res.epoch_kl, "params": params_digest(res.params)}
 
 
+def solve_setup(config):
+    """(SolverConfig, oracle) for one pinned solve configuration."""
+    if config == "default":
+        return SolverConfig(), None
+    if config == "reduce":      # _reduce_db fires several times in the budget
+        return SolverConfig(reduce_base=60, reduce_step=20), None
+    refocus = SolverConfig(warmup_mode="conflicts", warmup_conflicts=20, schedule_base=20,
+                           schedule_quad=0, schedule_cap=20, refocus_margin=0.0, seed=5)
+    if config == "random_oracle":
+        return refocus, random_oracle(refocus.seed)
+    hp = preset("supervised")
+    params = init_params(hp, seed=0)
+    return refocus, lambda graph: forward(params, hp, graph).policy_logits
+
+
+def solve_case(key):
+    config, index = key.split("/")
+    n, m, seed = SOLVE_FORMULAS[int(index)]
+    cfg, oracle = solve_setup(config)
+    solver = Solver(random_ksat(n, m, 3, seed), cfg, oracle)
+    res = solver.solve(Budget(max_conflicts=SOLVE_CONFLICTS))
+    st = res.stats
+    trail = ",".join(map(str, solver.trail)).encode()
+    return {
+        "status": res.status,
+        "conflicts": st.conflicts,
+        "decisions": st.decisions,
+        "propagations": st.propagations,
+        "restarts": st.restarts,
+        "reductions": st.reductions,
+        "refocuses": st.refocuses,
+        "glue_counts": st.glue_counts,
+        "trail_len": len(solver.trail),
+        "trail_sha256": hashlib.sha256(trail).hexdigest(),
+    }
+
+
 def compute() -> dict:
     network = {key: network_case(key) for key in NETWORK_KEYS}
-    return {"network": network, "train_rl": rl_case(), "train_supervised": supervised_case()}
+    return {
+        "network": network,
+        "train_rl": rl_case(),
+        "train_supervised": supervised_case(),
+        "solve": {key: solve_case(key) for key in SOLVE_KEYS},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +193,11 @@ def test_train_supervised_epoch_kl(golden):
     want = golden["train_supervised"]
     assert_close(got["epoch_kl"], want["epoch_kl"])
     assert_digests_close(got["params"], want["params"])
+
+
+@pytest.mark.parametrize("key", SOLVE_KEYS)
+def test_solve_search(golden, key):
+    assert solve_case(key) == golden["solve"][key]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gluesat.cnf import Formula, brute_force, random_ksat, satisfies
 from gluesat.solver import (
@@ -15,7 +17,7 @@ from gluesat.solver import (
     solve,
 )
 
-from oracles import drive_naive, drive_watched
+from oracles import ReferenceSolver, drive_naive, drive_watched, solver_state
 
 
 def conflict_mode(**kw):
@@ -587,3 +589,48 @@ class TestMixedWidthFuzz:
             want = SAT if brute_force(f) is not None else UNSAT
             got = solve(f, config=cfg, oracle=random_oracle(trial)).status
             assert want == got, (trial, f)
+
+
+REFERENCE_CONFIGS = {
+    "default": lambda seed: (SolverConfig(seed=seed), None),
+    "reduce": lambda seed: (SolverConfig(reduce_base=30, reduce_step=10, seed=seed), None),
+    "refocus": lambda seed: (conflict_mode(warmup_conflicts=20, schedule_base=20, schedule_quad=0,
+                                           schedule_cap=20, refocus_margin=0.0, seed=seed),
+                             random_oracle(seed)),
+}
+
+
+def traced_search(cls, formula, config, seed, conflicts):
+    """Run one conflict-budget solve; return everything it leaves behind
+    plus the (learned, backjump level, glue) of every conflict."""
+    cfg, oracle = REFERENCE_CONFIGS[config](seed)
+    learned = []
+    s = cls(formula, cfg, oracle)
+    res = s.solve(Budget(max_conflicts=conflicts),
+                  on_learn=lambda _, lits, bj, glue: learned.append((list(lits), bj, glue)))
+    stats = res.stats.as_dict()
+    del stats["runtime"]
+    return {"status": res.status, "stats": stats, "conflicts": learned, "state": solver_state(s)}
+
+
+class TestMatchesReferenceSolver:
+    """The tuned _propagate/_analyze/_backjump against the plain loops in
+    oracles.ReferenceSolver: the same search, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(4, 40).flatmap(lambda n: st.builds(
+               random_ksat, st.just(n), st.integers(3 * n, 5 * n), st.just(3), st.integers(0, 2**30))),
+           st.sampled_from(sorted(REFERENCE_CONFIGS)), st.integers(0, 3), st.integers(1, 300))
+    def test_random_formulas(self, formula, config, seed, conflicts):
+        want = traced_search(ReferenceSolver, formula, config, seed, conflicts)
+        got = traced_search(Solver, formula, config, seed, conflicts)
+        assert got == want
+
+    @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+    def test_threshold_formulas(self, config):
+        for seed in range(3):
+            formula = random_ksat(120, 510, 3, seed)
+            want = traced_search(ReferenceSolver, formula, config, seed, 400)
+            got = traced_search(Solver, formula, config, seed, 400)
+            assert got == want
+            assert want["stats"]["conflicts"] > 50
