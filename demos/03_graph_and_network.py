@@ -28,9 +28,7 @@ print("root extraction equals the full clause-literal graph:")
 g0 = extract_graph(s)
 print(f"  {g0.num_clauses} rows, {g0.num_vars} vars, {g0.num_edges} edges")
 
-s.trail_lim.append(len(s.trail))
-s._enqueue(5, None)
-s._propagate()
+s.decide(5)
 g1 = extract_graph(s)
 print("after deciding x5 and propagating:")
 print(f"  {g1.num_clauses} rows over {g1.num_vars} unassigned vars ({g1.num_edges} edges)")

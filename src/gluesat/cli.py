@@ -84,27 +84,24 @@ def _cmd_solve(args) -> int:
 def _cmd_extract(args) -> int:
     formula = parse_dimacs(Path(args.input).read_text())
     solver = Solver(formula)
-    conflicted = solver._root_unsat
-    for lit in solver._root_units:
-        if solver.value(lit) == -1:
-            conflicted = True
-            break
-        if solver.value(lit) == 0:
-            solver._enqueue(lit, None)
-    if conflicted or solver._propagate() is not None:
+    if not solver.propagate_root():
         print("error: formula conflicts during propagation", file=sys.stderr)
         return 1
     if args.assign:
         for tok in args.assign.split(","):
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                lit = 0
+            if not 0 < abs(lit) <= formula.num_vars:
+                print(f"error: {tok!r} is not a literal of the formula", file=sys.stderr)
+                return 1
             if solver.value(lit) == 1:
                 continue
             if solver.value(lit) == -1:
                 print(f"error: literal {lit} already falsified", file=sys.stderr)
                 return 1
-            solver.trail_lim.append(len(solver.trail))
-            solver._enqueue(lit, None)
-            if solver._propagate() is not None:
+            if solver.decide(lit) is not None:
                 print(f"error: conflict after assigning {lit}", file=sys.stderr)
                 return 1
     graph = extract_graph(solver, args.edge_cap)

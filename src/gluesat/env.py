@@ -44,16 +44,8 @@ class GlueEnv:
         """Start an episode: fresh engine (discarding learned clauses), root
         unit propagation, observation of the residual graph."""
         solver = Solver(formula)
-        if solver._root_unsat:
-            raise TrivialFormulaError("formula contains the empty clause")
-        for lit in solver._root_units:
-            val = solver.value(lit)
-            if val == -1:
-                raise TrivialFormulaError("contradictory unit clauses")
-            if val == 0:
-                solver._enqueue(lit, None)
-        if solver._propagate() is not None:
-            raise TrivialFormulaError("root unit propagation conflicts")
+        if not solver.propagate_root():
+            raise TrivialFormulaError("formula is refuted at the root")
         if len(solver.trail) == solver.n or solver.n == 0:
             raise TrivialFormulaError("root unit propagation decides the formula")
         self.solver = solver
@@ -83,9 +75,7 @@ class GlueEnv:
         polarity = bool(self._rng.integers(2))
         lit = v if polarity else -v
         s = self.solver
-        s.trail_lim.append(len(s.trail))
-        s._enqueue(lit, None)
-        conflict = s._propagate()
+        conflict = s.decide(lit)
         self.steps += 1
         if conflict is not None:
             if s.decision_level == 0:

@@ -148,9 +148,12 @@ class _Clause:
 class Solver:
     """Single-use CDCL engine over one formula.
 
-    The refocus ``oracle``, when given, maps a SparseGraph of the residual
-    formula to one logit per compacted variable.  Instances are not thread
-    safe; run independent solvers for concurrency.
+    Either call ``solve`` once, or drive the search by hand with
+    ``propagate_root`` and then ``decide``; ``solve`` refuses a second call
+    and a solver that already holds decisions.  The refocus ``oracle``,
+    when given, maps a SparseGraph of the residual formula to one logit per
+    compacted variable.  Instances are not thread safe; run independent
+    solvers for concurrency.
     """
 
     def __init__(self, formula: Formula, config: SolverConfig | None = None, oracle=None):
@@ -228,6 +231,40 @@ class Solver:
         self.watches[clause.lits[0] + n].remove(clause)
         self.watches[clause.lits[1] + n].remove(clause)
 
+    def propagate_root(self) -> bool:
+        """Assign the unit clauses and propagate them at decision level 0.
+
+        Returns False when the formula is refuted at the root (an empty
+        clause, contradictory units or a propagation conflict), True
+        otherwise.  Calling it again is harmless and gives the same answer.
+        """
+        if self.trail_lim:
+            raise RuntimeError("propagate_root called above decision level 0")
+        if not self._root_unsat:
+            for lit in self._root_units:
+                val = self.value(lit)
+                if val == -1:
+                    self._root_unsat = True
+                    return False
+                if val == 0:
+                    self._enqueue(lit, None)
+            if self._propagate() is not None:
+                self._root_unsat = True
+        return not self._root_unsat
+
+    def decide(self, lit: int):
+        """Open a decision level, assign ``lit`` true and propagate.
+
+        Returns the falsified clause on a conflict, else None.  ``lit`` must
+        be an unassigned literal of the formula.
+        """
+        if not 0 < abs(lit) <= self.n or self.assign[lit + self.n] != 0:
+            raise ValueError(f"cannot decide {lit}: not an unassigned literal of the formula")
+        self.decisions += 1
+        self.trail_lim.append(len(self.trail))
+        self._enqueue(lit, None)
+        return self._propagate()
+
     def _enqueue(self, lit, reason=None):
         n = self.n
         self.assign[lit + n] = 1
@@ -242,52 +279,55 @@ class Solver:
         n = self.n
         assign = self.assign
         watches = self.watches
+        level = self.level
+        reason = self.reason
         trail = self.trail
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            falsified = -p
-            ws = watches[falsified + n]
-            i = j = 0
-            conflict = None
-            while i < len(ws):
-                clause = ws[i]
-                i += 1
+        cur = len(self.trail_lim)
+        qhead = self.qhead
+        conflict = None
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            # Rebuilt rather than compacted in place: no clause moves its
+            # watch onto this list, since the new watch is not false.
+            keep = []
+            it = iter(watches[falsified + n])
+            for clause in it:
                 lits = clause.lits
-                if lits[0] == falsified:
-                    lits[0] = lits[1]
-                    lits[1] = falsified
                 first = lits[0]
-                if assign[first + n] == 1:
-                    ws[j] = clause
-                    j += 1
+                if first == falsified:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = falsified
+                val = assign[first + n]
+                if val == 1:
+                    keep.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
                     if assign[lk + n] != -1:
                         lits[1] = lk
                         lits[k] = falsified
                         watches[lk + n].append(clause)
-                        moved = True
                         break
-                if moved:
-                    continue
-                ws[j] = clause
-                j += 1
-                if assign[first + n] == -1:
-                    while i < len(ws):      # conflict: keep the rest watched
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    conflict = clause
-                    break
-                self._enqueue(first, clause)
-            del ws[j:]
+                else:
+                    keep.append(clause)
+                    if val == -1:
+                        keep.extend(it)     # conflict: keep the rest watched
+                        conflict = clause
+                        break
+                    assign[first + n] = 1
+                    assign[n - first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = cur
+                    reason[v] = clause
+                    trail.append(first)
+            watches[falsified + n] = keep
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self.propagations += qhead - self.qhead
+        self.qhead = qhead
+        return conflict
 
     def _analyze(self, conflict):
         """First-UIP conflict analysis.
@@ -295,41 +335,47 @@ class Solver:
         Returns (learned_lits, backjump_level, glue); learned_lits[0] is the
         asserting literal and, for clauses of size >= 2, learned_lits[1] sits
         at the backjump level so the watches are correct after backjumping.
+        Every variable it meets is bumped as by ``_bump``; all of them are
+        assigned, so none goes on the heap here (``_backjump`` pushes it).
         """
-        n = self.n
         level = self.level
         reason = self.reason
         trail = self.trail
         seen = self._seen
-        cur = self.decision_level
+        evsids = self.evsids
+        inc = self.inc
+        cur = len(self.trail_lim)
         counter = 0
         tail = []
-        p = None
         idx = len(trail) - 1
-        clause = conflict
+        lits = conflict.lits
         while True:
-            lits = clause.lits
-            for t in range(0 if p is None else 1, len(lits)):
-                q = lits[t]
-                v = abs(q)
+            for q in lits:
+                v = q if q > 0 else -q
                 if seen[v] or level[v] == 0:
                     continue
                 seen[v] = 1
-                self._bump(v)
+                s = evsids[v] + inc
+                evsids[v] = s
+                if s > 1e100:
+                    self._rescale()
+                    evsids = self.evsids
+                    inc = self.inc
                 if level[v] >= cur:
                     counter += 1
                 else:
                     tail.append(q)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
             p = trail[idx]
-            v = abs(p)
-            clause = reason[v]
+            while not seen[p if p > 0 else -p]:
+                idx -= 1
+                p = trail[idx]
+            v = p if p > 0 else -p
             seen[v] = 0
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
+            lits = reason[v].lits[1:]       # lits[0] is p itself
         learned = [-p] + tail
         if tail:
             bj = 0
@@ -348,21 +394,23 @@ class Solver:
         return learned, bj, glue
 
     def _backjump(self, target_level):
-        trail = self.trail
         lim = self.trail_lim
         if target_level >= len(lim):
             return
+        trail = self.trail
         keep = lim[target_level]
         n = self.n
+        assign = self.assign
+        phase = self.phase
+        reason = self.reason
         heap = self.heap
         evsids = self.evsids
-        for i in range(len(trail) - 1, keep - 1, -1):
-            lit = trail[i]
-            v = abs(lit)
-            self.assign[lit + n] = 0
-            self.assign[-lit + n] = 0
-            self.phase[v] = lit > 0
-            self.reason[v] = None
+        for lit in reversed(trail[keep:]):
+            assign[lit + n] = 0
+            assign[n - lit] = 0
+            v = lit if lit > 0 else -lit
+            phase[v] = lit > 0
+            reason[v] = None
             heappush(heap, (-evsids[v], v))
         del trail[keep:]
         del lim[target_level:]
@@ -562,27 +610,21 @@ class Solver:
         return [v if self.assign[v + n] == 1 else -v for v in range(1, n + 1)]
 
     def solve(self, budget: Budget | None = None, on_learn=None, on_conflict=None) -> SolveResult:
-        """Run CDCL to completion or budget exhaustion.
+        """Run CDCL to completion or budget exhaustion; once per Solver.
+
+        A second call raises RuntimeError: a solve stopped by its budget
+        leaves the search above decision level 0, where a conflict no longer
+        proves the formula unsatisfiable.
 
         ``on_learn(solver, learned_lits, backjump_level, glue)`` fires after
         conflict analysis but before backjumping; ``on_conflict(solver)``
         fires once each conflict is fully processed.
         """
+        if self._start is not None:
+            raise RuntimeError("a Solver solves once; build a new one for another solve")
         budget = budget or Budget()
         self._start = time.monotonic()
-        status = None
-        if self._root_unsat:
-            status = UNSAT
-        else:
-            for lit in self._root_units:
-                val = self.value(lit)
-                if val == -1:
-                    status = UNSAT
-                    break
-                if val == 0:
-                    self._enqueue(lit, None)
-            if status is None and self._propagate() is not None:
-                status = UNSAT
+        status = None if self.propagate_root() else UNSAT
         while status is None:
             if budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts:
                 status = UNKNOWN
@@ -603,14 +645,8 @@ class Solver:
                 status = SAT
                 break
             self._try_refocus()
-            lit = self.pick_decision()
-            self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, None)
-            while True:
-                conflict = self._propagate()
-                if conflict is None:
-                    break
+            conflict = self.decide(self.pick_decision())
+            while conflict is not None:
                 self.conflicts += 1
                 if self.decision_level == 0:
                     status = UNSAT
@@ -627,6 +663,7 @@ class Solver:
                 if budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts:
                     status = UNKNOWN
                     break
+                conflict = self._propagate()
         model = None
         if status == SAT:
             model = self._model()

@@ -61,24 +61,14 @@ def drive_watched(formula, decisions):
     and conflict_step is the index of the conflicting step or None.
     """
     s = Solver(formula)
-    if s._root_unsat:
-        return s, [set()], 0
-    for lit in s._root_units:
-        if s.value(lit) == -1:
-            return s, [set()], 0
-        if s.value(lit) == 0:
-            s._enqueue(lit, None)
-    states = []
-    if s._propagate() is not None:
+    if not s.propagate_root():
         return s, [set(s.trail)], 0
-    states.append(set(s.trail))
+    states = [set(s.trail)]
     for i, lit in enumerate(decisions, start=1):
         if s.value(lit) != 0:
             states.append(set(s.trail))
             continue
-        s.trail_lim.append(len(s.trail))
-        s._enqueue(lit, None)
-        if s._propagate() is not None:
+        if s.decide(lit) is not None:
             states.append(set(s.trail))
             return s, states, i
         states.append(set(s.trail))

@@ -92,6 +92,14 @@ class TestExtractCommand:
     def test_conflicting_assignment_errors(self, unsat_file, capsys):
         assert main(["extract", unsat_file]) == 1
 
+    @pytest.mark.parametrize("assign", ["0", "4", "-4", "3,x", "1,,2"])
+    def test_assignment_outside_formula_errors(self, tmp_path, capsys, assign):
+        p = tmp_path / "f.cnf"
+        p.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+        assert main(["extract", str(p), "--assign", assign]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a literal of the formula" in err
+
 
 class TestEnvRolloutCommand:
     def test_random_policy_trace(self, tmp_path, capsys):

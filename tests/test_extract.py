@@ -40,9 +40,7 @@ class TestExtractGraph:
         # deciding 3 satisfies the clauses containing it; only (1, 2) remains
         f = Formula(3, ((1, 2), (-1, 3), (2, 3)))
         s = Solver(f)
-        s.trail_lim.append(0)
-        s._enqueue(3, None)
-        assert s._propagate() is None
+        assert s.decide(3) is None
         g = extract_graph(s)
         assert g.num_clauses == 1
         assert g.var_map == (1, 2)
@@ -76,9 +74,7 @@ class TestExtractGraph:
     def test_var_map_is_unassigned_variables(self):
         f = random_ksat(10, 34, 3, 1)
         s = Solver(f)
-        s.trail_lim.append(0)
-        s._enqueue(4, None)
-        s._propagate()
+        s.decide(4)
         g = extract_graph(s)
         unassigned = tuple(v for v in range(1, 11) if s.value(v) == 0)
         assert g.var_map == unassigned
@@ -124,9 +120,7 @@ class TestExtractGraph:
     def test_extraction_is_pure(self):
         f = random_ksat(10, 34, 3, 2)
         s = Solver(f)
-        s.trail_lim.append(0)
-        s._enqueue(1, None)
-        s._propagate()
+        s.decide(1)
         before = (
             list(s.trail),
             [list(c.lits) for c in s.original],

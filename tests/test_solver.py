@@ -196,6 +196,70 @@ class TestAnalyzeConflict:
             assert (want is None) == (got is None)
 
 
+class TestPublicSearchApi:
+    def test_second_solve_raises(self):
+        # the budget stop leaves the search above level 0, where a second
+        # solve used to read its first propagation conflict as root UNSAT
+        f = random_ksat(60, 240, 3, 2)
+        for conflicts in (3, 4, 5, 7):
+            s = Solver(f)
+            assert s.solve(Budget(max_conflicts=conflicts)).status == UNKNOWN
+            with pytest.raises(RuntimeError, match="solves once"):
+                s.solve()
+        s = Solver(f)
+        assert s.solve().status == SAT
+        with pytest.raises(RuntimeError, match="solves once"):
+            s.solve()
+
+    def test_propagate_root(self):
+        s = Solver(Formula(3, ((1,), (-1, 2), (2, 3))))
+        assert s.propagate_root() is True
+        assert s.trail == [1, 2]
+        assert s.decision_level == 0 and s.decisions == 0
+        assert s.propagate_root() is True
+        assert s.trail == [1, 2]
+
+    @pytest.mark.parametrize("clauses", [
+        ((1, 2), ()),                      # empty clause
+        ((1,), (2, 3), (-1,)),             # contradictory units
+        ((1,), (-1, 2), (-1, -2)),         # propagation conflict
+    ])
+    def test_propagate_root_refutation_is_sticky(self, clauses):
+        s = Solver(Formula(3, clauses))
+        assert s.propagate_root() is False
+        assert s.propagate_root() is False
+        assert s.solve().status == UNSAT
+
+    def test_decide(self):
+        s = Solver(Formula(3, ((-1, 2), (-2, 3), (1, 2, 3))))
+        assert s.propagate_root()
+        assert s.decide(1) is None
+        assert s.trail == [1, 2, 3]
+        assert s.trail_lim == [0]
+        assert s.level[3] == 1 and s.decisions == 1
+        s = Solver(Formula(2, ((-1, 2), (-1, -2))))
+        conflict = s.decide(1)
+        assert conflict is not None
+        assert all(s.value(l) == -1 for l in conflict.lits)
+
+    @pytest.mark.parametrize("lit", [0, 4, -4, 1, -1])
+    def test_decide_rejects_assigned_or_foreign_literals(self, lit):
+        s = Solver(Formula(3, ((1,), (2, 3))))
+        assert s.propagate_root()
+        with pytest.raises(ValueError):
+            s.decide(lit)
+        assert s.trail == [1] and s.decisions == 0
+
+    def test_solve_after_decisions_raises(self):
+        s = Solver(random_ksat(10, 30, 3, 0))
+        assert s.propagate_root()
+        s.decide(s.pick_decision())
+        with pytest.raises(RuntimeError):
+            s.propagate_root()
+        with pytest.raises(RuntimeError):
+            s.solve()
+
+
 class TestComputeLbd:
     def test_distinct_levels(self):
         levels = {1: 3, 2: 3, 3: 5}
