@@ -39,7 +39,6 @@ from .solver import (
     Solver,
     SolverConfig,
     SolveResult,
-    compute_lbd,
     random_oracle,
     schedule_threshold,
     solve,

@@ -7,13 +7,15 @@ from __future__ import annotations
 import csv
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .cnf import parse_dimacs
-from .solver import SAT, UNSAT, Budget, Solver, SolverConfig, random_oracle
+from .solver import SAT, UNSAT, Budget, Solver, SolverConfig, SolveStats, random_oracle
 
 __all__ = [
     "AggregateRecord",
@@ -23,6 +25,7 @@ __all__ = [
     "VARIANTS",
     "aggregate",
     "cactus_csv",
+    "make_oracle",
     "pairwise_better_fraction",
     "par2",
     "run_benchmark",
@@ -71,7 +74,7 @@ class BenchConfig:
     timeout: float | None = 60.0          # wall-clock per run, None to disable
     max_conflicts: int | None = 200_000   # conflict budget, None to disable
     parallelism: int = 1
-    solver: SolverConfig | None = None    # base config (seed is overridden per run)
+    solver: SolverConfig | None = None    # shared by every run; None for the defaults
 
 
 def _run_seed(instance: str, variant: str, seed: int) -> int:
@@ -79,71 +82,53 @@ def _run_seed(instance: str, variant: str, seed: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-_WORKER_WEIGHTS = {}
+_NETWORK_ORACLES = {}   # weights path -> network oracle, so a process loads each file once
+
+
+def make_oracle(variant: str, seed: int = 0, weights=None):
+    """The refocus oracle of one of ``VARIANTS``: None for vanilla (no
+    refocusing), ``random_oracle(seed)`` for random, and for neuro the
+    network in the ``weights`` file.  Raises ValueError for an unknown
+    variant and for neuro without weights."""
+    if variant == "vanilla":
+        return None
+    if variant == "random":
+        return random_oracle(seed)
+    if variant == "neuro":
+        if weights is None:
+            raise ValueError("the neuro variant requires a weights path")
+        oracle = _NETWORK_ORACLES.get(weights)
+        if oracle is None:
+            from .network import forward, load_weights
+
+            params, hp = load_weights(weights)
+            oracle = lambda g: forward(params, hp, g).policy_logits  # noqa: E731
+            _NETWORK_ORACLES[weights] = oracle
+        return oracle
+    raise ValueError(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
+
+
+_RECORD_FIELDS = [f.name for f in fields(EvalRecord)]
+_RECORD_TYPES = get_type_hints(EvalRecord)
+# the EvalRecord columns a solve's SolveStats fills in
+_STAT_FIELDS = [name for name in _RECORD_FIELDS if name in {f.name for f in fields(SolveStats)}]
 
 
 def _solve_task(args):
-    path, variant, seed, weights_path, cfg = args
+    path, variant, seed, weights, cfg = args
+    name = Path(path).name
     formula = parse_dimacs(Path(path).read_text())
-    solver_cfg = replace(cfg.solver or SolverConfig(), seed=seed)
-    oracle = None
-    if variant == "random":
-        oracle = random_oracle(_run_seed(Path(path).name, variant, seed))
-    elif variant == "neuro":
-        cached = _WORKER_WEIGHTS.get(weights_path)
-        if cached is None:
-            from .network import forward, load_weights
-
-            params, hp = load_weights(weights_path)
-            cached = lambda g: forward(params, hp, g).policy_logits  # noqa: E731
-            _WORKER_WEIGHTS[weights_path] = cached
-        oracle = cached
+    oracle = make_oracle(variant, _run_seed(name, variant, seed), weights)
     budget = Budget(max_conflicts=cfg.max_conflicts, max_seconds=cfg.timeout)
-    result = Solver(formula, config=solver_cfg, oracle=oracle).solve(budget=budget)
-    st = result.stats
-    return EvalRecord(
-        instance=Path(path).name,
-        variant=variant,
-        seed=seed,
-        status=result.status,
-        runtime=st.runtime,
-        decisions=st.decisions,
-        conflicts=st.conflicts,
-        propagations=st.propagations,
-        restarts=st.restarts,
-        refocuses=st.refocuses,
-        avg_glue=st.avg_glue,
-        glr=st.glr,
-    )
-
-
-_RECORD_FIELDS = [
-    "instance", "variant", "seed", "status", "runtime", "decisions",
-    "conflicts", "propagations", "restarts", "refocuses", "avg_glue", "glr",
-]
+    result = Solver(formula, config=cfg.solver, oracle=oracle).solve(budget=budget)
+    stats = {field: getattr(result.stats, field) for field in _STAT_FIELDS}
+    return EvalRecord(instance=name, variant=variant, seed=seed, status=result.status, **stats)
 
 
 def _load_records(path) -> list[EvalRecord]:
-    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                EvalRecord(
-                    instance=row["instance"],
-                    variant=row["variant"],
-                    seed=int(row["seed"]),
-                    status=row["status"],
-                    runtime=float(row["runtime"]),
-                    decisions=int(row["decisions"]),
-                    conflicts=int(row["conflicts"]),
-                    propagations=int(row["propagations"]),
-                    restarts=int(row["restarts"]),
-                    refocuses=int(row["refocuses"]),
-                    avg_glue=float(row["avg_glue"]),
-                    glr=float(row["glr"]),
-                )
-            )
-    return records
+        return [EvalRecord(**{name: _RECORD_TYPES[name](row[name]) for name in _RECORD_FIELDS})
+                for row in csv.DictReader(fh)]
 
 
 def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
@@ -153,7 +138,8 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
     When ``records_csv`` is given, records are appended as runs finish and
     existing rows are not re-run, making an interrupted benchmark resumable.
     Records are keyed by instance file name, so two entries sharing a name
-    (the same path twice included) raise ValueError before anything runs.
+    (the same path twice included) raise ValueError before anything runs,
+    as do a variant outside ``VARIANTS`` and neuro without weights.
     """
     by_name = {}
     for path in instances:
@@ -161,47 +147,37 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
         if name in by_name:
             raise ValueError(f"instances {by_name[name]} and {path} share the file name {name!r}")
         by_name[name] = path
+    for variant in variants:    # refuse a bad variant before records.csv is opened
+        make_oracle(variant, weights=weights)
     cfg = config or BenchConfig()
-    if "neuro" in variants and weights is None:
-        raise ValueError("the neuro variant requires a weights path")
     done = {}
-    sink = None
-    if records_csv is not None:
-        records_csv = Path(records_csv)
-        if records_csv.exists():
-            for rec in _load_records(records_csv):
-                done[(rec.instance, rec.variant, rec.seed)] = rec
-        new_file = not records_csv.exists()
-        sink = open(records_csv, "a", newline="")
-        writer = csv.DictWriter(sink, fieldnames=_RECORD_FIELDS)
-        if new_file:
-            writer.writeheader()
-    tasks = []
-    for path in instances:
-        for variant in variants:
-            for seed in seeds:
-                if (Path(path).name, variant, seed) not in done:
-                    tasks.append((str(path), variant, seed, weights, cfg))
-    records = list(done.values())
-    try:
+    with ExitStack() as stack:
+        writer = None
+        if records_csv is not None:
+            records_csv = Path(records_csv)
+            if records_csv.exists():
+                for rec in _load_records(records_csv):
+                    done[(rec.instance, rec.variant, rec.seed)] = rec
+            new_file = not records_csv.exists()
+            sink = stack.enter_context(open(records_csv, "a", newline=""))
+            writer = csv.DictWriter(sink, fieldnames=_RECORD_FIELDS)
+            if new_file:
+                writer.writeheader()
+        tasks = []
+        for path in instances:
+            for variant in variants:
+                for seed in seeds:
+                    if (Path(path).name, variant, seed) not in done:
+                        tasks.append((str(path), variant, seed, weights, cfg))
+        records = list(done.values())
+        run = map
         if cfg.parallelism > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                fresh = pool.map(_solve_task, tasks)
-                for rec in fresh:
-                    records.append(rec)
-                    if sink is not None:
-                        writer.writerow(rec.__dict__)
-                        sink.flush()
-        else:
-            for task in tasks:
-                rec = _solve_task(task)
-                records.append(rec)
-                if sink is not None:
-                    writer.writerow(rec.__dict__)
-                    sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.parallelism)).map
+        for rec in run(_solve_task, tasks):
+            records.append(rec)
+            if writer is not None:
+                writer.writerow(asdict(rec))
+                sink.flush()
     return records
 
 
@@ -342,19 +318,12 @@ def write_outputs(records, out_dir, timeout: float) -> None:
     with open(out_dir / "records.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_RECORD_FIELDS)
         writer.writeheader()
-        for rec in records:
-            writer.writerow(rec.__dict__)
+        writer.writerows(asdict(rec) for rec in records)
     aggs = aggregate(records)
-    agg_fields = [
-        "instance", "variant", "solved", "status", "mean_successful_runtime",
-        "mean_successful_decisions", "mean_decisions", "mean_conflicts",
-        "mean_avg_glue", "mean_glr",
-    ]
     with open(out_dir / "aggregates.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=agg_fields)
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(AggregateRecord)])
         writer.writeheader()
-        for agg in aggs:
-            writer.writerow(agg.__dict__)
+        writer.writerows(asdict(agg) for agg in aggs)
     scores = par2(aggs, timeout)
     lines = []
     for variant, splits in sorted(scores.items()):

@@ -7,6 +7,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from . import bench as bench_mod
 from .cnf import parse_dimacs
 from .datagen import DatagenConfig, build_dataset, load_dataset
 from .extract import extract_graph
-from .network import forward, load_weights, preset, save_weights
-from .solver import SAT, UNSAT, Budget, Solver, SolverConfig, random_oracle
+from .network import HyperParams, forward, load_weights, preset, save_weights
+from .solver import SAT, UNSAT, Budget, Solver, SolverConfig
 from .training import RLConfig, SupervisedConfig, train_rl, train_supervised
 
 EXIT_SAT = 10
@@ -49,25 +50,26 @@ def _solver_config(args) -> SolverConfig:
         warmup_mode=args.warmup_mode,
         warmup_seconds=args.warmup_seconds,
         warmup_conflicts=args.warmup_conflicts,
-        seed=args.seed,
     )
 
 
-def _make_oracle(mode, weights, seed):
-    if mode == "vanilla":
-        return None
-    if mode == "random":
-        return random_oracle(seed)
-    if weights is None:
-        raise SystemExit("--weights is required for --mode neuro")
-    params, hp = load_weights(weights)
-    return lambda g: forward(params, hp, g).policy_logits
+def _add_network_flags(p):
+    """The flags train-supervised and train-rl share: network shape and dropout."""
+    p.add_argument("--preset", choices=["supervised", "rl"], default=None)
+    p.add_argument("--hyper", type=int, nargs=6, default=None,
+                   metavar=("DELTA_L", "DELTA_C", "TAU", "N_L", "N_C", "N_P"))
+    p.add_argument("--dropout", type=float, default=0.15,
+                   help="training dropout, for a preset or --hyper alike")
 
 
 def _cmd_solve(args) -> int:
     formula = parse_dimacs(Path(args.input).read_text())
     cfg = _solver_config(args)
-    oracle = _make_oracle(args.mode, args.weights, args.seed)
+    try:
+        oracle = bench_mod.make_oracle(args.mode, args.seed, args.weights)
+    except ValueError as exc:   # neuro without weights, malformed weight file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     budget = Budget(max_conflicts=args.conflicts, max_decisions=args.decisions, max_seconds=args.time)
     result = Solver(formula, config=cfg, oracle=oracle).solve(budget=budget)
     payload = {"status": result.status, **result.stats.as_dict()}
@@ -132,12 +134,10 @@ def _cmd_datagen(args) -> int:
 
 def _resolve_hyper(args, default_preset):
     if args.hyper is not None:
-        from .network import HyperParams
-
         dl, dc, tau, n_l, n_c, n_p = args.hyper
         return HyperParams(delta_l=dl, delta_c=dc, tau_iters=tau, n_l=n_l, n_c=n_c,
                            n_p=n_p, dropout=args.dropout)
-    return preset(args.preset or default_preset)
+    return replace(preset(args.preset or default_preset), dropout=args.dropout)
 
 
 def _cmd_train_supervised(args) -> int:
@@ -183,11 +183,9 @@ def _cmd_train_rl(args) -> int:
     save_weights(result.params, hp, args.out)
     if args.metrics:
         with open(args.metrics, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            columns = ["batch", "episodes", "mean_return", "policy_loss", "value_loss", "total_loss", "grad_norm"]
-            writer.writerow(columns)
-            for row in result.history:
-                writer.writerow([row[c] for c in columns])
+            writer = csv.DictWriter(fh, fieldnames=list(result.history[0]))
+            writer.writeheader()
+            writer.writerows(result.history)
     final = result.history[-1]["mean_return"] if result.history else float("nan")
     print(f"trained {args.batches} batches; final mean return {final:.4f}; weights at {args.out}")
     return 0
@@ -247,18 +245,11 @@ def _cmd_bench(args) -> int:
         print("error: no instances found", file=sys.stderr)
         return 1
     variants = args.variants.split(",")
-    base, quad, cap = args.schedule
-    solver_cfg = SolverConfig(
-        schedule_base=base, schedule_quad=quad, schedule_cap=cap,
-        warmup_mode=args.warmup_mode, warmup_seconds=args.warmup_seconds,
-        warmup_conflicts=args.warmup_conflicts, edge_cap=args.edge_cap,
-        kappa=args.kappa, temperature=args.temperature,
-    )
     cfg = bench_mod.BenchConfig(
         timeout=args.timeout,
         max_conflicts=args.conflicts,
         parallelism=args.workers,
-        solver=solver_cfg,
+        solver=_solver_config(args),
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,7 +258,7 @@ def _cmd_bench(args) -> int:
             instances, variants, args.seeds, cfg, weights=args.weights,
             records_csv=out_dir / "records.csv",
         )
-    except ValueError as exc:   # neuro without weights, clashing names, malformed DIMACS
+    except ValueError as exc:   # unknown variant, neuro without weights, clashing names, malformed DIMACS
         print(f"error: {exc}", file=sys.stderr)
         return 1
     effective_timeout = args.timeout if args.timeout is not None else 0.0
@@ -282,10 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a DIMACS file, printing stats as JSON")
     p.add_argument("input")
-    p.add_argument("--mode", choices=["vanilla", "neuro", "random"], default="vanilla")
+    p.add_argument("--mode", choices=bench_mod.VARIANTS, default="vanilla")
     p.add_argument("--weights", default=None)
     p.add_argument("--model", action="store_true", help="include the model in the JSON output")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the random mode's oracle; vanilla and neuro solves do not depend on it")
     p.add_argument("--decisions", type=int, default=None, help="decision budget")
     p.add_argument("--time", type=float, default=None, help="wall-clock budget in seconds")
     _add_solver_flags(p)
@@ -312,10 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-supervised", help="train on glue-count labels with ASGD")
     p.add_argument("--data", required=True)
-    p.add_argument("--preset", choices=["supervised", "rl"], default=None)
-    p.add_argument("--hyper", type=int, nargs=6, default=None,
-                   metavar=("DELTA_L", "DELTA_C", "TAU", "N_L", "N_C", "N_P"))
-    p.add_argument("--dropout", type=float, default=0.15)
+    _add_network_flags(p)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--batch-size", type=int, default=8)
@@ -326,10 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-rl", help="REINFORCE training over a formula directory")
     p.add_argument("--formulas", required=True)
-    p.add_argument("--preset", choices=["supervised", "rl"], default=None)
-    p.add_argument("--hyper", type=int, nargs=6, default=None,
-                   metavar=("DELTA_L", "DELTA_C", "TAU", "N_L", "N_C", "N_P"))
-    p.add_argument("--dropout", type=float, default=0.15)
+    _add_network_flags(p)
     p.add_argument("--batches", type=int, default=50)
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--episodes-per-worker", type=int, default=2)
@@ -355,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("--instances", required=True, nargs="+", metavar="DIR",
                    help="directories whose *.cnf files are benchmarked; file names must be unique")
-    p.add_argument("--variants", default="vanilla,neuro,random")
+    p.add_argument("--variants", default=",".join(bench_mod.VARIANTS))
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--weights", default=None)

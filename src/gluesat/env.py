@@ -78,10 +78,7 @@ class GlueEnv:
         conflict = s.decide(lit)
         self.steps += 1
         if conflict is not None:
-            if s.decision_level == 0:
-                glue = 1
-            else:
-                _, _, glue = s._analyze(conflict)
+            _, _, glue = s._analyze(conflict)
             self.done = True
             self.terminal = ("conflict", glue)
             self.obs = None

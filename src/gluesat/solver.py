@@ -6,7 +6,7 @@ reduction, and periodic oracle-driven score refocusing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "SolveStats",
-    "compute_lbd",
     "random_oracle",
     "schedule_threshold",
     "solve",
@@ -53,7 +52,6 @@ class SolverConfig:
     warmup_mode: str = "time"           # "time" or "conflicts"
     warmup_seconds: float = 15.0
     warmup_conflicts: int = 1000
-    seed: int = 0
 
 
 @dataclass
@@ -78,19 +76,7 @@ class SolveStats:
     glue_counts: list[int] = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-            "refocuses": self.refocuses,
-            "reductions": self.reductions,
-            "learned": self.learned,
-            "avg_glue": self.avg_glue,
-            "glr": self.glr,
-            "runtime": self.runtime,
-            "glue_counts": list(self.glue_counts),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,21 +91,6 @@ def schedule_threshold(n: int, base: int = 50_000, quad: int = 1_000, cap: int =
     if n < 1:
         raise ValueError("refocus ordinal must be >= 1")
     return min(base + quad * (n - 1) ** 2, cap)
-
-
-def compute_lbd(lits, levels) -> int:
-    """Number of distinct decision levels among a clause's literals.
-
-    ``levels`` maps variables to their decision level; None means unassigned,
-    which violates the caller's contract.
-    """
-    distinct = set()
-    for lit in lits:
-        lv = levels[abs(lit)]
-        if lv is None:
-            raise ValueError(f"literal {lit} is unassigned")
-        distinct.add(lv)
-    return len(distinct)
 
 
 def random_oracle(seed):
@@ -217,7 +188,10 @@ class Solver:
         return len(self.trail_lim)
 
     def value(self, lit: int) -> int:
-        """1 if lit is true, -1 if false, 0 if unassigned."""
+        """1 if lit is true, -1 if false, 0 if unassigned.  ValueError when
+        ``lit`` is not a literal of the formula."""
+        if not 0 < abs(lit) <= self.n:
+            raise ValueError(f"{lit} is not a literal of the formula")
         return self.assign[lit + self.n]
 
     def _attach(self, clause):
@@ -335,8 +309,9 @@ class Solver:
         Returns (learned_lits, backjump_level, glue); learned_lits[0] is the
         asserting literal and, for clauses of size >= 2, learned_lits[1] sits
         at the backjump level so the watches are correct after backjumping.
-        Every variable it meets is bumped as by ``_bump``; all of them are
-        assigned, so none goes on the heap here (``_backjump`` pushes it).
+        Every variable it meets gets its EVSIDS score raised by ``inc``
+        (rescaling past 1e100); all of them are assigned, so none goes on
+        the heap here (``_backjump`` pushes it).
         """
         level = self.level
         reason = self.reason
@@ -417,14 +392,6 @@ class Solver:
         self.qhead = keep
 
     # --------------------------------------------------------------- scoring
-
-    def _bump(self, v):
-        s = self.evsids[v] + self.inc
-        self.evsids[v] = s
-        if s > 1e100:
-            self._rescale()
-        elif self.assign[v + self.n] == 0:
-            heappush(self.heap, (-self.evsids[v], v))
 
     def _decay(self):
         # EVSIDS trick: growing the increment decays all existing scores

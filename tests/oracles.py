@@ -75,6 +75,32 @@ def drive_watched(formula, decisions):
     return s, states, None
 
 
+def compute_lbd(lits, levels) -> int:
+    """Number of distinct decision levels among a clause's literals.
+
+    ``levels`` maps variables to their decision level; None means unassigned,
+    which violates the caller's contract.
+    """
+    distinct = set()
+    for lit in lits:
+        lv = levels[abs(lit)]
+        if lv is None:
+            raise ValueError(f"literal {lit} is unassigned")
+        distinct.add(lv)
+    return len(distinct)
+
+
+def bump(solver, v):
+    """One EVSIDS bump of variable v, as ``Solver._analyze`` does inline,
+    plus the heap push an unassigned variable needs."""
+    s = solver.evsids[v] + solver.inc
+    solver.evsids[v] = s
+    if s > 1e100:
+        solver._rescale()
+    elif solver.assign[v + solver.n] == 0:
+        heappush(solver.heap, (-solver.evsids[v], v))
+
+
 class ReferenceSolver(Solver):
     """The straightforward form of the CDCL hot loop: ``_propagate``,
     ``_analyze`` and ``_backjump`` as plain loops over solver attributes.
@@ -152,7 +178,7 @@ class ReferenceSolver(Solver):
                 if seen[v] or level[v] == 0:
                     continue
                 seen[v] = 1
-                self._bump(v)
+                bump(self, v)
                 if level[v] >= cur:
                     counter += 1
                 else:

@@ -52,11 +52,11 @@ _SOUND_HP = HyperParams(delta_l=8, delta_c=8, tau_iters=1, n_l=1, n_c=1, n_p=2, 
 _SOUND_PARAMS = None
 
 
-def _aggressive_config(seed=0):
+def _aggressive_config():
     return SolverConfig(
         warmup_mode="conflicts", warmup_conflicts=0,
         schedule_base=5, schedule_quad=0, schedule_cap=5,
-        refocus_margin=0.0, seed=seed,
+        refocus_margin=0.0,
     )
 
 
@@ -76,7 +76,7 @@ def _soundness_task(seed):
     }
     refocused = 0
     for name, oracle in oracles.items():
-        r = solve(f, config=_aggressive_config(seed), oracle=oracle)
+        r = solve(f, config=_aggressive_config(), oracle=oracle)
         if r.status != want:
             return False, f"{name} disagreed on seed {seed} (n={n})", 0
         if name != "vanilla":
@@ -422,7 +422,7 @@ class TestCriterion8:
         for seed in range(200):
             g = random_ksat(12, 50, 3, seed)
             want = SAT if brute_force(g) is not None else UNSAT
-            r = solve(g, config=_aggressive_config(seed), oracle=random_oracle(seed))
+            r = solve(g, config=_aggressive_config(), oracle=random_oracle(seed))
             if r.status != want:
                 sound = False
                 break

@@ -73,6 +73,15 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(instances, ["neuro"], [0], desk_config())
 
+    @pytest.mark.parametrize("variants", [["vanila"], ["vanilla", "typo"], ["Neuro"]])
+    def test_unknown_variant_rejected(self, tmp_path, weights_file, variants):
+        instances = make_instances(tmp_path / "inst", 1)
+        out = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_benchmark(instances, variants, [0], desk_config(), weights=weights_file,
+                          records_csv=out)
+        assert not out.exists()   # refused before any solve or record
+
     def test_duplicate_file_names_rejected(self, tmp_path):
         first = make_instances(tmp_path / "a", 2)
         second = make_instances(tmp_path / "b", 1)

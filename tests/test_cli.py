@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -63,6 +64,12 @@ class TestSolveCommand:
         )
         assert code in (10, 20)
         json.loads(capsys.readouterr().out)
+
+    def test_neuro_mode_requires_weights(self, sat_file, capsys):
+        assert main(["solve", sat_file, "--mode", "neuro"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "weights" in captured.err
 
     def test_random_mode(self, tmp_path, capsys):
         p = tmp_path / "inst.cnf"
@@ -226,6 +233,16 @@ class TestPipelineCommands:
         assert "share the file name 'f.cnf'" in capsys.readouterr().err
         assert not (out_dir / "records.csv").exists()
 
+    def test_bench_rejects_unknown_variants(self, tmp_path, capsys):
+        (tmp_path / "inst").mkdir()
+        (tmp_path / "inst" / "f.cnf").write_text("p cnf 2 1\n1 2 0\n")
+        out_dir = tmp_path / "bench"
+        code = main(["bench", "--instances", str(tmp_path / "inst"), "--out", str(out_dir),
+                     "--variants", "vanila,typo"])
+        assert code == 1
+        assert "error: unknown variant 'vanila'" in capsys.readouterr().err
+        assert not (out_dir / "records.csv").exists()
+
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--time", "5"], ["--decisions", "10"]])
     def test_bench_rejects_flags_it_ignores(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -249,3 +266,20 @@ class TestPipelineCommands:
         _, hp = load_weights(weights)
         assert (hp.delta_l, hp.delta_c, hp.tau_iters) == (4, 6, 1)
         assert hp.dropout == 0.0
+
+    def test_dropout_applies_to_a_preset(self, tmp_path, capsys):
+        formulas = tmp_path / "formulas"
+        formulas.mkdir()
+        (formulas / "f.cnf").write_text(write_dimacs(random_ksat(8, 28, 3, 0)))
+        weights = tmp_path / "rl.ngw"
+        assert main(
+            [
+                "train-rl", "--formulas", str(formulas), "--out", str(weights),
+                "--batches", "1", "--workers", "1", "--episodes-per-worker", "1",
+                "--grad-steps", "1", "--preset", "rl", "--dropout", "0.5",
+            ]
+        ) == 0
+        hyper_line = weights.read_bytes().split(b"\n")[1].split()
+        assert hyper_line[0] == b"hyper" and float(hyper_line[7]) == 0.5
+        _, hp = load_weights(weights)
+        assert hp == replace(preset("rl"), dropout=0.5)

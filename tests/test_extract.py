@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gluesat.cnf import Formula, clause_literal_graph, random_ksat
 from gluesat.extract import extract_graph, lift_distribution
-from gluesat.solver import Budget, Solver, SolverConfig, _Clause
+from gluesat.solver import Budget, Solver, _Clause
 
 from oracles import drive_watched, edge_pairs, reference_extract
 
@@ -227,13 +227,13 @@ class TestMatchesReferenceExtraction:
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(10, 24).flatmap(lambda n: st.builds(
                random_ksat, st.just(n), st.integers(4 * n, 5 * n), st.just(3), st.integers(0, 2**30))),
-           st.integers(1, 40), st.integers(0, 3), st.data())
-    def test_after_short_solve(self, formula, conflicts, seed, data):
+           st.integers(1, 40), st.data())
+    def test_after_short_solve(self, formula, conflicts, data):
         # learned clauses and watch-swapped literal order are present; the
         # state straight after the budget stops may be short of a fixpoint
         # (both sides must then refuse it), and is one after propagating;
         # back at the root most learned clauses have live residuals
-        s = Solver(formula, SolverConfig(seed=seed))
+        s = Solver(formula)
         s.solve(Budget(max_conflicts=conflicts))
         for cap in edge_caps(data.draw, s):
             assert_same_extraction(s, cap)

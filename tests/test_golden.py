@@ -102,9 +102,9 @@ def solve_setup(config):
     if config == "reduce":      # _reduce_db fires several times in the budget
         return SolverConfig(reduce_base=60, reduce_step=20), None
     refocus = SolverConfig(warmup_mode="conflicts", warmup_conflicts=20, schedule_base=20,
-                           schedule_quad=0, schedule_cap=20, refocus_margin=0.0, seed=5)
+                           schedule_quad=0, schedule_cap=20, refocus_margin=0.0)
     if config == "random_oracle":
-        return refocus, random_oracle(refocus.seed)
+        return refocus, random_oracle(5)
     hp = preset("supervised")
     params = init_params(hp, seed=0)
     return refocus, lambda graph: forward(params, hp, graph).policy_logits

@@ -11,13 +11,12 @@ from gluesat.solver import (
     Budget,
     Solver,
     SolverConfig,
-    compute_lbd,
     random_oracle,
     schedule_threshold,
     solve,
 )
 
-from oracles import ReferenceSolver, drive_naive, drive_watched, solver_state
+from oracles import ReferenceSolver, bump, compute_lbd, drive_naive, drive_watched, solver_state
 
 
 def conflict_mode(**kw):
@@ -250,6 +249,15 @@ class TestPublicSearchApi:
             s.decide(lit)
         assert s.trail == [1] and s.decisions == 0
 
+    @pytest.mark.parametrize("lit", [0, 4, -4, 7, -7])
+    def test_value_rejects_foreign_literals(self, lit):
+        # -4 used to read the slot of literal 3
+        s = Solver(Formula(3, ((1, 2), (2, 3))))
+        assert s.decide(3) is None
+        assert (s.value(3), s.value(-3), s.value(1)) == (1, -1, 0)
+        with pytest.raises(ValueError, match="not a literal of the formula"):
+            s.value(lit)
+
     def test_solve_after_decisions_raises(self):
         s = Solver(random_ksat(10, 30, 3, 0))
         assert s.propagate_root()
@@ -285,7 +293,7 @@ class TestComputeLbd:
 class TestEvsids:
     def test_first_bump(self):
         s = Solver(random_ksat(5, 10, 3, 0))
-        s._bump(3)
+        bump(s, 3)
         assert s.evsids[3] == 1.0
         assert all(s.evsids[v] == 0.0 for v in (1, 2, 4, 5))
 
@@ -300,7 +308,7 @@ class TestEvsids:
         s.inc = 9e99
         s._rebuild_heap()
         before = s.pick_decision()
-        s._bump(3)  # pushes var 3 past 1e100, triggering the rescale
+        bump(s, 3)  # pushes var 3 past 1e100, triggering the rescale
         assert max(s.evsids) <= 1e100
         after = s.pick_decision()
         assert abs(before) == abs(after) == 3
@@ -308,7 +316,7 @@ class TestEvsids:
     def test_repeated_bumps_rank_first(self):
         s = Solver(random_ksat(6, 12, 3, 0))
         for _ in range(5):
-            s._bump(4)
+            bump(s, 4)
             s._decay()
         assert abs(s.pick_decision()) == 4
 
@@ -601,7 +609,7 @@ class TestRefocusIntegration:
 
     def test_determinism_with_conflict_warmup(self):
         cfg = conflict_mode(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
-                            schedule_cap=5, refocus_margin=0.0, seed=11)
+                            schedule_cap=5, refocus_margin=0.0)
         f = random_ksat(30, 128, 3, 9)
         runs = []
         for _ in range(2):
@@ -656,10 +664,10 @@ class TestMixedWidthFuzz:
 
 
 REFERENCE_CONFIGS = {
-    "default": lambda seed: (SolverConfig(seed=seed), None),
-    "reduce": lambda seed: (SolverConfig(reduce_base=30, reduce_step=10, seed=seed), None),
+    "default": lambda seed: (SolverConfig(), None),
+    "reduce": lambda seed: (SolverConfig(reduce_base=30, reduce_step=10), None),
     "refocus": lambda seed: (conflict_mode(warmup_conflicts=20, schedule_base=20, schedule_quad=0,
-                                           schedule_cap=20, refocus_margin=0.0, seed=seed),
+                                           schedule_cap=20, refocus_margin=0.0),
                              random_oracle(seed)),
 }
 
