@@ -12,7 +12,7 @@ import numpy as np
 
 from .network import HyperParams, NetParams
 
-__all__ = ["backward_from_heads", "zero_grads"]
+__all__ = ["backward_from_heads", "check_finite", "zero_grads"]
 
 
 def zero_grads(params: NetParams) -> dict[str, np.ndarray]:
@@ -28,49 +28,61 @@ def _add_swapped(acc, m, n):
 
 
 def _mlp_backward(layers, caches, dout, slope, grads, prefix):
+    # caches[i] is (layer i's input, its dropout mask or None), as
+    # network._mlp_forward keeps them
     upstream = dout
+    h_next = None
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        h, z, mask = caches[i]
-        if i == len(layers) - 1:
+        h, mask = caches[i]
+        if h_next is None:
             dz = upstream
         else:
-            # leaky ReLU derivative, 1 where z > 0 and slope elsewhere: for
-            # 0 <= slope <= 1 this max gives exactly where(z > 0, 1.0, slope)
-            # without a branch per element
-            dz = np.maximum(z > 0, slope)
-            dz *= upstream if mask is None else upstream * mask
+            # leaky ReLU derivative, 1 where z > 0 and slope elsewhere: the
+            # next layer's input is positive exactly where z > 0, and where
+            # dropout zeroed it upstream * mask is 0, so either factor gives
+            # the same bits; for 0 <= slope <= 1 this max gives exactly
+            # where(z > 0, 1.0, slope) without a branch per element
+            dz = np.maximum(h_next > 0, slope)
+            if mask is not None:
+                upstream *= mask
+            dz *= upstream
         grads[f"{prefix}.{i}.w"] += h.T @ dz
         grads[f"{prefix}.{i}.b"] += dz.sum(axis=0)
         upstream = dz @ w.T
+        h_next = h
     return upstream
 
 
 def _standardize_backward(dy, y, inv):
     # y = (x - mean(x)) * inv with inv = 1/sqrt(var + eps), per row; returns
     # inv * (dy - mean(dy) - y * mean(dy * y)) with the row means spelled as
-    # sum / width, which is what ndarray.mean computes
+    # sum / width, which is what ndarray.mean computes; computed in place in
+    # dy, which no caller reads afterwards
     width = dy.shape[1]
     dy_mean = dy.sum(axis=1, keepdims=True)
     dy_mean /= width
     prod = dy * y
     prod_mean = prod.sum(axis=1, keepdims=True)
     prod_mean /= width
-    dx = dy - dy_mean
+    dy -= dy_mean
     np.multiply(y, prod_mean, out=prod)
-    dx -= prod
-    dx *= inv
-    return dx
+    dy -= prod
+    dy *= inv
+    return dy
 
 
 def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dvalue=0.0, grads=None):
     """Backpropagate head gradients through the whole network.
 
     ``dlogits`` is the loss gradient at the policy logits (length num_vars);
-    ``dvalue`` at the scalar value estimate.  Returns the gradient dict,
-    creating one when ``grads`` is None.
+    ``dvalue`` at the scalar value estimate.  Returns the gradient dict.
+    When ``grads`` is None it creates one and raises FloatingPointError if a
+    tensor is not finite; a caller that accumulates into its own ``grads``
+    over several calls checks the sum once with ``check_finite``.
     """
-    if grads is None:
+    created = grads is None
+    if created:
         grads = zero_grads(params)
     graph = cache["graph"]
     g, gt = graph.matrices()
@@ -106,7 +118,14 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         _add_swapped(dL, dX[:, dl:], n)
     grads["l_init"] += dL.sum(axis=0)
 
+    if created:
+        check_finite(grads)
+    return grads
+
+
+def check_finite(grads: dict) -> None:
+    """Raise FloatingPointError naming the first gradient tensor that holds
+    a NaN or an infinity."""
     for name, arr in grads.items():
         if not np.isfinite(arr).all():
             raise FloatingPointError(f"non-finite gradient for tensor {name}")
-    return grads

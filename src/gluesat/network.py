@@ -174,106 +174,138 @@ def _concat_neg(L, n):
     return X
 
 
-def _mlp_forward(layers, x, slope, dropout, drng, cache):
-    h = x
+def _mlp_forward(layers, h, slope, dropout, drng, cache):
+    """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
+    every layer but the last.
+
+    When cache is a list, each layer appends (its input, its dropout mask or
+    None); the pre-activations are not kept, since a hidden layer's output
+    is positive exactly where its pre-activation is.  With no cache, no
+    reference to a layer's input outlives the computation of its output."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = h @ w
         z += b
-        if i == last:
-            if cache is not None:
-                cache.append((h, z, None))
-            return z
-        # leaky ReLU: for 0 <= slope <= 1 (HyperParams enforces it) this max
-        # is exactly where(z > 0, z, slope * z), without a branch per element
-        a = slope * z
-        np.maximum(z, a, out=a)
         mask = None
-        if drng is not None and dropout > 0.0:
-            mask = (drng.random(a.shape) >= dropout) / (1.0 - dropout)
-            a *= mask
+        if i < last:
+            # leaky ReLU in place: for 0 <= slope <= 1 (HyperParams enforces
+            # it) this max is exactly where(z > 0, z, slope * z), without a
+            # branch per element
+            np.maximum(z, slope * z, out=z)
+            if drng is not None and dropout > 0.0:
+                mask = (drng.random(z.shape) >= dropout) / (1.0 - dropout)
+                z *= mask
         if cache is not None:
-            cache.append((h, z, mask))
-        h = a
+            cache.append((h, mask))
+        h = z
     return h
 
 
 def _standardize_rows(x, eps):
-    """Per row, y = (x - mean) * inv with inv = 1 / sqrt(var + eps).
+    """Per row, x = (x - mean) * inv with inv = 1 / sqrt(var + eps), in
+    place: returns (x, inv), with x now holding the standardized rows.
 
     The same operations as x.mean and x.var in the same order, so the same
     bits, but the mean and the centred rows are computed once."""
     width = x.shape[1]
     mu = x.sum(axis=1, keepdims=True)
     mu /= width
-    y = x - mu
-    inv = (y * y).sum(axis=1, keepdims=True)
+    x -= mu
+    inv = (x * x).sum(axis=1, keepdims=True)
     inv /= width
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    y *= inv
-    return y, inv
+    x *= inv
+    return x, inv
 
 
-def forward_with_cache(params: NetParams, hp: HyperParams, graph, train_mode=False, dropout_seed=0):
-    """Forward pass keeping every intermediate needed for backpropagation."""
+def _forward(params, hp, graph, train_mode, dropout_seed, keep):
+    # the one forward body: with keep, it also returns the cache that
+    # backward_from_heads reads; without, each intermediate is freed after
+    # its last use
     g, gt = graph.matrices()
     n = graph.num_vars
     drng = np.random.default_rng(dropout_seed) if (train_mode and hp.dropout > 0.0) else None
     L = np.tile(params.l_init, (2 * n, 1))
-    iters = []
+    iters = [] if keep else None
     for it in range(hp.tau_iters):
-        L_prev = L
-        X = _concat_neg(L_prev, n)
-        A = g @ X
-        c_cache = []
-        C = _mlp_forward(params.c_update, A, hp.leaky_slope, hp.dropout, drng, c_cache)
-        C_std, c_inv = _standardize_rows(C, hp.ln_eps)
+        c_cache = [] if keep else None
+        l_cache = [] if keep else None
+        C_std, c_inv = _standardize_rows(
+            _mlp_forward(params.c_update, g @ _concat_neg(L, n), hp.leaky_slope, hp.dropout, drng, c_cache),
+            hp.ln_eps,
+        )
         B = gt @ C_std
-        l_cache = []
+        if not keep:
+            # the largest array of an iteration; held through the literal
+            # update, it would set the peak of a cache-free pass
+            del C_std
         U = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache)
-        L_res = 0.1 * L_prev
+        del B
+        L_res = 0.1 * L
         L_res += U
+        del U, L
         xhat, inv = _standardize_rows(L_res, hp.ln_eps)
         L = xhat * params.ln_scale
         L += params.ln_shift
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
-        iters.append(
-            {"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv,
-             "l_cache": l_cache, "xhat": xhat, "ln_inv": inv}
-        )
+        if keep:
+            iters.append(
+                {"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv,
+                 "l_cache": l_cache, "xhat": xhat, "ln_inv": inv}
+            )
     X_final = _concat_neg(L, n)
-    p_cache = []
+    del L
+    p_cache = [] if keep else None
     logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache).ravel()
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
     value = None
-    v_cache = []
-    v_scores = None
+    v_cache = [] if keep else None
     if params.v_value is not None:
         v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache)
         value = float(1.0 / (1.0 + np.exp(-v_scores.mean())))
+    out = ForwardOutput(policy_logits=logits, value=value)
+    if not keep:
+        return out, None
     cache = {
         "graph": graph, "iters": iters, "p_cache": p_cache,
         "v_cache": v_cache, "value": value, "n": n,
     }
-    return ForwardOutput(policy_logits=logits, value=value), cache
+    return out, cache
+
+
+def forward_with_cache(params: NetParams, hp: HyperParams, graph, train_mode=False, dropout_seed=0):
+    """The forward pass of ``forward``, also returning the cache that
+    ``backward_from_heads`` reads.
+
+    The cache holds, per message-passing iteration, each MLP layer's input
+    and dropout mask, the standardized clause embeddings ``c_std`` and the
+    layer-normalized literals ``xhat`` with their inverse deviations; the
+    same per layer for both heads; and the graph, the value and the
+    variable count."""
+    return _forward(params, hp, graph, train_mode, dropout_seed, keep=True)
 
 
 def forward(params: NetParams, hp: HyperParams, graph, train_mode=False, dropout_seed=0) -> ForwardOutput:
     """Run the network over a graph: per-variable policy logits plus the
-    optional scalar value estimate."""
-    out, _ = forward_with_cache(params, hp, graph, train_mode=train_mode, dropout_seed=dropout_seed)
+    optional scalar value estimate.  Keeps no cache, so each intermediate
+    is freed after its last use; the outputs are bit-identical to
+    ``forward_with_cache``'s."""
+    out, _ = _forward(params, hp, graph, train_mode, dropout_seed, keep=False)
     return out
 
 
 def policy_distribution(logits, temperature: float) -> np.ndarray:
-    """softmax(temperature * logits), stabilized by max subtraction."""
+    """softmax(temperature * logits), stabilized by max subtraction.
+    Raises ValueError for empty or non-finite logits."""
     logits = np.asarray(logits, dtype=float)
     if logits.size == 0:
         raise ValueError("empty logits")
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     z = temperature * logits

@@ -493,10 +493,14 @@ class Solver:
 
     def apply_refocus(self, probs, var_map):
         """Replace EVSIDS scores with oracle probabilities scaled by the
-        number of graph variables and kappa; everything else drops to 0."""
+        number of graph variables and kappa; everything else drops to 0.
+        Raises ValueError, leaving the scores as they were, unless probs
+        is a finite, non-negative distribution over var_map."""
         probs = np.asarray(probs, dtype=float)
         if len(probs) != len(var_map):
             raise ValueError("probability vector does not match var_map")
+        if not np.isfinite(probs).all() or (probs < 0).any():
+            raise ValueError("refocus probabilities must be finite and non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-6:
             raise ValueError("refocus distribution is not normalized")
         scale = len(var_map) * self.cfg.kappa

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cnf import SparseGraph
 from .env import GlueEnv, TrivialFormulaError, episode_return
-from .grads import backward_from_heads, zero_grads
+from .grads import backward_from_heads, check_finite, zero_grads
 from .network import (
     HyperParams,
     NetParams,
@@ -76,15 +76,15 @@ def kl_loss(pi, logits) -> float:
 def kl_grads(params, hp, graph, target, grads=None, scale=1.0, train_mode=False, dropout_seed=0):
     """KL loss for one example, accumulating scaled gradients into ``grads``.
 
-    Returns (loss, grads); the gradient of scale*KL lands in the dict.
+    Returns (loss, grads); the gradient of scale*KL lands in the dict.  As
+    in ``backward_from_heads``, only a dict created here (``grads`` None) is
+    checked for finiteness.
     """
-    if grads is None:
-        grads = zero_grads(params)
     out, cache = forward_with_cache(params, hp, graph, train_mode=train_mode, dropout_seed=dropout_seed)
     target = np.asarray(target, dtype=float)
     loss = kl_loss(target, out.policy_logits)
     dlogits = (np.exp(log_softmax(out.policy_logits)) - target) * scale
-    backward_from_heads(params, hp, cache, dlogits, 0.0, grads)
+    grads = backward_from_heads(params, hp, cache, dlogits, 0.0, grads)
     return loss, grads
 
 
@@ -179,7 +179,8 @@ class SupervisedResult:
 
 def train_supervised(dataset, hp: HyperParams, config: SupervisedConfig | None = None,
                      init: NetParams | None = None) -> SupervisedResult:
-    """Minibatch ASGD on the KL objective; epoch order is seeded."""
+    """Minibatch ASGD on the KL objective; epoch order is seeded.  A
+    non-finite batch gradient raises FloatingPointError before the step."""
     cfg = config or SupervisedConfig()
     if not dataset:
         raise ValueError("empty dataset")
@@ -205,6 +206,7 @@ def train_supervised(dataset, hp: HyperParams, config: SupervisedConfig | None =
                     dropout_seed=int(rng.integers(2**63)),
                 )
                 batch_loss += loss
+            check_finite(grads)
             asgd_step(params, avg, grads, cfg.lr, step)
             step += 1
             losses.append(batch_loss / len(batch))
@@ -344,7 +346,8 @@ def _surrogate_weights(episodes, logprobs, values, cfg: RLConfig):
 def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams, cfg: RLConfig,
                         ratios, advantages, value_targets) -> ReinforceLoss:
     """Surrogate loss and its exact gradients, with (ratios, advantages,
-    value_targets) held constant."""
+    value_targets) held constant.  The summed gradients are checked for
+    finiteness once, after the last backward pass."""
     total_steps = sum(len(ep) for ep in episodes)
     if total_steps == 0:
         raise ValueError("empty episode batch")
@@ -368,6 +371,7 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams, cfg: RLCon
                 dvalue = cfg.value_coef * 2.0 * err / total_steps
             backward_from_heads(params, hp, cache, dlogits, dvalue, grads)
             i += 1
+    check_finite(grads)
     total = policy_loss + cfg.value_coef * value_loss
     return ReinforceLoss(
         total=float(total),
@@ -412,8 +416,9 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     snapshot), and 2 * S for each later step, whose weights need a forward
     at the updated params before the forward that feeds the backward.  No
     forward cache is kept from one step to the next: at the rl preset one
-    costs about 3.5 MB on a 540-edge graph, so keeping a batch's would
-    multiply the training memory.
+    costs 2.3 MB on a 540-edge graph, so keeping a batch's would multiply
+    the training memory.  A non-finite gradient raises FloatingPointError
+    before the Adam step.
 
     Each history row also records ``grad_norm``, the global gradient norm
     of the last grad step before clipping.

@@ -469,8 +469,9 @@ class TestCriterion9:
         cactus_csv(aggs, "runtime", path)
         monotone = True
         by_variant = {}
-        for row in csv.DictReader(open(path, newline="")):
-            by_variant.setdefault(row["variant"], []).append(float(row["cost"]))
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                by_variant.setdefault(row["variant"], []).append(float(row["cost"]))
         for costs in by_variant.values():
             if any(a > b for a, b in zip(costs, costs[1:])):
                 monotone = False

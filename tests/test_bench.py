@@ -281,7 +281,8 @@ class TestCactus:
         )
         path = tmp_path / "cactus.csv"
         cactus_csv(aggs, "runtime", path)
-        rows = list(csv.DictReader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         costs = [float(r["cost"]) for r in rows]
         assert costs == [1.0, 2.0, 3.0]
         assert [int(r["solved"]) for r in rows] == [1, 2, 3]
@@ -295,7 +296,8 @@ class TestCactus:
         )
         path = tmp_path / "cactus.csv"
         cactus_csv(aggs, "runtime", path)
-        rows = list(csv.DictReader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
 
 

@@ -154,7 +154,8 @@ class TestPipelineCommands:
         assert weights.exists()
         params, hp = load_weights(weights)
         assert hp == preset("supervised")
-        rows = list(csv.DictReader(open(metrics, newline="")))
+        with open(metrics, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
 
         out_dir = tmp_path / "bench"
@@ -170,7 +171,8 @@ class TestPipelineCommands:
         for name in ("records.csv", "aggregates.csv", "par2.txt", "pairwise.csv",
                      "cactus_runtime.csv", "cactus_decisions.csv"):
             assert (out_dir / name).exists()
-        records = list(csv.DictReader(open(out_dir / "records.csv", newline="")))
+        with open(out_dir / "records.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
         assert len(records) == 4 * 3 * 2
 
     def test_train_rl_command(self, tmp_path, capsys):
@@ -190,7 +192,8 @@ class TestPipelineCommands:
         assert weights.exists()
         params, _ = load_weights(weights)
         assert params.v_value is not None
-        rows = list(csv.DictReader(open(metrics, newline="")))
+        with open(metrics, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert list(rows[0]) == ["batch", "episodes", "mean_return", "policy_loss",
                                  "value_loss", "total_loss", "grad_norm"]
@@ -218,7 +221,8 @@ class TestPipelineCommands:
         args = ["bench", "--instances", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out_dir),
                 "--variants", "vanilla", "--conflicts", "1000"]
         assert main(args) == 0
-        records = list(csv.DictReader(open(out_dir / "records.csv", newline="")))
+        with open(out_dir / "records.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
         assert sorted(r["instance"] for r in records) == ["i0.cnf", "i1.cnf", "i2.cnf"]
 
     def test_bench_rejects_clashing_file_names(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gluesat.cnf import clause_literal_graph, random_ksat
-from gluesat.grads import backward_from_heads, zero_grads
+from gluesat.grads import backward_from_heads, check_finite, zero_grads
 from gluesat.network import forward, forward_with_cache, init_params
 from gluesat.training import (
     RLConfig,
@@ -108,6 +108,17 @@ class TestNonFiniteDetection:
         _, cache = forward_with_cache(p, tiny_hyper, graph_6x8)
         with pytest.raises(FloatingPointError, match="non-finite gradient for tensor"):
             backward_from_heads(p, tiny_hyper, cache, np.full(6, np.nan), 0.0)
+
+    def test_accumulating_call_leaves_the_check_to_the_caller(self, tiny_hyper, graph_6x8):
+        # training loops sum many backward passes into one dict and check it
+        # once per optimizer step, not once per pass
+        p = perturbed_params(tiny_hyper)
+        _, cache = forward_with_cache(p, tiny_hyper, graph_6x8)
+        grads = zero_grads(p)
+        grads["ln_shift"][0] = np.nan
+        backward_from_heads(p, tiny_hyper, cache, np.ones(6), 0.0, grads)
+        with pytest.raises(FloatingPointError, match="non-finite gradient for tensor ln_shift"):
+            check_finite(grads)
 
     def test_non_finite_forward_reported(self, tiny_hyper, graph_6x8):
         p = perturbed_params(tiny_hyper)

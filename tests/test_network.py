@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,41 @@ class TestForward:
         assert np.allclose(out, p.ln_shift)
 
 
+class TestCacheFreeForward:
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_same_bits_as_forward_with_cache(self, name, train_mode):
+        hp = preset(name)
+        p = init_params(hp, seed=2, value_head=True)
+        g = clause_literal_graph(random_ksat(60, 256, 3, 4))
+        lean = forward(p, hp, g, train_mode=train_mode, dropout_seed=9)
+        full, _ = forward_with_cache(p, hp, g, train_mode=train_mode, dropout_seed=9)
+        assert np.array_equal(lean.policy_logits, full.policy_logits)
+        assert lean.value == full.value
+
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_peak_below_half_the_retained_cache(self, name):
+        # forward frees each intermediate after its last use, so its peak
+        # stays well below what forward_with_cache hands back to the caller
+        hp = preset(name)
+        p = init_params(hp, seed=0, value_head=True)
+        g = clause_literal_graph(random_ksat(500, 2130, 3, 1))
+        g.matrices()                        # the CSR build is not the pass's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = forward_with_cache(p, hp, g)
+            retained = tracemalloc.get_traced_memory()[0] - base
+            del kept
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            forward(p, hp, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * retained, (peak, retained)
+
+
 class TestPolicyDistribution:
     def test_symmetric(self):
         assert np.allclose(policy_distribution(np.zeros(2), 3.0), [0.5, 0.5])
@@ -219,6 +256,11 @@ class TestPolicyDistribution:
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             policy_distribution(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_logits_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            policy_distribution(np.array([0.5, bad, -1.0]), 4.0)
 
 
 class TestWeights:

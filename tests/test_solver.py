@@ -571,6 +571,15 @@ class TestApplyRefocus:
         with pytest.raises(ValueError):
             s.apply_refocus(np.full(5, 0.3), tuple(range(1, 6)))
 
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5, 0.5], [1.5, -0.5, 0.0], [np.inf, 0.0, 0.0]])
+    def test_non_finite_or_negative_rejected(self, probs):
+        s = Solver(random_ksat(5, 10, 3, 0))
+        before = list(s.evsids)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            s.apply_refocus(np.array(probs), (1, 2, 3))
+        assert s.evsids == before
+        assert s.refocuses == 0
+
     def test_outside_graph_zeroed(self):
         s = Solver(random_ksat(6, 15, 3, 0))
         s.evsids = [0.0] + [7.0] * 6
@@ -606,6 +615,20 @@ class TestRefocusIntegration:
             r = solve(f, config=cfg, oracle=random_oracle(seed))
             fired += r.stats.refocuses
         assert fired > 0
+
+    def test_infinite_logit_fails_the_refocus(self):
+        # one +inf logit would turn the softmax into NaNs; the refocus
+        # refuses them instead of leaving the solver without a decision
+        cfg = conflict_mode(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
+                            schedule_cap=5, refocus_margin=0.0)
+
+        def oracle(graph):
+            logits = np.zeros(graph.num_vars)
+            logits[0] = np.inf
+            return logits
+
+        with pytest.raises(ValueError, match="logits must be finite"):
+            solve(random_ksat(25, 106, 3, 1), config=cfg, oracle=oracle)
 
     def test_determinism_with_conflict_warmup(self):
         cfg = conflict_mode(warmup_conflicts=0, schedule_base=5, schedule_quad=0,

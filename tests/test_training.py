@@ -202,6 +202,30 @@ class TestTrainSupervised:
         with pytest.raises(ValueError):
             train_supervised([], preset("supervised"))
 
+    def test_non_finite_gradient_stops_before_the_step(self, monkeypatch):
+        monkeypatch.setattr(training, "backward_from_heads", _poisoned_backward(training.backward_from_heads))
+        monkeypatch.setattr(training, "asgd_step", _no_step)
+        examples = [degree_example(s) for s in range(4)]
+        hp = HyperParams(delta_l=4, delta_c=6, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        with pytest.raises(FloatingPointError, match="non-finite gradient for tensor ln_shift"):
+            train_supervised(examples, hp, SupervisedConfig(epochs=1, batch_size=2))
+
+
+def _poisoned_backward(backward):
+    """backward_from_heads that leaves a NaN in the accumulated ln_shift
+    gradient, as an overflow in a later tensor would."""
+
+    def poisoned(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        grads["ln_shift"][0] = np.nan
+        return grads
+
+    return poisoned
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("optimizer stepped on a non-finite gradient")
+
 
 class TestReinforcePieces:
     def _episodes(self, params, hp, k=3, seed=2):
@@ -338,6 +362,15 @@ class TestTrainRl:
             assert counts["steps"] > 0
             assert counts["forward"] == counts["steps"] * 2 * grad_steps
             assert counts["backward"] == counts["steps"] * grad_steps
+
+    def test_non_finite_gradient_stops_before_the_step(self, monkeypatch):
+        monkeypatch.setattr(training, "backward_from_heads", _poisoned_backward(training.backward_from_heads))
+        monkeypatch.setattr(training, "adam_step", _no_step)
+        hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        formulas = [random_ksat(8, 28, 3, s) for s in range(4)]
+        cfg = RLConfig(workers=1, episodes_per_worker=1, grad_steps=1, batches=1, seed=1)
+        with pytest.raises(FloatingPointError, match="non-finite gradient for tensor ln_shift"):
+            train_rl(formulas, hp, cfg)
 
     def test_requires_value_head(self):
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
