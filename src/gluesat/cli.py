@@ -7,7 +7,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,33 +24,47 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 
+_SCHEDULE = ("schedule_base", "schedule_quad", "schedule_cap")
+
+
+class _ConfigError(Exception):
+    """A flag value that its config refuses; main reports it and exits 2."""
+
+
+def _error(message, code=1) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _config(cls, args, **extra):
+    """Build the config dataclass ``cls`` from the parsed flags named like
+    its fields (see ``dest=``), plus ``extra``.  Each such flag defaults to
+    its field's default, so the config of a command line that sets none of
+    them equals ``cls(**extra)``."""
+    names = {f.name for f in fields(cls)} - extra.keys()
+    try:
+        return cls(**{k: v for k, v in vars(args).items() if k in names}, **extra)
+    except ValueError as exc:
+        raise _ConfigError(exc) from None
+
 
 def _add_solver_flags(p):
     """The flags solve and bench share: conflict budget and solver settings."""
-    p.add_argument("--conflicts", type=int, default=None, help="conflict budget")
-    p.add_argument("--kappa", type=float, default=1e4)
-    p.add_argument("--temperature", type=float, default=4.0)
-    p.add_argument("--schedule", type=int, nargs=3, default=[50_000, 1_000, 250_000],
+    p.add_argument("--conflicts", type=int, dest="max_conflicts", metavar="CONFLICTS",
+                   help="conflict budget; none unless given, for bench too "
+                        "(BenchConfig's default budget does not apply)")
+    p.add_argument("--kappa", type=float, default=SolverConfig.kappa)
+    p.add_argument("--temperature", type=float, default=SolverConfig.temperature)
+    p.add_argument("--schedule", type=int, nargs=3, default=[getattr(SolverConfig, f) for f in _SCHEDULE],
                    metavar=("BASE", "QUAD", "CAP"))
-    p.add_argument("--edge-cap", type=int, default=10_000_000)
-    p.add_argument("--warmup-mode", choices=["time", "conflicts"], default="time")
-    p.add_argument("--warmup-seconds", type=float, default=15.0)
-    p.add_argument("--warmup-conflicts", type=int, default=1000)
+    p.add_argument("--edge-cap", type=int, default=SolverConfig.edge_cap)
+    p.add_argument("--warmup-mode", choices=["time", "conflicts"], default=SolverConfig.warmup_mode)
+    p.add_argument("--warmup-seconds", type=float, default=SolverConfig.warmup_seconds)
+    p.add_argument("--warmup-conflicts", type=int, default=SolverConfig.warmup_conflicts)
 
 
 def _solver_config(args) -> SolverConfig:
-    base, quad, cap = args.schedule
-    return SolverConfig(
-        kappa=args.kappa,
-        temperature=args.temperature,
-        schedule_base=base,
-        schedule_quad=quad,
-        schedule_cap=cap,
-        edge_cap=args.edge_cap,
-        warmup_mode=args.warmup_mode,
-        warmup_seconds=args.warmup_seconds,
-        warmup_conflicts=args.warmup_conflicts,
-    )
+    return _config(SolverConfig, args, **dict(zip(_SCHEDULE, args.schedule)))
 
 
 def _add_network_flags(p):
@@ -58,20 +72,18 @@ def _add_network_flags(p):
     p.add_argument("--preset", choices=["supervised", "rl"], default=None)
     p.add_argument("--hyper", type=int, nargs=6, default=None,
                    metavar=("DELTA_L", "DELTA_C", "TAU", "N_L", "N_C", "N_P"))
-    p.add_argument("--dropout", type=float, default=0.15,
+    p.add_argument("--dropout", type=float, default=HyperParams.dropout,
                    help="training dropout, for a preset or --hyper alike")
 
 
 def _cmd_solve(args) -> int:
-    formula = parse_dimacs(Path(args.input).read_text())
     cfg = _solver_config(args)
+    formula = parse_dimacs(Path(args.input).read_text())
     try:
         oracle = bench_mod.make_oracle(args.mode, args.seed, args.weights)
     except ValueError as exc:   # neuro without weights, malformed weight file
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    budget = Budget(max_conflicts=args.conflicts, max_decisions=args.decisions, max_seconds=args.time)
-    result = Solver(formula, config=cfg, oracle=oracle).solve(budget=budget)
+        return _error(exc)
+    result = Solver(formula, config=cfg, oracle=oracle).solve(budget=_config(Budget, args))
     payload = {"status": result.status, **result.stats.as_dict()}
     if result.model is not None and args.model:
         payload["model"] = result.model
@@ -87,8 +99,7 @@ def _cmd_extract(args) -> int:
     formula = parse_dimacs(Path(args.input).read_text())
     solver = Solver(formula)
     if not solver.propagate_root():
-        print("error: formula conflicts during propagation", file=sys.stderr)
-        return 1
+        return _error("formula conflicts during propagation")
     if args.assign:
         for tok in args.assign.split(","):
             try:
@@ -96,16 +107,13 @@ def _cmd_extract(args) -> int:
             except ValueError:
                 lit = 0
             if not 0 < abs(lit) <= formula.num_vars:
-                print(f"error: {tok!r} is not a literal of the formula", file=sys.stderr)
-                return 1
+                return _error(f"{tok!r} is not a literal of the formula")
             if solver.value(lit) == 1:
                 continue
             if solver.value(lit) == -1:
-                print(f"error: literal {lit} already falsified", file=sys.stderr)
-                return 1
+                return _error(f"literal {lit} already falsified")
             if solver.decide(lit) is not None:
-                print(f"error: conflict after assigning {lit}", file=sys.stderr)
-                return 1
+                return _error(f"conflict after assigning {lit}")
     graph = extract_graph(solver, args.edge_cap)
     if graph is None:
         print("skip: edge cap exceeded by original clauses")
@@ -118,16 +126,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_datagen(args) -> int:
-    cfg = DatagenConfig(
-        budget_conflicts=args.budget_conflicts,
-        budget_seconds=args.budget_seconds,
-        dump_interval=args.dump_interval,
-        max_clauses=args.max_clauses,
-        seed=args.seed,
-        workers=args.workers,
-        augment=not args.no_augment,
-    )
-    rows = build_dataset(args.input, args.output, cfg)
+    rows = build_dataset(args.input, args.output, _config(DatagenConfig, args))
     print(f"wrote {len(rows)} examples to {args.output}")
     return 0
 
@@ -141,12 +140,11 @@ def _resolve_hyper(args, default_preset):
 
 
 def _cmd_train_supervised(args) -> int:
+    cfg = _config(SupervisedConfig, args)
     dataset = load_dataset(args.data)
     if not dataset:
-        print("error: empty dataset", file=sys.stderr)
-        return 1
+        return _error("empty dataset")
     hp = _resolve_hyper(args, "supervised")
-    cfg = SupervisedConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     result = train_supervised(dataset, hp, cfg)
     save_weights(result.params, hp, args.out)
     if args.metrics:
@@ -155,29 +153,16 @@ def _cmd_train_supervised(args) -> int:
             writer.writerow(["epoch", "mean_kl"])
             for i, kl in enumerate(result.epoch_kl, start=1):
                 writer.writerow([i, kl])
-    print(f"trained {args.epochs} epochs; final mean KL {result.epoch_kl[-1]:.4f}; weights at {args.out}")
+    print(f"trained {cfg.epochs} epochs; final mean KL {result.epoch_kl[-1]:.4f}; weights at {args.out}")
     return 0
 
 
 def _cmd_train_rl(args) -> int:
-    try:
-        cfg = RLConfig(
-            workers=args.workers,
-            episodes_per_worker=args.episodes_per_worker,
-            grad_steps=args.grad_steps,
-            batches=args.batches,
-            lr=args.lr,
-            seed=args.seed,
-            checkpoint_path=args.out,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _config(RLConfig, args, checkpoint_path=args.out)
     paths = sorted(Path(args.formulas).glob("*.cnf"))
     formulas = [parse_dimacs(p.read_text()) for p in paths]
     if not formulas:
-        print("error: no formulas found", file=sys.stderr)
-        return 1
+        return _error("no formulas found")
     hp = _resolve_hyper(args, "rl")
     result = train_rl(formulas, hp, cfg)
     save_weights(result.params, hp, args.out)
@@ -187,7 +172,7 @@ def _cmd_train_rl(args) -> int:
             writer.writeheader()
             writer.writerows(result.history)
     final = result.history[-1]["mean_return"] if result.history else float("nan")
-    print(f"trained {args.batches} batches; final mean return {final:.4f}; weights at {args.out}")
+    print(f"trained {cfg.batches} batches; final mean return {final:.4f}; weights at {args.out}")
     return 0
 
 
@@ -200,14 +185,12 @@ def _cmd_env_rollout(args) -> int:
     script = None
     if args.policy == "weights":
         if not args.weights:
-            print("error: --weights required for --policy weights", file=sys.stderr)
-            return 1
+            return _error("--weights required for --policy weights")
         params, hp = load_weights(args.weights)
         policy = (params, hp)
     elif args.policy == "scripted":
         if not args.actions:
-            print("error: --actions required for --policy scripted", file=sys.stderr)
-            return 1
+            return _error("--actions required for --policy scripted")
         script = [int(tok) for tok in args.actions.split(",")]
     rng = np.random.default_rng(args.seed)
     env = GlueEnv()
@@ -240,17 +223,11 @@ def _cmd_env_rollout(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    cfg = _config(bench_mod.BenchConfig, args, solver=_solver_config(args))
     instances = sorted(str(p) for d in args.instances for p in Path(d).glob("*.cnf"))
     if not instances:
-        print("error: no instances found", file=sys.stderr)
-        return 1
+        return _error("no instances found")
     variants = args.variants.split(",")
-    cfg = bench_mod.BenchConfig(
-        timeout=args.timeout,
-        max_conflicts=args.conflicts,
-        parallelism=args.workers,
-        solver=_solver_config(args),
-    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -259,10 +236,8 @@ def _cmd_bench(args) -> int:
             records_csv=out_dir / "records.csv",
         )
     except ValueError as exc:   # unknown variant, neuro without weights, clashing names, malformed DIMACS
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    effective_timeout = args.timeout if args.timeout is not None else 0.0
-    bench_mod.write_outputs(records, out_dir, effective_timeout)
+        return _error(exc)
+    bench_mod.write_outputs(records, out_dir, cfg.timeout or 0.0)
     print(f"{len(records)} records; outputs in {out_dir}")
     return 0
 
@@ -278,37 +253,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="store_true", help="include the model in the JSON output")
     p.add_argument("--seed", type=int, default=0,
                    help="seeds the random mode's oracle; vanilla and neuro solves do not depend on it")
-    p.add_argument("--decisions", type=int, default=None, help="decision budget")
-    p.add_argument("--time", type=float, default=None, help="wall-clock budget in seconds")
+    p.add_argument("--decisions", type=int, dest="max_decisions", metavar="DECISIONS", help="decision budget")
+    p.add_argument("--time", type=float, dest="max_seconds", metavar="TIME",
+                   help="wall-clock budget in seconds")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("extract", help="dump the residual clause-literal graph")
     p.add_argument("input")
     p.add_argument("--assign", default="", help="comma-separated decision literals")
-    p.add_argument("--edge-cap", type=int, default=10_000_000)
+    p.add_argument("--edge-cap", type=int, default=SolverConfig.edge_cap)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("datagen", help="build a supervised dataset from DIMACS files")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--budget-conflicts", type=int, default=20_000)
-    p.add_argument("--budget-seconds", type=float, default=None,
+    p.add_argument("--budget-conflicts", type=int, default=DatagenConfig.budget_conflicts)
+    p.add_argument("--budget-seconds", type=float, default=DatagenConfig.budget_seconds,
                    help="wall-clock labelling budget (nondeterministic)")
-    p.add_argument("--dump-interval", type=int, default=5000)
-    p.add_argument("--max-clauses", type=int, default=150_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-augment", action="store_true")
+    p.add_argument("--dump-interval", type=int, default=DatagenConfig.dump_interval)
+    p.add_argument("--max-clauses", type=int, default=DatagenConfig.max_clauses)
+    p.add_argument("--seed", type=int, default=DatagenConfig.seed)
+    p.add_argument("--workers", type=int, default=DatagenConfig.workers)
+    p.add_argument("--no-augment", dest="augment", action="store_false")
     p.set_defaults(func=_cmd_datagen)
 
     p = sub.add_parser("train-supervised", help="train on glue-count labels with ASGD")
     p.add_argument("--data", required=True)
     _add_network_flags(p)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=SupervisedConfig.lr)
+    p.add_argument("--epochs", type=int, default=SupervisedConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=SupervisedConfig.batch_size)
+    p.add_argument("--seed", type=int, default=SupervisedConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     p.set_defaults(func=_cmd_train_supervised)
@@ -316,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-rl", help="REINFORCE training over a formula directory")
     p.add_argument("--formulas", required=True)
     _add_network_flags(p)
-    p.add_argument("--batches", type=int, default=50)
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--episodes-per-worker", type=int, default=2)
-    p.add_argument("--grad-steps", type=int, default=2)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batches", type=int, default=RLConfig.batches)
+    p.add_argument("--workers", type=int, default=RLConfig.workers)
+    p.add_argument("--episodes-per-worker", type=int, default=RLConfig.episodes_per_worker)
+    p.add_argument("--grad-steps", type=int, default=RLConfig.grad_steps)
+    p.add_argument("--lr", type=float, default=RLConfig.lr)
+    p.add_argument("--seed", type=int, default=RLConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     p.set_defaults(func=_cmd_train_rl)
@@ -343,10 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directories whose *.cnf files are benchmarked; file names must be unique")
     p.add_argument("--variants", default=",".join(bench_mod.VARIANTS))
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=float, default=bench_mod.BenchConfig.timeout)
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, dest="parallelism", metavar="WORKERS",
+                   default=bench_mod.BenchConfig.parallelism)
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_bench)
     return parser
@@ -354,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ConfigError as exc:
+        return _error(exc, 2)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cnf import Formula, clause_literal_graph, parse_dimacs, random_split, write_dimacs
+from .cnf import Formula, clause_literal_graph, normalize_clause, parse_dimacs, random_split, write_dimacs
 from .solver import Budget, Solver
 from .training import SupervisedExample
 
@@ -21,35 +21,6 @@ __all__ = [
     "generate_datapoint",
     "load_dataset",
 ]
-
-
-def generate_datapoint(formula: Formula, budget: Budget | None = None) -> SupervisedExample | None:
-    """Vanilla solve to budget, then pair the formula's graph with its glue
-    counts; None when no glue clause was ever learned."""
-    budget = budget or Budget(max_conflicts=20_000)
-    result = Solver(formula).solve(budget=budget)
-    counts = tuple(result.stats.glue_counts)
-    if not any(counts):
-        return None
-    return SupervisedExample(graph=clause_literal_graph(formula), glue_counts=counts)
-
-
-def augment(formula: Formula, dump_interval: int = 5000, budget: Budget | None = None) -> list[Formula]:
-    """Snapshots of original plus currently retained learned clauses, taken
-    every dump_interval conflicts during a vanilla solve."""
-    if dump_interval < 1:
-        raise ValueError("dump_interval must be >= 1")
-    budget = budget or Budget(max_conflicts=20_000)
-    dumps = []
-
-    def on_conflict(solver):
-        if solver.conflicts % dump_interval == 0:
-            clauses = [tuple(c.lits) for c in solver.original]
-            clauses.extend(tuple(c.lits) for c in solver.learned)
-            dumps.append(Formula(formula.num_vars, tuple(clauses)))
-
-    Solver(formula).solve(budget=budget, on_conflict=on_conflict)
-    return dumps
 
 
 @dataclass
@@ -63,13 +34,58 @@ class DatagenConfig:
     augment: bool = True
 
 
+def _solve(formula: Formula, budget: Budget | None, dump_interval: int | None = None):
+    """One vanilla solve to budget (``budget_conflicts`` by default).
+
+    Returns the glue counts and, when ``dump_interval`` is given, the
+    snapshots taken every dump_interval conflicts: the formula's unit and
+    original clauses plus the learned clauses retained at that point.
+    """
+    if dump_interval is not None and dump_interval < 1:
+        raise ValueError("dump_interval must be >= 1")
+    budget = budget or Budget(max_conflicts=DatagenConfig.budget_conflicts)
+    # the solver keeps unit clauses out of solver.original
+    units = [c for c in map(normalize_clause, formula.clauses) if c is not None and len(c) == 1]
+    dumps = []
+
+    def on_learn(solver, learned, bj, glue):
+        if solver.conflicts % dump_interval == 0:
+            clauses = units + [tuple(c.lits) for c in solver.original]
+            clauses.extend(tuple(c.lits) for c in solver.learned)
+            if len(learned) > 1:    # the clause this conflict is about to add
+                clauses.append(tuple(learned))
+            dumps.append(Formula(formula.num_vars, tuple(clauses)))
+
+    result = Solver(formula).solve(budget=budget, on_learn=on_learn if dump_interval else None)
+    return result.stats.glue_counts, dumps
+
+
+def _example(formula: Formula, glue_counts) -> SupervisedExample | None:
+    counts = tuple(glue_counts)
+    if not any(counts):
+        return None
+    return SupervisedExample(graph=clause_literal_graph(formula), glue_counts=counts)
+
+
+def generate_datapoint(formula: Formula, budget: Budget | None = None) -> SupervisedExample | None:
+    """Vanilla solve to budget, then pair the formula's graph with its glue
+    counts; None when no glue clause was ever learned."""
+    return _example(formula, _solve(formula, budget)[0])
+
+
+def augment(formula: Formula, dump_interval: int = DatagenConfig.dump_interval,
+            budget: Budget | None = None) -> list[Formula]:
+    """Snapshots of the formula plus its currently retained learned clauses,
+    taken every dump_interval conflicts during a vanilla solve."""
+    return _solve(formula, budget, dump_interval)[1]
+
+
 def _file_seed(master: int, name: str) -> int:
     digest = hashlib.sha256(f"{master}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def _emit(formula, budget, out_dir, stem, rows, source, split_path, dump_index, seed):
-    example = generate_datapoint(formula, budget)
+def _emit(formula, example, out_dir, stem, rows, source, split_path, dump_index, seed):
     if example is None:
         return
     cnf_path = out_dir / f"{stem}.cnf"
@@ -103,12 +119,13 @@ def _process_file(args):
     stem_base = Path(path).stem
     for pi, piece in enumerate(pieces):
         split_path = " ".join(str(l) for l in piece.fixed)
-        _emit(piece.formula, budget, out_dir, f"{stem_base}__p{pi:03d}", rows,
+        # one solve labels the piece and takes its dumps
+        counts, dumps = _solve(piece.formula, budget, cfg.dump_interval if cfg.augment else None)
+        _emit(piece.formula, _example(piece.formula, counts), out_dir, f"{stem_base}__p{pi:03d}", rows,
               Path(path).name, split_path, 0, seed)
-        if cfg.augment:
-            for di, dump in enumerate(augment(piece.formula, cfg.dump_interval, budget), start=1):
-                _emit(dump, budget, out_dir, f"{stem_base}__p{pi:03d}_d{di:02d}", rows,
-                      Path(path).name, split_path, di, seed)
+        for di, dump in enumerate(dumps, start=1):
+            _emit(dump, generate_datapoint(dump, budget), out_dir, f"{stem_base}__p{pi:03d}_d{di:02d}", rows,
+                  Path(path).name, split_path, di, seed)
     return rows, None
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cnf import Formula
 from .extract import extract_graph
-from .solver import Solver
+from .solver import Solver, SolverConfig
 
 __all__ = ["GlueEnv", "TrivialFormulaError", "episode_return"]
 
@@ -30,14 +30,13 @@ def episode_return(rewards) -> float:
 class GlueEnv:
     """One environment per rollout worker; never share instances."""
 
-    def __init__(self, edge_cap: int = 10_000_000):
+    def __init__(self, edge_cap: int = SolverConfig.edge_cap):
         self.edge_cap = edge_cap
         self.solver = None
         self.obs = None
         self.done = True
         self.terminal = None
         self.n = 0
-        self.steps = 0
         self._rng = None
 
     def reset(self, formula: Formula, seed=None):
@@ -53,7 +52,6 @@ class GlueEnv:
         self._rng = np.random.default_rng(seed)
         self.done = False
         self.terminal = None
-        self.steps = 0
         self.obs = extract_graph(solver, self.edge_cap)
         return self.obs
 
@@ -76,7 +74,6 @@ class GlueEnv:
         lit = v if polarity else -v
         s = self.solver
         conflict = s.decide(lit)
-        self.steps += 1
         if conflict is not None:
             _, _, glue = s._analyze(conflict)
             self.done = True

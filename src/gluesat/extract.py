@@ -12,11 +12,12 @@ from itertools import chain
 import numpy as np
 
 from .cnf import SparseGraph, _flat_literals
+from .solver import SolverConfig
 
 __all__ = ["extract_graph", "lift_distribution"]
 
 
-def extract_graph(solver, edge_cap: int = 10_000_000) -> SparseGraph | None:
+def extract_graph(solver, edge_cap: int = SolverConfig.edge_cap) -> SparseGraph | None:
     """Extract the simplified clause-literal graph, or None to skip.
 
     Must be called at a propagation fixpoint without conflict: a residual

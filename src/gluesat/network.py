@@ -108,9 +108,6 @@ class NetParams:
         yield "ln_scale", self.ln_scale
         yield "ln_shift", self.ln_shift
 
-    def tensor_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.tensors())
-
     def copy(self) -> "NetParams":
         return NetParams(
             l_init=self.l_init.copy(),

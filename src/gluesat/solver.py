@@ -5,6 +5,7 @@ reduction, and periodic oracle-driven score refocusing.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush
@@ -53,6 +54,23 @@ class SolverConfig:
     warmup_seconds: float = 15.0
     warmup_conflicts: int = 1000
 
+    def __post_init__(self):
+        if not 0.0 < self.decay <= 1.0:     # NaN fails too
+            raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
+        for name in ("kappa", "temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.edge_cap < 1:
+            raise ValueError(f"edge_cap must be >= 1, got {self.edge_cap}")
+        for name in ("schedule_base", "schedule_quad", "schedule_cap", "warmup_conflicts"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.warmup_seconds >= 0:
+            raise ValueError(f"warmup_seconds must be >= 0, got {self.warmup_seconds}")
+        if self.warmup_mode not in ("time", "conflicts"):
+            raise ValueError(f"warmup_mode must be 'time' or 'conflicts', got {self.warmup_mode!r}")
+
 
 @dataclass
 class Budget:
@@ -86,7 +104,8 @@ class SolveResult:
     stats: SolveStats
 
 
-def schedule_threshold(n: int, base: int = 50_000, quad: int = 1_000, cap: int = 250_000) -> int:
+def schedule_threshold(n: int, base: int = SolverConfig.schedule_base,
+                       quad: int = SolverConfig.schedule_quad, cap: int = SolverConfig.schedule_cap) -> int:
     """Conflict count required before the n-th refocus: min(base + quad*(n-1)^2, cap)."""
     if n < 1:
         raise ValueError("refocus ordinal must be >= 1")
@@ -580,16 +599,16 @@ class Solver:
         n = self.n
         return [v if self.assign[v + n] == 1 else -v for v in range(1, n + 1)]
 
-    def solve(self, budget: Budget | None = None, on_learn=None, on_conflict=None) -> SolveResult:
+    def solve(self, budget: Budget | None = None, on_learn=None) -> SolveResult:
         """Run CDCL to completion or budget exhaustion; once per Solver.
 
         A second call raises RuntimeError: a solve stopped by its budget
         leaves the search above decision level 0, where a conflict no longer
         proves the formula unsatisfiable.
 
-        ``on_learn(solver, learned_lits, backjump_level, glue)`` fires after
-        conflict analysis but before backjumping; ``on_conflict(solver)``
-        fires once each conflict is fully processed.
+        ``on_learn(solver, learned_lits, backjump_level, glue)``, the one
+        hook, fires after each conflict's analysis but before backjumping,
+        so ``learned_lits`` is not yet in ``solver.learned``.
         """
         if self._start is not None:
             raise RuntimeError("a Solver solves once; build a new one for another solve")
@@ -629,8 +648,6 @@ class Solver:
                 if on_learn is not None:
                     on_learn(self, learned, bj, glue)
                 self._learn(learned, bj, glue)
-                if on_conflict is not None:
-                    on_conflict(self)
                 if budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts:
                     status = UNKNOWN
                     break
@@ -643,8 +660,6 @@ class Solver:
         return SolveResult(status=status, model=model, stats=self._stats())
 
 
-def solve(formula, config=None, budget=None, oracle=None, on_learn=None, on_conflict=None) -> SolveResult:
+def solve(formula, config=None, budget=None, oracle=None, on_learn=None) -> SolveResult:
     """Convenience wrapper: build a Solver and run it once."""
-    return Solver(formula, config=config, oracle=oracle).solve(
-        budget=budget, on_learn=on_learn, on_conflict=on_conflict
-    )
+    return Solver(formula, config=config, oracle=oracle).solve(budget=budget, on_learn=on_learn)

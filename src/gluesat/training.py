@@ -20,6 +20,7 @@ from .network import (
     init_params,
     save_weights,
 )
+from .solver import SolverConfig
 
 __all__ = [
     "AdamState",
@@ -241,7 +242,7 @@ class RLConfig:
     ratio_clip: float = 10.0
     value_coef: float = 0.5
     seed: int = 0
-    edge_cap: int = 10_000_000
+    edge_cap: int = SolverConfig.edge_cap
     checkpoint_path: str | None = None
 
     def __post_init__(self):
@@ -271,7 +272,8 @@ class RLResult:
     history: list[dict] = field(default_factory=list)
 
 
-def run_episode(formula, params: NetParams, hp: HyperParams, rng, edge_cap=10_000_000) -> list[EpisodeStep]:
+def run_episode(formula, params: NetParams, hp: HyperParams, rng,
+                edge_cap=SolverConfig.edge_cap) -> list[EpisodeStep]:
     """Roll out one episode sampling actions from the policy distribution."""
     env = GlueEnv(edge_cap)
     obs = env.reset(formula, seed=int(rng.integers(2**63)))

@@ -4,9 +4,13 @@ from dataclasses import replace
 
 import pytest
 
+from gluesat import bench, cli
 from gluesat.cli import main
 from gluesat.cnf import random_ksat, write_dimacs
+from gluesat.datagen import DatagenConfig
 from gluesat.network import init_params, load_weights, preset, save_weights
+from gluesat.solver import Budget, Solver, SolverConfig
+from gluesat.training import RLConfig, SupervisedConfig
 
 
 @pytest.fixture
@@ -287,3 +291,91 @@ class TestPipelineCommands:
         assert hyper_line[0] == b"hyper" and float(hyper_line[7]) == 0.5
         _, hp = load_weights(weights)
         assert hp == replace(preset("rl"), dropout=0.5)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _intercept(monkeypatch, owner, name):
+    """Replace owner.name by a stub that records its positional arguments
+    and stops the command."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        raise _Stop
+
+    monkeypatch.setattr(owner, name, stub)
+    return calls
+
+
+class TestConfigDefaults:
+    """Only the required arguments give configs equal to the dataclass defaults."""
+
+    def test_solve(self, sat_file, monkeypatch):
+        seen = {}
+
+        class Recording(Solver):
+            def __init__(self, formula, config=None, oracle=None):
+                seen["config"] = config
+                super().__init__(formula, config, oracle)
+
+            def solve(self, budget=None, **kwargs):
+                seen["budget"] = budget
+                return super().solve(budget, **kwargs)
+
+        monkeypatch.setattr(cli, "Solver", Recording)
+        assert main(["solve", sat_file]) == 10
+        assert seen == {"config": SolverConfig(), "budget": Budget()}
+
+    def test_extract(self, sat_file, monkeypatch):
+        calls = _intercept(monkeypatch, cli, "extract_graph")
+        with pytest.raises(_Stop):
+            main(["extract", sat_file])
+        assert calls[0][1] == SolverConfig().edge_cap
+
+    def test_datagen(self, tmp_path, monkeypatch):
+        calls = _intercept(monkeypatch, cli, "build_dataset")
+        with pytest.raises(_Stop):
+            main(["datagen", "--input", str(tmp_path), "--output", str(tmp_path / "out")])
+        assert calls[0][2] == DatagenConfig()
+
+    def test_train_supervised(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", lambda path: ["example"])
+        calls = _intercept(monkeypatch, cli, "train_supervised")
+        with pytest.raises(_Stop):
+            main(["train-supervised", "--data", str(tmp_path), "--out", str(tmp_path / "w.ngw")])
+        _, hp, cfg = calls[0]
+        assert cfg == SupervisedConfig()
+        assert hp == preset("supervised") and hp.dropout == 0.15
+
+    def test_train_rl(self, tmp_path, monkeypatch):
+        (tmp_path / "f.cnf").write_text(write_dimacs(random_ksat(8, 28, 3, 0)))
+        calls = _intercept(monkeypatch, cli, "train_rl")
+        out = str(tmp_path / "w.ngw")
+        with pytest.raises(_Stop):
+            main(["train-rl", "--formulas", str(tmp_path), "--out", out])
+        _, hp, cfg = calls[0]
+        assert cfg == RLConfig(checkpoint_path=out)
+        assert hp == preset("rl") and hp.dropout == 0.15
+
+    def test_bench_has_no_conflict_budget(self, sat_file, tmp_path, monkeypatch):
+        calls = _intercept(monkeypatch, bench, "run_benchmark")
+        with pytest.raises(_Stop):
+            main(["bench", "--instances", str(tmp_path), "--out", str(tmp_path / "out")])
+        _, variants, seeds, cfg = calls[0]
+        assert (variants, seeds) == (list(bench.VARIANTS), [0])
+        assert cfg == bench.BenchConfig(max_conflicts=None, solver=SolverConfig())
+
+
+class TestImpossibleSolverFlags:
+    @pytest.mark.parametrize("flag", [["--kappa", "-1"], ["--temperature", "0"], ["--edge-cap", "0"],
+                                      ["--warmup-seconds", "-1"], ["--schedule", "5", "-1", "5"]])
+    def test_solve_and_bench_exit_2(self, sat_file, tmp_path, capsys, flag):
+        name = flag[0].lstrip("-").replace("-", "_").replace("schedule", "schedule_quad")
+        bench_argv = ["bench", "--instances", str(tmp_path), "--out", str(tmp_path / "out")]
+        for argv in (["solve", sat_file], bench_argv):
+            assert main([*argv, *flag]) == 2
+            assert f"error: {name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

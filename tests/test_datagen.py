@@ -37,28 +37,34 @@ class TestGenerateDatapoint:
         assert a.glue_counts == b.glue_counts
 
 
+def with_units(f):
+    """f plus four unit clauses, which the solver keeps out of solver.original."""
+    return Formula(f.num_vars, f.clauses + ((1,), (2,), (-3,), (4,)))
+
+
 class TestAugment:
     def test_budget_below_interval_empty(self):
         f = random_ksat(25, 106, 3, 0)
         assert augment(f, dump_interval=10_000, budget=Budget(max_conflicts=50)) == []
 
     def test_dumps_contain_original_clauses(self):
-        f = random_ksat(50, 213, 3, 3)
-        dumps = augment(f, dump_interval=10, budget=Budget(max_conflicts=200))
-        assert dumps
-        original = set(f.clauses)
-        for dump in dumps:
-            assert dump.num_vars == f.num_vars
-            dumped_sets = {frozenset(c) for c in dump.clauses}
-            for clause in original:
-                assert frozenset(clause) in dumped_sets
-            assert dump.num_clauses >= f.num_clauses
+        for f in (random_ksat(50, 213, 3, 3), with_units(random_ksat(50, 213, 3, 3))):
+            dumps = augment(f, dump_interval=10, budget=Budget(max_conflicts=200))
+            assert dumps
+            original = set(f.clauses)
+            for dump in dumps:
+                assert dump.num_vars == f.num_vars
+                dumped_sets = {frozenset(c) for c in dump.clauses}
+                for clause in original:
+                    assert frozenset(clause) in dumped_sets
+                assert dump.num_clauses >= f.num_clauses
 
     def test_dumps_equisatisfiable(self):
-        for seed in range(8):
-            f = random_ksat(14, 58, 3, seed)
+        cases = [(random_ksat(14, 58, 3, seed), 5, 60) for seed in range(8)]
+        cases += [(with_units(random_ksat(12, 48, 3, seed)), 1, 3) for seed in range(100)]
+        for f, interval, conflicts in cases:
             want = brute_force(f) is not None
-            for dump in augment(f, dump_interval=5, budget=Budget(max_conflicts=60)):
+            for dump in augment(f, dump_interval=interval, budget=Budget(max_conflicts=conflicts)):
                 assert (brute_force(dump) is not None) == want
 
     def test_bad_interval(self):
@@ -115,6 +121,27 @@ class TestBuildDataset:
         a = build_dataset(tmp_path / "in", tmp_path / "out_a", cfg1)
         b = build_dataset(tmp_path / "in", tmp_path / "out_b", cfg2)
         assert a == b
+
+    def test_one_solve_labels_and_dumps_each_piece(self, tmp_path, monkeypatch):
+        import gluesat.datagen
+
+        built = []
+
+        class CountingSolver(gluesat.datagen.Solver):
+            def __init__(self, formula, *args, **kwargs):
+                built.append(formula)
+                super().__init__(formula, *args, **kwargs)
+
+        (tmp_path / "in").mkdir()
+        f = random_ksat(80, 340, 3, 31)
+        (tmp_path / "in" / "f.cnf").write_text(write_dimacs(f))
+        dumps = augment(f, dump_interval=100, budget=Budget(max_conflicts=600))
+        assert len(dumps) == 2
+        monkeypatch.setattr(gluesat.datagen, "Solver", CountingSolver)
+        cfg = DatagenConfig(budget_conflicts=600, dump_interval=100)
+        build_dataset(tmp_path / "in", tmp_path / "out", cfg)
+        # the piece once, then each of its dumps once to label it
+        assert built == [f, *dumps]
 
     def test_split_applied_when_oversized(self, tmp_path):
         (tmp_path / "in").mkdir()

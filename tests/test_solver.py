@@ -516,6 +516,25 @@ class TestScheduleThreshold:
             schedule_threshold(0)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("decay", 0.0), ("decay", 1.5), ("decay", float("nan")),
+        ("kappa", -1.0), ("kappa", 0.0), ("kappa", float("inf")),
+        ("temperature", 0.0), ("temperature", float("nan")),
+        ("edge_cap", 0),
+        ("schedule_base", -1), ("schedule_quad", -1), ("schedule_cap", -1),
+        ("warmup_conflicts", -1), ("warmup_seconds", -1.0), ("warmup_seconds", float("nan")),
+        ("warmup_mode", "conflict"),
+    ])
+    def test_impossible_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolverConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        SolverConfig(decay=1.0, schedule_base=0, schedule_quad=0, schedule_cap=0, refocus_margin=0.0,
+                     warmup_mode="conflicts", warmup_conflicts=0, warmup_seconds=0.0, edge_cap=1)
+
+
 class TestShouldRefocus:
     def _ready_solver(self, **kw):
         cfg = conflict_mode(warmup_conflicts=0, schedule_base=10, schedule_quad=0,
