@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -320,6 +321,26 @@ class TestWeights:
         path.write_bytes(b"\n".join([magic, b" ".join(fields), rest]))
         with pytest.raises(WeightFormatError, match="leaky_slope"):
             load_weights(path)
+
+    @pytest.mark.parametrize("name, value_head, digest", [
+        ("supervised", False, "7233f4899d7887bed6cd66639c29eadece29c3419bab3fb1dc56bd50280b8654"),
+        ("supervised", True, "95c429e5b187c05b5febd39ef13469211cc147eca79ff79b96a22f049762c2b4"),
+        ("rl", False, "c43c0de738dd27a3847aae1d30317975f190a1961078e5ee1e08d496238ce85a"),
+        ("rl", True, "d43417724a6e9b2fd253fcb76247b2bde46155a535a913da1b4542828784853e"),
+    ])
+    def test_file_bytes_pinned(self, tmp_path, name, value_head, digest):
+        # the whole file, so the hyper line (HyperParams' field order
+        # included), the tensor list and the payload cannot drift
+        hp = preset(name)
+        p = init_params(hp, seed=0, value_head=value_head)
+        path = tmp_path / "w.ngw"
+        save_weights(p, hp, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        loaded, hp2 = load_weights(path)
+        assert hp2 == hp
+        assert [(n, a.shape) for n, a in loaded.tensors()] == [(n, a.shape) for n, a in p.tensors()]
+        for (_, ta), (_, tb) in zip(p.tensors(), loaded.tensors()):
+            assert np.array_equal(ta, tb)
 
     def test_format_layout(self, tmp_path, tiny_hyper):
         p = init_params(tiny_hyper, seed=0, value_head=True)
