@@ -76,6 +76,14 @@ class BenchConfig:
     parallelism: int = 1
     solver: SolverConfig | None = None    # shared by every run; None for the defaults
 
+    def __post_init__(self):
+        for name in ("timeout", "max_conflicts"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:    # NaN fails too
+                raise ValueError(f"{name} must be None or >= 0, got {value}")
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+
 
 def _run_seed(instance: str, variant: str, seed: int) -> int:
     digest = hashlib.sha256(f"{instance}:{variant}:{seed}".encode()).digest()

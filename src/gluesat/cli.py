@@ -79,10 +79,7 @@ def _add_network_flags(p):
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
     formula = parse_dimacs(Path(args.input).read_text())
-    try:
-        oracle = bench_mod.make_oracle(args.mode, args.seed, args.weights)
-    except ValueError as exc:   # neuro without weights, malformed weight file
-        return _error(exc)
+    oracle = bench_mod.make_oracle(args.mode, args.seed, args.weights)
     result = Solver(formula, config=cfg, oracle=oracle).solve(budget=_config(Budget, args))
     payload = {"status": result.status, **result.stats.as_dict()}
     if result.model is not None and args.model:
@@ -96,6 +93,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    edge_cap = _config(SolverConfig, args).edge_cap
     formula = parse_dimacs(Path(args.input).read_text())
     solver = Solver(formula)
     if not solver.propagate_root():
@@ -114,7 +112,7 @@ def _cmd_extract(args) -> int:
                 return _error(f"literal {lit} already falsified")
             if solver.decide(lit) is not None:
                 return _error(f"conflict after assigning {lit}")
-    graph = extract_graph(solver, args.edge_cap)
+    graph = extract_graph(solver, edge_cap)
     if graph is None:
         print("skip: edge cap exceeded by original clauses")
         return 0
@@ -132,19 +130,20 @@ def _cmd_datagen(args) -> int:
 
 
 def _resolve_hyper(args, default_preset):
-    if args.hyper is not None:
-        dl, dc, tau, n_l, n_c, n_p = args.hyper
-        return HyperParams(delta_l=dl, delta_c=dc, tau_iters=tau, n_l=n_l, n_c=n_c,
-                           n_p=n_p, dropout=args.dropout)
-    return replace(preset(args.preset or default_preset), dropout=args.dropout)
+    try:
+        if args.hyper is not None:
+            return HyperParams(*args.hyper, dropout=args.dropout)
+        return replace(preset(args.preset or default_preset), dropout=args.dropout)
+    except ValueError as exc:
+        raise _ConfigError(exc) from None
 
 
 def _cmd_train_supervised(args) -> int:
     cfg = _config(SupervisedConfig, args)
+    hp = _resolve_hyper(args, "supervised")
     dataset = load_dataset(args.data)
     if not dataset:
         return _error("empty dataset")
-    hp = _resolve_hyper(args, "supervised")
     result = train_supervised(dataset, hp, cfg)
     save_weights(result.params, hp, args.out)
     if args.metrics:
@@ -159,11 +158,11 @@ def _cmd_train_supervised(args) -> int:
 
 def _cmd_train_rl(args) -> int:
     cfg = _config(RLConfig, args, checkpoint_path=args.out)
+    hp = _resolve_hyper(args, "rl")
     paths = sorted(Path(args.formulas).glob("*.cnf"))
     formulas = [parse_dimacs(p.read_text()) for p in paths]
     if not formulas:
         return _error("no formulas found")
-    hp = _resolve_hyper(args, "rl")
     result = train_rl(formulas, hp, cfg)
     save_weights(result.params, hp, args.out)
     if args.metrics:
@@ -180,6 +179,8 @@ def _cmd_env_rollout(args) -> int:
     from .env import GlueEnv
     from .training import log_softmax
 
+    if args.episodes < 1:
+        raise _ConfigError(f"episodes must be >= 1, got {args.episodes}")
     formula = parse_dimacs(Path(args.input).read_text())
     policy = None
     script = None
@@ -230,13 +231,10 @@ def _cmd_bench(args) -> int:
     variants = args.variants.split(",")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        records = bench_mod.run_benchmark(
-            instances, variants, args.seeds, cfg, weights=args.weights,
-            records_csv=out_dir / "records.csv",
-        )
-    except ValueError as exc:   # unknown variant, neuro without weights, clashing names, malformed DIMACS
-        return _error(exc)
+    records = bench_mod.run_benchmark(
+        instances, variants, args.seeds, cfg, weights=args.weights,
+        records_csv=out_dir / "records.csv",
+    )
     bench_mod.write_outputs(records, out_dir, cfg.timeout or 0.0)
     print(f"{len(records)} records; outputs in {out_dir}")
     return 0
@@ -330,11 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  The one error boundary: an impossible flag value
+    exits 2, unreadable or inconsistent input (a ValueError such as a DIMACS
+    or weight-file error, or an OSError) exits 1, each with ``error: ...``
+    on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _ConfigError as exc:
         return _error(exc, 2)
+    except (ValueError, OSError) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

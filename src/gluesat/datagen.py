@@ -33,6 +33,15 @@ class DatagenConfig:
     workers: int = 1
     augment: bool = True
 
+    def __post_init__(self):
+        for name in ("budget_conflicts", "budget_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:    # NaN fails too
+                raise ValueError(f"{name} must be None or >= 0, got {value}")
+        for name in ("dump_interval", "max_clauses", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def _solve(formula: Formula, budget: Budget | None, dump_interval: int | None = None):
     """One vanilla solve to budget (``budget_conflicts`` by default).

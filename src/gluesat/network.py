@@ -11,7 +11,9 @@ sigmoid.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -55,7 +57,7 @@ class HyperParams:
         if self.tau_iters < 1:
             raise ValueError("tau_iters must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         # the leaky ReLU kernels are exact only for a slope in [0, 1]; NaN fails too
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError("leaky_slope must lie in [0, 1]")
@@ -109,15 +111,7 @@ class NetParams:
         yield "ln_shift", self.ln_shift
 
     def copy(self) -> "NetParams":
-        return NetParams(
-            l_init=self.l_init.copy(),
-            c_update=[(w.copy(), b.copy()) for w, b in self.c_update],
-            l_update=[(w.copy(), b.copy()) for w, b in self.l_update],
-            v_policy=[(w.copy(), b.copy()) for w, b in self.v_policy],
-            v_value=None if self.v_value is None else [(w.copy(), b.copy()) for w, b in self.v_value],
-            ln_scale=self.ln_scale.copy(),
-            ln_shift=self.ln_shift.copy(),
-        )
+        return deepcopy(self)
 
 
 @dataclass
@@ -314,23 +308,10 @@ def policy_distribution(logits, temperature: float) -> np.ndarray:
 # ------------------------------------------------------------------ weights
 
 
-def _expected_shapes(hp: HyperParams, value_head: bool):
-    shapes = [("l_init", (hp.delta_l,))]
-    groups = [
-        ("c_update", hp.n_c, 2 * hp.delta_l, hp.delta_c),
-        ("l_update", hp.n_l, hp.delta_c, hp.delta_l),
-        ("v_policy", hp.n_p, 2 * hp.delta_l, 1),
-    ]
-    if value_head:
-        groups.append(("v_value", hp.n_p, 2 * hp.delta_l, 1))
-    for name, depth, d_in, d_out in groups:
-        dims = mlp_dims(depth, d_in, d_out)
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            shapes.append((f"{name}.{i}.w", (a, b)))
-            shapes.append((f"{name}.{i}.b", (b,)))
-    shapes.append(("ln_scale", (hp.delta_l,)))
-    shapes.append(("ln_shift", (hp.delta_l,)))
-    return shapes
+# the hyper line: every HyperParams field in declaration order, then the
+# value-head flag; str gives the same text as repr for int and float
+_HYPER_FIELDS = [f.name for f in fields(HyperParams)]
+_HYPER_TYPES = get_type_hints(HyperParams)
 
 
 def save_weights(params: NetParams, hp: HyperParams, path) -> None:
@@ -338,12 +319,8 @@ def save_weights(params: NetParams, hp: HyperParams, path) -> None:
     value_head = params.v_value is not None
     buf = io.BytesIO()
     buf.write(f"{_MAGIC}\n".encode())
-    buf.write(
-        (
-            f"hyper {hp.delta_l} {hp.delta_c} {hp.tau_iters} {hp.n_l} {hp.n_c} {hp.n_p} "
-            f"{hp.dropout!r} {hp.leaky_slope!r} {hp.ln_eps!r} {int(value_head)}\n"
-        ).encode()
-    )
+    hyper = [str(getattr(hp, name)) for name in _HYPER_FIELDS]
+    buf.write(f"hyper {' '.join(hyper)} {int(value_head)}\n".encode())
     tensors = list(params.tensors())
     for name, arr in tensors:
         dims = " ".join(str(d) for d in arr.shape)
@@ -367,24 +344,14 @@ def load_weights(path) -> tuple[NetParams, HyperParams]:
         raise WeightFormatError("bad magic")
     if len(lines) < 2 or not lines[1].startswith("hyper "):
         raise WeightFormatError("missing hyper line")
-    fields = lines[1].split()[1:]
-    if len(fields) != 10:
+    tokens = lines[1].split()[1:]
+    if len(tokens) != len(_HYPER_FIELDS) + 1:
         raise WeightFormatError("malformed hyper line")
     try:
-        hp = HyperParams(
-            delta_l=int(fields[0]),
-            delta_c=int(fields[1]),
-            tau_iters=int(fields[2]),
-            n_l=int(fields[3]),
-            n_c=int(fields[4]),
-            n_p=int(fields[5]),
-            dropout=float(fields[6]),
-            leaky_slope=float(fields[7]),
-            ln_eps=float(fields[8]),
-        )
+        hp = HyperParams(**{name: _HYPER_TYPES[name](tok) for name, tok in zip(_HYPER_FIELDS, tokens)})
     except ValueError as exc:
         raise WeightFormatError(f"bad hyper line: {exc}") from exc
-    value_head = fields[9] == "1"
+    value_head = tokens[-1] == "1"
     declared = []
     for line in lines[2:]:
         parts = line.split()
@@ -397,32 +364,18 @@ def load_weights(path) -> tuple[NetParams, HyperParams]:
         if len(dims) != ndim:
             raise WeightFormatError(f"dimension count mismatch for {name}")
         declared.append((name, dims))
-    expected = _expected_shapes(hp, value_head)
-    if declared != expected:
+    # init_params defines the tensors: its arrays, in place, take the payload
+    params = init_params(hp, seed=0, value_head=value_head)
+    if declared != [(name, arr.shape) for name, arr in params.tensors()]:
         raise WeightFormatError("tensor list does not match hyperparameters")
-    arrays = {}
     offset = 0
-    for name, dims in declared:
-        count = int(np.prod(dims)) if dims else 1
-        nbytes = 4 * count
+    for name, arr in params.tensors():
+        nbytes = 4 * arr.size
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise WeightFormatError(f"truncated payload at tensor {name}")
-        arrays[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(dims)
+        arr[...] = np.frombuffer(chunk, dtype="<f4").reshape(arr.shape)
         offset += nbytes
     if offset != len(payload):
         raise WeightFormatError("trailing bytes after tensor payloads")
-
-    def mlp(group, depth):
-        return [(arrays[f"{group}.{i}.w"], arrays[f"{group}.{i}.b"]) for i in range(depth)]
-
-    params = NetParams(
-        l_init=arrays["l_init"],
-        c_update=mlp("c_update", hp.n_c),
-        l_update=mlp("l_update", hp.n_l),
-        v_policy=mlp("v_policy", hp.n_p),
-        v_value=mlp("v_value", hp.n_p) if value_head else None,
-        ln_scale=arrays["ln_scale"],
-        ln_shift=arrays["ln_shift"],
-    )
     return params, hp

@@ -78,6 +78,12 @@ class Budget:
     max_decisions: int | None = None
     max_seconds: float | None = None
 
+    def __post_init__(self):
+        for name in ("max_conflicts", "max_decisions", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:    # NaN fails too
+                raise ValueError(f"{name} must be None or >= 0, got {value}")
+
 
 @dataclass
 class SolveStats:
@@ -123,11 +129,10 @@ def random_oracle(seed):
 
 
 class _Clause:
-    __slots__ = ("lits", "learned", "glue", "born")
+    __slots__ = ("lits", "glue", "born")
 
-    def __init__(self, lits, learned=False, glue=None, born=0):
+    def __init__(self, lits, glue=None, born=0):
         self.lits = lits
-        self.learned = learned
         self.glue = glue
         self.born = born
 
@@ -573,7 +578,7 @@ class Solver:
         if len(learned) == 1:
             self._enqueue(learned[0], None)
         else:
-            clause = _Clause(learned, learned=True, glue=glue, born=self._born)
+            clause = _Clause(learned, glue=glue, born=self._born)
             self._born += 1
             self.learned.append(clause)
             self._attach(clause)

@@ -37,7 +37,6 @@ __all__ = [
     "kl_grads",
     "kl_loss",
     "log_softmax",
-    "rebuild_params",
     "reinforce_loss",
     "run_episode",
     "target_distribution",
@@ -104,14 +103,6 @@ def clip_gradients(grads: dict, max_norm: float = 1.0) -> float:
 # --------------------------------------------------------------- optimizers
 
 
-def rebuild_params(template: NetParams, tensors: dict[str, np.ndarray]) -> NetParams:
-    """A NetParams with the template's structure but the given tensor values."""
-    fresh = template.copy()
-    for name, arr in fresh.tensors():
-        arr[...] = tensors[name]
-    return fresh
-
-
 def asgd_step(params: NetParams, avg: dict, grads: dict, lr: float, step_count: int) -> None:
     """SGD step plus running (Polyak) average; evaluation uses the average."""
     for name, arr in params.tensors():
@@ -170,6 +161,13 @@ class SupervisedConfig:
     seed: int = 0
     train_dropout: bool = True
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class SupervisedResult:
@@ -187,7 +185,8 @@ def train_supervised(dataset, hp: HyperParams, config: SupervisedConfig | None =
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
     params = init.copy() if init is not None else init_params(hp, seed=cfg.seed)
-    avg = {name: arr.copy() for name, arr in params.tensors()}
+    averaged = params.copy()
+    avg = dict(averaged.tensors())  # averaged's own arrays, which asgd_step updates in place
     targets = [target_distribution(ex.glue_counts) for ex in dataset]
     epoch_kl = []
     step = 0
@@ -213,7 +212,7 @@ def train_supervised(dataset, hp: HyperParams, config: SupervisedConfig | None =
             losses.append(batch_loss / len(batch))
         epoch_kl.append(float(np.mean(losses)))
     return SupervisedResult(
-        params=rebuild_params(params, avg),
+        params=averaged,
         final_params=params,
         epoch_kl=epoch_kl,
     )

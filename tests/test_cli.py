@@ -204,7 +204,8 @@ class TestPipelineCommands:
         assert all(float(row["grad_norm"]) > 0 for row in rows)
 
     @pytest.mark.parametrize("flag", [["--grad-steps", "0"], ["--workers", "0"],
-                                      ["--episodes-per-worker", "0"], ["--lr", "-1.0"]])
+                                      ["--episodes-per-worker", "0"], ["--lr", "-1.0"],
+                                      ["--dropout", "1.5"]])
     def test_train_rl_rejects_invalid_config(self, tmp_path, capsys, flag):
         formulas = tmp_path / "formulas"
         formulas.mkdir()
@@ -371,11 +372,74 @@ class TestConfigDefaults:
 
 class TestImpossibleSolverFlags:
     @pytest.mark.parametrize("flag", [["--kappa", "-1"], ["--temperature", "0"], ["--edge-cap", "0"],
-                                      ["--warmup-seconds", "-1"], ["--schedule", "5", "-1", "5"]])
+                                      ["--warmup-seconds", "-1"], ["--schedule", "5", "-1", "5"],
+                                      ["--conflicts", "-3"]])
     def test_solve_and_bench_exit_2(self, sat_file, tmp_path, capsys, flag):
-        name = flag[0].lstrip("-").replace("-", "_").replace("schedule", "schedule_quad")
+        name = flag[0].lstrip("-").replace("-", "_")
+        name = {"schedule": "schedule_quad", "conflicts": "max_conflicts"}.get(name, name)
         bench_argv = ["bench", "--instances", str(tmp_path), "--out", str(tmp_path / "out")]
         for argv in (["solve", sat_file], bench_argv):
             assert main([*argv, *flag]) == 2
             assert f"error: {name} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("solve", ["--decisions", "-1"], "max_decisions"),
+        ("solve", ["--time", "-1"], "max_seconds"),
+        ("bench", ["--workers", "0"], "parallelism"),
+        ("bench", ["--timeout", "-1"], "timeout"),
+        ("datagen", ["--dump-interval", "0"], "dump_interval"),
+        ("datagen", ["--budget-conflicts", "-5"], "budget_conflicts"),
+        ("datagen", ["--max-clauses", "0"], "max_clauses"),
+        ("datagen", ["--workers", "0"], "workers"),
+        ("train-supervised", ["--epochs", "0"], "epochs"),
+        ("train-supervised", ["--batch-size", "0"], "batch_size"),
+        ("train-supervised", ["--lr", "0"], "lr"),
+        ("train-supervised", ["--dropout", "-0.5"], "dropout"),
+        ("extract", ["--edge-cap", "0"], "edge_cap"),
+        ("env-rollout", ["--episodes", "0"], "episodes"),
+    ])
+    def test_other_commands_exit_2(self, sat_file, tmp_path, capsys, command, flag, name):
+        out = tmp_path / "out"
+        argv = {
+            "solve": ["solve", sat_file],
+            "bench": ["bench", "--instances", str(tmp_path), "--out", str(out)],
+            "datagen": ["datagen", "--input", str(tmp_path), "--output", str(out)],
+            "train-supervised": ["train-supervised", "--data", str(tmp_path), "--out", str(out)],
+            "extract": ["extract", sat_file],
+            "env-rollout": ["env-rollout", sat_file],
+        }[command]
+        assert main([*argv, *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be" in captured.err
+        assert not out.exists()
+
+
+class TestUnreadableInput:
+    """Input a command cannot read ends it with ``error: ...`` and exit 1,
+    not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{bad}"],
+        ["solve", "{missing}"],
+        ["extract", "{bad}"],
+        ["env-rollout", "{bad}"],
+        ["env-rollout", "{good}", "--policy", "weights", "--weights", "{good}"],
+        ["env-rollout", "{good}", "--policy", "scripted", "--actions", "a,b"],
+        ["train-rl", "--formulas", "{bad_dir}", "--out", "{out}"],
+        ["train-supervised", "--data", "{empty_dir}", "--out", "{out}"],
+        ["bench", "--instances", "{bad_dir}", "--out", "{out}", "--variants", "vanilla"],
+    ])
+    def test_error_and_exit_1(self, tmp_path, capsys, argv):
+        paths = {name: tmp_path / name for name in ("bad_dir", "empty_dir", "out")}
+        paths["bad_dir"].mkdir()
+        paths["empty_dir"].mkdir()
+        paths["bad"] = paths["bad_dir"] / "bad.cnf"
+        paths["bad"].write_text("p cnf 2 1\n1 x 0\n")
+        paths["good"] = tmp_path / "good.cnf"
+        paths["good"].write_text("p cnf 2 1\n1 2 0\n")
+        paths["missing"] = tmp_path / "missing.cnf"
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

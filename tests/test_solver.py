@@ -425,7 +425,7 @@ class TestReduceDb:
 
         for i, g in enumerate(glues):
             lits = [((i * 3) % 29) + 1, -(((i * 3 + 1) % 29) + 1), ((i * 3 + 2) % 29) + 1]
-            c = _Clause(lits, learned=True, glue=g, born=i)
+            c = _Clause(lits, glue=g, born=i)
             s.learned.append(c)
             s._attach(c)
         return s
