@@ -462,6 +462,18 @@ class TestReduceDb:
             want = SAT if brute_force(f) is not None else UNSAT
             assert r.status == want
 
+    def test_equal_glue_keeps_the_newer_half_in_learn_order(self):
+        # 5 clauses of glue 3 and 15 of glue 4: half of the 20 go, all of
+        # them glue 4, and among the equal glues the older ones go first.
+        s = self._solver_with_learned([4, 3, 4, 4] * 5)
+        before = list(s.learned)
+        fours = [c for c in before if c.glue == 4]
+        survivors = [c for c in before if c.glue == 3 or any(c is f for f in fours[10:])]
+        kept, deleted = s._reduce_db()
+        assert [id(c) for c in s.learned] == [id(c) for c in survivors]
+        assert [id(c) for c in kept] == [id(c) for c in survivors]
+        assert sorted(map(id, deleted)) == sorted(map(id, fours[:10]))
+
     def test_learn_order_preserved(self):
         s = self._solver_with_learned([3 + (i % 5) for i in range(40)])
         s._reduce_db()
