@@ -48,6 +48,13 @@ def _config(cls, args, **extra):
         raise _ConfigError(exc) from None
 
 
+def _seed(args) -> int:
+    """The --seed of solve and env-rollout, which seeds numpy generators."""
+    if args.seed < 0:
+        raise _ConfigError(f"seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _add_solver_flags(p):
     """The flags solve and bench share: conflict budget and solver settings."""
     p.add_argument("--conflicts", type=int, dest="max_conflicts", metavar="CONFLICTS",
@@ -78,8 +85,9 @@ def _add_network_flags(p):
 
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
+    seed = _seed(args)
     formula = parse_dimacs(Path(args.input).read_text())
-    oracle = bench_mod.make_oracle(args.mode, args.seed, args.weights)
+    oracle = bench_mod.make_oracle(args.mode, seed, args.weights)
     result = Solver(formula, config=cfg, oracle=oracle).solve(budget=_config(Budget, args))
     payload = {"status": result.status, **result.stats.as_dict()}
     if result.model is not None and args.model:
@@ -181,6 +189,7 @@ def _cmd_env_rollout(args) -> int:
 
     if args.episodes < 1:
         raise _ConfigError(f"episodes must be >= 1, got {args.episodes}")
+    seed = _seed(args)
     formula = parse_dimacs(Path(args.input).read_text())
     policy = None
     script = None
@@ -193,7 +202,7 @@ def _cmd_env_rollout(args) -> int:
         if not args.actions:
             return _error("--actions required for --policy scripted")
         script = [int(tok) for tok in args.actions.split(",")]
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     env = GlueEnv()
     for episode in range(args.episodes):
         obs = env.reset(formula, seed=int(rng.integers(2**63)))

@@ -34,9 +34,7 @@ class GlueEnv:
         self.edge_cap = edge_cap
         self.solver = None
         self.obs = None
-        self.done = True
         self.terminal = None
-        self.n = 0
         self._rng = None
 
     def reset(self, formula: Formula, seed=None):
@@ -48,9 +46,7 @@ class GlueEnv:
         if len(solver.trail) == solver.n or solver.n == 0:
             raise TrivialFormulaError("root unit propagation decides the formula")
         self.solver = solver
-        self.n = formula.num_vars
         self._rng = np.random.default_rng(seed)
-        self.done = False
         self.terminal = None
         self.obs = extract_graph(solver, self.edge_cap)
         return self.obs
@@ -64,7 +60,7 @@ class GlueEnv:
 
         The observation is None on terminal steps.
         """
-        if self.done:
+        if self.obs is None:
             raise RuntimeError("step called on a finished episode")
         var_map = self.obs.var_map
         if not 0 <= action < len(var_map):
@@ -76,14 +72,12 @@ class GlueEnv:
         conflict = s.decide(lit)
         if conflict is not None:
             _, _, glue = s._analyze(conflict)
-            self.done = True
             self.terminal = ("conflict", glue)
             self.obs = None
             return None, 1.0 / glue**2, True
         if len(s.trail) == s.n:
-            self.done = True
             self.terminal = ("satisfied", None)
             self.obs = None
             return None, 0.0, True
         self.obs = extract_graph(s, self.edge_cap)
-        return self.obs, -1.0 / self.n, False
+        return self.obs, -1.0 / s.n, False

@@ -18,6 +18,12 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
+# Fixed policy, as in CaDiCaL: initial phase, restart margin, glue EMA rates.
+_INITIAL_PHASE = False
+_RESTART_MARGIN = 1.25
+_EMA_FAST = 2.0 ** -5
+_EMA_SLOW = 2.0 ** -14
+
 __all__ = [
     "SAT",
     "UNSAT",
@@ -36,13 +42,9 @@ __all__ = [
 @dataclass
 class SolverConfig:
     decay: float = 0.95                 # EVSIDS rho
-    phase_default: bool = False
     restart_interval: int = 2
-    restart_margin: float = 1.25
     reduce_base: int = 2000
     reduce_step: int = 300
-    ema_alpha_fast: float = 2.0 ** -5
-    ema_alpha_slow: float = 2.0 ** -14
     schedule_base: int = 50_000
     schedule_quad: int = 1_000
     schedule_cap: int = 250_000
@@ -129,12 +131,11 @@ def random_oracle(seed):
 
 
 class _Clause:
-    __slots__ = ("lits", "glue", "born")
+    __slots__ = ("lits", "glue")
 
-    def __init__(self, lits, glue=None, born=0):
+    def __init__(self, lits, glue=None):
         self.lits = lits
         self.glue = glue
-        self.born = born
 
     def __repr__(self):
         return f"_Clause({self.lits}, glue={self.glue})"
@@ -167,11 +168,10 @@ class Solver:
         self.evsids = [0.0] * (n + 1)
         self.inc = 1.0
         self.heap = [(0.0, v) for v in range(1, n + 1)]
-        self.phase = [self.cfg.phase_default] * (n + 1)
+        self.phase = [_INITIAL_PHASE] * (n + 1)
         self.original = []
         self.learned = []
         self._seen = bytearray(n + 1)
-        self._born = 0
         self._root_units = []
         self._root_unsat = False
 
@@ -456,26 +456,27 @@ class Solver:
     def update_glue_emas(self, glue):
         """Fold one learned-clause glue into the fast and slow EMAs."""
         self._ema_t += 1
-        self._ema_fast += self.cfg.ema_alpha_fast * (glue - self._ema_fast)
-        self._ema_slow += self.cfg.ema_alpha_slow * (glue - self._ema_slow)
+        self._ema_fast += _EMA_FAST * (glue - self._ema_fast)
+        self._ema_slow += _EMA_SLOW * (glue - self._ema_slow)
+
+    def _debiased(self, ema, alpha) -> float:
+        return ema / (1.0 - (1.0 - alpha) ** self._ema_t) if self._ema_t else 0.0
 
     def glue_ema_fast(self) -> float:
         """Bias-corrected fast EMA of glue levels (0 before any conflict)."""
-        if self._ema_t == 0:
-            return 0.0
-        return self._ema_fast / (1.0 - (1.0 - self.cfg.ema_alpha_fast) ** self._ema_t)
+        return self._debiased(self._ema_fast, _EMA_FAST)
 
     def glue_ema_slow(self) -> float:
-        if self._ema_t == 0:
-            return 0.0
-        return self._ema_slow / (1.0 - (1.0 - self.cfg.ema_alpha_slow) ** self._ema_t)
+        return self._debiased(self._ema_slow, _EMA_SLOW)
+
+    def _glue_surge(self, margin) -> bool:
+        """Fast glue EMA above ``margin`` times the slow one."""
+        return self._ema_t > 0 and self.glue_ema_fast() > margin * self.glue_ema_slow()
 
     def should_restart(self) -> bool:
         if self.conflicts - self._conflicts_at_restart < self.cfg.restart_interval:
             return False
-        if self._ema_t == 0:
-            return False
-        return self.glue_ema_fast() > self.cfg.restart_margin * self.glue_ema_slow()
+        return self._glue_surge(_RESTART_MARGIN)
 
     # --------------------------------------------------------------- refocus
 
@@ -496,9 +497,7 @@ class Solver:
         )
         if self.conflicts - self._conflicts_at_refocus < due:
             return False
-        if self._ema_t == 0:
-            return False
-        return self.glue_ema_fast() > self.cfg.refocus_margin * self.glue_ema_slow()
+        return self._glue_surge(self.cfg.refocus_margin)
 
     def _try_refocus(self):
         from .extract import extract_graph
@@ -541,25 +540,17 @@ class Solver:
         """Drop the worse half of the high-glue learned clauses.
 
         Glue clauses (glue <= 2) and reason clauses of the current trail are
-        always retained.  Returns (kept, deleted) for inspection.
+        always retained; among equal glues the older clauses go first.
+        Returns (kept, deleted) for inspection.
         """
-        locked = {id(self.reason[abs(lit)]) for lit in self.trail if self.reason[abs(lit)] is not None}
-        always = [c for c in self.learned if c.glue <= 2]
-        candidates = [c for c in self.learned if c.glue > 2]
-        candidates.sort(key=lambda c: (c.glue, -c.born))
-        half = len(candidates) // 2
-        kept = candidates[: len(candidates) - half]
-        deleted = []
-        for clause in candidates[len(candidates) - half:]:
-            if id(clause) in locked:
-                kept.append(clause)
-            else:
-                deleted.append(clause)
+        # newest first, then a stable sort by glue: the oldest of equal glues go last
+        candidates = sorted((c for c in reversed(self.learned) if c.glue > 2), key=lambda c: c.glue)
+        # skip locked clauses: a reason clause implies its first literal
+        deleted = [c for c in candidates[(len(candidates) + 1) // 2:] if self.reason[abs(c.lits[0])] is not c]
         for clause in deleted:
             self._detach(clause)
-        retained = {id(c) for c in always}
-        retained.update(id(c) for c in kept)
-        self.learned = [c for c in self.learned if id(c) in retained]  # keep learn order
+        gone = set(deleted)
+        self.learned = [c for c in self.learned if c not in gone]  # keep learn order
         self.reductions += 1
         self._next_reduce = self.conflicts + self.cfg.reduce_base + self.cfg.reduce_step * self.reductions
         return list(self.learned), deleted
@@ -578,8 +569,7 @@ class Solver:
         if len(learned) == 1:
             self._enqueue(learned[0], None)
         else:
-            clause = _Clause(learned, glue=glue, born=self._born)
-            self._born += 1
+            clause = _Clause(learned, glue=glue)
             self.learned.append(clause)
             self._attach(clause)
             self._enqueue(learned[0], clause)
@@ -604,6 +594,13 @@ class Solver:
         n = self.n
         return [v if self.assign[v + n] == 1 else -v for v in range(1, n + 1)]
 
+    def _spent(self, budget) -> bool:
+        return (
+            (budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts)
+            or (budget.max_decisions is not None and self.decisions >= budget.max_decisions)
+            or (budget.max_seconds is not None and time.monotonic() - self._start >= budget.max_seconds)
+        )
+
     def solve(self, budget: Budget | None = None, on_learn=None) -> SolveResult:
         """Run CDCL to completion or budget exhaustion; once per Solver.
 
@@ -621,13 +618,7 @@ class Solver:
         self._start = time.monotonic()
         status = None if self.propagate_root() else UNSAT
         while status is None:
-            if budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts:
-                status = UNKNOWN
-                break
-            if budget.max_decisions is not None and self.decisions >= budget.max_decisions:
-                status = UNKNOWN
-                break
-            if budget.max_seconds is not None and time.monotonic() - self._start >= budget.max_seconds:
+            if self._spent(budget):
                 status = UNKNOWN
                 break
             if self.conflicts >= self._next_reduce:

@@ -167,6 +167,8 @@ class SupervisedConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -254,6 +256,8 @@ class RLConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not (math.isfinite(self.value_coef) and self.value_coef >= 0):
             raise ValueError(f"value_coef must be finite and >= 0, got {self.value_coef}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

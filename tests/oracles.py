@@ -250,7 +250,7 @@ def solver_state(solver):
         "reason": [name(c) for c in solver.reason],
         "phase": list(solver.phase),
         "clauses": [list(c.lits) for c in clauses],
-        "learned": [(c.glue, c.born) for c in solver.learned],
+        "learned": [(c.glue, list(c.lits)) for c in solver.learned],
         "watches": [[name(c) for c in ws] for ws in solver.watches],
         "evsids": list(solver.evsids),
         "inc": solver.inc,

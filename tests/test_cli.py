@@ -398,6 +398,10 @@ class TestImpossibleSolverFlags:
         ("train-supervised", ["--dropout", "-0.5"], "dropout"),
         ("extract", ["--edge-cap", "0"], "edge_cap"),
         ("env-rollout", ["--episodes", "0"], "episodes"),
+        ("solve", ["--mode", "random", "--seed", "-1"], "seed"),
+        ("env-rollout", ["--seed", "-1"], "seed"),
+        ("train-supervised", ["--seed", "-1"], "seed"),
+        ("train-rl", ["--seed", "-1"], "seed"),
     ])
     def test_other_commands_exit_2(self, sat_file, tmp_path, capsys, command, flag, name):
         out = tmp_path / "out"
@@ -406,6 +410,7 @@ class TestImpossibleSolverFlags:
             "bench": ["bench", "--instances", str(tmp_path), "--out", str(out)],
             "datagen": ["datagen", "--input", str(tmp_path), "--output", str(out)],
             "train-supervised": ["train-supervised", "--data", str(tmp_path), "--out", str(out)],
+            "train-rl": ["train-rl", "--formulas", str(tmp_path), "--out", str(out)],
             "extract": ["extract", sat_file],
             "env-rollout": ["env-rollout", sat_file],
         }[command]
@@ -414,6 +419,15 @@ class TestImpossibleSolverFlags:
         assert captured.out == ""
         assert f"error: {name} must be" in captured.err
         assert not out.exists()
+
+    def test_datagen_hashes_a_negative_seed(self, tmp_path, capsys):
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        (instances / "i.cnf").write_text(write_dimacs(random_ksat(25, 110, 3, 0)))
+        argv = ["datagen", "--input", str(instances), "--output", str(tmp_path / "out"),
+                "--budget-conflicts", "200", "--dump-interval", "50", "--seed", "-1"]
+        assert main(argv) == 0
+        assert "wrote" in capsys.readouterr().out
 
 
 class TestUnreadableInput:

@@ -95,7 +95,7 @@ class TestExtractGraph:
 
         f = Formula(4, ((1, 2), (3, 4)))
         s = Solver(f)
-        c = _Clause([1, 3, 4], glue=3, born=0)
+        c = _Clause([1, 3, 4], glue=3)
         s.learned.append(c)
         s._attach(c)
         g = extract_graph(s, edge_cap=5)
@@ -108,7 +108,7 @@ class TestExtractGraph:
 
         f = Formula(3, ((1, 2),))
         s = Solver(f)
-        c = _Clause([2, 3], glue=2, born=0)
+        c = _Clause([2, 3], glue=2)
         s.learned.append(c)
         s._attach(c)
         g = extract_graph(s)
@@ -248,7 +248,7 @@ class TestMatchesReferenceExtraction:
     def test_learned_clause_order_after_watch_swaps(self):
         f = Formula(5, ((1, 2), (3, 4, 5)))
         s = Solver(f)
-        s.learned.append(_Clause([5, -1, 4, 2], glue=2, born=0))
+        s.learned.append(_Clause([5, -1, 4, 2], glue=2))
         s.original[1].lits[:] = [5, 3, 4]     # as a watch swap leaves it
         s.trail_lim.append(0)
         s._enqueue(-4, None)
@@ -265,8 +265,8 @@ class TestMatchesReferenceExtraction:
         # a learned clause left unit by the trail: not a propagation fixpoint
         f = Formula(3, ((1, 2, 3),))
         s = Solver(f)
-        s.learned.append(_Clause([-2, 3], glue=2, born=0))
-        s.learned.append(_Clause([1, 2], glue=2, born=0))
+        s.learned.append(_Clause([-2, 3], glue=2))
+        s.learned.append(_Clause([1, 2], glue=2))
         s.trail_lim.append(0)
         s._enqueue(-1, None)
         with pytest.raises(RuntimeError, match="fixpoint"):

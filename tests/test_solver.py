@@ -425,7 +425,7 @@ class TestReduceDb:
 
         for i, g in enumerate(glues):
             lits = [((i * 3) % 29) + 1, -(((i * 3 + 1) % 29) + 1), ((i * 3 + 2) % 29) + 1]
-            c = _Clause(lits, glue=g, born=i)
+            c = _Clause(lits, glue=g)
             s.learned.append(c)
             s._attach(c)
         return s
@@ -476,9 +476,10 @@ class TestReduceDb:
 
     def test_learn_order_preserved(self):
         s = self._solver_with_learned([3 + (i % 5) for i in range(40)])
+        position = {id(c): i for i, c in enumerate(s.learned)}
         s._reduce_db()
-        borns = [c.born for c in s.learned]
-        assert borns == sorted(borns)
+        order = [position[id(c)] for c in s.learned]
+        assert order == sorted(order)
 
 
 class TestGlueCounts:

@@ -318,6 +318,13 @@ class TestRLConfig:
         RLConfig()
 
 
+@pytest.mark.parametrize("cls", [RLConfig, SupervisedConfig])
+def test_seed_must_be_nonnegative(cls):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        cls(seed=-1)
+    cls(seed=0)
+
+
 class TestTrainRl:
     def test_deterministic_single_worker(self):
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
