@@ -32,7 +32,7 @@ with tempfile.TemporaryDirectory() as tmp:
     # desk-scale config: conflict budget, no wall clock, aggressive refocus
     # schedule so the oracle variants actually fire at this problem size
     solver_cfg = SolverConfig(
-        warmup_mode="conflicts", warmup_conflicts=0,
+        warmup_conflicts=0,
         schedule_base=50, schedule_quad=0, schedule_cap=50, refocus_margin=0.0,
     )
     cfg = BenchConfig(timeout=None, max_conflicts=20_000, parallelism=2, solver=solver_cfg)

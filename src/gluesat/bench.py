@@ -65,6 +65,7 @@ class AggregateRecord:
     mean_successful_decisions: float | None
     mean_decisions: float
     mean_conflicts: float
+    mean_refocuses: float
     mean_avg_glue: float
     mean_glr: float
 
@@ -220,6 +221,7 @@ def aggregate(records) -> list[AggregateRecord]:
                 ),
                 mean_decisions=float(np.mean([r.decisions for r in recs])),
                 mean_conflicts=float(np.mean([r.conflicts for r in recs])),
+                mean_refocuses=float(np.mean([r.refocuses for r in recs])),
                 mean_avg_glue=float(np.mean([r.avg_glue for r in recs])),
                 mean_glr=float(np.mean([r.glr for r in recs])),
             )

@@ -17,7 +17,7 @@ from .cnf import parse_dimacs
 from .datagen import DatagenConfig, build_dataset, load_dataset
 from .extract import extract_graph
 from .network import HyperParams, forward, load_weights, preset, save_weights
-from .solver import SAT, UNSAT, Budget, Solver, SolverConfig
+from .solver import SAT, UNSAT, Budget, Solver, SolverConfig, schedule_threshold
 from .training import RLConfig, SupervisedConfig, train_rl, train_supervised
 
 EXIT_SAT = 10
@@ -65,13 +65,22 @@ def _add_solver_flags(p):
     p.add_argument("--schedule", type=int, nargs=3, default=[getattr(SolverConfig, f) for f in _SCHEDULE],
                    metavar=("BASE", "QUAD", "CAP"))
     p.add_argument("--edge-cap", type=int, default=SolverConfig.edge_cap)
-    p.add_argument("--warmup-mode", choices=["time", "conflicts"], default=SolverConfig.warmup_mode)
-    p.add_argument("--warmup-seconds", type=float, default=SolverConfig.warmup_seconds)
     p.add_argument("--warmup-conflicts", type=int, default=SolverConfig.warmup_conflicts)
 
 
 def _solver_config(args) -> SolverConfig:
     return _config(SolverConfig, args, **dict(zip(_SCHEDULE, args.schedule)))
+
+
+def _refuse_no_refocus(cfg: SolverConfig, max_conflicts):
+    """Refuse an oracle run whose conflict budget ends before its first
+    refocus is due: it would quietly be a vanilla search."""
+    if max_conflicts is not None and max_conflicts <= cfg.first_refocus_due():
+        first = schedule_threshold(1, cfg.schedule_base, cfg.schedule_quad, cfg.schedule_cap)
+        raise _ConfigError(
+            f"--conflicts {max_conflicts} ends before the first refocus, which needs more than "
+            f"warmup_conflicts={cfg.warmup_conflicts} and the first schedule threshold of {first} "
+            f"conflicts; lower --schedule (or --warmup-conflicts) or raise --conflicts")
 
 
 def _add_network_flags(p):
@@ -85,10 +94,13 @@ def _add_network_flags(p):
 
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
+    budget = _config(Budget, args)
     seed = _seed(args)
+    if args.mode != "vanilla":
+        _refuse_no_refocus(cfg, budget.max_conflicts)
     formula = parse_dimacs(Path(args.input).read_text())
     oracle = bench_mod.make_oracle(args.mode, seed, args.weights)
-    result = Solver(formula, config=cfg, oracle=oracle).solve(budget=_config(Budget, args))
+    result = Solver(formula, config=cfg, oracle=oracle).solve(budget=budget)
     payload = {"status": result.status, **result.stats.as_dict()}
     if result.model is not None and args.model:
         payload["model"] = result.model
@@ -234,10 +246,12 @@ def _cmd_env_rollout(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _config(bench_mod.BenchConfig, args, solver=_solver_config(args))
+    variants = args.variants.split(",")
+    if any(v != "vanilla" for v in variants):
+        _refuse_no_refocus(cfg.solver, cfg.max_conflicts)
     instances = sorted(str(p) for d in args.instances for p in Path(d).glob("*.cnf"))
     if not instances:
         return _error("no instances found")
-    variants = args.variants.split(",")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = bench_mod.run_benchmark(

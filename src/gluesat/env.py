@@ -39,17 +39,22 @@ class GlueEnv:
 
     def reset(self, formula: Formula, seed=None):
         """Start an episode: fresh engine (discarding learned clauses), root
-        unit propagation, observation of the residual graph."""
+        unit propagation, observation of the residual graph.  ValueError
+        when that graph exceeds ``edge_cap``; since an episode never learns
+        or backtracks, later observations only shrink and always fit."""
         solver = Solver(formula)
         if not solver.propagate_root():
             raise TrivialFormulaError("formula is refuted at the root")
         if len(solver.trail) == solver.n or solver.n == 0:
             raise TrivialFormulaError("root unit propagation decides the formula")
+        obs = extract_graph(solver, self.edge_cap)
+        if obs is None:
+            raise ValueError(f"the residual formula has more than edge_cap={self.edge_cap} edges")
         self.solver = solver
         self._rng = np.random.default_rng(seed)
         self.terminal = None
-        self.obs = extract_graph(solver, self.edge_cap)
-        return self.obs
+        self.obs = obs
+        return obs
 
     def valid_actions(self) -> range:
         """Compacted indices of the currently unassigned variables."""

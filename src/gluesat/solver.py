@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -52,26 +52,33 @@ class SolverConfig:
     kappa: float = 1e4
     temperature: float = 4.0
     edge_cap: int = 10_000_000
-    warmup_mode: str = "time"           # "time" or "conflicts"
-    warmup_seconds: float = 15.0
     warmup_conflicts: int = 1000
+    # constructor-only: perfbench still passes it; goes with ROADMAP item 8's benchmark change
+    warmup_mode: InitVar[str] = "conflicts"
 
-    def __post_init__(self):
+    def __post_init__(self, warmup_mode):
+        if warmup_mode != "conflicts":
+            raise ValueError(f"warmup_mode must be 'conflicts' (the only warm-up), got {warmup_mode!r}")
         if not 0.0 < self.decay <= 1.0:     # NaN fails too
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
+        if not (math.isfinite(self.refocus_margin) and self.refocus_margin >= 0):
+            raise ValueError(f"refocus_margin must be finite and >= 0, got {self.refocus_margin}")
         for name in ("kappa", "temperature"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.edge_cap < 1:
             raise ValueError(f"edge_cap must be >= 1, got {self.edge_cap}")
-        for name in ("schedule_base", "schedule_quad", "schedule_cap", "warmup_conflicts"):
+        for name in ("restart_interval", "reduce_base", "reduce_step",
+                     "schedule_base", "schedule_quad", "schedule_cap", "warmup_conflicts"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.warmup_seconds >= 0:
-            raise ValueError(f"warmup_seconds must be >= 0, got {self.warmup_seconds}")
-        if self.warmup_mode not in ("time", "conflicts"):
-            raise ValueError(f"warmup_mode must be 'time' or 'conflicts', got {self.warmup_mode!r}")
+
+    def first_refocus_due(self) -> int:
+        """The first conflict count at which a refocus can fire: the warm-up
+        and the first schedule threshold both lie behind it."""
+        return max(self.warmup_conflicts,
+                   schedule_threshold(1, self.schedule_base, self.schedule_quad, self.schedule_cap))
 
 
 @dataclass
@@ -480,17 +487,10 @@ class Solver:
 
     # --------------------------------------------------------------- refocus
 
-    def _warmup_done(self) -> bool:
-        if self.cfg.warmup_mode == "conflicts":
-            return self.conflicts >= self.cfg.warmup_conflicts
-        if self._start is None:
-            return False
-        return time.monotonic() - self._start >= self.cfg.warmup_seconds
-
     def should_refocus(self) -> bool:
-        """All three gates: warm-up elapsed, conflict schedule met, fast glue
-        EMA above the slow EMA by the configured margin."""
-        if self.oracle is None or not self._warmup_done():
+        """All three gates: conflict warm-up elapsed, conflict schedule met,
+        fast glue EMA above the slow EMA by the configured margin."""
+        if self.oracle is None or self.conflicts < self.cfg.warmup_conflicts:
             return False
         due = schedule_threshold(
             self.refocuses + 1, self.cfg.schedule_base, self.cfg.schedule_quad, self.cfg.schedule_cap

@@ -54,7 +54,7 @@ _SOUND_PARAMS = None
 
 def _aggressive_config():
     return SolverConfig(
-        warmup_mode="conflicts", warmup_conflicts=0,
+        warmup_conflicts=0,
         schedule_base=5, schedule_quad=0, schedule_cap=5,
         refocus_margin=0.0,
     )
@@ -408,7 +408,7 @@ class TestCriterion8:
                 return lit
 
         cfg = SolverConfig(
-            warmup_mode="conflicts", warmup_conflicts=0,
+            warmup_conflicts=0,
             schedule_base=1, schedule_quad=0, schedule_cap=1, refocus_margin=0.0,
         )
         for seed in range(5):
@@ -522,7 +522,7 @@ class TestCriterion10:
 
         bench_out = tmp_path / "bench"
         solver_cfg = SolverConfig(
-            warmup_mode="conflicts", warmup_conflicts=0,
+            warmup_conflicts=0,
             schedule_base=500, schedule_quad=0, schedule_cap=500, refocus_margin=0.0,
         )
         bench_cfg = BenchConfig(

@@ -32,7 +32,7 @@ def make_instances(directory, count, n=15, m=63):
 
 def desk_config(**kw):
     solver = SolverConfig(
-        warmup_mode="conflicts", warmup_conflicts=0,
+        warmup_conflicts=0,
         schedule_base=5, schedule_quad=0, schedule_cap=5, refocus_margin=0.0,
     )
     kw.setdefault("timeout", None)
@@ -302,6 +302,21 @@ class TestCactus:
 
 
 class TestWriteOutputs:
+    def test_mean_refocuses_column(self, tmp_path):
+        instances = make_instances(tmp_path / "inst", 3, n=30, m=128)
+        records = run_benchmark(instances, ["vanilla", "random"], [0, 1], desk_config())
+        write_outputs(records, tmp_path / "out", timeout=60.0)
+        with open(tmp_path / "out" / "aggregates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        refocuses = {}
+        for row in rows:
+            refocuses.setdefault(row["variant"], []).append(float(row["mean_refocuses"]))
+        assert refocuses["vanilla"] == [0.0] * 3
+        assert sum(refocuses["random"]) > 0
+        for agg in aggregate(records):
+            runs = [r.refocuses for r in records if (r.instance, r.variant) == (agg.instance, agg.variant)]
+            assert agg.mean_refocuses == pytest.approx(np.mean(runs))
+
     def test_full_file_suite(self, tmp_path, weights_file):
         instances = make_instances(tmp_path / "inst", 2)
         records = run_benchmark(

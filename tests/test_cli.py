@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -62,7 +63,7 @@ class TestSolveCommand:
         code = main(
             [
                 "solve", str(p), "--mode", "neuro", "--weights", weights_file,
-                "--warmup-mode", "conflicts", "--warmup-conflicts", "0",
+                "--warmup-conflicts", "0",
                 "--schedule", "2", "0", "2", "--conflicts", "5000",
             ]
         )
@@ -79,9 +80,66 @@ class TestSolveCommand:
         p = tmp_path / "inst.cnf"
         p.write_text(write_dimacs(random_ksat(15, 63, 3, 2)))
         code = main(["solve", str(p), "--mode", "random", "--seed", "7",
-                     "--warmup-mode", "conflicts", "--warmup-conflicts", "0"])
+                     "--warmup-conflicts", "0"])
         assert code in (10, 20)
         json.loads(capsys.readouterr().out)
+
+
+class TestRefocusBudget:
+    """An oracle run whose conflict budget ends before its first refocus is
+    due is refused (exit 2); a vanilla run never is."""
+
+    SHORT = ["--schedule", "20", "0", "20", "--warmup-conflicts", "0"]   # first refocus due at 20
+
+    @pytest.fixture
+    def formula_dir(self, tmp_path):
+        directory = tmp_path / "inst"
+        directory.mkdir()
+        for seed in range(2):
+            (directory / f"i{seed}.cnf").write_text(write_dimacs(random_ksat(30, 128, 3, seed)))
+        return directory
+
+    @pytest.mark.parametrize("mode", ["random", "neuro"])
+    def test_solve_at_first_due_refused(self, formula_dir, weights_file, capsys, mode):
+        argv = ["solve", str(formula_dir / "i0.cnf"), "--mode", mode, "--weights", weights_file,
+                *self.SHORT, "--conflicts", "20"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --conflicts 20 ")
+        assert "warmup_conflicts=0" in captured.err and "threshold of 20 " in captured.err
+        assert "--schedule" in captured.err
+
+    def test_solve_one_past_first_due_runs(self, formula_dir, capsys):
+        argv = ["solve", str(formula_dir / "i0.cnf"), "--mode", "random", *self.SHORT, "--conflicts", "21"]
+        assert main(argv) in (0, 10, 20)
+        json.loads(capsys.readouterr().out)
+
+    def test_vanilla_never_refused(self, formula_dir, capsys):
+        argv = ["solve", str(formula_dir / "i0.cnf"), *self.SHORT, "--conflicts", "20"]
+        assert main(argv) in (0, 10, 20)
+        json.loads(capsys.readouterr().out)
+
+    def test_default_schedule(self, sat_file, capsys):
+        assert main(["solve", sat_file, "--mode", "random", "--conflicts", "20000"]) == 2
+        err = capsys.readouterr().err
+        assert "20000" in err and "50000" in err and "warmup_conflicts=1000" in err
+        assert main(["solve", sat_file, "--mode", "vanilla", "--conflicts", "20000"]) == 10
+
+    @pytest.mark.parametrize("variants, budget, code", [
+        ("vanilla,random", "20", 2),
+        ("neuro", "20", 2),
+        ("vanilla,random", "21", 0),
+        ("vanilla", "20", 0),
+    ])
+    def test_bench(self, formula_dir, weights_file, tmp_path, capsys, variants, budget, code):
+        out = tmp_path / "out"
+        argv = ["bench", "--instances", str(formula_dir), "--out", str(out), "--variants", variants,
+                "--weights", weights_file, "--timeout", "60", *self.SHORT, "--conflicts", budget]
+        assert main(argv) == code
+        if code == 2:
+            assert f"error: --conflicts {budget} " in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestExtractCommand:
@@ -128,6 +186,16 @@ class TestEnvRolloutCommand:
         assert code == 0
         assert "terminal:" in capsys.readouterr().out
 
+    def test_graph_over_edge_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        from gluesat import env
+
+        monkeypatch.setattr(env, "GlueEnv", partial(env.GlueEnv, edge_cap=10))
+        p = tmp_path / "f.cnf"
+        p.write_text(write_dimacs(random_ksat(20, 85, 3, 0)))
+        assert main(["env-rollout", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "edge_cap=10 " in err
+
 
 class TestPipelineCommands:
     def test_datagen_train_bench(self, tmp_path, capsys):
@@ -168,7 +236,7 @@ class TestPipelineCommands:
                 "bench", "--instances", str(instances), "--out", str(out_dir),
                 "--variants", "vanilla,neuro,random", "--seeds", "0", "1",
                 "--weights", str(weights), "--conflicts", "5000", "--timeout", "60",
-                "--warmup-mode", "conflicts", "--warmup-conflicts", "0",
+                "--warmup-conflicts", "0",
                 "--schedule", "5", "0", "5",
             ]
         ) == 0
@@ -372,7 +440,7 @@ class TestConfigDefaults:
 
 class TestImpossibleSolverFlags:
     @pytest.mark.parametrize("flag", [["--kappa", "-1"], ["--temperature", "0"], ["--edge-cap", "0"],
-                                      ["--warmup-seconds", "-1"], ["--schedule", "5", "-1", "5"],
+                                      ["--warmup-conflicts", "-1"], ["--schedule", "5", "-1", "5"],
                                       ["--conflicts", "-3"]])
     def test_solve_and_bench_exit_2(self, sat_file, tmp_path, capsys, flag):
         name = flag[0].lstrip("-").replace("-", "_")

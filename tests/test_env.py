@@ -56,6 +56,10 @@ class TestReset:
         with pytest.raises(TrivialFormulaError):
             GlueEnv().reset(Formula(2, ((1,), (-1, 2))), seed=0)
 
+    def test_graph_over_edge_cap_rejected(self):
+        with pytest.raises(ValueError, match="edge_cap=10 "):
+            GlueEnv(edge_cap=10).reset(random_ksat(20, 85, 3, seed=0))
+
 
 class TestStep:
     def test_nonterminal_reward(self):
@@ -144,6 +148,19 @@ class TestStep:
             assert env.obs.var_map == unassigned
             assert len(env.valid_actions()) == len(unassigned)
             obs, _, done = env.step(int(rng.integers(len(unassigned))))
+
+    def test_observations_never_grow(self):
+        # an episode never learns or backtracks, so a step's graph fits
+        # whatever cap the reset's graph fit
+        for seed in range(10):
+            env = GlueEnv()
+            obs = env.reset(random_ksat(30, 128, 3, seed), seed=seed)
+            rng = np.random.default_rng(seed)
+            done = False
+            while not done:
+                edges = obs.num_edges
+                obs, _, done = env.step(int(rng.integers(len(obs.var_map))))
+                assert done or obs.num_edges <= edges
 
     def test_reward_forms_and_episode_length(self):
         for seed in range(30):

@@ -101,8 +101,8 @@ def solve_setup(config):
         return SolverConfig(), None
     if config == "reduce":      # _reduce_db fires several times in the budget
         return SolverConfig(reduce_base=60, reduce_step=20), None
-    refocus = SolverConfig(warmup_mode="conflicts", warmup_conflicts=20, schedule_base=20,
-                           schedule_quad=0, schedule_cap=20, refocus_margin=0.0)
+    refocus = SolverConfig(warmup_conflicts=20, schedule_base=20, schedule_quad=0,
+                           schedule_cap=20, refocus_margin=0.0)
     if config == "random_oracle":
         return refocus, random_oracle(5)
     hp = preset("supervised")

@@ -1,3 +1,5 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,11 +19,6 @@ from gluesat.solver import (
 )
 
 from oracles import ReferenceSolver, bump, compute_lbd, drive_naive, drive_watched, solver_state
-
-
-def conflict_mode(**kw):
-    kw.setdefault("warmup_mode", "conflicts")
-    return SolverConfig(**kw)
 
 
 class TestSolveBasics:
@@ -51,10 +48,6 @@ class TestSolveBasics:
         f = random_ksat(40, 180, 3, 0)
         r = solve(f, budget=Budget(max_seconds=0.0))
         assert r.status == UNKNOWN
-
-    def test_time_warmup_blocks_refocus_before_solve(self):
-        s = Solver(random_ksat(8, 20, 3, 0), oracle=lambda g: np.zeros(g.num_vars))
-        assert not s.should_refocus()
 
     def test_sat_model_verified(self):
         for seed in range(40):
@@ -413,7 +406,7 @@ class TestShouldRestart:
     def test_restart_never_fires_at_level_zero(self):
         # solve() only restarts above level 0; verify by instrumenting a run
         f = random_ksat(30, 128, 3, 5)
-        s = Solver(f, config=conflict_mode())
+        s = Solver(f, config=SolverConfig())
         r = s.solve(budget=Budget(max_conflicts=2000))
         assert r.stats.restarts >= 0  # smoke: no assertion failures during run
 
@@ -455,7 +448,7 @@ class TestReduceDb:
         assert clause not in deleted
 
     def test_reduction_during_search_is_sound(self):
-        cfg = conflict_mode(reduce_base=50, reduce_step=10)
+        cfg = SolverConfig(reduce_base=50, reduce_step=10)
         for seed in range(25):
             f = random_ksat(14, 58, 3, seed)
             r = solve(f, config=cfg)
@@ -536,8 +529,9 @@ class TestSolverConfig:
         ("temperature", 0.0), ("temperature", float("nan")),
         ("edge_cap", 0),
         ("schedule_base", -1), ("schedule_quad", -1), ("schedule_cap", -1),
-        ("warmup_conflicts", -1), ("warmup_seconds", -1.0), ("warmup_seconds", float("nan")),
-        ("warmup_mode", "conflict"),
+        ("warmup_conflicts", -1), ("warmup_mode", "conflict"),
+        ("refocus_margin", float("nan")), ("refocus_margin", float("inf")), ("refocus_margin", -1.0),
+        ("restart_interval", -1), ("reduce_base", -1), ("reduce_step", -1),
     ])
     def test_impossible_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
@@ -545,13 +539,30 @@ class TestSolverConfig:
 
     def test_edge_values_accepted(self):
         SolverConfig(decay=1.0, schedule_base=0, schedule_quad=0, schedule_cap=0, refocus_margin=0.0,
-                     warmup_mode="conflicts", warmup_conflicts=0, warmup_seconds=0.0, edge_cap=1)
+                     warmup_conflicts=0, edge_cap=1)
+
+    def test_warmup_mode_is_constructor_only(self):
+        # still accepted by value, but not a stored setting
+        cfg = SolverConfig(warmup_mode="conflicts")
+        assert cfg == SolverConfig()
+        assert "warmup_mode" not in {f.name for f in fields(SolverConfig)}
+        assert "warmup_mode" not in asdict(cfg)
+        assert len(fields(SolverConfig)) == 12
+
+    @pytest.mark.parametrize("kw, due", [
+        ({}, 50_000),
+        ({"warmup_conflicts": 0, "schedule_base": 20, "schedule_quad": 7, "schedule_cap": 30}, 20),
+        ({"warmup_conflicts": 40, "schedule_base": 20, "schedule_quad": 0, "schedule_cap": 20}, 40),
+        ({"warmup_conflicts": 0, "schedule_base": 90, "schedule_quad": 0, "schedule_cap": 30}, 30),
+    ])
+    def test_first_refocus_due(self, kw, due):
+        assert SolverConfig(**kw).first_refocus_due() == due
 
 
 class TestShouldRefocus:
     def _ready_solver(self, **kw):
-        cfg = conflict_mode(warmup_conflicts=0, schedule_base=10, schedule_quad=0,
-                            schedule_cap=10, **kw)
+        cfg = SolverConfig(warmup_conflicts=0, schedule_base=10, schedule_quad=0,
+                           schedule_cap=10, **kw)
         s = Solver(random_ksat(8, 20, 3, 0), config=cfg, oracle=lambda g: np.zeros(g.num_vars))
         for g in [2.0] * 100 + [8.0] * 64:
             s.update_glue_emas(g)
@@ -563,7 +574,7 @@ class TestShouldRefocus:
         assert not s.should_refocus()
 
     def test_ema_gate_blocks(self):
-        cfg = conflict_mode(warmup_conflicts=0, schedule_base=10, schedule_quad=0, schedule_cap=10)
+        cfg = SolverConfig(warmup_conflicts=0, schedule_base=10, schedule_quad=0, schedule_cap=10)
         s = Solver(random_ksat(8, 20, 3, 0), config=cfg, oracle=lambda g: np.zeros(g.num_vars))
         for _ in range(100):
             s.update_glue_emas(3.0)  # fast == slow
@@ -580,6 +591,10 @@ class TestShouldRefocus:
         s.cfg.warmup_conflicts = 1000
         s.conflicts = 50
         assert not s.should_refocus()
+        s.conflicts = 999
+        assert not s.should_refocus()
+        s.conflicts = 1000
+        assert s.should_refocus()
 
     def test_no_oracle_never_refocuses(self):
         s = self._ready_solver()
@@ -630,8 +645,8 @@ class TestApplyRefocus:
 
 class TestRefocusIntegration:
     def test_soundness_with_random_oracle(self):
-        cfg = conflict_mode(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
-                            schedule_cap=5, refocus_margin=0.0)
+        cfg = SolverConfig(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
+                           schedule_cap=5, refocus_margin=0.0)
         for seed in range(60):
             f = random_ksat(14, 58, 3, seed)
             r = solve(f, config=cfg, oracle=random_oracle(seed))
@@ -639,8 +654,8 @@ class TestRefocusIntegration:
             assert r.status == want
 
     def test_refocus_actually_fires(self):
-        cfg = conflict_mode(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
-                            schedule_cap=5, refocus_margin=0.0)
+        cfg = SolverConfig(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
+                           schedule_cap=5, refocus_margin=0.0)
         fired = 0
         for seed in range(40):
             f = random_ksat(25, 106, 3, seed)
@@ -651,8 +666,8 @@ class TestRefocusIntegration:
     def test_infinite_logit_fails_the_refocus(self):
         # one +inf logit would turn the softmax into NaNs; the refocus
         # refuses them instead of leaving the solver without a decision
-        cfg = conflict_mode(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
-                            schedule_cap=5, refocus_margin=0.0)
+        cfg = SolverConfig(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
+                           schedule_cap=5, refocus_margin=0.0)
 
         def oracle(graph):
             logits = np.zeros(graph.num_vars)
@@ -662,9 +677,26 @@ class TestRefocusIntegration:
         with pytest.raises(ValueError, match="logits must be finite"):
             solve(random_ksat(25, 106, 3, 1), config=cfg, oracle=oracle)
 
+    def test_no_refocus_within_the_first_due_budget(self):
+        # the refusal of solve/bench rests on this: a conflict budget of
+        # first_refocus_due() conflicts ends before any refocus
+        cfg = SolverConfig(warmup_conflicts=30, schedule_base=20, schedule_quad=0,
+                           schedule_cap=20, refocus_margin=0.0)
+        due = cfg.first_refocus_due()
+        assert due == 30
+        within = beyond = 0
+        for seed in range(10):
+            f = random_ksat(40, 170, 3, seed)
+            within += solve(f, config=cfg, oracle=random_oracle(seed),
+                            budget=Budget(max_conflicts=due)).stats.refocuses
+            beyond += solve(f, config=cfg, oracle=random_oracle(seed),
+                            budget=Budget(max_conflicts=10 * due)).stats.refocuses
+        assert within == 0
+        assert beyond > 0
+
     def test_determinism_with_conflict_warmup(self):
-        cfg = conflict_mode(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
-                            schedule_cap=5, refocus_margin=0.0)
+        cfg = SolverConfig(warmup_conflicts=0, schedule_base=5, schedule_quad=0,
+                           schedule_cap=5, refocus_margin=0.0)
         f = random_ksat(30, 128, 3, 9)
         runs = []
         for _ in range(2):
@@ -678,7 +710,7 @@ class TestRefocusIntegration:
         f = random_ksat(30, 128, 3, 10)
         stats = []
         for _ in range(2):
-            r = solve(f, config=conflict_mode())
+            r = solve(f, config=SolverConfig())
             d = r.stats.as_dict()
             d.pop("runtime")
             stats.append((r.status, d))
@@ -706,7 +738,7 @@ class TestMixedWidthFuzz:
 
     def test_under_maximum_churn(self):
         # restart every conflict, reduce every 20 conflicts, refocus every 3
-        cfg = conflict_mode(
+        cfg = SolverConfig(
             warmup_conflicts=0, schedule_base=3, schedule_quad=0, schedule_cap=3,
             refocus_margin=0.0, reduce_base=20, reduce_step=5, restart_interval=1,
         )
@@ -721,8 +753,8 @@ class TestMixedWidthFuzz:
 REFERENCE_CONFIGS = {
     "default": lambda seed: (SolverConfig(), None),
     "reduce": lambda seed: (SolverConfig(reduce_base=30, reduce_step=10), None),
-    "refocus": lambda seed: (conflict_mode(warmup_conflicts=20, schedule_base=20, schedule_quad=0,
-                                           schedule_cap=20, refocus_margin=0.0),
+    "refocus": lambda seed: (SolverConfig(warmup_conflicts=20, schedule_base=20, schedule_quad=0,
+                                          schedule_cap=20, refocus_margin=0.0),
                              random_oracle(seed)),
 }
 

@@ -379,6 +379,11 @@ class TestTrainRl:
         with pytest.raises(FloatingPointError, match="non-finite gradient for tensor ln_shift"):
             train_rl(formulas, hp, cfg)
 
+    def test_graph_over_edge_cap_rejected(self):
+        hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        with pytest.raises(ValueError, match="edge_cap=10 "):
+            train_rl([random_ksat(20, 85, 3, 0)], hp, RLConfig(batches=1, edge_cap=10))
+
     def test_requires_value_head(self):
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
         init = init_params(hp, seed=0, value_head=False)
