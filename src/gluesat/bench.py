@@ -73,7 +73,7 @@ class AggregateRecord:
 @dataclass
 class BenchConfig:
     timeout: float | None = 60.0          # wall-clock per run, None to disable
-    max_conflicts: int | None = 200_000   # conflict budget, None to disable
+    max_conflicts: int | None = None      # conflict budget, None to disable
     parallelism: int = 1
     solver: SolverConfig | None = None    # shared by every run; None for the defaults
 

@@ -58,8 +58,7 @@ def _seed(args) -> int:
 def _add_solver_flags(p):
     """The flags solve and bench share: conflict budget and solver settings."""
     p.add_argument("--conflicts", type=int, dest="max_conflicts", metavar="CONFLICTS",
-                   help="conflict budget; none unless given, for bench too "
-                        "(BenchConfig's default budget does not apply)")
+                   help="conflict budget; none unless given")
     p.add_argument("--kappa", type=float, default=SolverConfig.kappa)
     p.add_argument("--temperature", type=float, default=SolverConfig.temperature)
     p.add_argument("--schedule", type=int, nargs=3, default=[getattr(SolverConfig, f) for f in _SCHEDULE],
@@ -84,12 +83,10 @@ def _refuse_no_refocus(cfg: SolverConfig, max_conflicts):
 
 
 def _add_network_flags(p):
-    """The flags train-supervised and train-rl share: network shape and dropout."""
+    """The flags train-supervised and train-rl share: the network's shape."""
     p.add_argument("--preset", choices=["supervised", "rl"], default=None)
     p.add_argument("--hyper", type=int, nargs=6, default=None,
                    metavar=("DELTA_L", "DELTA_C", "TAU", "N_L", "N_C", "N_P"))
-    p.add_argument("--dropout", type=float, default=HyperParams.dropout,
-                   help="training dropout, for a preset or --hyper alike")
 
 
 def _cmd_solve(args) -> int:
@@ -149,18 +146,18 @@ def _cmd_datagen(args) -> int:
     return 0
 
 
-def _resolve_hyper(args, default_preset):
+def _resolve_hyper(args, default_preset, **overrides):
     try:
         if args.hyper is not None:
-            return HyperParams(*args.hyper, dropout=args.dropout)
-        return replace(preset(args.preset or default_preset), dropout=args.dropout)
+            return HyperParams(*args.hyper, **overrides)
+        return replace(preset(args.preset or default_preset), **overrides)
     except ValueError as exc:
         raise _ConfigError(exc) from None
 
 
 def _cmd_train_supervised(args) -> int:
     cfg = _config(SupervisedConfig, args)
-    hp = _resolve_hyper(args, "supervised")
+    hp = _resolve_hyper(args, "supervised", dropout=args.dropout)
     dataset = load_dataset(args.data)
     if not dataset:
         return _error("empty dataset")
@@ -274,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="store_true", help="include the model in the JSON output")
     p.add_argument("--seed", type=int, default=0,
                    help="seeds the random mode's oracle; vanilla and neuro solves do not depend on it")
-    p.add_argument("--decisions", type=int, dest="max_decisions", metavar="DECISIONS", help="decision budget")
     p.add_argument("--time", type=float, dest="max_seconds", metavar="TIME",
                    help="wall-clock budget in seconds")
     _add_solver_flags(p)
@@ -290,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--budget-conflicts", type=int, default=DatagenConfig.budget_conflicts)
-    p.add_argument("--budget-seconds", type=float, default=DatagenConfig.budget_seconds,
-                   help="wall-clock labelling budget (nondeterministic)")
     p.add_argument("--dump-interval", type=int, default=DatagenConfig.dump_interval)
     p.add_argument("--max-clauses", type=int, default=DatagenConfig.max_clauses)
     p.add_argument("--seed", type=int, default=DatagenConfig.seed)
@@ -302,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-supervised", help="train on glue-count labels with ASGD")
     p.add_argument("--data", required=True)
     _add_network_flags(p)
+    p.add_argument("--dropout", type=float, default=HyperParams.dropout,
+                   help="training dropout, for a preset or --hyper alike")
     p.add_argument("--lr", type=float, default=SupervisedConfig.lr)
     p.add_argument("--epochs", type=int, default=SupervisedConfig.epochs)
     p.add_argument("--batch-size", type=int, default=SupervisedConfig.batch_size)

@@ -26,7 +26,6 @@ __all__ = [
 @dataclass
 class DatagenConfig:
     budget_conflicts: int | None = 20_000
-    budget_seconds: float | None = None     # wall-clock mode (nondeterministic)
     dump_interval: int = 5000
     max_clauses: int = 150_000
     seed: int = 0
@@ -34,10 +33,8 @@ class DatagenConfig:
     augment: bool = True
 
     def __post_init__(self):
-        for name in ("budget_conflicts", "budget_seconds"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:    # NaN fails too
-                raise ValueError(f"{name} must be None or >= 0, got {value}")
+        if self.budget_conflicts is not None and not self.budget_conflicts >= 0:   # NaN fails too
+            raise ValueError(f"budget_conflicts must be None or >= 0, got {self.budget_conflicts}")
         for name in ("dump_interval", "max_clauses", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -123,7 +120,7 @@ def _process_file(args):
     except (OSError, ValueError) as exc:
         return [], f"{path}: {exc}"
     seed = _file_seed(cfg.seed, Path(path).name)
-    budget = Budget(max_conflicts=cfg.budget_conflicts, max_seconds=cfg.budget_seconds)
+    budget = Budget(max_conflicts=cfg.budget_conflicts)
     pieces = random_split(formula, cfg.max_clauses, seed)
     stem_base = Path(path).stem
     for pi, piece in enumerate(pieces):

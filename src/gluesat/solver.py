@@ -18,7 +18,9 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
-# Fixed policy, as in CaDiCaL: initial phase, restart margin, glue EMA rates.
+# Fixed policy, as in CaDiCaL: EVSIDS decay (rho), initial phase, restart
+# margin, glue EMA rates.
+_DECAY = 0.95
 _INITIAL_PHASE = False
 _RESTART_MARGIN = 1.25
 _EMA_FAST = 2.0 ** -5
@@ -41,7 +43,6 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    decay: float = 0.95                 # EVSIDS rho
     restart_interval: int = 2
     reduce_base: int = 2000
     reduce_step: int = 300
@@ -59,8 +60,6 @@ class SolverConfig:
     def __post_init__(self, warmup_mode):
         if warmup_mode != "conflicts":
             raise ValueError(f"warmup_mode must be 'conflicts' (the only warm-up), got {warmup_mode!r}")
-        if not 0.0 < self.decay <= 1.0:     # NaN fails too
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
         if not (math.isfinite(self.refocus_margin) and self.refocus_margin >= 0):
             raise ValueError(f"refocus_margin must be finite and >= 0, got {self.refocus_margin}")
         for name in ("kappa", "temperature"):
@@ -84,11 +83,10 @@ class SolverConfig:
 @dataclass
 class Budget:
     max_conflicts: int | None = None
-    max_decisions: int | None = None
     max_seconds: float | None = None
 
     def __post_init__(self):
-        for name in ("max_conflicts", "max_decisions", "max_seconds"):
+        for name in ("max_conflicts", "max_seconds"):
             value = getattr(self, name)
             if value is not None and not value >= 0:    # NaN fails too
                 raise ValueError(f"{name} must be None or >= 0, got {value}")
@@ -426,7 +424,7 @@ class Solver:
 
     def _decay(self):
         # EVSIDS trick: growing the increment decays all existing scores
-        self.inc /= self.cfg.decay
+        self.inc /= _DECAY
         if self.inc > 1e100:
             self._rescale()
 
@@ -597,7 +595,6 @@ class Solver:
     def _spent(self, budget) -> bool:
         return (
             (budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts)
-            or (budget.max_decisions is not None and self.decisions >= budget.max_decisions)
             or (budget.max_seconds is not None and time.monotonic() - self._start >= budget.max_seconds)
         )
 

@@ -20,7 +20,6 @@ from .network import (
     init_params,
     save_weights,
 )
-from .solver import SolverConfig
 
 __all__ = [
     "AdamState",
@@ -232,6 +231,13 @@ class EpisodeStep:
     behavior_value: float | None = None   # value estimate of the rollout policy
 
 
+# Fixed REINFORCE policy: global gradient-norm clip, importance-ratio clip,
+# and the value loss's weight in the total loss.
+_CLIP_NORM = 1.0
+_RATIO_CLIP = 10.0
+_VALUE_COEF = 0.5
+
+
 @dataclass
 class RLConfig:
     workers: int = 4
@@ -239,23 +245,15 @@ class RLConfig:
     grad_steps: int = 2
     batches: int = 50
     lr: float = 1e-4
-    clip_norm: float = 1.0
-    ratio_clip: float = 10.0
-    value_coef: float = 0.5
     seed: int = 0
-    edge_cap: int = SolverConfig.edge_cap
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        for name in ("workers", "episodes_per_worker", "grad_steps", "batches", "edge_cap"):
+        for name in ("workers", "episodes_per_worker", "grad_steps", "batches"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr", "clip_norm", "ratio_clip"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not (math.isfinite(self.value_coef) and self.value_coef >= 0):
-            raise ValueError(f"value_coef must be finite and >= 0, got {self.value_coef}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -275,10 +273,9 @@ class RLResult:
     history: list[dict] = field(default_factory=list)
 
 
-def run_episode(formula, params: NetParams, hp: HyperParams, rng,
-                edge_cap=SolverConfig.edge_cap) -> list[EpisodeStep]:
+def run_episode(formula, params: NetParams, hp: HyperParams, rng) -> list[EpisodeStep]:
     """Roll out one episode sampling actions from the policy distribution."""
-    env = GlueEnv(edge_cap)
+    env = GlueEnv()
     obs = env.reset(formula, seed=int(rng.integers(2**63)))
     steps = []
     while True:
@@ -306,7 +303,7 @@ def _returns_to_go(episodes):
     return np.asarray(returns)
 
 
-def reinforce_weights(episodes, params: NetParams, hp: HyperParams, cfg: RLConfig):
+def reinforce_weights(episodes, params: NetParams, hp: HyperParams):
     """Per-step constants of the surrogate objective.
 
     Returns (ratios, normalized advantages, value targets, returns); all are
@@ -319,25 +316,25 @@ def reinforce_weights(episodes, params: NetParams, hp: HyperParams, cfg: RLConfi
             out, _ = forward_with_cache(params, hp, step.observation)
             logprobs.append(log_softmax(out.policy_logits)[step.action])
             values.append(out.value if out.value is not None else 0.0)
-    return _surrogate_weights(episodes, logprobs, values, cfg)
+    return _surrogate_weights(episodes, logprobs, values)
 
 
-def _rollout_weights(episodes, cfg: RLConfig):
+def _rollout_weights(episodes):
     """reinforce_weights at the params the episodes were rolled out with,
     from the log-probabilities and values run_episode recorded: no forward
     pass, the same numbers (every ratio is exp(0) = 1 before clipping)."""
     steps = [step for ep in episodes for step in ep]
     logprobs = [step.behavior_logprob for step in steps]
     values = [step.behavior_value for step in steps]
-    return _surrogate_weights(episodes, logprobs, values, cfg)
+    return _surrogate_weights(episodes, logprobs, values)
 
 
-def _surrogate_weights(episodes, logprobs, values, cfg: RLConfig):
+def _surrogate_weights(episodes, logprobs, values):
     """Clipped importance ratios, normalized advantages and value targets
     from each step's current log-probability of its action and value."""
     returns = _returns_to_go(episodes)
     behavior = [step.behavior_logprob for ep in episodes for step in ep]
-    ratios = [min(max(float(np.exp(lp - blp)), 0.0), cfg.ratio_clip) for lp, blp in zip(logprobs, behavior)]
+    ratios = [min(max(float(np.exp(lp - blp)), 0.0), _RATIO_CLIP) for lp, blp in zip(logprobs, behavior)]
     values = np.asarray(values)
     adv = returns - values
     if adv.size > 1:
@@ -348,7 +345,7 @@ def _surrogate_weights(episodes, logprobs, values, cfg: RLConfig):
     return np.asarray(ratios), adv, value_targets, returns
 
 
-def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams, cfg: RLConfig,
+def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
                         ratios, advantages, value_targets) -> ReinforceLoss:
     """Surrogate loss and its exact gradients, with (ratios, advantages,
     value_targets) held constant.  The summed gradients are checked for
@@ -373,11 +370,11 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams, cfg: RLCon
             if params.v_value is not None:
                 err = out.value - value_targets[i]
                 value_loss += err * err / total_steps
-                dvalue = cfg.value_coef * 2.0 * err / total_steps
+                dvalue = _VALUE_COEF * 2.0 * err / total_steps
             backward_from_heads(params, hp, cache, dlogits, dvalue, grads)
             i += 1
     check_finite(grads)
-    total = policy_loss + cfg.value_coef * value_loss
+    total = policy_loss + _VALUE_COEF * value_loss
     return ReinforceLoss(
         total=float(total),
         policy_loss=float(policy_loss),
@@ -393,17 +390,17 @@ def _onehot(index, size):
     return e
 
 
-def reinforce_loss(episodes, params: NetParams, hp: HyperParams, cfg: RLConfig | None = None) -> ReinforceLoss:
+def reinforce_loss(episodes, params: NetParams, hp: HyperParams) -> ReinforceLoss:
     """REINFORCE-with-baseline loss over an episode batch.
 
-    total = policy + value_coef * value, where the policy term weights each
-    log-probability by its clipped importance ratio and normalized advantage.
+    total = policy + 0.5 * value, where the policy term weights each
+    log-probability by its importance ratio, clipped at 10, and its
+    normalized advantage.
     """
-    cfg = cfg or RLConfig()
     if not episodes:
         raise ValueError("empty episode batch")
-    ratios, advantages, value_targets, _ = reinforce_weights(episodes, params, hp, cfg)
-    return reinforce_surrogate(episodes, params, hp, cfg, ratios, advantages, value_targets)
+    ratios, advantages, value_targets, _ = reinforce_weights(episodes, params, hp)
+    return reinforce_surrogate(episodes, params, hp, ratios, advantages, value_targets)
 
 
 def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
@@ -445,7 +442,7 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                 for _attempt in range(32):
                     formula = formulas[int(wrng.integers(len(formulas)))]
                     try:
-                        episodes.append(run_episode(formula, snapshot, hp, wrng, cfg.edge_cap))
+                        episodes.append(run_episode(formula, snapshot, hp, wrng))
                         break
                     except TrivialFormulaError:
                         continue
@@ -454,11 +451,11 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
         last = None
         for k in range(cfg.grad_steps):
             if k == 0:
-                weights = _rollout_weights(episodes, cfg)
+                weights = _rollout_weights(episodes)
             else:
-                weights = reinforce_weights(episodes, params, hp, cfg)
-            last = reinforce_surrogate(episodes, params, hp, cfg, *weights[:3])
-            grad_norm = clip_gradients(last.grads, cfg.clip_norm)
+                weights = reinforce_weights(episodes, params, hp)
+            last = reinforce_surrogate(episodes, params, hp, *weights[:3])
+            grad_norm = clip_gradients(last.grads, _CLIP_NORM)
             adam_step(adam, params, last.grads, cfg.lr)
         history.append(
             {

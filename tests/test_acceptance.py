@@ -198,11 +198,10 @@ class TestCriterion4:
         behavior = perturbed_params(hp, seed=6, noise=0.07)
         rng = np.random.default_rng(2)
         episodes = [run_episode(f, behavior, hp, rng) for _ in range(3)]
-        cfg = RLConfig()
-        ratios, adv, targets, _ = reinforce_weights(episodes, p, hp, cfg)
-        res = reinforce_surrogate(episodes, p, hp, cfg, ratios, adv, targets)
+        ratios, adv, targets, _ = reinforce_weights(episodes, p, hp)
+        res = reinforce_surrogate(episodes, p, hp, ratios, adv, targets)
         rl_fd = fd_gradients(
-            p, lambda: reinforce_surrogate(episodes, p, hp, cfg, ratios, adv, targets).total
+            p, lambda: reinforce_surrogate(episodes, p, hp, ratios, adv, targets).total
         )
         rl_err, rl_name = max_rel_error(res.grads, rl_fd)
 
@@ -320,8 +319,8 @@ class TestCriterion7:
                 for _ in range(cfg.episodes_per_worker):
                     episodes.append(run_episode(bandit, snapshot, hp, wrng))
             for _ in range(cfg.grad_steps):
-                res = reinforce_loss(episodes, params, hp, cfg)
-                clip_gradients(res.grads, cfg.clip_norm)
+                res = reinforce_loss(episodes, params, hp)
+                clip_gradients(res.grads, 1.0)
                 adam_step(adam, params, res.grads, cfg.lr)
                 steps += 1
             logits = forward(params, hp, root).policy_logits

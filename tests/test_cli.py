@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import pytest
@@ -9,7 +9,7 @@ from gluesat import bench, cli
 from gluesat.cli import main
 from gluesat.cnf import random_ksat, write_dimacs
 from gluesat.datagen import DatagenConfig
-from gluesat.network import init_params, load_weights, preset, save_weights
+from gluesat.network import HyperParams, init_params, load_weights, preset, save_weights
 from gluesat.solver import Budget, Solver, SolverConfig
 from gluesat.training import RLConfig, SupervisedConfig
 
@@ -53,7 +53,7 @@ class TestSolveCommand:
     def test_unknown_exit_code(self, tmp_path, capsys):
         p = tmp_path / "hard.cnf"
         p.write_text(write_dimacs(random_ksat(60, 256, 3, 0)))
-        code = main(["solve", str(p), "--decisions", "0"])
+        code = main(["solve", str(p), "--conflicts", "0"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["status"] == "UNKNOWN"
 
@@ -273,7 +273,7 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("flag", [["--grad-steps", "0"], ["--workers", "0"],
                                       ["--episodes-per-worker", "0"], ["--lr", "-1.0"],
-                                      ["--dropout", "1.5"]])
+                                      ["--batches", "0"]])
     def test_train_rl_rejects_invalid_config(self, tmp_path, capsys, flag):
         formulas = tmp_path / "formulas"
         formulas.mkdir()
@@ -327,6 +327,19 @@ class TestPipelineCommands:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{sat}", "--decisions", "10"],
+        ["datagen", "--input", "{dir}", "--output", "{out}", "--budget-seconds", "5"],
+        ["train-rl", "--formulas", "{dir}", "--out", "{out}", "--dropout", "0.5"],
+    ])
+    def test_removed_flags_are_refused(self, sat_file, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(sat=sat_file, dir=tmp_path, out=out) for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_hyperparameters(self, tmp_path, capsys):
         formulas = tmp_path / "formulas"
         formulas.mkdir()
@@ -337,29 +350,30 @@ class TestPipelineCommands:
                 "train-rl", "--formulas", str(formulas), "--out", str(weights),
                 "--batches", "1", "--workers", "1", "--episodes-per-worker", "1",
                 "--grad-steps", "1", "--hyper", "4", "6", "1", "1", "1", "2",
-                "--dropout", "0.0",
             ]
         ) == 0
         _, hp = load_weights(weights)
         assert (hp.delta_l, hp.delta_c, hp.tau_iters) == (4, 6, 1)
-        assert hp.dropout == 0.0
+        assert hp.dropout == HyperParams.dropout
 
     def test_dropout_applies_to_a_preset(self, tmp_path, capsys):
-        formulas = tmp_path / "formulas"
-        formulas.mkdir()
-        (formulas / "f.cnf").write_text(write_dimacs(random_ksat(8, 28, 3, 0)))
-        weights = tmp_path / "rl.ngw"
+        instances = tmp_path / "instances"
+        instances.mkdir()
+        (instances / "i.cnf").write_text(write_dimacs(random_ksat(25, 110, 3, 0)))
+        data_dir = tmp_path / "data"
+        assert main(["datagen", "--input", str(instances), "--output", str(data_dir),
+                     "--budget-conflicts", "200", "--no-augment"]) == 0
+        weights = tmp_path / "w.ngw"
         assert main(
             [
-                "train-rl", "--formulas", str(formulas), "--out", str(weights),
-                "--batches", "1", "--workers", "1", "--episodes-per-worker", "1",
-                "--grad-steps", "1", "--preset", "rl", "--dropout", "0.5",
+                "train-supervised", "--data", str(data_dir), "--out", str(weights),
+                "--epochs", "1", "--preset", "supervised", "--dropout", "0.5",
             ]
         ) == 0
         hyper_line = weights.read_bytes().split(b"\n")[1].split()
         assert hyper_line[0] == b"hyper" and float(hyper_line[7]) == 0.5
         _, hp = load_weights(weights)
-        assert hp == replace(preset("rl"), dropout=0.5)
+        assert hp == replace(preset("supervised"), dropout=0.5)
 
 
 class _Stop(Exception):
@@ -397,6 +411,7 @@ class TestConfigDefaults:
         monkeypatch.setattr(cli, "Solver", Recording)
         assert main(["solve", sat_file]) == 10
         assert seen == {"config": SolverConfig(), "budget": Budget()}
+        assert len(fields(Budget)) == 2
 
     def test_extract(self, sat_file, monkeypatch):
         calls = _intercept(monkeypatch, cli, "extract_graph")
@@ -409,6 +424,7 @@ class TestConfigDefaults:
         with pytest.raises(_Stop):
             main(["datagen", "--input", str(tmp_path), "--output", str(tmp_path / "out")])
         assert calls[0][2] == DatagenConfig()
+        assert len(fields(DatagenConfig)) == 6
 
     def test_train_supervised(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "load_dataset", lambda path: ["example"])
@@ -435,7 +451,8 @@ class TestConfigDefaults:
             main(["bench", "--instances", str(tmp_path), "--out", str(tmp_path / "out")])
         _, variants, seeds, cfg = calls[0]
         assert (variants, seeds) == (list(bench.VARIANTS), [0])
-        assert cfg == bench.BenchConfig(max_conflicts=None, solver=SolverConfig())
+        assert cfg == bench.BenchConfig(solver=SolverConfig())
+        assert cfg.max_conflicts is None
 
 
 class TestImpossibleSolverFlags:
@@ -452,7 +469,7 @@ class TestImpossibleSolverFlags:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag, name", [
-        ("solve", ["--decisions", "-1"], "max_decisions"),
+        ("solve", ["--time", "nan"], "max_seconds"),
         ("solve", ["--time", "-1"], "max_seconds"),
         ("bench", ["--workers", "0"], "parallelism"),
         ("bench", ["--timeout", "-1"], "timeout"),

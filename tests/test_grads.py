@@ -5,7 +5,6 @@ from gluesat.cnf import clause_literal_graph, random_ksat
 from gluesat.grads import backward_from_heads, check_finite, zero_grads
 from gluesat.network import forward, forward_with_cache, init_params
 from gluesat.training import (
-    RLConfig,
     kl_grads,
     kl_loss,
     reinforce_surrogate,
@@ -81,12 +80,11 @@ class TestReinforceFiniteDifferences:
         f = random_ksat(6, 8, 3, 11)
         rng = np.random.default_rng(2)
         episodes = [run_episode(f, behavior, tiny_hyper, rng) for _ in range(3)]
-        cfg = RLConfig()
-        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper, cfg)
-        res = reinforce_surrogate(episodes, p, tiny_hyper, cfg, ratios, adv, targets)
+        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper)
+        res = reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets)
 
         def loss():
-            return reinforce_surrogate(episodes, p, tiny_hyper, cfg, ratios, adv, targets).total
+            return reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets).total
 
         worst, name = max_rel_error(res.grads, fd_gradients(p, loss))
         assert worst <= 1e-4, f"{name}: {worst}"
@@ -96,9 +94,8 @@ class TestReinforceFiniteDifferences:
         f = random_ksat(6, 8, 3, 11)
         rng = np.random.default_rng(3)
         episodes = [run_episode(f, p, tiny_hyper, rng)]
-        cfg = RLConfig()
-        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper, cfg)
-        res = reinforce_surrogate(episodes, p, tiny_hyper, cfg, ratios, adv, targets)
+        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper)
+        res = reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets)
         assert any(res.grads[f"v_value.{i}.w"].any() for i in range(tiny_hyper.n_p))
 
 

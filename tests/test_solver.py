@@ -41,7 +41,7 @@ class TestSolveBasics:
         f = random_ksat(40, 180, 3, 0)
         r = solve(f, budget=Budget(max_conflicts=1))
         assert r.status in (UNKNOWN, SAT, UNSAT)
-        r0 = solve(f, budget=Budget(max_decisions=0))
+        r0 = solve(f, budget=Budget(max_conflicts=0))
         assert r0.status == UNKNOWN
 
     def test_wall_clock_budget(self):
@@ -524,7 +524,6 @@ class TestScheduleThreshold:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("field,value", [
-        ("decay", 0.0), ("decay", 1.5), ("decay", float("nan")),
         ("kappa", -1.0), ("kappa", 0.0), ("kappa", float("inf")),
         ("temperature", 0.0), ("temperature", float("nan")),
         ("edge_cap", 0),
@@ -538,7 +537,7 @@ class TestSolverConfig:
             SolverConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        SolverConfig(decay=1.0, schedule_base=0, schedule_quad=0, schedule_cap=0, refocus_margin=0.0,
+        SolverConfig(schedule_base=0, schedule_quad=0, schedule_cap=0, refocus_margin=0.0,
                      warmup_conflicts=0, edge_cap=1)
 
     def test_warmup_mode_is_constructor_only(self):
@@ -547,7 +546,7 @@ class TestSolverConfig:
         assert cfg == SolverConfig()
         assert "warmup_mode" not in {f.name for f in fields(SolverConfig)}
         assert "warmup_mode" not in asdict(cfg)
-        assert len(fields(SolverConfig)) == 12
+        assert len(fields(SolverConfig)) == 11
 
     @pytest.mark.parametrize("kw, due", [
         ({}, 50_000),

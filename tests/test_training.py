@@ -1,8 +1,12 @@
+from dataclasses import fields
+from functools import partial
+
 import numpy as np
 import pytest
 
 import gluesat.training as training
 from gluesat.cnf import Formula, clause_literal_graph, random_ksat
+from gluesat.env import GlueEnv
 from gluesat.network import HyperParams, forward, init_params, preset
 from gluesat.training import (
     AdamState,
@@ -236,7 +240,7 @@ class TestReinforcePieces:
     def test_on_policy_ratios_are_one(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper)
-        ratios, _, _, _ = reinforce_weights(episodes, p, tiny_hyper, RLConfig())
+        ratios, _, _, _ = reinforce_weights(episodes, p, tiny_hyper)
         assert np.all(ratios == 1.0)
 
     def test_behavior_logprob_matches_recompute(self, tiny_hyper):
@@ -254,9 +258,9 @@ class TestReinforcePieces:
         rng = np.random.default_rng(0)
         episodes = [run_episode(f, p, tiny_hyper, rng) for _ in range(4)]
         assert all(len(ep) == 1 and ep[0].reward == 1.0 for ep in episodes)
-        ratios, adv, _, _ = reinforce_weights(episodes, p, tiny_hyper, RLConfig())
+        ratios, adv, _, _ = reinforce_weights(episodes, p, tiny_hyper)
         assert np.allclose(adv, 0.0)
-        res = reinforce_loss(episodes, p, tiny_hyper, RLConfig())
+        res = reinforce_loss(episodes, p, tiny_hyper)
         assert res.policy_loss == pytest.approx(0.0, abs=1e-12)
         for i in range(tiny_hyper.n_p):
             assert not res.grads[f"v_policy.{i}.w"].any()
@@ -264,7 +268,7 @@ class TestReinforcePieces:
     def test_advantage_normalization_stats(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper, k=5, seed=7)
-        _, adv, _, _ = reinforce_weights(episodes, p, tiny_hyper, RLConfig())
+        _, adv, _, _ = reinforce_weights(episodes, p, tiny_hyper)
         if adv.size > 1 and adv.std() > 0:
             assert abs(adv.mean()) < 1e-9
             assert abs(adv.var() - 1.0) < 1e-6
@@ -277,45 +281,41 @@ class TestReinforcePieces:
             [type(s)(s.observation, s.action, s.behavior_logprob - 50.0, s.reward) for s in ep]
             for ep in episodes
         ]
-        ratios, _, _, _ = reinforce_weights(inflated, p, tiny_hyper, RLConfig())
+        ratios, _, _, _ = reinforce_weights(inflated, p, tiny_hyper)
         assert ratios.max() <= 10.0
 
     def test_empty_batch_rejected(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         with pytest.raises(ValueError):
-            reinforce_loss([], p, tiny_hyper, RLConfig())
+            reinforce_loss([], p, tiny_hyper)
 
     def test_returns_clamped_for_value_head(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper, k=4, seed=9)
-        _, _, targets, returns = reinforce_weights(episodes, p, tiny_hyper, RLConfig())
+        _, _, targets, returns = reinforce_weights(episodes, p, tiny_hyper)
         assert (targets >= 0).all() and (targets <= 1).all()
         assert np.all(targets == np.clip(returns, 0.0, 1.0))
 
 
 class TestRLConfig:
-    @pytest.mark.parametrize("field", ["workers", "episodes_per_worker", "grad_steps", "batches", "edge_cap"])
+    @pytest.mark.parametrize("field", ["workers", "episodes_per_worker", "grad_steps", "batches"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_counts_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             RLConfig(**{field: value})
         RLConfig(**{field: 1})
 
-    @pytest.mark.parametrize("field", ["lr", "clip_norm", "ratio_clip"])
+    @pytest.mark.parametrize("field", ["lr"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_rates_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             RLConfig(**{field: value})
         RLConfig(**{field: 1e-9})
 
-    @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
-    def test_value_coef_must_be_finite_and_nonnegative(self, value):
-        with pytest.raises(ValueError, match="value_coef"):
-            RLConfig(value_coef=value)
-        RLConfig(value_coef=0.0)
-
     def test_defaults_valid(self):
         RLConfig()
+        # clipping, the value weight and the edge cap are fixed, not settings
+        assert len(fields(RLConfig)) == 7
 
 
 @pytest.mark.parametrize("cls", [RLConfig, SupervisedConfig])
@@ -379,10 +379,12 @@ class TestTrainRl:
         with pytest.raises(FloatingPointError, match="non-finite gradient for tensor ln_shift"):
             train_rl(formulas, hp, cfg)
 
-    def test_graph_over_edge_cap_rejected(self):
+    def test_graph_over_edge_cap_rejected(self, monkeypatch):
+        # an oversized graph is an error, not skipped like a trivial formula
+        monkeypatch.setattr(training, "GlueEnv", partial(GlueEnv, edge_cap=10))
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
         with pytest.raises(ValueError, match="edge_cap=10 "):
-            train_rl([random_ksat(20, 85, 3, 0)], hp, RLConfig(batches=1, edge_cap=10))
+            train_rl([random_ksat(20, 85, 3, 0)], hp, RLConfig(batches=1))
 
     def test_requires_value_head(self):
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
