@@ -17,7 +17,7 @@ from .cnf import parse_dimacs
 from .datagen import DatagenConfig, build_dataset, load_dataset
 from .extract import extract_graph
 from .network import HyperParams, forward, load_weights, preset, save_weights
-from .solver import SAT, UNSAT, Budget, Solver, SolverConfig, schedule_threshold
+from .solver import SAT, UNKNOWN, UNSAT, Budget, Solver, SolverConfig, schedule_threshold
 from .training import RLConfig, SupervisedConfig, train_rl, train_supervised
 
 EXIT_SAT = 10
@@ -82,6 +82,13 @@ def _refuse_no_refocus(cfg: SolverConfig, max_conflicts):
             f"conflicts; lower --schedule (or --warmup-conflicts) or raise --conflicts")
 
 
+def _warn_no_refocus(what, reached, cfg: SolverConfig):
+    """Warn on stderr that an oracle run ended without a refocus: it ran
+    the vanilla search."""
+    print(f"warning: {what} never refocused, so it ran the vanilla search: it reached {reached} "
+          f"conflicts, and the first refocus is due after {cfg.first_refocus_due()}", file=sys.stderr)
+
+
 def _add_network_flags(p):
     """The flags train-supervised and train-rl share: the network's shape."""
     p.add_argument("--preset", choices=["supervised", "rl"], default=None)
@@ -98,6 +105,8 @@ def _cmd_solve(args) -> int:
     formula = parse_dimacs(Path(args.input).read_text())
     oracle = bench_mod.make_oracle(args.mode, seed, args.weights)
     result = Solver(formula, config=cfg, oracle=oracle).solve(budget=budget)
+    if args.mode != "vanilla" and result.status == UNKNOWN and result.stats.refocuses == 0:
+        _warn_no_refocus(f"the {args.mode} solve", result.stats.conflicts, cfg)
     payload = {"status": result.status, **result.stats.as_dict()}
     if result.model is not None and args.model:
         payload["model"] = result.model
@@ -256,6 +265,11 @@ def _cmd_bench(args) -> int:
         records_csv=out_dir / "records.csv",
     )
     bench_mod.write_outputs(records, out_dir, cfg.timeout or 0.0)
+    for variant in dict.fromkeys(variants):
+        runs = [r for r in records if r.variant == variant]
+        if variant != "vanilla" and not any(r.refocuses for r in runs):
+            _warn_no_refocus(f"bench variant {variant!r}", f"at most {max(r.conflicts for r in runs)}",
+                             cfg.solver)
     print(f"{len(records)} records; outputs in {out_dir}")
     return 0
 

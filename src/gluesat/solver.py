@@ -13,6 +13,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from .cnf import Formula, normalize_clause, satisfies
+from .network import policy_distribution
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -173,6 +174,7 @@ class Solver:
         self.evsids = [0.0] * (n + 1)
         self.inc = 1.0
         self.heap = [(0.0, v) for v in range(1, n + 1)]
+        self._queued = [0.0] * (n + 1)       # score of v's live heap entry, None if it has none
         self.phase = [_INITIAL_PHASE] * (n + 1)
         self.original = []
         self.learned = []
@@ -340,7 +342,7 @@ class Solver:
         at the backjump level so the watches are correct after backjumping.
         Every variable it meets gets its EVSIDS score raised by ``inc``
         (rescaling past 1e100); all of them are assigned, so none goes on
-        the heap here (``_backjump`` pushes it).
+        the heap here (``_backjump`` re-queues it).
         """
         level = self.level
         reason = self.reason
@@ -409,13 +411,17 @@ class Solver:
         reason = self.reason
         heap = self.heap
         evsids = self.evsids
+        queued = self._queued
         for lit in reversed(trail[keep:]):
             assign[lit + n] = 0
             assign[n - lit] = 0
             v = lit if lit > 0 else -lit
             phase[v] = lit > 0
             reason[v] = None
-            heappush(heap, (-evsids[v], v))
+            s = evsids[v]
+            if queued[v] != s:      # its live entry, if any, holds an older score
+                queued[v] = s
+                heappush(heap, (-s, v))
         del trail[keep:]
         del lim[target_level:]
         self.qhead = keep
@@ -437,23 +443,45 @@ class Solver:
     def _rebuild_heap(self):
         n = self.n
         assign = self.assign
-        self.heap = [(-self.evsids[v], v) for v in range(1, n + 1) if assign[v + n] == 0]
-        heapify(self.heap)
+        evsids = self.evsids
+        queued = [None] * (n + 1)
+        heap = []
+        for v in range(1, n + 1):
+            if assign[v + n] == 0:
+                queued[v] = s = evsids[v]
+                heap.append((-s, v))
+        heapify(heap)
+        self.heap = heap
+        self._queued = queued
 
     def pick_decision(self) -> int:
         """Unassigned variable of maximal EVSIDS score (ties: lowest index),
-        signed by its saved phase."""
+        signed by its saved phase.
+
+        The heap holds at most one live entry per variable, at the score
+        ``_queued`` records, beside stale entries that a later score left
+        behind.  Every unassigned variable's live entry holds its current
+        score, so the first entry on top that is an unassigned variable at
+        its current score is the decision.  Entries above it are popped; a
+        popped live entry clears its variable's mark, so that the next
+        backjump re-queues it.
+        """
         n = self.n
         assign = self.assign
+        evsids = self.evsids
+        queued = self._queued
         heap = self.heap
         if len(heap) > 8 * n + 64:
             self._rebuild_heap()
             heap = self.heap
+            queued = self._queued
         while heap:
-            negscore, v = heappop(heap)
-            if assign[v + n] == 0 and -negscore == self.evsids[v]:
-                heappush(heap, (negscore, v))
+            negscore, v = heap[0]
+            if assign[v + n] == 0 and -negscore == evsids[v]:
                 return v if self.phase[v] else -v
+            heappop(heap)
+            if queued[v] == -negscore:
+                queued[v] = None
         raise RuntimeError("no unassigned variable to decide on")
 
     # ------------------------------------------------------------------ glue
@@ -498,16 +526,14 @@ class Solver:
         return self._glue_surge(self.cfg.refocus_margin)
 
     def _try_refocus(self):
-        from .extract import extract_graph
-
         if not self.should_refocus():
             return
+        from .extract import extract_graph     # extract imports this module
+
         graph = extract_graph(self, self.cfg.edge_cap)
         self._conflicts_at_refocus = self.conflicts
         if graph is None:
             return
-        from .network import policy_distribution
-
         logits = np.asarray(self.oracle(graph), dtype=float)
         probs = policy_distribution(logits, self.cfg.temperature)
         self.apply_refocus(probs, graph.var_map)

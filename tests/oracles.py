@@ -92,13 +92,14 @@ def compute_lbd(lits, levels) -> int:
 
 def bump(solver, v):
     """One EVSIDS bump of variable v, as ``Solver._analyze`` does inline,
-    plus the heap push an unassigned variable needs."""
+    plus the heap entry an unassigned variable needs at its new score."""
     s = solver.evsids[v] + solver.inc
     solver.evsids[v] = s
     if s > 1e100:
         solver._rescale()
     elif solver.assign[v + solver.n] == 0:
-        heappush(solver.heap, (-solver.evsids[v], v))
+        solver._queued[v] = s
+        heappush(solver.heap, (-s, v))
 
 
 class ReferenceSolver(Solver):
@@ -234,9 +235,17 @@ class ReferenceSolver(Solver):
 
 def solver_state(solver):
     """Everything the search leaves behind, with clauses named by their
-    position in ``original + learned`` (-1 for a clause in neither)."""
+    position in ``original + learned`` (-1 for a clause in neither).
+
+    Of the heap it keeps the sorted live entries of unassigned variables,
+    those at the variable's current score: the entries ``pick_decision``
+    can return.  Which stale and duplicate entries sit beside them depends
+    on the re-queuing policy, not on the search."""
     clauses = solver.original + solver.learned
     index = {id(c): i for i, c in enumerate(clauses)}
+    n = solver.n
+    live = {(negscore, v) for negscore, v in solver.heap
+            if solver.assign[v + n] == 0 and -negscore == solver.evsids[v]}
 
     def name(clause):
         return None if clause is None else index.get(id(clause), -1)
@@ -254,7 +263,7 @@ def solver_state(solver):
         "watches": [[name(c) for c in ws] for ws in solver.watches],
         "evsids": list(solver.evsids),
         "inc": solver.inc,
-        "heap": list(solver.heap),
+        "heap": sorted(live),
     }
 
 

@@ -126,6 +126,24 @@ class TestRefocusBudget:
         assert "20000" in err and "50000" in err and "warmup_conflicts=1000" in err
         assert main(["solve", sat_file, "--mode", "vanilla", "--conflicts", "20000"]) == 10
 
+    def test_time_budget_without_refocus_warns(self, formula_dir, capsys):
+        path = str(formula_dir / "i0.cnf")
+        assert main(["solve", path, "--mode", "random", *self.SHORT, "--time", "0"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["refocuses"] == 0
+        assert captured.err == ("warning: the random solve never refocused, so it ran the vanilla search: "
+                                "it reached 0 conflicts, and the first refocus is due after 20\n")
+        assert main(["solve", path, *self.SHORT, "--time", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_bench_without_refocus_warns(self, formula_dir, tmp_path, capsys):
+        argv = ["bench", "--instances", str(formula_dir), "--out", str(tmp_path / "out"),
+                "--variants", "vanilla,random", "--timeout", "0", *self.SHORT]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: bench variant 'random' never refocused, so it ran the vanilla search: "
+                       "it reached at most 0 conflicts, and the first refocus is due after 20\n")
+
     @pytest.mark.parametrize("variants, budget, code", [
         ("vanilla,random", "20", 2),
         ("neuro", "20", 2),

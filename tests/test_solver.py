@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gluesat.cnf import Formula, brute_force, random_ksat, satisfies
 from gluesat.solver import (
+    _DECAY,
     SAT,
     UNKNOWN,
     UNSAT,
@@ -328,6 +329,38 @@ class TestPickDecision:
         s._enqueue(2, None)
         s._rebuild_heap()
         assert abs(s.pick_decision()) == 3
+
+    @staticmethod
+    def _two_assigned_once():
+        s = Solver(Formula(3, ((1, 2, 3),)))
+        s.evsids = [0.0, 0.5, 0.9, 0.7]
+        s._rebuild_heap()
+        assert s.decide(2) is None
+        s._backjump(0)          # 2 keeps its live entry: nothing to push
+        assert s.decide(2) is None
+        return s
+
+    def test_entry_popped_while_assigned_is_requeued(self):
+        s = self._two_assigned_once()
+        assert abs(s.pick_decision()) == 3      # pops 2's entry
+        s._backjump(0)
+        assert abs(s.pick_decision()) == 2
+
+    def test_entry_dropped_by_a_rebuild_is_requeued(self):
+        s = self._two_assigned_once()
+        s._rebuild_heap()       # holds only the unassigned 1 and 3
+        s._backjump(0)
+        assert abs(s.pick_decision()) == 2
+
+    def test_backjump_requeues_a_moved_score(self):
+        s = Solver(Formula(3, ((1, 2, 3),)))
+        assert s.decide(3) is None
+        s.evsids[3] = 2.0       # a bump while assigned: its entry at 0.0 goes stale
+        assert s.decide(1) is None
+        s.evsids[1] = 1.0
+        s._backjump(0)
+        assert abs(s.pick_decision()) == 3
+        assert sorted(s.heap)[:2] == [(-2.0, 3), (-1.0, 1)]
 
     def test_polarity_phase_saving(self):
         s = Solver(random_ksat(4, 8, 3, 0))
@@ -792,3 +825,39 @@ class TestMatchesReferenceSolver:
             got = traced_search(Solver, formula, config, seed, 400)
             assert got == want
             assert want["stats"]["conflicts"] > 50
+
+    def test_past_the_first_rescale(self):
+        # inc passes 1e100 after about 4,490 conflicts; this solve takes 4,677,
+        # so _rescale rebuilds the heap midway
+        formula = random_ksat(150, 639, 3, 1)
+        want = traced_search(ReferenceSolver, formula, "default", 0, 10_000)
+        got = traced_search(Solver, formula, "default", 0, 10_000)
+        assert got == want
+        conflicts = want["stats"]["conflicts"]
+        assert conflicts > 4490
+        assert want["state"]["inc"] < 1e-50 * _DECAY ** -conflicts    # rescaled on the way
+
+
+class TestDecisionIsArgmax:
+    """Every decision of a solve picks the unassigned variable of highest
+    EVSIDS score (ties: lowest index), whatever stale entries the heap holds."""
+
+    class Checked(Solver):
+        checked = 0
+
+        def pick_decision(self):
+            lit = super().pick_decision()
+            n = self.n
+            best = max((v for v in range(1, n + 1) if self.assign[v + n] == 0),
+                       key=lambda v: (self.evsids[v], -v))
+            assert lit == (best if self.phase[best] else -best)
+            self.checked += 1
+            return lit
+
+    @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
+    def test_seeded_solves(self, config):
+        for seed in range(3):
+            cfg, oracle = REFERENCE_CONFIGS[config](seed)
+            s = self.Checked(random_ksat(120, 510, 3, seed), cfg, oracle)
+            s.solve(Budget(max_conflicts=400))
+            assert s.checked == s.decisions > 0
