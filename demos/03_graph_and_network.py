@@ -13,7 +13,6 @@ from gluesat import (
     extract_graph,
     forward,
     init_params,
-    lift_distribution,
     load_weights,
     policy_distribution,
     preset,
@@ -45,8 +44,10 @@ print(f"policy logits for {g1.num_vars} variables, value estimate {out.value:.3f
 probs = policy_distribution(out.policy_logits, temperature=4.0)
 print(f"refocus distribution: max {probs.max():.4f}, min {probs.min():.4f}, sum {probs.sum():.6f}")
 
-lifted = lift_distribution(probs, g1.var_map, f.num_vars)
-print(f"lifted to original numbering: {np.count_nonzero(lifted)} nonzero of {f.num_vars}\n")
+# refocusing lifts it back to original numbering through var_map: the
+# assigned variables' scores drop to 0
+s.apply_refocus(probs, g1.var_map)
+print(f"lifted to original numbering: {np.count_nonzero(s.evsids)} nonzero EVSIDS scores of {f.num_vars}\n")
 
 # --- weight files ----------------------------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:

@@ -5,7 +5,7 @@ Run:  python3 demos/05_rl_pipeline.py
 
 import numpy as np
 
-from gluesat import Formula, GlueEnv, clause_literal_graph, episode_return, random_ksat
+from gluesat import Formula, GlueEnv, clause_literal_graph, random_ksat
 from gluesat.network import HyperParams, forward, init_params
 from gluesat.training import RLConfig, log_softmax, train_rl
 
@@ -26,7 +26,7 @@ while True:
         kind, glue = env.terminal
         print(f"  terminal: {kind}" + (f" with glue {glue}" if glue else ""))
         break
-print(f"episode return {episode_return(rewards):+.3f}")
+print(f"episode return {sum(rewards):+.3f}")
 print("rewards are -1/n per step, 1/glue^2 on conflict, 0 when satisfied\n")
 
 # --- REINFORCE on a two-action bandit ----------------------------------------------

@@ -18,8 +18,8 @@ from .cnf import (
     write_dimacs,
 )
 from .datagen import DatagenConfig, augment, build_dataset, generate_datapoint, load_dataset
-from .env import GlueEnv, TrivialFormulaError, episode_return
-from .extract import extract_graph, lift_distribution
+from .env import GlueEnv, TrivialFormulaError
+from .extract import extract_graph
 from .network import (
     ForwardOutput,
     HyperParams,
@@ -49,7 +49,6 @@ from .training import (
     SupervisedConfig,
     SupervisedExample,
     kl_loss,
-    reinforce_loss,
     target_distribution,
     train_rl,
     train_supervised,

@@ -148,7 +148,8 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
     existing rows are not re-run, making an interrupted benchmark resumable.
     Records are keyed by instance file name, so two entries sharing a name
     (the same path twice included) raise ValueError before anything runs,
-    as do a variant outside ``VARIANTS`` and neuro without weights.
+    as do a repeated variant or seed, a variant outside ``VARIANTS`` and
+    neuro without weights.
     """
     by_name = {}
     for path in instances:
@@ -156,6 +157,9 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
         if name in by_name:
             raise ValueError(f"instances {by_name[name]} and {path} share the file name {name!r}")
         by_name[name] = path
+    for kind, values in (("variant", variants), ("seed", seeds)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated {kind} in {list(values)}: each {kind} runs once per instance")
     for variant in variants:    # refuse a bad variant before records.csv is opened
         make_oracle(variant, weights=weights)
     cfg = config or BenchConfig()

@@ -7,7 +7,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from .datagen import DatagenConfig, build_dataset, load_dataset
 from .extract import extract_graph
 from .network import HyperParams, forward, load_weights, preset, save_weights
 from .solver import SAT, UNKNOWN, UNSAT, Budget, Solver, SolverConfig, schedule_threshold
-from .training import RLConfig, SupervisedConfig, train_rl, train_supervised
+from .training import RLConfig, SupervisedConfig, sample_action, train_rl, train_supervised
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -107,7 +107,7 @@ def _cmd_solve(args) -> int:
     result = Solver(formula, config=cfg, oracle=oracle).solve(budget=budget)
     if args.mode != "vanilla" and result.status == UNKNOWN and result.stats.refocuses == 0:
         _warn_no_refocus(f"the {args.mode} solve", result.stats.conflicts, cfg)
-    payload = {"status": result.status, **result.stats.as_dict()}
+    payload = {"status": result.status, **asdict(result.stats)}
     if result.model is not None and args.model:
         payload["model"] = result.model
     print(json.dumps(payload))
@@ -203,7 +203,6 @@ def _cmd_train_rl(args) -> int:
 
 def _cmd_env_rollout(args) -> int:
     from .env import GlueEnv
-    from .training import log_softmax
 
     if args.episodes < 1:
         raise _ConfigError(f"episodes must be >= 1, got {args.episodes}")
@@ -233,9 +232,7 @@ def _cmd_env_rollout(args) -> int:
             elif policy is None:
                 action = int(rng.integers(len(obs.var_map)))
             else:
-                logits = forward(policy[0], policy[1], obs).policy_logits
-                probs = np.exp(log_softmax(logits))
-                action = int(rng.choice(len(probs), p=probs / probs.sum()))
+                action, _ = sample_action(forward(policy[0], policy[1], obs).policy_logits, rng)
             var = obs.var_map[action]
             obs, reward, done = env.step(action)
             total += reward

@@ -59,18 +59,6 @@ class Formula:
     num_vars: int
     clauses: tuple[tuple[int, ...], ...] = ()
 
-    @staticmethod
-    def from_clauses(num_vars, clauses) -> "Formula":
-        """Build a Formula, checking every literal is within 1..num_vars."""
-        packed = []
-        for clause in clauses:
-            c = tuple(int(l) for l in clause)
-            for lit in c:
-                if lit == 0 or abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} out of range for {num_vars} variables")
-            packed.append(c)
-        return Formula(num_vars, tuple(packed))
-
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)

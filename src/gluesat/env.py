@@ -15,16 +15,11 @@ from .cnf import Formula
 from .extract import extract_graph
 from .solver import Solver, SolverConfig
 
-__all__ = ["GlueEnv", "TrivialFormulaError", "episode_return"]
+__all__ = ["GlueEnv", "TrivialFormulaError"]
 
 
 class TrivialFormulaError(ValueError):
     """Formula is decided by root unit propagation; no episode is possible."""
-
-
-def episode_return(rewards) -> float:
-    """Undiscounted return of a finished episode."""
-    return float(sum(rewards))
 
 
 class GlueEnv:
@@ -55,10 +50,6 @@ class GlueEnv:
         self.terminal = None
         self.obs = obs
         return obs
-
-    def valid_actions(self) -> range:
-        """Compacted indices of the currently unassigned variables."""
-        return range(len(self.obs.var_map))
 
     def step(self, action: int):
         """Apply one decision; returns (observation, reward, done).

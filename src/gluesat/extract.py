@@ -14,7 +14,7 @@ import numpy as np
 from .cnf import SparseGraph, _flat_literals
 from .solver import SolverConfig
 
-__all__ = ["extract_graph", "lift_distribution"]
+__all__ = ["extract_graph"]
 
 
 def extract_graph(solver, edge_cap: int = SolverConfig.edge_cap) -> SparseGraph | None:
@@ -62,17 +62,3 @@ def extract_graph(solver, edge_cap: int = SolverConfig.edge_cap) -> SparseGraph 
     rows = np.repeat(np.arange(stop, dtype=np.int32), left[:stop])
     cols = col_of[lits[:end][keep] + n]
     return SparseGraph(stop, ng, rows, cols, tuple(unassigned.tolist()))
-
-
-def lift_distribution(probs, var_map, num_vars: int) -> np.ndarray:
-    """Map a distribution over compacted variables back to original numbering.
-
-    Entry ``v-1`` of the result carries the mass of original variable ``v``;
-    variables absent from ``var_map`` get 0.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if len(probs) != len(var_map):
-        raise ValueError("probability vector does not match var_map")
-    out = np.zeros(num_vars)
-    out[np.asarray(var_map, dtype=np.intp) - 1] = probs
-    return out

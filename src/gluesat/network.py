@@ -11,6 +11,7 @@ sigmoid.
 from __future__ import annotations
 
 import io
+import math
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -61,6 +62,8 @@ class HyperParams:
         # the leaky ReLU kernels are exact only for a slope in [0, 1]; NaN fails too
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError("leaky_slope must lie in [0, 1]")
+        if not (math.isfinite(self.ln_eps) and self.ln_eps > 0):
+            raise ValueError(f"ln_eps must be finite and > 0, got {self.ln_eps}")
 
 
 _PRESETS = {

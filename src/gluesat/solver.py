@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, dataclass, field
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -106,9 +106,6 @@ class SolveStats:
     glr: float = 0.0
     runtime: float = 0.0
     glue_counts: list[int] = field(default_factory=list)
-
-    def as_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -528,7 +525,11 @@ class Solver:
     def _try_refocus(self):
         if not self.should_refocus():
             return
-        from .extract import extract_graph     # extract imports this module
+        # imported here, not at module level: extract imports this module,
+        # and perfbench traces extraction by replacing the attribute
+        # gluesat.extract.extract_graph, which a module-level import would
+        # bind before the patch (its extract.calls would read 0)
+        from .extract import extract_graph
 
         graph = extract_graph(self, self.cfg.edge_cap)
         self._conflicts_at_refocus = self.conflicts

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnf import SparseGraph
-from .env import GlueEnv, TrivialFormulaError, episode_return
+from .env import GlueEnv, TrivialFormulaError
 from .grads import backward_from_heads, check_finite, zero_grads
 from .network import (
     HyperParams,
@@ -36,8 +36,8 @@ __all__ = [
     "kl_grads",
     "kl_loss",
     "log_softmax",
-    "reinforce_loss",
     "run_episode",
+    "sample_action",
     "target_distribution",
     "train_rl",
     "train_supervised",
@@ -273,6 +273,15 @@ class RLResult:
     history: list[dict] = field(default_factory=list)
 
 
+def sample_action(logits, rng) -> tuple[int, float]:
+    """Draw an action from softmax(logits) with ``rng``; returns the action
+    and its log-probability."""
+    logp = log_softmax(logits)
+    probs = np.exp(logp)
+    action = int(rng.choice(len(probs), p=probs / probs.sum()))
+    return action, float(logp[action])
+
+
 def run_episode(formula, params: NetParams, hp: HyperParams, rng) -> list[EpisodeStep]:
     """Roll out one episode sampling actions from the policy distribution."""
     env = GlueEnv()
@@ -280,12 +289,9 @@ def run_episode(formula, params: NetParams, hp: HyperParams, rng) -> list[Episod
     steps = []
     while True:
         out, _ = forward_with_cache(params, hp, obs)
-        logp = log_softmax(out.policy_logits)
-        probs = np.exp(logp)
-        probs = probs / probs.sum()
-        action = int(rng.choice(len(probs), p=probs))
+        action, logprob = sample_action(out.policy_logits, rng)
         next_obs, reward, done = env.step(action)
-        steps.append(EpisodeStep(obs, action, float(logp[action]), reward, out.value))
+        steps.append(EpisodeStep(obs, action, logprob, reward, out.value))
         if done:
             return steps
         obs = next_obs
@@ -348,8 +354,11 @@ def _surrogate_weights(episodes, logprobs, values):
 def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
                         ratios, advantages, value_targets) -> ReinforceLoss:
     """Surrogate loss and its exact gradients, with (ratios, advantages,
-    value_targets) held constant.  The summed gradients are checked for
-    finiteness once, after the last backward pass."""
+    value_targets) held constant: total = policy + 0.5 * value, where the
+    policy term weights each step's log-probability by its ratio times its
+    advantage.  The constants of a batch come from ``reinforce_weights``.
+    The summed gradients are checked for finiteness once, after the last
+    backward pass."""
     total_steps = sum(len(ep) for ep in episodes)
     if total_steps == 0:
         raise ValueError("empty episode batch")
@@ -359,7 +368,7 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
     returns_sum = 0.0
     i = 0
     for ep in episodes:
-        returns_sum += episode_return(s.reward for s in ep)
+        returns_sum += sum(s.reward for s in ep)
         for step in ep:
             out, cache = forward_with_cache(params, hp, step.observation)
             logp = log_softmax(out.policy_logits)
@@ -388,19 +397,6 @@ def _onehot(index, size):
     e = np.zeros(size)
     e[index] = 1.0
     return e
-
-
-def reinforce_loss(episodes, params: NetParams, hp: HyperParams) -> ReinforceLoss:
-    """REINFORCE-with-baseline loss over an episode batch.
-
-    total = policy + 0.5 * value, where the policy term weights each
-    log-probability by its importance ratio, clipped at 10, and its
-    normalized advantage.
-    """
-    if not episodes:
-        raise ValueError("empty episode batch")
-    ratios, advantages, value_targets, _ = reinforce_weights(episodes, params, hp)
-    return reinforce_surrogate(episodes, params, hp, ratios, advantages, value_targets)
 
 
 def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,

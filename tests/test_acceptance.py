@@ -28,10 +28,10 @@ from gluesat.training import (
     kl_loss,
     kl_grads,
     log_softmax,
-    reinforce_loss,
     reinforce_surrogate,
     reinforce_weights,
     run_episode,
+    sample_action,
     train_rl,
     train_supervised,
 )
@@ -319,7 +319,7 @@ class TestCriterion7:
                 for _ in range(cfg.episodes_per_worker):
                     episodes.append(run_episode(bandit, snapshot, hp, wrng))
             for _ in range(cfg.grad_steps):
-                res = reinforce_loss(episodes, params, hp)
+                res = reinforce_surrogate(episodes, params, hp, *reinforce_weights(episodes, params, hp)[:3])
                 clip_gradients(res.grads, 1.0)
                 adam_step(adam, params, res.grads, cfg.lr)
                 steps += 1
@@ -350,9 +350,7 @@ class TestCriterion7:
                 if policy is None:
                     action = int(rng.integers(len(obs.var_map)))
                 else:
-                    logits = forward(policy, hp, obs).policy_logits
-                    probs = np.exp(log_softmax(logits))
-                    action = int(rng.choice(len(probs), p=probs / probs.sum()))
+                    action, _ = sample_action(forward(policy, hp, obs).policy_logits, rng)
                 obs, reward, done = env.step(action)
                 total += reward
                 if done:

@@ -93,6 +93,18 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="inst01.cnf"):
             run_benchmark(first + first[1:], ["vanilla"], [0], desk_config())
 
+    @pytest.mark.parametrize("variants, seeds, match", [
+        (["vanilla", "vanilla"], [0], "repeated variant"),
+        (["vanilla", "random", "vanilla"], [0, 1], "repeated variant"),
+        (["vanilla"], [0, 0], "repeated seed"),
+    ])
+    def test_repeated_variant_or_seed_rejected(self, tmp_path, variants, seeds, match):
+        instances = make_instances(tmp_path / "inst", 1)
+        out = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match=match):
+            run_benchmark(instances, variants, seeds, desk_config(), records_csv=out)
+        assert not out.exists()   # refused before any solve or record
+
     def test_resume_skips_completed(self, tmp_path, weights_file):
         instances = make_instances(tmp_path / "inst", 2)
         out = tmp_path / "records.csv"

@@ -2,16 +2,18 @@ import csv
 import json
 from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gluesat import bench, cli
 from gluesat.cli import main
-from gluesat.cnf import random_ksat, write_dimacs
+from gluesat.cnf import parse_dimacs, random_ksat, write_dimacs
 from gluesat.datagen import DatagenConfig
 from gluesat.network import HyperParams, init_params, load_weights, preset, save_weights
 from gluesat.solver import Budget, Solver, SolverConfig
-from gluesat.training import RLConfig, SupervisedConfig
+from gluesat.training import RLConfig, SupervisedConfig, run_episode
 
 
 @pytest.fixture
@@ -75,6 +77,22 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "weights" in captured.err
+
+    def test_neuro_mode_bad_ln_eps_exits_1(self, tmp_path, weights_file, capsys):
+        # a non-positive ln_eps would only fail at the first refocus, mid-search
+        path = tmp_path / "bad.ngw"
+        magic, hyper, rest = Path(weights_file).read_bytes().split(b"\n", 2)
+        fields = hyper.split(b" ")
+        fields[9] = b"-1"
+        path.write_bytes(b"\n".join([magic, b" ".join(fields), rest]))
+        p = tmp_path / "inst.cnf"
+        p.write_text(write_dimacs(random_ksat(150, 639, 3, 0)))   # refocuses with valid weights
+        code = main(["solve", str(p), "--mode", "neuro", "--weights", str(path),
+                     "--warmup-conflicts", "0", "--schedule", "2", "0", "2", "--conflicts", "200"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad hyper line: ln_eps") and "Traceback" not in captured.err
 
     def test_random_mode(self, tmp_path, capsys):
         p = tmp_path / "inst.cnf"
@@ -196,6 +214,19 @@ class TestEnvRolloutCommand:
         out = capsys.readouterr().out
         assert "episode 0" in out and "episode 1" in out
         assert "terminal:" in out and "reward" in out
+
+    def test_weights_policy_samples_as_run_episode(self, tmp_path, weights_file, capsys):
+        # one seed draws the reset seed and then each action, as in training
+        p = tmp_path / "f.cnf"
+        p.write_text(write_dimacs(random_ksat(20, 85, 3, 1)))
+        assert main(["env-rollout", str(p), "--policy", "weights", "--weights", weights_file,
+                     "--seed", "7"]) == 0
+        printed = [int(line.split()[3]) for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  step ")]
+        params, hp = load_weights(weights_file)
+        steps = run_episode(parse_dimacs(p.read_text()), params, hp, np.random.default_rng(7))
+        assert len(steps) > 1
+        assert printed == [s.observation.var_map[s.action] for s in steps]
 
     def test_scripted_policy(self, tmp_path, capsys):
         p = tmp_path / "f.cnf"
@@ -336,6 +367,19 @@ class TestPipelineCommands:
                      "--variants", "vanila,typo"])
         assert code == 1
         assert "error: unknown variant 'vanila'" in capsys.readouterr().err
+        assert not (out_dir / "records.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--variants", "vanilla,vanilla"], "repeated variant"),
+        (["--variants", "vanilla", "--seeds", "0", "0"], "repeated seed"),
+    ])
+    def test_bench_rejects_repeats(self, tmp_path, capsys, flags, message):
+        (tmp_path / "inst").mkdir()
+        (tmp_path / "inst" / "f.cnf").write_text("p cnf 2 1\n1 2 0\n")
+        out_dir = tmp_path / "bench"
+        code = main(["bench", "--instances", str(tmp_path / "inst"), "--out", str(out_dir), *flags])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (out_dir / "records.csv").exists()
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--time", "5"], ["--decisions", "10"]])

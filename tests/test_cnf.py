@@ -119,8 +119,8 @@ class TestClauseLiteralGraph:
         assert g.num_clauses == 3
 
     def test_repeated_literal_sums_in_csr(self):
-        # from_clauses keeps duplicates: two edges, one CSR entry of 2.0
-        g = clause_literal_graph(Formula.from_clauses(2, [(1, 1, -2)]))
+        # Formula keeps duplicates: two edges, one CSR entry of 2.0
+        g = clause_literal_graph(Formula(2, ((1, 1, -2),)))
         assert edge_pairs(g) == [(0, 0), (0, 0), (0, 3)]
         csr, csr_t = g.matrices()
         assert csr.nnz == 2

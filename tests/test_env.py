@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gluesat.cnf import Formula, clause_literal_graph, random_ksat, satisfies
-from gluesat.env import GlueEnv, TrivialFormulaError, episode_return
+from gluesat.env import GlueEnv, TrivialFormulaError
 
 from oracles import edge_pairs
 
@@ -146,7 +146,6 @@ class TestStep:
             s = env.solver
             unassigned = tuple(v for v in range(1, 13) if s.value(v) == 0)
             assert env.obs.var_map == unassigned
-            assert len(env.valid_actions()) == len(unassigned)
             obs, _, done = env.step(int(rng.integers(len(unassigned))))
 
     def test_observations_never_grow(self):
@@ -181,20 +180,7 @@ class TestStep:
                 assert r == -1.0 / 10
             last = rewards[-1]
             assert last == 0.0 or any(last == 1.0 / g**2 for g in range(1, 11))
-            ret = episode_return(rewards)
-            assert -1.0 < ret <= 1.0
-
-
-class TestEpisodeReturn:
-    def test_sum(self):
-        assert episode_return([-0.1, -0.1, 0.25]) == pytest.approx(0.05)
-
-    def test_immediate_glue1(self):
-        assert episode_return([1.0]) == 1.0
-
-    def test_k_steps_then_satisfied(self):
-        rewards = [-1.0 / 20] * 5 + [0.0]
-        assert episode_return(rewards) == pytest.approx(-0.25)
+            assert -1.0 < sum(rewards) <= 1.0
 
 
 class TestResetIsolation:

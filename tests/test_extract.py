@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gluesat.cnf import Formula, clause_literal_graph, random_ksat
-from gluesat.extract import extract_graph, lift_distribution
+from gluesat.extract import extract_graph
 from gluesat.solver import Budget, Solver, _Clause
 
 from oracles import drive_watched, edge_pairs, reference_extract
@@ -280,23 +280,42 @@ class TestMatchesReferenceExtraction:
 
 
 class TestLiftDistribution:
+    """A distribution over a graph's compacted variables lands back on the
+    original variables through its var_map, as Solver.apply_refocus lifts
+    it: variable var_map[i] scores probs[i] * len(var_map) * kappa."""
+
     def test_identity_map(self):
+        s = Solver(random_ksat(3, 4, 3, 0))
+        g = extract_graph(s)
+        assert g.var_map == (1, 2, 3)
         probs = np.array([0.2, 0.3, 0.5])
-        out = lift_distribution(probs, (1, 2, 3), 3)
-        assert np.allclose(out, probs)
+        s.apply_refocus(probs, g.var_map)
+        assert np.allclose(s.evsids[1:], probs * 3 * s.cfg.kappa)
 
     def test_sparse_map(self):
-        out = lift_distribution([0.3, 0.7], (5, 9), 10)
-        assert out[4] == 0.3 and out[8] == 0.7
-        assert out.sum() == pytest.approx(1.0)
-        assert np.count_nonzero(out) == 2
+        s = Solver(random_ksat(12, 30, 3, 2))
+        assert s.propagate_root()
+        for lit in (1, -4, 7):
+            if s.value(lit) == 0:
+                assert s.decide(lit) is None
+        g = extract_graph(s)
+        assert 0 < len(g.var_map) < 12
+        probs = np.random.default_rng(0).dirichlet(np.ones(len(g.var_map)))
+        s.apply_refocus(probs, g.var_map)
+        lifted = np.array(s.evsids)
+        assert np.flatnonzero(lifted).tolist() == list(g.var_map)
+        assert np.allclose(lifted[list(g.var_map)], probs * len(g.var_map) * s.cfg.kappa)
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(3)
         probs = rng.dirichlet(np.ones(6))
-        out = lift_distribution(probs, (2, 3, 5, 7, 8, 9), 12)
-        assert out.sum() == pytest.approx(1.0)
+        s = Solver(random_ksat(12, 30, 3, 0))
+        s.apply_refocus(probs, (2, 3, 5, 7, 8, 9))
+        assert sum(s.evsids) == pytest.approx(6 * s.cfg.kappa)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lift_distribution([0.5, 0.5], (1, 2, 3), 5)
+        s = Solver(random_ksat(5, 10, 3, 0))
+        before = list(s.evsids)
+        with pytest.raises(ValueError, match="does not match var_map"):
+            s.apply_refocus([0.5, 0.5], (1, 2, 3))
+        assert s.evsids == before

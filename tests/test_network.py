@@ -51,6 +51,12 @@ class TestHyperParams:
             with pytest.raises(ValueError, match="leaky_slope"):
                 HyperParams(leaky_slope=slope)
 
+    def test_ln_eps_finite_and_positive(self):
+        assert HyperParams(ln_eps=1e-9).ln_eps == 1e-9
+        for eps in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="ln_eps must be finite and > 0"):
+                HyperParams(ln_eps=eps)
+
     def test_mlp_dims(self):
         assert mlp_dims(1, 8, 4) == [8, 4]
         assert mlp_dims(3, 8, 4) == [8, 8, 8, 4]
@@ -320,6 +326,18 @@ class TestWeights:
         fields[8] = slope
         path.write_bytes(b"\n".join([magic, b" ".join(fields), rest]))
         with pytest.raises(WeightFormatError, match="leaky_slope"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("eps", [b"0.0", b"-1", b"nan"])
+    def test_bad_ln_eps_rejected(self, tmp_path, tiny_hyper, eps):
+        path = tmp_path / "w.ngw"
+        save_weights(init_params(tiny_hyper, seed=0), tiny_hyper, path)
+        magic, hyper, rest = path.read_bytes().split(b"\n", 2)
+        fields = hyper.split(b" ")
+        assert fields[9] == repr(tiny_hyper.ln_eps).encode()
+        fields[9] = eps
+        path.write_bytes(b"\n".join([magic, b" ".join(fields), rest]))
+        with pytest.raises(WeightFormatError, match="bad hyper line: ln_eps"):
             load_weights(path)
 
     @pytest.mark.parametrize("name, value_head, digest", [

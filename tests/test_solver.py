@@ -733,7 +733,7 @@ class TestRefocusIntegration:
         runs = []
         for _ in range(2):
             r = solve(f, config=cfg, oracle=random_oracle(11), budget=Budget(max_conflicts=3000))
-            d = r.stats.as_dict()
+            d = asdict(r.stats)
             d.pop("runtime")
             runs.append((r.status, d))
         assert runs[0] == runs[1]
@@ -743,7 +743,7 @@ class TestRefocusIntegration:
         stats = []
         for _ in range(2):
             r = solve(f, config=SolverConfig())
-            d = r.stats.as_dict()
+            d = asdict(r.stats)
             d.pop("runtime")
             stats.append((r.status, d))
         assert stats[0] == stats[1]
@@ -799,7 +799,7 @@ def traced_search(cls, formula, config, seed, conflicts):
     s = cls(formula, cfg, oracle)
     res = s.solve(Budget(max_conflicts=conflicts),
                   on_learn=lambda _, lits, bj, glue: learned.append((list(lits), bj, glue)))
-    stats = res.stats.as_dict()
+    stats = asdict(res.stats)
     del stats["runtime"]
     return {"status": res.status, "stats": stats, "conflicts": learned, "state": solver_state(s)}
 

@@ -18,7 +18,7 @@ from gluesat.training import (
     clip_gradients,
     kl_loss,
     log_softmax,
-    reinforce_loss,
+    reinforce_surrogate,
     reinforce_weights,
     run_episode,
     target_distribution,
@@ -258,9 +258,9 @@ class TestReinforcePieces:
         rng = np.random.default_rng(0)
         episodes = [run_episode(f, p, tiny_hyper, rng) for _ in range(4)]
         assert all(len(ep) == 1 and ep[0].reward == 1.0 for ep in episodes)
-        ratios, adv, _, _ = reinforce_weights(episodes, p, tiny_hyper)
+        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper)
         assert np.allclose(adv, 0.0)
-        res = reinforce_loss(episodes, p, tiny_hyper)
+        res = reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets)
         assert res.policy_loss == pytest.approx(0.0, abs=1e-12)
         for i in range(tiny_hyper.n_p):
             assert not res.grads[f"v_policy.{i}.w"].any()
@@ -286,8 +286,8 @@ class TestReinforcePieces:
 
     def test_empty_batch_rejected(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
-        with pytest.raises(ValueError):
-            reinforce_loss([], p, tiny_hyper)
+        with pytest.raises(ValueError, match="empty episode batch"):
+            reinforce_surrogate([], p, tiny_hyper, [], [], [])
 
     def test_returns_clamped_for_value_head(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
