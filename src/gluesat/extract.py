@@ -7,8 +7,6 @@ original clauses traversed before learned ones under an edge cap.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .cnf import SparseGraph, _flat_literals
@@ -24,16 +22,22 @@ def extract_graph(solver, edge_cap: int = SolverConfig.edge_cap) -> SparseGraph 
     clause of size < 2 met before the cap stops traversal is an invariant
     violation and raises RuntimeError.  Traversal stops once adding a clause
     would push the edge count past ``edge_cap``; if that happens among the
-    original clauses the whole extraction is skipped (returns None).  Each
-    row keeps its clause's surviving literals in their current order.  Pure
-    read; never mutates state.
+    original clauses the whole extraction is skipped (returns None).  An
+    original clause's row keeps its surviving literals in formula order
+    (from ``solver.original_flat``, which watch swaps leave alone), a learned
+    clause's row in their current order; ``SparseGraph.matrices`` sorts
+    each row, so the network never sees the order within a row.  Pure read;
+    never mutates state.
     """
     n = solver.n
     assign = np.fromiter(solver.assign, dtype=np.int8, count=2 * n + 1)
     unassigned = np.flatnonzero(assign[n + 1:] == 0) + 1
     ng = len(unassigned)
-    num_original = len(solver.original)
-    lits, lens = _flat_literals([c.lits for c in chain(solver.original, solver.learned)])
+    original_lits, original_lens = solver.original_flat
+    num_original = len(original_lens)
+    learned_lits, learned_lens = _flat_literals([c.lits for c in solver.learned])
+    lits = np.concatenate((original_lits, learned_lits))
+    lens = np.concatenate((original_lens, learned_lens))
     vals = assign[lits + n]
     free = vals == 0
     ends = np.cumsum(lens)

@@ -12,7 +12,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .cnf import Formula, normalize_clause, satisfies
+from .cnf import Formula, _flat_literals, normalize_clause, satisfies
 from .network import policy_distribution
 
 SAT = "SAT"
@@ -134,6 +134,9 @@ def random_oracle(seed):
 
 
 class _Clause:
+    """An original or learned clause: its literal list, which watch lists,
+    reasons and conflicts hold directly, and its glue (None for originals)."""
+
     __slots__ = ("lits", "glue")
 
     def __init__(self, lits, glue=None):
@@ -153,6 +156,10 @@ class Solver:
     when given, maps a SparseGraph of the residual formula to one logit per
     compacted variable.  Instances are not thread safe; run independent
     solvers for concurrency.
+
+    ``original_flat`` is the original clauses' literals in formula order,
+    concatenated into one int32 array, with each clause's length: watch
+    swaps reorder ``clause.lits`` but never this copy.
     """
 
     def __init__(self, formula: Formula, config: SolverConfig | None = None, oracle=None):
@@ -208,6 +215,7 @@ class Solver:
                 clause = _Clause(list(c))
                 self.original.append(clause)
                 self._attach(clause)
+        self.original_flat = _flat_literals([c.lits for c in self.original])
 
     # ------------------------------------------------------------------ core
 
@@ -225,13 +233,18 @@ class Solver:
     def _attach(self, clause):
         n = self.n
         lits = clause.lits
-        self.watches[lits[0] + n].append(clause)
-        self.watches[lits[1] + n].append(clause)
+        self.watches[lits[0] + n].append(lits)
+        self.watches[lits[1] + n].append(lits)
 
     def _detach(self, clause):
-        n = self.n
-        self.watches[clause.lits[0] + n].remove(clause)
-        self.watches[clause.lits[1] + n].remove(clause)
+        # by identity: list.remove would take the first *equal* literal list
+        lits = clause.lits
+        for watched in lits[:2]:
+            ws = self.watches[watched + self.n]
+            for i, other in enumerate(ws):
+                if other is lits:
+                    del ws[i]
+                    break
 
     def propagate_root(self) -> bool:
         """Assign the unit clauses and propagate them at decision level 0.
@@ -257,8 +270,8 @@ class Solver:
     def decide(self, lit: int):
         """Open a decision level, assign ``lit`` true and propagate.
 
-        Returns the falsified clause on a conflict, else None.  ``lit`` must
-        be an unassigned literal of the formula.
+        Returns the falsified clause's literal list on a conflict, else
+        None.  ``lit`` must be an unassigned literal of the formula.
         """
         if not 0 < abs(lit) <= self.n or self.assign[lit + self.n] != 0:
             raise ValueError(f"cannot decide {lit}: not an unassigned literal of the formula")
@@ -277,7 +290,8 @@ class Solver:
         self.trail.append(lit)
 
     def _propagate(self):
-        """Propagate queued assignments; returns a falsified clause or None."""
+        """Propagate queued assignments; returns the literal list of a
+        falsified clause, or None."""
         n = self.n
         assign = self.assign
         watches = self.watches
@@ -294,8 +308,7 @@ class Solver:
             # watch onto this list, since the new watch is not false.
             keep = []
             it = iter(watches[falsified + n])
-            for clause in it:
-                lits = clause.lits
+            for lits in it:
                 first = lits[0]
                 if first == falsified:
                     first = lits[1]
@@ -303,27 +316,39 @@ class Solver:
                     lits[1] = falsified
                 val = assign[first + n]
                 if val == 1:
-                    keep.append(clause)
+                    keep.append(lits)
                     continue
-                for k in range(2, len(lits)):
-                    lk = lits[k]
+                # most watch visits are to 3-literal clauses: one candidate
+                if len(lits) == 3:
+                    lk = lits[2]
                     if assign[lk + n] != -1:
                         lits[1] = lk
-                        lits[k] = falsified
-                        watches[lk + n].append(clause)
-                        break
+                        lits[2] = falsified
+                        watches[lk + n].append(lits)
+                        continue
                 else:
-                    keep.append(clause)
-                    if val == -1:
-                        keep.extend(it)     # conflict: keep the rest watched
-                        conflict = clause
-                        break
-                    assign[first + n] = 1
-                    assign[n - first] = -1
-                    v = first if first > 0 else -first
-                    level[v] = cur
-                    reason[v] = clause
-                    trail.append(first)
+                    for k in range(2, len(lits)):
+                        lk = lits[k]
+                        if assign[lk + n] != -1:
+                            lits[1] = lk
+                            lits[k] = falsified
+                            watches[lk + n].append(lits)
+                            break
+                    else:
+                        k = 0       # no replacement watch
+                    if k:
+                        continue
+                keep.append(lits)
+                if val == -1:
+                    keep.extend(it)     # conflict: keep the rest watched
+                    conflict = lits
+                    break
+                assign[first + n] = 1
+                assign[n - first] = -1
+                v = first if first > 0 else -first
+                level[v] = cur
+                reason[v] = lits
+                trail.append(first)
             watches[falsified + n] = keep
             if conflict is not None:
                 break
@@ -351,7 +376,7 @@ class Solver:
         counter = 0
         tail = []
         idx = len(trail) - 1
-        lits = conflict.lits
+        lits = conflict
         while True:
             for q in lits:
                 v = q if q > 0 else -q
@@ -378,7 +403,7 @@ class Solver:
             idx -= 1
             if counter == 0:
                 break
-            lits = reason[v].lits[1:]       # lits[0] is p itself
+            lits = reason[v][1:]        # [0] is p itself
         learned = [-p] + tail
         if tail:
             bj = 0
@@ -571,7 +596,8 @@ class Solver:
         # newest first, then a stable sort by glue: the oldest of equal glues go last
         candidates = sorted((c for c in reversed(self.learned) if c.glue > 2), key=lambda c: c.glue)
         # skip locked clauses: a reason clause implies its first literal
-        deleted = [c for c in candidates[(len(candidates) + 1) // 2:] if self.reason[abs(c.lits[0])] is not c]
+        deleted = [c for c in candidates[(len(candidates) + 1) // 2:]
+                   if self.reason[abs(c.lits[0])] is not c.lits]
         for clause in deleted:
             self._detach(clause)
         gone = set(deleted)
@@ -597,7 +623,7 @@ class Solver:
             clause = _Clause(learned, glue=glue)
             self.learned.append(clause)
             self._attach(clause)
-            self._enqueue(learned[0], clause)
+            self._enqueue(learned[0], learned)
 
     def _stats(self):
         st = SolveStats(

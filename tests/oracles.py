@@ -6,7 +6,7 @@ from heapq import heappush
 
 import numpy as np
 
-from gluesat.cnf import SparseGraph
+from gluesat.cnf import SparseGraph, normalize_clause
 from gluesat.solver import Solver
 
 
@@ -104,10 +104,12 @@ def bump(solver, v):
 
 class ReferenceSolver(Solver):
     """The straightforward form of the CDCL hot loop: ``_propagate``,
-    ``_analyze`` and ``_backjump`` as plain loops over solver attributes.
-    The package's tuned versions must reproduce its search exactly: trail,
-    literal order inside every clause, watch-list order, learned clauses,
-    EVSIDS scores and stats."""
+    ``_analyze`` and ``_backjump`` as plain loops over solver attributes,
+    with watch lists, reasons and conflicts holding each clause's literal
+    list and every clause width taking the one generic scan.  The package's
+    tuned versions must reproduce its search exactly: trail, literal order
+    inside every clause, watch-list order, learned clauses, EVSIDS scores
+    and stats."""
 
     def _propagate(self):
         n = self.n
@@ -123,15 +125,14 @@ class ReferenceSolver(Solver):
             i = j = 0
             conflict = None
             while i < len(ws):
-                clause = ws[i]
+                lits = ws[i]
                 i += 1
-                lits = clause.lits
                 if lits[0] == falsified:
                     lits[0] = lits[1]
                     lits[1] = falsified
                 first = lits[0]
                 if assign[first + n] == 1:
-                    ws[j] = clause
+                    ws[j] = lits
                     j += 1
                     continue
                 moved = False
@@ -140,21 +141,21 @@ class ReferenceSolver(Solver):
                     if assign[lk + n] != -1:
                         lits[1] = lk
                         lits[k] = falsified
-                        watches[lk + n].append(clause)
+                        watches[lk + n].append(lits)
                         moved = True
                         break
                 if moved:
                     continue
-                ws[j] = clause
+                ws[j] = lits
                 j += 1
                 if assign[first + n] == -1:
                     while i < len(ws):      # conflict: keep the rest watched
                         ws[j] = ws[i]
                         j += 1
                         i += 1
-                    conflict = clause
+                    conflict = lits
                     break
-                self._enqueue(first, clause)
+                self._enqueue(first, lits)
             del ws[j:]
             if conflict is not None:
                 return conflict
@@ -170,9 +171,8 @@ class ReferenceSolver(Solver):
         tail = []
         p = None
         idx = len(trail) - 1
-        clause = conflict
+        lits = conflict
         while True:
-            lits = clause.lits
             for t in range(0 if p is None else 1, len(lits)):
                 q = lits[t]
                 v = abs(q)
@@ -188,7 +188,7 @@ class ReferenceSolver(Solver):
                 idx -= 1
             p = trail[idx]
             v = abs(p)
-            clause = reason[v]
+            lits = reason[v]
             seen[v] = 0
             counter -= 1
             idx -= 1
@@ -234,21 +234,23 @@ class ReferenceSolver(Solver):
 
 
 def solver_state(solver):
-    """Everything the search leaves behind, with clauses named by their
-    position in ``original + learned`` (-1 for a clause in neither).
+    """Everything the search leaves behind, with the literal lists that
+    watches and reasons hold named by the position of the clause that owns
+    them in ``original + learned``.  Anything else there, a copy of a
+    clause's literals included, raises KeyError.
 
     Of the heap it keeps the sorted live entries of unassigned variables,
     those at the variable's current score: the entries ``pick_decision``
     can return.  Which stale and duplicate entries sit beside them depends
     on the re-queuing policy, not on the search."""
     clauses = solver.original + solver.learned
-    index = {id(c): i for i, c in enumerate(clauses)}
+    index = {id(c.lits): i for i, c in enumerate(clauses)}
     n = solver.n
     live = {(negscore, v) for negscore, v in solver.heap
             if solver.assign[v + n] == 0 and -negscore == solver.evsids[v]}
 
-    def name(clause):
-        return None if clause is None else index.get(id(clause), -1)
+    def name(lits):
+        return None if lits is None else index[id(lits)]
 
     return {
         "trail": list(solver.trail),
@@ -260,7 +262,7 @@ def solver_state(solver):
         "phase": list(solver.phase),
         "clauses": [list(c.lits) for c in clauses],
         "learned": [(c.glue, list(c.lits)) for c in solver.learned],
-        "watches": [[name(c) for c in ws] for ws in solver.watches],
+        "watches": [[name(lits) for lits in ws] for ws in solver.watches],
         "evsids": list(solver.evsids),
         "inc": solver.inc,
         "heap": sorted(live),
@@ -270,7 +272,10 @@ def solver_state(solver):
 def reference_extract(solver, edge_cap=10_000_000):
     """Clause-by-clause residual graph extraction, the loop form of
     ``gluesat.extract.extract_graph``: same rows, literal order, var_map,
-    cap handling and skip rule."""
+    cap handling and skip rule.  Original clauses are read from the
+    formula itself, normalized as the solver keeps them (tautologies and
+    units left out), so their rows follow formula order whatever the
+    watch swaps did to ``solver.original``."""
     n = solver.n
     assign = solver.assign
     unassigned = [v for v in range(1, n + 1) if assign[v + n] == 0]
@@ -289,8 +294,9 @@ def reference_extract(solver, edge_cap=10_000_000):
                 left.append(lit)
         return left
 
-    for clause in solver.original:
-        left = residual_of(clause.lits)
+    original = [c for c in map(normalize_clause, solver.formula.clauses) if c is not None and len(c) >= 2]
+    for lits in original:
+        left = residual_of(lits)
         if left is None:
             continue
         assert len(left) >= 2, "unit or empty residual clause at propagation fixpoint"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gluesat.cnf import Formula, clause_literal_graph, random_ksat
+from gluesat.cnf import Formula, SparseGraph, clause_literal_graph, normalize_clause, random_ksat
 from gluesat.extract import extract_graph
+from gluesat.network import forward, init_params, preset
 from gluesat.solver import Budget, Solver, _Clause
 
 from oracles import drive_watched, edge_pairs, reference_extract
@@ -253,8 +254,9 @@ class TestMatchesReferenceExtraction:
         s.trail_lim.append(0)
         s._enqueue(-4, None)
         g = extract_graph(s)
-        # var_map (1, 2, 3, 5): columns 0..3 positive, 4..7 negative
-        assert edge_pairs(g) == [(0, 0), (0, 1), (1, 3), (1, 2), (2, 3), (2, 4), (2, 1)]
+        # var_map (1, 2, 3, 5): columns 0..3 positive, 4..7 negative; the
+        # original row keeps formula order (3, 5), the learned row (5, -1, 2)
+        assert edge_pairs(g) == [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (2, 1)]
         assert_same_extraction(s, 10_000_000)
 
     def test_edge_arrays_are_int32(self):
@@ -277,6 +279,65 @@ class TestMatchesReferenceExtraction:
         assert extract_graph(s, edge_cap=3).num_clauses == 1
         for cap in range(6):
             assert_same_extraction(s, cap)
+
+
+def solved_state(formula, conflicts):
+    """A solver after a short solve, back at a propagation fixpoint at the
+    root: learned clauses present, watch swaps made."""
+    s = Solver(formula)
+    s.solve(Budget(max_conflicts=conflicts))
+    s._backjump(0)
+    assert s._propagate() is None
+    return s
+
+
+class TestRowOrder:
+    """Extraction keeps original rows in formula order and learned rows in
+    their current order; neither order reaches the network, because
+    ``SparseGraph.matrices`` builds canonical CSR."""
+
+    def test_original_rows_follow_formula_order_after_watch_swaps(self):
+        # duplicate literals, a tautology and a unit: the rows follow the
+        # normalized clauses the solver keeps as its originals
+        base = random_ksat(40, 170, 3, 4).clauses
+        f = Formula(40, ((1, -7, 1, 9),) + base[:60] + ((5, -5, 2), (-3, 8, 11, 8, -20)) + base[60:])
+        s = solved_state(f, 200)
+        kept = [list(c) for c in map(normalize_clause, f.clauses) if c is not None and len(c) >= 2]
+        assert [list(c.lits) for c in s.original] != kept       # the search moved watches
+        g = extract_graph(s)
+        index = {v: i for i, v in enumerate(g.var_map)}
+        expected = []
+        for lits in kept:
+            if any(s.value(l) == 1 for l in lits):
+                continue
+            expected.append([index[abs(l)] if l > 0 else g.num_vars + index[abs(l)]
+                             for l in lits if s.value(l) == 0])
+        rows = [[] for _ in range(g.num_clauses)]
+        for r, c in edge_pairs(g):
+            rows[r].append(c)
+        assert rows[:len(expected)] == expected
+        assert_same_extraction(s, 10_000_000)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuting_edges_within_rows_changes_nothing_downstream(self, seed):
+        s = solved_state(random_ksat(60, 240, 3, seed), 150)
+        g = extract_graph(s)
+        assert g.num_clauses > len(s.original) // 2
+        rng = np.random.default_rng(seed)
+        # a random order inside every row; rows stay where they were
+        order = np.lexsort((rng.random(g.num_edges), g.rows))
+        assert not np.array_equal(order, np.arange(g.num_edges))
+        h = SparseGraph(g.num_clauses, g.num_vars, g.rows[order], g.cols[order], g.var_map)
+        for a, b in zip(g.matrices(), h.matrices()):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+        for name in ("supervised", "rl"):
+            hp = preset(name)
+            params = init_params(hp, seed=seed, value_head=True)
+            want, got = forward(params, hp, g), forward(params, hp, h)
+            assert np.array_equal(want.policy_logits, got.policy_logits)
+            assert want.value == got.value
 
 
 class TestLiftDistribution:

@@ -92,8 +92,8 @@ class TestPropagate:
         s.trail_lim.append(len(s.trail))
         s._enqueue(1, None)
         conflict = s._propagate()
-        assert conflict is not None
-        assert all(s.value(l) == -1 for l in conflict.lits)
+        assert any(conflict is c.lits for c in s.original)     # the clause's own literal list
+        assert all(s.value(l) == -1 for l in conflict)
 
     def test_matches_naive_propagation(self):
         rng = np.random.default_rng(42)
@@ -232,8 +232,8 @@ class TestPublicSearchApi:
         assert s.level[3] == 1 and s.decisions == 1
         s = Solver(Formula(2, ((-1, 2), (-1, -2))))
         conflict = s.decide(1)
-        assert conflict is not None
-        assert all(s.value(l) == -1 for l in conflict.lits)
+        assert any(conflict is c.lits for c in s.original)
+        assert all(s.value(l) == -1 for l in conflict)
 
     @pytest.mark.parametrize("lit", [0, 4, -4, 1, -1])
     def test_decide_rejects_assigned_or_foreign_literals(self, lit):
@@ -475,7 +475,7 @@ class TestReduceDb:
         # make one high-glue learned clause the reason of a trail literal
         clause = s.learned[7]
         s.trail_lim.append(len(s.trail))
-        s._enqueue(clause.lits[0], clause)
+        s._enqueue(clause.lits[0], clause.lits)
         kept, deleted = s._reduce_db()
         assert clause in s.learned
         assert clause not in deleted
@@ -499,6 +499,20 @@ class TestReduceDb:
         assert [id(c) for c in s.learned] == [id(c) for c in survivors]
         assert [id(c) for c in kept] == [id(c) for c in survivors]
         assert sorted(map(id, deleted)) == sorted(map(id, fours[:10]))
+
+    def test_detach_removes_the_clause_itself(self):
+        # a learned clause equal to an original one: deleting it must leave
+        # the original's own literal list watched
+        from gluesat.solver import _Clause
+
+        s = Solver(Formula(3, ((1, 2, 3),)))
+        twin = _Clause([1, 2, 3], glue=3)
+        s.learned.append(twin)
+        s._attach(twin)
+        s._detach(twin)
+        for lit in (1, 2):
+            ws = s.watches[lit + s.n]
+            assert len(ws) == 1 and ws[0] is s.original[0].lits
 
     def test_learn_order_preserved(self):
         s = self._solver_with_learned([3 + (i % 5) for i in range(40)])
@@ -804,6 +818,21 @@ def traced_search(cls, formula, config, seed, conflicts):
     return {"status": res.status, "stats": stats, "conflicts": learned, "state": solver_state(s)}
 
 
+@st.composite
+def mixed_width_formulas(draw):
+    """Random 3-SAT near the threshold with units, binaries and 4- to
+    6-literal clauses mixed in, so searches still meet conflicts."""
+    n = draw(st.integers(20, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**30)))
+    widths = [1] * draw(st.integers(0, 2)) + [2] * draw(st.integers(0, n // 4)) + [3] * draw(
+        st.integers(4 * n, 9 * n // 2)) + list(rng.integers(4, 7, size=draw(st.integers(0, n))))
+    clauses = []
+    for k in rng.permutation(widths):
+        vs = rng.choice(n, size=k, replace=False) + 1
+        clauses.append(tuple(int(v) if rng.integers(2) else -int(v) for v in vs))
+    return Formula(n, tuple(clauses))
+
+
 class TestMatchesReferenceSolver:
     """The tuned _propagate/_analyze/_backjump against the plain loops in
     oracles.ReferenceSolver: the same search, bit for bit."""
@@ -815,6 +844,15 @@ class TestMatchesReferenceSolver:
     def test_random_formulas(self, formula, config, seed, conflicts):
         want = traced_search(ReferenceSolver, formula, config, seed, conflicts)
         got = traced_search(Solver, formula, config, seed, conflicts)
+        assert got == want
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mixed_width_formulas(), st.sampled_from(["default", "reduce"]), st.integers(1, 300))
+    def test_mixed_width_formulas(self, formula, config, conflicts):
+        # units, binaries and long clauses: the widths the 3-literal fast
+        # path leaves to the generic scan
+        want = traced_search(ReferenceSolver, formula, config, 0, conflicts)
+        got = traced_search(Solver, formula, config, 0, conflicts)
         assert got == want
 
     @pytest.mark.parametrize("config", sorted(REFERENCE_CONFIGS))
