@@ -163,17 +163,33 @@ class SparseGraph:
         return len(self.cols)
 
     def matrices(self):
-        """(G, G_transpose) as scipy CSR matrices, cached after first use.
+        """(G, G_transpose, sizes, by_size), cached after first use.
 
-        Repeated (row, col) edges sum into one entry.
+        G and its transpose are scipy CSR matrices; repeated (row, col)
+        edges sum into one entry.  ``sizes`` holds the distinct clause sizes
+        (edge counts, repeats included) in ascending order, as floats;
+        ``by_size`` is the 2N x len(sizes) CSR matrix whose entry (l, u)
+        sums G[c, l] over the clauses c of size ``sizes[u]``: G transposed
+        times the clause-to-size indicator.
         """
         cached = self.__dict__.get("_mats")
         if cached is None:
-            from scipy.sparse import coo_matrix
+            from scipy.sparse import coo_matrix, csr_matrix
 
             shape = (self.num_clauses, 2 * self.num_vars)
             g = coo_matrix((np.ones(len(self.rows)), (self.rows, self.cols)), shape=shape).tocsr()
-            cached = (g, g.T.tocsr())
+            gt = g.T.tocsr()
+            counts = np.bincount(self.rows, minlength=self.num_clauses)
+            present = np.bincount(counts) > 0
+            size_class = np.cumsum(present) - 1
+            # G^T's entries with each clause column replaced by its size
+            # class; sum_duplicates works in place, hence the copies
+            by_size = csr_matrix(
+                (gt.data.copy(), size_class[counts][gt.indices], gt.indptr.copy()),
+                shape=(2 * self.num_vars, int(present.sum())),
+            )
+            by_size.sum_duplicates()
+            cached = (g, gt, np.flatnonzero(present).astype(float), by_size)
             object.__setattr__(self, "_mats", cached)
         return cached
 

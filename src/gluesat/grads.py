@@ -27,9 +27,10 @@ def _add_swapped(acc, m, n):
     return acc
 
 
-def _mlp_backward(layers, caches, dout, slope, grads, prefix):
+def _mlp_backward(layers, caches, dout, slope, grads, prefix, gather_t=None):
     # caches[i] is (layer i's input, its dropout mask or None), as
-    # network._mlp_forward keeps them
+    # network._mlp_forward keeps them; gather_t is the transpose of the
+    # forward's gather, which the first layer's product went through
     upstream = dout
     h_next = None
     for i in range(len(layers) - 1, -1, -1):
@@ -47,8 +48,10 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix):
             if mask is not None:
                 upstream *= mask
             dz *= upstream
-        grads[f"{prefix}.{i}.w"] += h.T @ dz
         grads[f"{prefix}.{i}.b"] += dz.sum(axis=0)
+        if gather_t is not None and i == 0:
+            dz = gather_t @ dz
+        grads[f"{prefix}.{i}.w"] += h.T @ dz
         upstream = dz @ w.T
         h_next = h
     return upstream
@@ -84,8 +87,8 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
     created = grads is None
     if created:
         grads = zero_grads(params)
-    graph = cache["graph"]
-    g, gt = graph.matrices()
+    g, gt, _, _ = cache["graph"].matrices()
+    sizes, by_size = cache["first_round"]
     n = cache["n"]
     dl = hp.delta_l
     slope = hp.leaky_slope
@@ -101,7 +104,9 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value")
 
     dL = _add_swapped(dX_final[:, :dl].copy(), dX_final[:, dl:], n)
-    for it in reversed(cache["iters"]):
+    iters = cache["iters"]
+    for index in reversed(range(len(iters))):
+        it = iters[index]
         xhat, ln_inv = it["xhat"], it["ln_inv"]
         grads["ln_scale"] += (dL * xhat).sum(axis=0)
         grads["ln_shift"] += dL.sum(axis=0)
@@ -109,14 +114,18 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         dres = _standardize_backward(dxhat, xhat, ln_inv)
         dprev = 0.1 * dres
         dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update")
-        dC_std = g @ dB
-        dC = _standardize_backward(dC_std, it["c_std"], it["c_inv"])
-        dA = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update")
-        dX = gt @ dA
-        dL = dprev
-        dL += dX[:, :dl]
-        _add_swapped(dL, dX[:, dl:], n)
-    grads["l_init"] += dL.sum(axis=0)
+        # iteration 0 ran the clause update once per size class: its
+        # gradient sums over each class through by_size's transpose, and
+        # the class aggregates were sizes times [l_init, l_init]
+        gather_t, spread_t = (sizes[None], by_size.T) if index == 0 else (gt, g)
+        dC = _standardize_backward(spread_t @ dB, it["c_std"], it["c_inv"])
+        dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", gather_t)
+        if index == 0:
+            grads["l_init"] += dprev.sum(axis=0) + dX[0, :dl] + dX[0, dl:]
+        else:
+            dL = dprev
+            dL += dX[:, :dl]
+            _add_swapped(dL, dX[:, dl:], n)
 
     if created:
         check_finite(grads)

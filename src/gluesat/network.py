@@ -159,7 +159,10 @@ def init_params(hp: HyperParams, seed=None, value_head: bool = False) -> NetPara
 
 
 def _concat_neg(L, n):
-    # pair each literal's embedding with its negation's: rows v-1 and n+v-1 swap
+    # pair each literal's embedding with its negation's: rows v-1 and n+v-1
+    # swap; a single shared embedding (1-D L) gives the one row [L, L]
+    if L.ndim == 1:
+        return np.concatenate((L, L))[None]
     d = L.shape[1]
     X = np.empty((2 * n, 2 * d))
     X[:, :d] = L
@@ -168,17 +171,26 @@ def _concat_neg(L, n):
     return X
 
 
-def _mlp_forward(layers, h, slope, dropout, drng, cache):
+def _mlp_forward(layers, h, slope, dropout, drng, cache, gather=None):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
     every layer but the last.
 
+    With ``gather``, the MLP runs on ``gather @ h``: the first layer is
+    linear before its bias, so it runs on h's rows and ``gather`` applies to
+    its product, ``gather @ (h @ w) + b``.
+
     When cache is a list, each layer appends (its input, its dropout mask or
-    None); the pre-activations are not kept, since a hidden layer's output
-    is positive exactly where its pre-activation is.  With no cache, no
-    reference to a layer's input outlives the computation of its output."""
+    None), where the first layer's input is h, not ``gather @ h``; the
+    pre-activations are not kept, since a hidden layer's output is positive
+    exactly where its pre-activation is.  With no cache, no reference to a
+    layer's input outlives the computation of its output."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = h @ w
+        if gather is not None and i == 0:
+            if cache is None:
+                h = None        # free the input before the aggregate is made
+            z = gather @ z
         z += b
         mask = None
         if i < last:
@@ -199,13 +211,15 @@ def _standardize_rows(x, eps):
     """Per row, x = (x - mean) * inv with inv = 1 / sqrt(var + eps), in
     place: returns (x, inv), with x now holding the standardized rows.
 
-    The same operations as x.mean and x.var in the same order, so the same
-    bits, but the mean and the centred rows are computed once."""
+    The mean is x.mean's, in the same order; the sum of squares comes from
+    einsum, which makes no squared copy of x (for the clause rows, the
+    largest temporary of a cache-free pass), so the variance matches x.var
+    to rounding rather than bit for bit."""
     width = x.shape[1]
     mu = x.sum(axis=1, keepdims=True)
     mu /= width
     x -= mu
-    inv = (x * x).sum(axis=1, keepdims=True)
+    inv = np.einsum("ij,ij->i", x, x)[:, None]
     inv /= width
     inv += eps
     np.sqrt(inv, out=inv)
@@ -218,28 +232,36 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     # the one forward body: with keep, it also returns the cache that
     # backward_from_heads reads; without, each intermediate is freed after
     # its last use
-    g, gt = graph.matrices()
+    g, gt, sizes, by_size = graph.matrices()
     n = graph.num_vars
     drng = np.random.default_rng(dropout_seed) if (train_mode and hp.dropout > 0.0) else None
-    L = np.tile(params.l_init, (2 * n, 1))
+    # every literal starts at l_init, so in iteration 0 a clause's aggregate
+    # is its size times [l_init, l_init]: the clause update runs once per
+    # size class and by_size sums the classes back into the literals
+    if drng is not None:
+        # dropout draws a mask per clause: every clause is its own class
+        sizes, by_size = np.bincount(graph.rows, minlength=graph.num_clauses).astype(float), gt
+    L = params.l_init
     iters = [] if keep else None
     for it in range(hp.tau_iters):
         c_cache = [] if keep else None
         l_cache = [] if keep else None
+        gather, spread = (sizes[:, None], by_size) if it == 0 else (g, gt)
+        # the literal pairs go in as an argument expression, so that the
+        # clause update can free them after its first product
         C_std, c_inv = _standardize_rows(
-            _mlp_forward(params.c_update, g @ _concat_neg(L, n), hp.leaky_slope, hp.dropout, drng, c_cache),
+            _mlp_forward(params.c_update, _concat_neg(L, n), hp.leaky_slope, hp.dropout, drng, c_cache, gather),
             hp.ln_eps,
         )
-        B = gt @ C_std
+        B = spread @ C_std
         if not keep:
             # the largest array of an iteration; held through the literal
             # update, it would set the peak of a cache-free pass
             del C_std
-        U = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache)
+        L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache)
         del B
-        L_res = 0.1 * L
-        L_res += U
-        del U, L
+        L_res += 0.1 * L
+        del L
         xhat, inv = _standardize_rows(L_res, hp.ln_eps)
         L = xhat * params.ln_scale
         L += params.ln_shift
@@ -265,8 +287,8 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     if not keep:
         return out, None
     cache = {
-        "graph": graph, "iters": iters, "p_cache": p_cache,
-        "v_cache": v_cache, "value": value, "n": n,
+        "graph": graph, "iters": iters, "first_round": (sizes, by_size),
+        "p_cache": p_cache, "v_cache": v_cache, "value": value, "n": n,
     }
     return out, cache
 
@@ -276,10 +298,13 @@ def forward_with_cache(params: NetParams, hp: HyperParams, graph, train_mode=Fal
     ``backward_from_heads`` reads.
 
     The cache holds, per message-passing iteration, each MLP layer's input
-    and dropout mask, the standardized clause embeddings ``c_std`` and the
-    layer-normalized literals ``xhat`` with their inverse deviations; the
-    same per layer for both heads; and the graph, the value and the
-    variable count."""
+    and dropout mask (the clause update's first input is the literal pairs,
+    one row [l_init, l_init] in iteration 0), the standardized clause
+    embeddings ``c_std`` (one row per size class in iteration 0 without
+    dropout) and the layer-normalized literals ``xhat`` with their inverse
+    deviations; the same per layer for both heads; iteration 0's
+    ``first_round`` (sizes, by_size) pair; and the graph, the value and
+    the variable count."""
     return _forward(params, hp, graph, train_mode, dropout_seed, keep=True)
 
 
@@ -364,21 +389,22 @@ def load_weights(path) -> tuple[NetParams, HyperParams]:
             raise WeightFormatError(f"unexpected header line {line!r}")
         name, ndim = parts[1], int(parts[2])
         dims = tuple(int(d) for d in parts[3:])
-        if len(dims) != ndim:
-            raise WeightFormatError(f"dimension count mismatch for {name}")
+        if len(dims) != ndim or min(dims, default=0) < 0:
+            raise WeightFormatError(f"bad dimensions for {name}")
         declared.append((name, dims))
+    # the declared dims fix the payload length: a file that does not hold
+    # them is refused before init_params allocates what the hyper line asks
+    expected = 4 * sum(math.prod(dims) for _, dims in declared)
+    if len(payload) < expected:
+        raise WeightFormatError(f"truncated payload: {len(payload)} of {expected} bytes")
+    if len(payload) > expected:
+        raise WeightFormatError("trailing bytes after tensor payloads")
     # init_params defines the tensors: its arrays, in place, take the payload
     params = init_params(hp, seed=0, value_head=value_head)
     if declared != [(name, arr.shape) for name, arr in params.tensors()]:
         raise WeightFormatError("tensor list does not match hyperparameters")
     offset = 0
-    for name, arr in params.tensors():
-        nbytes = 4 * arr.size
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise WeightFormatError(f"truncated payload at tensor {name}")
-        arr[...] = np.frombuffer(chunk, dtype="<f4").reshape(arr.shape)
-        offset += nbytes
-    if offset != len(payload):
-        raise WeightFormatError("trailing bytes after tensor payloads")
+    for _, arr in params.tensors():
+        arr[...] = np.frombuffer(payload, dtype="<f4", count=arr.size, offset=offset).reshape(arr.shape)
+        offset += 4 * arr.size
     return params, hp

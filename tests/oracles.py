@@ -339,6 +339,111 @@ def drive_naive(formula, decisions):
     return states, None
 
 
+def _reference_mlp(layers, h, slope, dropout, drng):
+    """An MLP layer by layer: leaky ReLU and dropout after every layer but
+    the last; returns the output and each layer's (input, pre-activation,
+    mask)."""
+    tape = []
+    for i, (w, b) in enumerate(layers):
+        z = h @ w + b
+        mask = None
+        if i < len(layers) - 1:
+            out = np.where(z > 0, z, slope * z)
+            if drng is not None:
+                mask = (drng.random(z.shape) >= dropout) / (1.0 - dropout)
+                out = out * mask
+        else:
+            out = z
+        tape.append((h, z, mask))
+        h = out
+    return h, tape
+
+
+def _reference_mlp_backward(layers, tape, dout, slope, grads, prefix):
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        h, z, mask = tape[i]
+        dz = dout
+        if i < len(layers) - 1:
+            if mask is not None:
+                dz = dz * mask
+            dz = dz * np.where(z > 0, 1.0, slope)
+        grads[f"{prefix}.{i}.w"] += h.T @ dz
+        grads[f"{prefix}.{i}.b"] += dz.sum(axis=0)
+        dout = dz @ w.T
+    return dout
+
+
+def _reference_standardize(x, eps):
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + eps)
+    return (x - x.mean(axis=1, keepdims=True)) * inv, inv
+
+
+def _reference_standardize_backward(dy, y, inv):
+    return inv * (dy - dy.mean(axis=1, keepdims=True) - y * (dy * y).mean(axis=1, keepdims=True))
+
+
+def _pair_with_negation(L, n):
+    return np.hstack([L, np.vstack([L[n:], L[:n]])])
+
+
+def reference_network(params, hp, graph, train_mode=False, dropout_seed=0):
+    """The network in its textbook order: every iteration pairs each
+    literal with its negation, aggregates the pairs into clauses through a
+    dense adjacency (repeated edges add up) and runs the clause update on
+    the clause rows; every literal row starts as its own copy of l_init.
+    Dropout masks are drawn in the package's order, layer by layer.
+
+    Returns (logits, value, tape); ``reference_backward`` reads the tape."""
+    n = graph.num_vars
+    G = np.zeros((graph.num_clauses, 2 * n))
+    np.add.at(G, (graph.rows, graph.cols), 1.0)
+    slope = hp.leaky_slope
+    drng = np.random.default_rng(dropout_seed) if train_mode and hp.dropout > 0.0 else None
+    L = np.tile(params.l_init, (2 * n, 1))
+    iters = []
+    for _ in range(hp.tau_iters):
+        C, c_tape = _reference_mlp(params.c_update, G @ _pair_with_negation(L, n), slope, hp.dropout, drng)
+        C_std, c_inv = _reference_standardize(C, hp.ln_eps)
+        U, l_tape = _reference_mlp(params.l_update, G.T @ C_std, slope, hp.dropout, drng)
+        xhat, ln_inv = _reference_standardize(0.1 * L + U, hp.ln_eps)
+        L = xhat * params.ln_scale + params.ln_shift
+        iters.append((c_tape, C_std, c_inv, l_tape, xhat, ln_inv))
+    X = _pair_with_negation(L, n)
+    logits, p_tape = _reference_mlp(params.v_policy, X[:n], slope, hp.dropout, drng)
+    value = v_tape = None
+    if params.v_value is not None:
+        scores, v_tape = _reference_mlp(params.v_value, X, slope, hp.dropout, drng)
+        value = float(1.0 / (1.0 + np.exp(-scores.mean())))
+    tape = {"G": G, "n": n, "iters": iters, "p_tape": p_tape, "v_tape": v_tape, "value": value}
+    return logits.ravel(), value, tape
+
+
+def reference_backward(params, hp, tape, dlogits, dvalue=0.0):
+    """Reverse mode through ``reference_network``'s tape, step by step."""
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+    G, n, slope, dl = tape["G"], tape["n"], hp.leaky_slope, hp.delta_l
+    dX = np.zeros((2 * n, 2 * dl))
+    dX[:n] += _reference_mlp_backward(params.v_policy, tape["p_tape"], np.reshape(dlogits, (n, 1)),
+                                      slope, grads, "v_policy")
+    if params.v_value is not None:
+        v = tape["value"]
+        dscores = np.full((2 * n, 1), dvalue * v * (1.0 - v) / (2 * n))
+        dX += _reference_mlp_backward(params.v_value, tape["v_tape"], dscores, slope, grads, "v_value")
+    dL = dX[:, :dl] + np.vstack([dX[n:, dl:], dX[:n, dl:]])
+    for c_tape, C_std, c_inv, l_tape, xhat, ln_inv in reversed(tape["iters"]):
+        grads["ln_scale"] += (dL * xhat).sum(axis=0)
+        grads["ln_shift"] += dL.sum(axis=0)
+        dres = _reference_standardize_backward(dL * params.ln_scale, xhat, ln_inv)
+        dB = _reference_mlp_backward(params.l_update, l_tape, dres, slope, grads, "l_update")
+        dC = _reference_standardize_backward(G @ dB, C_std, c_inv)
+        dA = _reference_mlp_backward(params.c_update, c_tape, dC, slope, grads, "c_update")
+        dX = G.T @ dA
+        dL = 0.1 * dres + dX[:, :dl] + np.vstack([dX[n:, dl:], dX[:n, dl:]])
+    grads["l_init"] += dL.sum(axis=0)
+    return grads
+
+
 def fd_gradients(params, loss_fn, step=1e-5):
     """Central finite differences of loss_fn() with respect to every tensor."""
     out = {}

@@ -122,10 +122,22 @@ class TestClauseLiteralGraph:
         # Formula keeps duplicates: two edges, one CSR entry of 2.0
         g = clause_literal_graph(Formula(2, ((1, 1, -2),)))
         assert edge_pairs(g) == [(0, 0), (0, 0), (0, 3)]
-        csr, csr_t = g.matrices()
+        csr, csr_t, _, _ = g.matrices()
         assert csr.nnz == 2
         assert csr[0, 0] == 2.0 and csr[0, 3] == 1.0
         assert csr_t[0, 0] == 2.0
+
+    def test_size_classes_sum_clauses_by_edge_count(self):
+        # clause sizes count repeated literals: (1, 1, -2) has size 3 like
+        # (3, 2, -1), and the empty clause has its own class
+        g = clause_literal_graph(Formula(3, ((1, -2), (), (3, 2, -1), (1, 1, -2))))
+        csr, csr_t, sizes, by_size = g.matrices()
+        assert sizes.tolist() == [0.0, 2.0, 3.0]
+        indicator = np.zeros((g.num_clauses, len(sizes)))
+        indicator[[0, 1, 2, 3], [1, 0, 2, 2]] = 1.0
+        assert np.array_equal(by_size.toarray(), csr_t.toarray() @ indicator)
+        assert by_size[0, 1] == 1.0 and by_size[0, 2] == 2.0       # literal 1
+        assert g.matrices()[3] is by_size
 
     def test_mismatched_edge_arrays_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gluesat.cnf import clause_literal_graph, random_ksat
+from gluesat.cnf import SparseGraph, clause_literal_graph, random_ksat
 from gluesat.grads import backward_from_heads, check_finite, zero_grads
-from gluesat.network import forward, forward_with_cache, init_params
+from gluesat.network import forward, forward_with_cache, init_params, preset
 from gluesat.training import (
     kl_grads,
     kl_loss,
@@ -13,7 +15,7 @@ from gluesat.training import (
 )
 
 from conftest import perturbed_params
-from oracles import fd_gradients, max_rel_error
+from oracles import fd_gradients, max_rel_error, reference_backward, reference_network
 
 
 @pytest.fixture
@@ -44,6 +46,51 @@ class TestBackwardBasics:
         loss, grads = kl_grads(p, tiny_hyper, graph_6x8, target)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.abs(grads[f"v_policy.{tiny_hyper.n_p - 1}.b"]).max() < 1e-12
+
+
+@st.composite
+def odd_graphs(draw):
+    """Clauses of 0 to 9 literal columns drawn with replacement: repeated
+    edges, one-literal clauses and many clause sizes in one graph."""
+    n = draw(st.integers(1, 8))
+    clauses = draw(st.lists(st.lists(st.integers(0, 2 * n - 1), max_size=9), max_size=14))
+    rows = [r for r, clause in enumerate(clauses) for _ in clause]
+    cols = [c for clause in clauses for c in clause]
+    return SparseGraph(len(clauses), n, np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32),
+                       tuple(range(1, n + 1)))
+
+
+def assert_rel_close(got, want, label):
+    # 1e-12 of the largest entry: the package sums in another order
+    # (iteration 0 per clause size, the first clause layer before the
+    # aggregation, squares through einsum) but computes the same function
+    want = np.asarray(want, dtype=float)
+    scale = np.abs(want).max() if want.size else 0.0
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * scale), label
+
+
+class TestMatchesReferenceNetwork:
+    """forward, forward_with_cache and backward_from_heads against
+    oracles.reference_network: the plain formulation, aggregating every
+    literal pair through the adjacency before the clause update."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(odd_graphs(), st.sampled_from(["supervised", "rl"]), st.booleans(), st.integers(0, 2**30))
+    def test_odd_graphs(self, graph, name, train_mode, seed):
+        hp = preset(name)
+        params = perturbed_params(hp, seed=seed % 1000)
+        want_logits, want_value, tape = reference_network(params, hp, graph, train_mode, seed)
+        lean = forward(params, hp, graph, train_mode, seed)
+        full, cache = forward_with_cache(params, hp, graph, train_mode, seed)
+        for out in (lean, full):
+            assert_rel_close(out.policy_logits, want_logits, "logits")
+            assert_rel_close(out.value, want_value, "value")
+        rng = np.random.default_rng(seed)
+        dlogits, dvalue = rng.standard_normal(graph.num_vars), rng.standard_normal()
+        got = backward_from_heads(params, hp, cache, dlogits, dvalue)
+        want = reference_backward(params, hp, tape, dlogits, dvalue)
+        for tensor, _ in params.tensors():
+            assert_rel_close(got[tensor], want[tensor], tensor)
 
 
 class TestKlFiniteDifferences:

@@ -306,6 +306,28 @@ class TestWeights:
         with pytest.raises(WeightFormatError, match="truncated"):
             load_weights(path)
 
+    def test_short_payload_refused_before_allocation(self, tmp_path):
+        # the hyper line asks for 2048-wide layers (about 170 MB of
+        # tensors); the declared l_init needs 8192 payload bytes and the
+        # file has none, which the declared dims alone show
+        path = tmp_path / "w.ngw"
+        path.write_bytes(b"NGW1\nhyper 2048 2048 1 1 1 1 0.0 0.01 1e-05 0\ntensor l_init 1 2048\ndata\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightFormatError, match="truncated payload: 0 of 8192 bytes"):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    def test_trailing_bytes(self, tmp_path, tiny_hyper):
+        path = tmp_path / "w.ngw"
+        save_weights(init_params(tiny_hyper, seed=0), tiny_hyper, path)
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(WeightFormatError, match="trailing bytes"):
+            load_weights(path)
+
     def test_header_shape_mismatch(self, tmp_path, tiny_hyper):
         p = init_params(tiny_hyper, seed=0)
         path = tmp_path / "w.ngw"
