@@ -32,7 +32,7 @@ __all__ = [
     "write_outputs",
 ]
 
-VARIANTS = ("vanilla", "neuro", "random")
+VARIANTS = ("vanilla", "neuro", "random", "degree")
 
 
 class SoundnessError(RuntimeError):
@@ -96,13 +96,21 @@ _NETWORK_ORACLES = {}   # weights path -> network oracle, so a process loads eac
 
 def make_oracle(variant: str, seed: int = 0, weights=None):
     """The refocus oracle of one of ``VARIANTS``: None for vanilla (no
-    refocusing), ``random_oracle(seed)`` for random, and for neuro the
-    network in the ``weights`` file.  Raises ValueError for an unknown
-    variant and for neuro without weights."""
+    refocusing), ``random_oracle(seed)`` for random, for degree each
+    variable's log(1 + occurrences of either sign) in the residual graph,
+    and for neuro the network in the ``weights`` file.  Raises ValueError
+    for an unknown variant and for neuro without weights."""
     if variant == "vanilla":
         return None
     if variant == "random":
         return random_oracle(seed)
+    if variant == "degree":
+        def degree(graph):
+            n = graph.num_vars
+            occ = np.bincount(graph.cols, minlength=2 * n)
+            return np.log1p(occ[:n] + occ[n:])
+
+        return degree
     if variant == "neuro":
         if weights is None:
             raise ValueError("the neuro variant requires a weights path")

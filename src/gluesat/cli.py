@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--model", action="store_true", help="include the model in the JSON output")
     p.add_argument("--seed", type=int, default=0,
-                   help="seeds the random mode's oracle; vanilla and neuro solves do not depend on it")
+                   help="seeds the random mode's oracle; vanilla, neuro and degree solves do not depend on it")
     p.add_argument("--time", type=float, dest="max_seconds", metavar="TIME",
                    help="wall-clock budget in seconds")
     _add_solver_flags(p)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import io
 import math
+import sys
+import threading
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -158,20 +160,89 @@ def init_params(hp: HyperParams, seed=None, value_head: bool = False) -> NetPara
     )
 
 
-def _concat_neg(L, n):
+# ------------------------------------------------------------------ buffers
+
+# Arrays of at least this many float64s (128 KiB, glibc's default mmap
+# threshold) are served by glibc's mmap or by a heap top it trims on free,
+# so a fresh one faults its pages in again on every pass.
+_POOL_FLOOR = 16_384
+_POOL_MAX = 64          # buffers one thread retains at most
+
+
+def _free_refcount():
+    # sys.getrefcount of a buffer that only its pool's list holds, read as
+    # _Pool.take reads it: through a local name bound from the list
+    bufs = [np.empty(1)]
+    buf = bufs[0]
+    return sys.getrefcount(buf)
+
+
+_FREE = _free_refcount()
+
+
+class _Pool:
+    """One thread's retained float64 buffers, smallest first.  ``take``
+    hands out a view of a buffer that no live array references, so a
+    cache or logits still held keep their memory."""
+
+    def __init__(self):
+        self.bufs = []
+
+    def take(self, shape):
+        """An uninitialized float64 array of the 2-D ``shape``: below the
+        floor a fresh one, else a view of the smallest free buffer that
+        holds it."""
+        size = shape[0] * shape[1]
+        if size < _POOL_FLOOR:
+            return np.empty(shape)
+        bufs = self.bufs
+        spare = None
+        for i in range(len(bufs)):
+            buf = bufs[i]
+            if sys.getrefcount(buf) == _FREE:
+                if buf.size >= size:
+                    return buf[:size].reshape(shape)
+                spare = i
+        buf = None              # no longer holds the last buffer seen
+        if spare is not None:
+            del bufs[spare]     # the largest free buffer, too small: replaced
+        elif len(bufs) >= _POOL_MAX:
+            return np.empty(shape)
+        buf = np.empty(size)
+        bufs.append(buf)
+        bufs.sort(key=len)
+        return buf.reshape(shape)
+
+
+_local = threading.local()
+
+
+def _pool_for(graph, hp):
+    """This thread's pool when the graph's largest intermediate reaches the
+    floor, else None: a small graph's pass keeps plain allocations, decided
+    once per pass."""
+    if max(graph.num_clauses, 2 * graph.num_vars) * max(hp.delta_c, 2 * hp.delta_l) < _POOL_FLOOR:
+        return None
+    pool = getattr(_local, "pool", None)
+    if pool is None:
+        pool = _local.pool = _Pool()
+    return pool
+
+
+def _concat_neg(L, n, pool=None):
     # pair each literal's embedding with its negation's: rows v-1 and n+v-1
     # swap; a single shared embedding (1-D L) gives the one row [L, L]
     if L.ndim == 1:
         return np.concatenate((L, L))[None]
     d = L.shape[1]
-    X = np.empty((2 * n, 2 * d))
+    X = np.empty((2 * n, 2 * d)) if pool is None else pool.take((2 * n, 2 * d))
     X[:, :d] = L
     X[:n, d:] = L[n:]
     X[n:, d:] = L[:n]
     return X
 
 
-def _mlp_forward(layers, h, slope, dropout, drng, cache, gather=None):
+def _mlp_forward(layers, h, slope, dropout, drng, cache, gather=None, pool=None):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
     every layer but the last.
 
@@ -183,23 +254,34 @@ def _mlp_forward(layers, h, slope, dropout, drng, cache, gather=None):
     None), where the first layer's input is h, not ``gather @ h``; the
     pre-activations are not kept, since a hidden layer's output is positive
     exactly where its pre-activation is.  With no cache, no reference to a
-    layer's input outlives the computation of its output."""
+    layer's input outlives the computation of its output.  With a ``pool``,
+    the dense products, the leaky ReLU temporary and the dropout masks take
+    its buffers, with the same bits."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = h @ w
+        z = h @ w if pool is None else np.matmul(h, w, out=pool.take((len(h), w.shape[1])))
         if gather is not None and i == 0:
             if cache is None:
                 h = None        # free the input before the aggregate is made
-            z = gather @ z
+            if pool is None or not isinstance(gather, np.ndarray):
+                z = gather @ z
+            else:
+                z = np.matmul(gather, z, out=pool.take((len(gather), z.shape[1])))
         z += b
         mask = None
         if i < last:
             # leaky ReLU in place: for 0 <= slope <= 1 (HyperParams enforces
             # it) this max is exactly where(z > 0, z, slope * z), without a
             # branch per element
-            np.maximum(z, slope * z, out=z)
+            np.maximum(z, slope * z if pool is None else np.multiply(z, slope, out=pool.take(z.shape)), out=z)
             if drng is not None and dropout > 0.0:
-                mask = (drng.random(z.shape) >= dropout) / (1.0 - dropout)
+                if pool is None:
+                    mask = (drng.random(z.shape) >= dropout) / (1.0 - dropout)
+                else:
+                    # the same draws, compare and scale, in one buffer
+                    mask = drng.random(out=pool.take(z.shape))
+                    np.greater_equal(mask, dropout, out=mask)
+                    mask /= 1.0 - dropout
                 z *= mask
         if cache is not None:
             cache.append((h, mask))
@@ -234,6 +316,7 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     # its last use
     g, gt, sizes, by_size = graph.matrices()
     n = graph.num_vars
+    pool = _pool_for(graph, hp)
     drng = np.random.default_rng(dropout_seed) if (train_mode and hp.dropout > 0.0) else None
     # every literal starts at l_init, so in iteration 0 a clause's aggregate
     # is its size times [l_init, l_init]: the clause update runs once per
@@ -250,7 +333,8 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
         # the literal pairs go in as an argument expression, so that the
         # clause update can free them after its first product
         C_std, c_inv = _standardize_rows(
-            _mlp_forward(params.c_update, _concat_neg(L, n), hp.leaky_slope, hp.dropout, drng, c_cache, gather),
+            _mlp_forward(params.c_update, _concat_neg(L, n, pool), hp.leaky_slope, hp.dropout, drng, c_cache,
+                         gather, pool),
             hp.ln_eps,
         )
         B = spread @ C_std
@@ -258,12 +342,15 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
             # the largest array of an iteration; held through the literal
             # update, it would set the peak of a cache-free pass
             del C_std
-        L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache)
+        L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool=pool)
         del B
         L_res += 0.1 * L
         del L
         xhat, inv = _standardize_rows(L_res, hp.ln_eps)
-        L = xhat * params.ln_scale
+        if pool is None:
+            L = xhat * params.ln_scale
+        else:
+            L = np.multiply(xhat, params.ln_scale, out=pool.take(xhat.shape))
         L += params.ln_shift
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
@@ -272,16 +359,17 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
                 {"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv,
                  "l_cache": l_cache, "xhat": xhat, "ln_inv": inv}
             )
-    X_final = _concat_neg(L, n)
+    X_final = _concat_neg(L, n, pool)
     del L
     p_cache = [] if keep else None
-    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache).ravel()
+    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache,
+                          pool=pool).ravel()
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
     value = None
     v_cache = [] if keep else None
     if params.v_value is not None:
-        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache)
+        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool=pool)
         value = float(1.0 / (1.0 + np.exp(-v_scores.mean())))
     out = ForwardOutput(policy_logits=logits, value=value)
     if not keep:

@@ -275,6 +275,9 @@ class Solver:
         """
         if not 0 < abs(lit) <= self.n or self.assign[lit + self.n] != 0:
             raise ValueError(f"cannot decide {lit}: not an unassigned literal of the formula")
+        return self._decide(lit)
+
+    def _decide(self, lit):
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
         self._enqueue(lit, None)
@@ -547,9 +550,10 @@ class Solver:
             return False
         return self._glue_surge(self.cfg.refocus_margin)
 
-    def _try_refocus(self):
+    def _try_refocus(self) -> bool:
+        """Refocus when ``should_refocus`` holds; returns whether it held."""
         if not self.should_refocus():
-            return
+            return False
         # imported here, not at module level: extract imports this module,
         # and perfbench traces extraction by replacing the attribute
         # gluesat.extract.extract_graph, which a module-level import would
@@ -558,11 +562,11 @@ class Solver:
 
         graph = extract_graph(self, self.cfg.edge_cap)
         self._conflicts_at_refocus = self.conflicts
-        if graph is None:
-            return
-        logits = np.asarray(self.oracle(graph), dtype=float)
-        probs = policy_distribution(logits, self.cfg.temperature)
-        self.apply_refocus(probs, graph.var_map)
+        if graph is not None:
+            logits = np.asarray(self.oracle(graph), dtype=float)
+            probs = policy_distribution(logits, self.cfg.temperature)
+            self.apply_refocus(probs, graph.var_map)
+        return True
 
     def apply_refocus(self, probs, var_map):
         """Replace EVSIDS scores with oracle probabilities scaled by the
@@ -645,12 +649,6 @@ class Solver:
         n = self.n
         return [v if self.assign[v + n] == 1 else -v for v in range(1, n + 1)]
 
-    def _spent(self, budget) -> bool:
-        return (
-            (budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts)
-            or (budget.max_seconds is not None and time.monotonic() - self._start >= budget.max_seconds)
-        )
-
     def solve(self, budget: Budget | None = None, on_learn=None) -> SolveResult:
         """Run CDCL to completion or budget exhaustion; once per Solver.
 
@@ -667,22 +665,40 @@ class Solver:
         budget = budget or Budget()
         self._start = time.monotonic()
         status = None if self.propagate_root() else UNSAT
+        max_conflicts, max_seconds = budget.max_conflicts, budget.max_seconds
+        if status is None and max_conflicts is not None and self.conflicts >= max_conflicts:
+            status = UNKNOWN
+        # the reduce, restart and refocus gates read only what conflicts and
+        # the gates themselves change (the restart gate also waits for a
+        # decision level), so they are evaluated after each conflict streak,
+        # again right after one fires, and after one decision from level 0
+        gates = True
         while status is None:
-            if self._spent(budget):
+            if max_seconds is not None and time.monotonic() - self._start >= max_seconds:
                 status = UNKNOWN
                 break
-            if self.conflicts >= self._next_reduce:
-                self._reduce_db()
-            if self.decision_level > 0 and self.should_restart():
-                self._backjump(0)
-                self.restarts += 1
-                self._conflicts_at_restart = self.conflicts
+            check, gates = gates, False
+            if check:
+                if self.conflicts >= self._next_reduce:
+                    self._reduce_db()
+                    gates = True
+                if self.decision_level == 0:
+                    gates = True
+                elif self.should_restart():
+                    self._backjump(0)
+                    self.restarts += 1
+                    self._conflicts_at_restart = self.conflicts
+                    gates = True
             if len(self.trail) == self.n:
                 status = SAT
                 break
-            self._try_refocus()
-            conflict = self.decide(self.pick_decision())
+            if check and self._try_refocus():
+                gates = True
+            # pick_decision returns an unassigned literal: decide's checks
+            # are left out
+            conflict = self._decide(self.pick_decision())
             while conflict is not None:
+                gates = True
                 self.conflicts += 1
                 if self.decision_level == 0:
                     status = UNSAT
@@ -694,7 +710,7 @@ class Solver:
                 if on_learn is not None:
                     on_learn(self, learned, bj, glue)
                 self._learn(learned, bj, glue)
-                if budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts:
+                if max_conflicts is not None and self.conflicts >= max_conflicts:
                     status = UNKNOWN
                     break
                 conflict = self._propagate()

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from heapq import heappush
 
 import numpy as np
 
-from gluesat.cnf import SparseGraph, normalize_clause
-from gluesat.solver import Solver
+from gluesat.cnf import SparseGraph, normalize_clause, satisfies
+from gluesat.solver import SAT, UNKNOWN, UNSAT, Budget, Solver, SolveResult
 
 
 def edge_pairs(graph):
@@ -103,13 +104,55 @@ def bump(solver, v):
 
 
 class ReferenceSolver(Solver):
-    """The straightforward form of the CDCL hot loop: ``_propagate``,
+    """The straightforward form of the CDCL hot loop: ``solve`` checking
+    the budget and every gate before each decision, and ``_propagate``,
     ``_analyze`` and ``_backjump`` as plain loops over solver attributes,
     with watch lists, reasons and conflicts holding each clause's literal
     list and every clause width taking the one generic scan.  The package's
     tuned versions must reproduce its search exactly: trail, literal order
     inside every clause, watch-list order, learned clauses, EVSIDS scores
     and stats."""
+
+    def solve(self, budget=None, on_learn=None):
+        budget = budget or Budget()
+        self._start = time.monotonic()
+        status = None if self.propagate_root() else UNSAT
+        while status is None:
+            if ((budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts)
+                    or (budget.max_seconds is not None
+                        and time.monotonic() - self._start >= budget.max_seconds)):
+                status = UNKNOWN
+                break
+            if self.conflicts >= self._next_reduce:
+                self._reduce_db()
+            if self.decision_level > 0 and self.should_restart():
+                self._backjump(0)
+                self.restarts += 1
+                self._conflicts_at_restart = self.conflicts
+            if len(self.trail) == self.n:
+                status = SAT
+                break
+            self._try_refocus()
+            conflict = self.decide(self.pick_decision())
+            while conflict is not None:
+                self.conflicts += 1
+                if self.decision_level == 0:
+                    status = UNSAT
+                    break
+                learned, bj, glue = self._analyze(conflict)
+                self._decay()
+                self.update_glue_emas(glue)
+                self._record_glue(learned, glue)
+                if on_learn is not None:
+                    on_learn(self, learned, bj, glue)
+                self._learn(learned, bj, glue)
+                if budget.max_conflicts is not None and self.conflicts >= budget.max_conflicts:
+                    status = UNKNOWN
+                    break
+                conflict = self._propagate()
+        model = self._model() if status == SAT else None
+        assert model is None or satisfies(self.formula, model)
+        return SolveResult(status=status, model=model, stats=self._stats())
 
     def _propagate(self):
         n = self.n

@@ -394,8 +394,9 @@ class TestCriterion8:
         class Probe(Solver):
             def _try_refocus(self):
                 before = self.refocuses
-                super()._try_refocus()
+                fired = super()._try_refocus()
                 self._fresh_refocus = self.refocuses > before
+                return fired
 
             def pick_decision(self):
                 lit = super().pick_decision()

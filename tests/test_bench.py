@@ -10,14 +10,18 @@ from gluesat.bench import (
     SoundnessError,
     aggregate,
     cactus_csv,
+    make_oracle,
     pairwise_better_fraction,
     par2,
     run_benchmark,
     write_outputs,
 )
 from gluesat.cnf import random_ksat, write_dimacs
+from gluesat.extract import extract_graph
 from gluesat.network import init_params, preset, save_weights
-from gluesat.solver import SolverConfig
+from gluesat.solver import Solver, SolverConfig
+
+from oracles import edge_pairs
 
 
 def make_instances(directory, count, n=15, m=63):
@@ -157,6 +161,29 @@ class TestRunBenchmark:
                 )
             )
         assert runs[0] == runs[1]
+
+
+class TestDegreeOracle:
+    def test_logits_follow_residual_occurrences(self):
+        s = Solver(random_ksat(40, 170, 3, 2))
+        assert s.propagate_root()
+        for lit in (1, -2, 3):
+            if s.value(lit) == 0:
+                assert s.decide(lit) is None
+        graph = extract_graph(s)
+        ng = graph.num_vars
+        assert ng < 40            # a residual graph, not the whole formula
+        counts = [0] * ng
+        for _, col in edge_pairs(graph):
+            counts[col % ng] += 1     # either sign of the variable
+        logits = make_oracle("degree")(graph)
+        assert np.array_equal(logits, np.log1p(np.array(counts, dtype=float)))
+        assert len(set(counts)) > 2
+
+    def test_runs_as_a_bench_variant(self, tmp_path):
+        instances = make_instances(tmp_path / "inst", 3, n=60, m=256)
+        records = run_benchmark(instances, ["degree"], [0], desk_config())
+        assert len(records) == 3 and all(r.refocuses > 0 for r in records)
 
 
 class TestAggregate:

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gluesat
 from gluesat.cnf import SparseGraph, clause_literal_graph, random_ksat
 from gluesat.grads import backward_from_heads, check_finite, zero_grads
-from gluesat.network import forward, forward_with_cache, init_params, preset
+from gluesat.network import _pool_for, forward, forward_with_cache, init_params, preset
 from gluesat.training import (
     kl_grads,
     kl_loss,
@@ -170,3 +178,97 @@ class TestNonFiniteDetection:
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="iteration 0"):
                 forward(p, tiny_hyper, graph_6x8)
+
+
+class TestBufferPool:
+    """Large intermediates come from per-thread buffers that later passes
+    reuse; a buffer is reused only once no live array references it."""
+
+    @staticmethod
+    def pass_grads(p, hp, graph, cache, seed):
+        dlogits = np.random.default_rng(seed).standard_normal(graph.num_vars)
+        return backward_from_heads(p, hp, cache, dlogits, 0.3)
+
+    def test_live_caches_keep_their_buffers(self):
+        hp = preset("supervised")
+        p = init_params(hp, seed=1, value_head=True)
+        graphs = [clause_literal_graph(random_ksat(500, 2130, 3, 1)),
+                  clause_literal_graph(random_ksat(450, 1900, 3, 2))]
+        assert all(_pool_for(g, hp) is not None for g in graphs)
+        sequential = []
+        for k, g in enumerate(graphs):
+            _, cache = forward_with_cache(p, hp, g, train_mode=True, dropout_seed=k)
+            sequential.append(self.pass_grads(p, hp, g, cache, k))
+        caches = [forward_with_cache(p, hp, g, train_mode=True, dropout_seed=k)[1]
+                  for k, g in enumerate(graphs)]
+        for k, (g, cache) in enumerate(zip(graphs, caches)):
+            got = self.pass_grads(p, hp, g, cache, k)
+            for name, want in sequential[k].items():
+                assert np.array_equal(got[name], want), (k, name)
+
+    def test_threads_at_once_match_serial_bits(self):
+        # more threads than a 2-core runner has cores, each on its own graph
+        hp = preset("supervised")
+        p = init_params(hp, seed=2, value_head=True)
+        graphs = [clause_literal_graph(random_ksat(300 + 20 * k, 1280 + 85 * k, 3, k)) for k in range(4)]
+        assert all(_pool_for(g, hp) is not None for g in graphs)
+        rounds = 6
+
+        def run(g, barrier=None):
+            if barrier is not None:
+                barrier.wait(timeout=60)
+            return [forward(p, hp, g, train_mode=True, dropout_seed=r).policy_logits for r in range(rounds)]
+
+        serial = [run(g) for g in graphs]
+        barrier = threading.Barrier(len(graphs))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)      # switch threads as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(len(graphs)) as ex:
+                futures = [ex.submit(run, g, barrier) for g in graphs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            for r in range(rounds):
+                assert np.array_equal(got[r], want[r]), r
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+    def test_repeated_passes_fault_no_pages_in(self):
+        # without the pool each pass faults in about 3,600 pages (glibc
+        # returns its large arrays to the OS on free); with it, the
+        # warm-up's buffers serve the later passes, of which the first may
+        # still replace a buffer and grow the heap: five passes stay below
+        # what one pass faults in without the pool.  A fresh interpreter
+        # runs them, since what the allocator does with the arrays left
+        # outside the pool (the sparse products) depends on its history
+        script = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            sys.path.insert(0, sys.argv[1])
+            from gluesat.cnf import SparseGraph
+            from gluesat.grads import backward_from_heads
+            from gluesat.network import forward_with_cache, init_params, preset
+
+            hp = preset("supervised")
+            p = init_params(hp, seed=0)
+            # the shape of a training example: 2,304 clauses of 3 to 14
+            # literals (learned clauses among them) over 400 variables
+            rng = np.random.default_rng(0)
+            n, m = 400, 2304
+            rows = np.repeat(np.arange(m, dtype=np.int32), rng.integers(3, 15, size=m))
+            cols = rng.integers(0, 2 * n, size=len(rows)).astype(np.int32)
+            g = SparseGraph(m, n, rows, cols, tuple(range(1, n + 1)))
+            assert len(rows) > 19_000
+            for k in range(6):
+                if k == 1:
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                _, cache = forward_with_cache(p, hp, g, train_mode=True, dropout_seed=k)
+                backward_from_heads(p, hp, cache, rng.standard_normal(n))
+                del cache
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = os.path.dirname(os.path.dirname(gluesat.__file__))
+        out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, check=True)
+        faults = int(out.stdout)
+        assert faults < 3_000, faults

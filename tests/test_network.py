@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,20 +211,28 @@ class TestCacheFreeForward:
     @pytest.mark.parametrize("name", ["supervised", "rl"])
     def test_peak_below_half_the_retained_cache(self, name):
         # forward frees each intermediate after its last use, so its peak
-        # stays well below what forward_with_cache hands back to the caller
+        # stays well below what forward_with_cache hands back to the caller.
+        # Each pass runs on a fresh thread: its buffer pool starts empty, so
+        # the peak counts the buffers the pass takes, and the thread's end
+        # frees those that the cache does not hold
         hp = preset(name)
         p = init_params(hp, seed=0, value_head=True)
         g = clause_literal_graph(random_ksat(500, 2130, 3, 1))
         g.matrices()                        # the CSR build is not the pass's
+
+        def on_fresh_thread(fn):
+            with ThreadPoolExecutor(1) as ex:
+                return ex.submit(fn).result(timeout=60)
+
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            kept = forward_with_cache(p, hp, g)
+            kept = on_fresh_thread(lambda: forward_with_cache(p, hp, g))
             retained = tracemalloc.get_traced_memory()[0] - base
             del kept
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            forward(p, hp, g)
+            on_fresh_thread(lambda: forward(p, hp, g))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gluesat.solver as solver_module
 from gluesat.cnf import Formula, brute_force, random_ksat, satisfies
 from gluesat.solver import (
     _DECAY,
@@ -802,6 +803,15 @@ REFERENCE_CONFIGS = {
     "refocus": lambda seed: (SolverConfig(warmup_conflicts=20, schedule_base=20, schedule_quad=0,
                                           schedule_cap=20, refocus_margin=0.0),
                              random_oracle(seed)),
+    # every gate due as soon as it can be: a restart whenever the glue EMAs
+    # allow one, a refocus before every decision after the first conflict
+    "eager": lambda seed: (SolverConfig(restart_interval=0, warmup_conflicts=0, schedule_base=0,
+                                        schedule_quad=0, schedule_cap=0, refocus_margin=0.0,
+                                        reduce_base=30),
+                           random_oracle(seed)),
+    # a reduction before every decision, with no other gate firing to hide
+    # a missed re-evaluation
+    "eager-reduce": lambda seed: (SolverConfig(reduce_base=0, reduce_step=0), None),
 }
 
 
@@ -834,13 +844,13 @@ def mixed_width_formulas(draw):
 
 
 class TestMatchesReferenceSolver:
-    """The tuned _propagate/_analyze/_backjump against the plain loops in
-    oracles.ReferenceSolver: the same search, bit for bit."""
+    """The tuned solve/_propagate/_analyze/_backjump against the plain
+    loops in oracles.ReferenceSolver: the same search, bit for bit."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(30, 100).flatmap(lambda n: st.builds(
                random_ksat, st.just(n), st.integers(4 * n, 9 * n // 2), st.just(3), st.integers(0, 2**30))),
-           st.sampled_from(sorted(REFERENCE_CONFIGS)), st.integers(0, 3), st.integers(1, 300))
+           st.sampled_from(sorted(REFERENCE_CONFIGS)), st.integers(0, 3), st.integers(0, 300))
     def test_random_formulas(self, formula, config, seed, conflicts):
         # clause ratio 4 to 4.5, around the 3-SAT threshold of 4.26: the
         # median draw meets about 50 conflicts before its budget, so the
@@ -850,7 +860,7 @@ class TestMatchesReferenceSolver:
         assert got == want
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(mixed_width_formulas(), st.sampled_from(["default", "reduce"]), st.integers(1, 300))
+    @given(mixed_width_formulas(), st.sampled_from(["default", "reduce"]), st.integers(0, 300))
     def test_mixed_width_formulas(self, formula, config, conflicts):
         # units, binaries and long clauses: the widths the 3-literal fast
         # path leaves to the generic scan
@@ -866,6 +876,19 @@ class TestMatchesReferenceSolver:
             got = traced_search(Solver, formula, config, seed, 400)
             assert got == want
             assert want["stats"]["conflicts"] > 50
+
+    def test_restart_after_every_conflict(self, monkeypatch):
+        # with the glue margin at 0 a restart is due restart_interval (2)
+        # conflicts after the last: one due when a conflict ends at level 0
+        # (a learned unit) waits for the check after the next decision
+        monkeypatch.setattr(solver_module, "_RESTART_MARGIN", 0.0)
+        for seed in range(3):
+            formula = random_ksat(60, 270, 3, seed)     # unsatisfiable, refuted in 43 to 70 conflicts
+            want = traced_search(ReferenceSolver, formula, "default", seed, 400)
+            got = traced_search(Solver, formula, "default", seed, 400)
+            assert got == want
+            assert want["stats"]["restarts"] > 10
+            assert any(bj == 0 for _, bj, _ in want["conflicts"])
 
     def test_past_the_first_rescale(self):
         # inc passes 1e100 after about 4,490 conflicts; this solve takes 4,677,
