@@ -14,13 +14,14 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .cnf import parse_dimacs
+from .cnf import Formula, parse_dimacs
 from .solver import SAT, UNSAT, Budget, Solver, SolverConfig, SolveStats, random_oracle
 
 __all__ = [
     "AggregateRecord",
     "BenchConfig",
     "EvalRecord",
+    "HINDSIGHT",
     "SoundnessError",
     "VARIANTS",
     "aggregate",
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 VARIANTS = ("vanilla", "neuro", "random", "degree")
+# the ceiling oracle, kept out of VARIANTS (what bench runs by default)
+# because it needs a conflict budget and bench has none by default
+HINDSIGHT = "hindsight"
 
 
 class SoundnessError(RuntimeError):
@@ -94,12 +98,15 @@ def _run_seed(instance: str, variant: str, seed: int) -> int:
 _NETWORK_ORACLES = {}   # weights path -> network oracle, so a process loads each file once
 
 
-def make_oracle(variant: str, seed: int = 0, weights=None):
-    """The refocus oracle of one of ``VARIANTS``: None for vanilla (no
-    refocusing), ``random_oracle(seed)`` for random, for degree each
-    variable's log(1 + occurrences of either sign) in the residual graph,
-    and for neuro the network in the ``weights`` file.  Raises ValueError
-    for an unknown variant and for neuro without weights."""
+def make_oracle(variant: str, seed: int = 0, weights=None, formula=None, max_conflicts=None):
+    """The refocus oracle of one of ``VARIANTS`` or ``HINDSIGHT``: None for
+    vanilla (no refocusing), ``random_oracle(seed)`` for random, for degree
+    each variable's log(1 + occurrences of either sign) in the residual
+    graph, for neuro the network in the ``weights`` file, and for hindsight
+    each variable's glue count from a vanilla solve of ``formula`` under
+    ``max_conflicts`` (datagen's labelling solve, run here).  Raises
+    ValueError for an unknown variant, neuro without weights and hindsight
+    without the formula or a conflict budget."""
     if variant == "vanilla":
         return None
     if variant == "random":
@@ -122,7 +129,14 @@ def make_oracle(variant: str, seed: int = 0, weights=None):
             oracle = lambda g: forward(params, hp, g).policy_logits  # noqa: E731
             _NETWORK_ORACLES[weights] = oracle
         return oracle
-    raise ValueError(f"unknown variant {variant!r}; choose from {', '.join(VARIANTS)}")
+    if variant == HINDSIGHT:
+        if formula is None or max_conflicts is None:
+            raise ValueError("the hindsight variant requires the formula and a conflict budget")
+        from .datagen import _solve
+
+        counts = np.asarray(_solve(formula, Budget(max_conflicts=max_conflicts))[0], dtype=float)
+        return lambda g: counts[np.asarray(g.var_map) - 1]
+    raise ValueError(f"unknown variant {variant!r}; choose from {', '.join((*VARIANTS, HINDSIGHT))}")
 
 
 _RECORD_FIELDS = [f.name for f in fields(EvalRecord)]
@@ -135,7 +149,7 @@ def _solve_task(args):
     path, variant, seed, weights, cfg = args
     name = Path(path).name
     formula = parse_dimacs(Path(path).read_text())
-    oracle = make_oracle(variant, _run_seed(name, variant, seed), weights)
+    oracle = make_oracle(variant, _run_seed(name, variant, seed), weights, formula, cfg.max_conflicts)
     budget = Budget(max_conflicts=cfg.max_conflicts, max_seconds=cfg.timeout)
     result = Solver(formula, config=cfg.solver, oracle=oracle).solve(budget=budget)
     stats = {field: getattr(result.stats, field) for field in _STAT_FIELDS}
@@ -157,7 +171,8 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
     Records are keyed by instance file name, so two entries sharing a name
     (the same path twice included) raise ValueError before anything runs,
     as do a repeated variant or seed, a variant outside ``VARIANTS`` and
-    neuro without weights.
+    ``HINDSIGHT``, neuro without weights and hindsight without a conflict
+    budget.
     """
     by_name = {}
     for path in instances:
@@ -168,9 +183,11 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
     for kind, values in (("variant", variants), ("seed", seeds)):
         if len(set(values)) < len(values):
             raise ValueError(f"repeated {kind} in {list(values)}: each {kind} runs once per instance")
-    for variant in variants:    # refuse a bad variant before records.csv is opened
-        make_oracle(variant, weights=weights)
     cfg = config or BenchConfig()
+    # refuse a bad variant before records.csv is opened; the empty formula
+    # makes hindsight's labelling solve instant
+    for variant in variants:
+        make_oracle(variant, weights=weights, formula=Formula(0, ()), max_conflicts=cfg.max_conflicts)
     done = {}
     with ExitStack() as stack:
         writer = None

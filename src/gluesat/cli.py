@@ -82,6 +82,13 @@ def _refuse_no_refocus(cfg: SolverConfig, max_conflicts):
             f"conflicts; lower --schedule (or --warmup-conflicts) or raise --conflicts")
 
 
+def _refuse_unbudgeted_hindsight(variants, max_conflicts):
+    """Refuse hindsight without a conflict budget: its labelling solve runs
+    to that budget, which keeps the labels deterministic."""
+    if bench_mod.HINDSIGHT in variants and max_conflicts is None:
+        raise _ConfigError("the hindsight variant requires --conflicts: its labelling solve runs to that budget")
+
+
 def _warn_no_refocus(what, reached, cfg: SolverConfig):
     """Warn on stderr that an oracle run ended without a refocus: it ran
     the vanilla search."""
@@ -101,9 +108,10 @@ def _cmd_solve(args) -> int:
     budget = _config(Budget, args)
     seed = _seed(args)
     if args.mode != "vanilla":
+        _refuse_unbudgeted_hindsight([args.mode], budget.max_conflicts)
         _refuse_no_refocus(cfg, budget.max_conflicts)
     formula = parse_dimacs(Path(args.input).read_text())
-    oracle = bench_mod.make_oracle(args.mode, seed, args.weights)
+    oracle = bench_mod.make_oracle(args.mode, seed, args.weights, formula, budget.max_conflicts)
     result = Solver(formula, config=cfg, oracle=oracle).solve(budget=budget)
     if args.mode != "vanilla" and result.status == UNKNOWN and result.stats.refocuses == 0:
         _warn_no_refocus(f"the {args.mode} solve", result.stats.conflicts, cfg)
@@ -251,6 +259,7 @@ def _cmd_bench(args) -> int:
     cfg = _config(bench_mod.BenchConfig, args, solver=_solver_config(args))
     variants = args.variants.split(",")
     if any(v != "vanilla" for v in variants):
+        _refuse_unbudgeted_hindsight(variants, cfg.max_conflicts)
         _refuse_no_refocus(cfg.solver, cfg.max_conflicts)
     instances = sorted(str(p) for d in args.instances for p in Path(d).glob("*.cnf"))
     if not instances:
@@ -277,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a DIMACS file, printing stats as JSON")
     p.add_argument("input")
-    p.add_argument("--mode", choices=bench_mod.VARIANTS, default="vanilla")
+    p.add_argument("--mode", choices=(*bench_mod.VARIANTS, bench_mod.HINDSIGHT), default="vanilla")
     p.add_argument("--weights", default=None)
     p.add_argument("--model", action="store_true", help="include the model in the JSON output")
     p.add_argument("--seed", type=int, default=0,
-                   help="seeds the random mode's oracle; vanilla, neuro and degree solves do not depend on it")
+                   help="seeds the random mode's oracle; the other modes do not depend on it")
     p.add_argument("--time", type=float, dest="max_seconds", metavar="TIME",
                    help="wall-clock budget in seconds")
     _add_solver_flags(p)

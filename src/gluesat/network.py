@@ -140,21 +140,39 @@ def _init_mlp(rng, depth, d_in, d_out):
     return layers
 
 
+def _mlp_layout(hp: HyperParams, value_head: bool):
+    """Each MLP's (name, depth, input width, output width), in the order
+    init_params draws them and NetParams.tensors lists them."""
+    dl, dc = hp.delta_l, hp.delta_c
+    layout = [("c_update", hp.n_c, 2 * dl, dc), ("l_update", hp.n_l, dc, dl), ("v_policy", hp.n_p, 2 * dl, 1)]
+    if value_head:
+        layout.append(("v_value", hp.n_p, 2 * dl, 1))
+    return layout
+
+
+def _tensor_shapes(hp: HyperParams, value_head: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) pairs of init_params(hp, value_head=...).tensors(),
+    worked out without allocating a tensor."""
+    shapes = [("l_init", (hp.delta_l,))]
+    for group, depth, d_in, d_out in _mlp_layout(hp, value_head):
+        dims = mlp_dims(depth, d_in, d_out)
+        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes += [(f"{group}.{i}.w", (a, b)), (f"{group}.{i}.b", (b,))]
+    return shapes + [("ln_scale", (hp.delta_l,)), ("ln_shift", (hp.delta_l,))]
+
+
 def init_params(hp: HyperParams, seed=None, value_head: bool = False) -> NetParams:
     """Fan-in/fan-out scaled uniform weights, zero biases, unit layer norm."""
     rng = np.random.default_rng(seed)
-    dl, dc = hp.delta_l, hp.delta_c
+    dl = hp.delta_l
     l_init = _f32(rng.standard_normal(dl) / np.sqrt(dl))
-    c_update = _init_mlp(rng, hp.n_c, 2 * dl, dc)
-    l_update = _init_mlp(rng, hp.n_l, dc, dl)
-    v_policy = _init_mlp(rng, hp.n_p, 2 * dl, 1)
-    v_value = _init_mlp(rng, hp.n_p, 2 * dl, 1) if value_head else None
+    mlps = {name: _init_mlp(rng, depth, d_in, d_out) for name, depth, d_in, d_out in _mlp_layout(hp, value_head)}
     return NetParams(
         l_init=l_init,
-        c_update=c_update,
-        l_update=l_update,
-        v_policy=v_policy,
-        v_value=v_value,
+        c_update=mlps["c_update"],
+        l_update=mlps["l_update"],
+        v_policy=mlps["v_policy"],
+        v_value=mlps.get("v_value"),
         ln_scale=np.ones(dl),
         ln_shift=np.zeros(dl),
     )
@@ -480,17 +498,18 @@ def load_weights(path) -> tuple[NetParams, HyperParams]:
         if len(dims) != ndim or min(dims, default=0) < 0:
             raise WeightFormatError(f"bad dimensions for {name}")
         declared.append((name, dims))
-    # the declared dims fix the payload length: a file that does not hold
-    # them is refused before init_params allocates what the hyper line asks
+    # the declared dims fix the payload length and the hyper line fixes the
+    # tensor list: a file that fails either is refused before init_params
+    # allocates what the hyper line asks
     expected = 4 * sum(math.prod(dims) for _, dims in declared)
     if len(payload) < expected:
         raise WeightFormatError(f"truncated payload: {len(payload)} of {expected} bytes")
     if len(payload) > expected:
         raise WeightFormatError("trailing bytes after tensor payloads")
+    if declared != _tensor_shapes(hp, value_head):
+        raise WeightFormatError("tensor list does not match hyperparameters")
     # init_params defines the tensors: its arrays, in place, take the payload
     params = init_params(hp, seed=0, value_head=value_head)
-    if declared != [(name, arr.shape) for name, arr in params.tensors()]:
-        raise WeightFormatError("tensor list does not match hyperparameters")
     offset = 0
     for _, arr in params.tensors():
         arr[...] = np.frombuffer(payload, dtype="<f4", count=arr.size, offset=offset).reshape(arr.shape)

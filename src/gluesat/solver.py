@@ -69,8 +69,12 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.edge_cap < 1:
             raise ValueError(f"edge_cap must be >= 1, got {self.edge_cap}")
-        for name in ("restart_interval", "reduce_base", "reduce_step",
-                     "schedule_base", "schedule_quad", "schedule_cap", "warmup_conflicts"):
+        # a restart needs a conflict since the last one: at 0 the search
+        # would restart before every decision and never reach a conflict
+        if self.restart_interval < 1:
+            raise ValueError(f"restart_interval must be >= 1, got {self.restart_interval}")
+        for name in ("reduce_base", "reduce_step", "schedule_base",
+                     "schedule_quad", "schedule_cap", "warmup_conflicts"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 

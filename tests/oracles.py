@@ -8,7 +8,9 @@ from heapq import heappush
 import numpy as np
 
 from gluesat.cnf import SparseGraph, normalize_clause, satisfies
+from gluesat.grads import check_finite, zero_grads
 from gluesat.solver import SAT, UNKNOWN, UNSAT, Budget, Solver, SolveResult
+from gluesat.training import asgd_step, kl_grads, target_distribution
 
 
 def edge_pairs(graph):
@@ -517,3 +519,38 @@ def max_rel_error(analytic, numeric, floor=1e-4):
         if err > worst:
             worst, worst_name = err, name
     return worst, worst_name
+
+
+def serial_train_supervised(dataset, hp, config, init):
+    """train_supervised's loop with every example's forward and backward
+    run in turn on the calling thread, as it ran before forwards could run
+    ahead on a worker: the bit-for-bit reference for the overlapped loop.
+    Returns (final params, averaged params, epoch KLs)."""
+    rng = np.random.default_rng(config.seed)
+    params = init.copy()
+    averaged = params.copy()
+    avg = dict(averaged.tensors())
+    targets = [target_distribution(ex.glue_counts) for ex in dataset]
+    epoch_kl = []
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grads = zero_grads(params)
+            batch_loss = 0.0
+            for idx in batch:
+                loss, _ = kl_grads(
+                    params, hp, dataset[idx].graph, targets[idx],
+                    grads=grads, scale=1.0 / len(batch),
+                    train_mode=config.train_dropout,
+                    dropout_seed=int(rng.integers(2**63)),
+                )
+                batch_loss += loss
+            check_finite(grads)
+            asgd_step(params, avg, grads, config.lr, step)
+            step += 1
+            losses.append(batch_loss / len(batch))
+        epoch_kl.append(float(np.mean(losses)))
+    return params, averaged, epoch_kl

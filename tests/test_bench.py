@@ -16,10 +16,10 @@ from gluesat.bench import (
     run_benchmark,
     write_outputs,
 )
-from gluesat.cnf import random_ksat, write_dimacs
+from gluesat.cnf import clause_literal_graph, random_ksat, write_dimacs
 from gluesat.extract import extract_graph
 from gluesat.network import init_params, preset, save_weights
-from gluesat.solver import Solver, SolverConfig
+from gluesat.solver import Budget, Solver, SolverConfig
 
 from oracles import edge_pairs
 
@@ -184,6 +184,40 @@ class TestDegreeOracle:
         instances = make_instances(tmp_path / "inst", 3, n=60, m=256)
         records = run_benchmark(instances, ["degree"], [0], desk_config())
         assert len(records) == 3 and all(r.refocuses > 0 for r in records)
+
+
+class TestHindsightOracle:
+    def test_logits_are_the_vanilla_glue_counts(self):
+        f = random_ksat(100, 426, 3, 1)
+        budget = 300
+        counts = Solver(f).solve(Budget(max_conflicts=budget)).stats.glue_counts
+        assert len(set(counts)) > 2
+        oracle = make_oracle("hindsight", formula=f, max_conflicts=budget)
+        assert np.array_equal(oracle(clause_literal_graph(f)), np.array(counts, dtype=float))
+        s = Solver(f)
+        assert s.propagate_root()
+        for lit in (1, -2, 3):
+            if s.value(lit) == 0:
+                assert s.decide(lit) is None
+        graph = extract_graph(s)
+        assert graph.num_vars < 100     # a residual graph: its variables are renumbered
+        assert np.array_equal(oracle(graph), [counts[v - 1] for v in graph.var_map])
+
+    def test_runs_as_a_bench_variant(self, tmp_path):
+        instances = make_instances(tmp_path / "inst", 3, n=60, m=256)
+        records = run_benchmark(instances, ["hindsight"], [0], desk_config())
+        assert len(records) == 3 and all(r.refocuses > 0 for r in records)
+
+    def test_requires_the_formula_and_a_conflict_budget(self, tmp_path):
+        with pytest.raises(ValueError, match="hindsight variant requires the formula and a conflict budget"):
+            make_oracle("hindsight", formula=random_ksat(10, 40, 3, 0))
+        with pytest.raises(ValueError, match="hindsight variant requires the formula"):
+            make_oracle("hindsight", max_conflicts=100)
+        instances = make_instances(tmp_path / "inst", 1)
+        with pytest.raises(ValueError, match="hindsight variant requires the formula and a conflict budget"):
+            run_benchmark(instances, ["vanilla", "hindsight"], [0], desk_config(max_conflicts=None),
+                          records_csv=tmp_path / "records.csv")
+        assert not (tmp_path / "records.csv").exists()
 
 
 class TestAggregate:

@@ -74,6 +74,15 @@ class TestSolveCommand:
         assert code == {"UNKNOWN": 0, "SAT": 10, "UNSAT": 20}[out["status"]]
         assert out["refocuses"] > 0
 
+    def test_hindsight_mode(self, tmp_path, capsys):
+        p = tmp_path / "inst.cnf"
+        p.write_text(write_dimacs(random_ksat(150, 639, 3, 0)))
+        code = main(["solve", str(p), "--mode", "hindsight", "--warmup-conflicts", "0",
+                     "--schedule", "2", "0", "2", "--conflicts", "300"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == {"UNKNOWN": 0, "SAT": 10, "UNSAT": 20}[out["status"]]
+        assert out["refocuses"] > 0
+
     def test_neuro_mode_requires_weights(self, sat_file, capsys):
         assert main(["solve", sat_file, "--mode", "neuro"]) == 1
         captured = capsys.readouterr()
@@ -178,6 +187,17 @@ class TestRefocusBudget:
         if code == 2:
             assert f"error: --conflicts {budget} " in capsys.readouterr().err
             assert not out.exists()
+
+    def test_hindsight_without_conflicts_refused(self, formula_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (["solve", str(formula_dir / "i0.cnf"), "--mode", "hindsight", *self.SHORT],
+                     ["bench", "--instances", str(formula_dir), "--out", str(out),
+                      "--variants", "vanilla,hindsight", *self.SHORT]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: the hindsight variant requires --conflicts")
+        assert not out.exists()
 
 
 class TestExtractCommand:

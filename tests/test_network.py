@@ -330,6 +330,21 @@ class TestWeights:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
 
+    def test_wrong_tensor_list_refused_before_allocation(self, tmp_path):
+        # payload and declared dims agree (one float), but 2048-wide layers
+        # want another tensor list: the hyper line alone shows it, so the
+        # ~170 MB init_params template is never built
+        path = tmp_path / "w.ngw"
+        path.write_bytes(b"NGW1\nhyper 2048 2048 1 1 1 1 0.0 0.01 1e-05 0\ntensor l_init 1 1\ndata\n" + bytes(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightFormatError, match="tensor list does not match hyperparameters"):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
     def test_trailing_bytes(self, tmp_path, tiny_hyper):
         path = tmp_path / "w.ngw"
         save_weights(init_params(tiny_hyper, seed=0), tiny_hyper, path)

@@ -578,11 +578,20 @@ class TestSolverConfig:
         ("schedule_base", -1), ("schedule_quad", -1), ("schedule_cap", -1),
         ("warmup_conflicts", -1), ("warmup_mode", "conflict"),
         ("refocus_margin", float("nan")), ("refocus_margin", float("inf")), ("refocus_margin", -1.0),
-        ("restart_interval", -1), ("reduce_base", -1), ("reduce_step", -1),
+        ("restart_interval", -1), ("restart_interval", 0), ("reduce_base", -1), ("reduce_step", -1),
     ])
     def test_impossible_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             SolverConfig(**{field: value})
+
+    def test_smallest_restart_interval_reaches_the_budget(self):
+        # restart_interval=0 restarted before every decision on this formula:
+        # it stopped at 603 conflicts after ~1.9M restarts, so a conflict
+        # budget never ended the search; 1 restarts at most once per conflict
+        cfg = SolverConfig(restart_interval=1)
+        res = Solver(random_ksat(250, 1065, 3, 0), cfg).solve(Budget(max_conflicts=2000, max_seconds=60))
+        assert res.stats.conflicts == 2000
+        assert 0 < res.stats.restarts <= 2000
 
     def test_edge_values_accepted(self):
         SolverConfig(schedule_base=0, schedule_quad=0, schedule_cap=0, refocus_margin=0.0,
@@ -803,9 +812,10 @@ REFERENCE_CONFIGS = {
     "refocus": lambda seed: (SolverConfig(warmup_conflicts=20, schedule_base=20, schedule_quad=0,
                                           schedule_cap=20, refocus_margin=0.0),
                              random_oracle(seed)),
-    # every gate due as soon as it can be: a restart whenever the glue EMAs
-    # allow one, a refocus before every decision after the first conflict
-    "eager": lambda seed: (SolverConfig(restart_interval=0, warmup_conflicts=0, schedule_base=0,
+    # every gate due as soon as it can be: a restart at every conflict the
+    # glue EMAs allow one, a refocus before every decision after the first
+    # conflict
+    "eager": lambda seed: (SolverConfig(restart_interval=1, warmup_conflicts=0, schedule_base=0,
                                         schedule_quad=0, schedule_cap=0, refocus_margin=0.0,
                                         reduce_base=30),
                            random_oracle(seed)),

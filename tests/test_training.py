@@ -1,3 +1,7 @@
+import multiprocessing
+import sys
+import threading
+import time
 from dataclasses import fields
 from functools import partial
 
@@ -27,6 +31,7 @@ from gluesat.training import (
 )
 
 from conftest import perturbed_params
+from oracles import serial_train_supervised
 
 
 class _ScalarParams:
@@ -213,6 +218,188 @@ class TestTrainSupervised:
         hp = HyperParams(delta_l=4, delta_c=6, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
         with pytest.raises(FloatingPointError, match="non-finite gradient for tensor ln_shift"):
             train_supervised(examples, hp, SupervisedConfig(epochs=1, batch_size=2))
+
+
+def _labelled(graph, seed):
+    counts = np.random.default_rng(seed).integers(0, 6, graph.num_vars)
+    return SupervisedExample(graph, tuple(int(c) for c in counts))
+
+
+@pytest.fixture(scope="module")
+def overlap_data():
+    """Three graphs above the overlap gate and one below it."""
+    big = [clause_literal_graph(random_ksat(260, 1100, 3, s)) for s in range(3)]
+    assert min(g.num_edges for g in big) >= training._OVERLAP_MIN_EDGES
+    small = degree_example(0).graph
+    assert small.num_edges < training._OVERLAP_MIN_EDGES
+    return [_labelled(g, s) for s, g in enumerate([big[0], small, big[1], big[2]])]
+
+
+def _same_bits(result, reference):
+    final, averaged, epoch_kl = reference
+    assert result.epoch_kl == epoch_kl
+    for mine, ref in ((result.final_params, final), (result.params, averaged)):
+        for (name, a), (_, b) in zip(mine.tensors(), ref.tensors()):
+            assert np.array_equal(a, b), name
+
+
+def _forward_threads(monkeypatch):
+    """Record the thread that runs each training forward."""
+    threads = []
+    forward_with_cache = training.forward_with_cache
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return forward_with_cache(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_with_cache", recorded)
+    return threads
+
+
+class TestOverlappedTraining:
+    """With a spare core, a batch runs the next forward on a worker thread
+    during the current backward: the parameters must be the serial loop's
+    bits, and no forward may outlive the call."""
+
+    @pytest.fixture(autouse=True)
+    def spare_core(self, monkeypatch):
+        monkeypatch.setattr(training, "_SPARE_CORE", True)
+
+    @pytest.mark.parametrize("dropout", [True, False])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_matches_the_serial_loop(self, overlap_data, monkeypatch, dropout, batch_size):
+        hp = preset("supervised")
+        cfg = SupervisedConfig(lr=0.05, epochs=2, batch_size=batch_size, seed=3, train_dropout=dropout)
+        init = init_params(hp, seed=1)
+        reference = serial_train_supervised(overlap_data, hp, cfg, init)
+        threads = _forward_threads(monkeypatch)
+        _same_bits(train_supervised(overlap_data, hp, cfg, init=init), reference)
+        on_worker = sum(t is not threading.main_thread() for t in threads)
+        assert len(threads) == 2 * len(overlap_data)
+        if batch_size == 1:
+            assert on_worker == 0
+        else:
+            assert 0 < on_worker
+
+    def test_concurrent_callers_share_the_worker(self, overlap_data):
+        # three callers on two cores, switching threads every few bytecodes:
+        # their forwards interleave on the one worker and its buffer pool,
+        # while each caller's backward still reads its own caches
+        hp = preset("supervised")
+        cfgs = [SupervisedConfig(lr=0.05, epochs=1, batch_size=4, seed=s) for s in range(3)]
+        init = init_params(hp, seed=4)
+        references = [serial_train_supervised(overlap_data, hp, cfg, init) for cfg in cfgs]
+        results = [None] * len(cfgs)
+
+        def run(i):
+            results[i] = train_supervised(overlap_data, hp, cfgs[i], init=init)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for result, reference in zip(results, references):
+            _same_bits(result, reference)
+
+    def test_below_the_gate_starts_no_thread(self, monkeypatch):
+        data = [degree_example(s) for s in range(4)]
+        hp = preset("supervised")
+        cfg = SupervisedConfig(epochs=2, batch_size=3, seed=0)
+        init = init_params(hp, seed=0)
+        reference = serial_train_supervised(data, hp, cfg, init)
+        monkeypatch.setattr(training, "_worker", None)
+        threads = _forward_threads(monkeypatch)
+        before = set(threading.enumerate())
+        _same_bits(train_supervised(data, hp, cfg, init=init), reference)
+        assert training._worker is None
+        assert set(threading.enumerate()) == before
+        assert len(threads) == 8 and all(t is threading.main_thread() for t in threads)
+
+    @pytest.mark.parametrize("env, cores, spare", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": "1"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+        ({}, 2, False),         # OpenBLAS then takes every core
+    ])
+    def test_a_core_is_spare_only_beside_one_blas_thread(self, monkeypatch, env, cores, spare):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(training.os, "cpu_count", lambda: cores)
+        assert training._spare_core() is spare
+
+    def test_no_core_to_spare_starts_no_thread(self, overlap_data, monkeypatch):
+        monkeypatch.setattr(training, "_SPARE_CORE", False)
+        threads = _forward_threads(monkeypatch)
+        hp = preset("supervised")
+        train_supervised(overlap_data, hp, SupervisedConfig(epochs=1, batch_size=4))
+        assert all(t is threading.main_thread() for t in threads)
+
+    @pytest.mark.parametrize("fail_in", ["forward", "backward"])
+    def test_failure_leaves_no_forward_running(self, overlap_data, monkeypatch, fail_in):
+        hp = preset("supervised")
+        cfg = SupervisedConfig(lr=0.05, epochs=2, batch_size=4, seed=5)
+        init = init_params(hp, seed=2)
+        # the first example of the first batch whose successor runs ahead:
+        # that forward is still running when this example's backward fails
+        order = np.random.default_rng(cfg.seed).permutation(len(overlap_data))
+        k = next(k for k in range(3) if overlap_data[order[k + 1]].graph.num_edges >= training._OVERLAP_MIN_EDGES)
+        poisoned = overlap_data[order[k]].graph
+        ends = []
+        forward_with_cache = training.forward_with_cache
+        backward_from_heads = training.backward_from_heads
+
+        def slow_forward(params, hp, graph, **kwargs):
+            try:
+                time.sleep(0.05)        # still running when the backward fails
+                if fail_in == "forward" and graph is poisoned:
+                    raise FloatingPointError("non-finite policy logits")
+                return forward_with_cache(params, hp, graph, **kwargs)
+            finally:
+                ends.append(time.perf_counter())
+
+        def failing_backward(params, hp, cache, *args, **kwargs):
+            if fail_in == "backward" and cache["graph"] is poisoned:
+                raise FloatingPointError("non-finite gradient")
+            return backward_from_heads(params, hp, cache, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "forward_with_cache", slow_forward)
+            patch.setattr(training, "backward_from_heads", failing_backward)
+            with pytest.raises(FloatingPointError):
+                train_supervised(overlap_data, hp, cfg, init=init)
+            raised = time.perf_counter()
+            time.sleep(0.2)
+        # every forward that started had ended before the call raised
+        assert len(ends) == k + 2 - (fail_in == "forward")
+        assert max(ends) < raised
+        # the worker still serves the next call
+        _same_bits(train_supervised(overlap_data, hp, cfg, init=init),
+                   serial_train_supervised(overlap_data, hp, cfg, init))
+
+    def test_forked_child_starts_its_own_worker(self, overlap_data):
+        hp = preset("supervised")
+        cfg = SupervisedConfig(epochs=1, batch_size=4, seed=0)
+        train_supervised(overlap_data, hp, cfg)        # the worker now runs here
+        assert training._worker is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=train_supervised, args=(overlap_data, hp, cfg))
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+        assert not alive and child.exitcode == 0
 
 
 def _poisoned_backward(backward):
