@@ -132,9 +132,8 @@ def make_oracle(variant: str, seed: int = 0, weights=None, formula=None, max_con
     if variant == HINDSIGHT:
         if formula is None or max_conflicts is None:
             raise ValueError("the hindsight variant requires the formula and a conflict budget")
-        from .datagen import _solve
-
-        counts = np.asarray(_solve(formula, Budget(max_conflicts=max_conflicts))[0], dtype=float)
+        stats = Solver(formula).solve(Budget(max_conflicts=max_conflicts)).stats
+        counts = np.asarray(stats.glue_counts, dtype=float)
         return lambda g: counts[np.asarray(g.var_map) - 1]
     raise ValueError(f"unknown variant {variant!r}; choose from {', '.join((*VARIANTS, HINDSIGHT))}")
 

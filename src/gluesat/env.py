@@ -67,7 +67,7 @@ class GlueEnv:
         s = self.solver
         conflict = s.decide(lit)
         if conflict is not None:
-            _, _, glue = s._analyze(conflict)
+            _, _, glue = s.analyze(conflict)
             self.terminal = ("conflict", glue)
             self.obs = None
             return None, 1.0 / glue**2, True

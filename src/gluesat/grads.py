@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import HyperParams, NetParams, _pool_for
+from .network import HyperParams, NetParams, _pool
 
 __all__ = ["backward_from_heads", "check_finite", "zero_grads"]
 
@@ -27,12 +27,11 @@ def _add_swapped(acc, m, n):
     return acc
 
 
-def _mlp_backward(layers, caches, dout, slope, grads, prefix, gather_t=None, pool=None):
+def _mlp_backward(layers, caches, dout, slope, grads, prefix, pool, gather_t=None):
     # caches[i] is (layer i's input, its dropout mask or None), as
     # network._mlp_forward keeps them; gather_t is the transpose of the
-    # forward's gather, which the first layer's product went through; with
-    # a pool, the leaky derivatives and the upstream products take its
-    # buffers
+    # forward's gather, which the first layer's product went through; the
+    # leaky derivatives and the upstream products come from pool
     upstream = dout
     h_next = None
     for i in range(len(layers) - 1, -1, -1):
@@ -46,11 +45,8 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix, gather_t=None, poo
             # dropout zeroed it upstream * mask is 0, so either factor gives
             # the same bits; for 0 <= slope <= 1 this max gives exactly
             # where(z > 0, 1.0, slope) without a branch per element
-            if pool is None:
-                dz = np.maximum(h_next > 0, slope)
-            else:
-                dz = np.greater(h_next, 0, out=pool.take(h_next.shape))
-                np.maximum(dz, slope, out=dz)
+            dz = np.greater(h_next, 0, out=pool.take(h_next.shape))
+            np.maximum(dz, slope, out=dz)
             if mask is not None:
                 upstream *= mask
             dz *= upstream
@@ -58,12 +54,12 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix, gather_t=None, poo
         if gather_t is not None and i == 0:
             dz = gather_t @ dz
         grads[f"{prefix}.{i}.w"] += h.T @ dz
-        upstream = dz @ w.T if pool is None else np.matmul(dz, w.T, out=pool.take((len(dz), len(w))))
+        upstream = np.matmul(dz, w.T, out=pool.take((len(dz), len(w))))
         h_next = h
     return upstream
 
 
-def _standardize_backward(dy, y, inv, pool=None):
+def _standardize_backward(dy, y, inv, pool):
     # y = (x - mean(x)) * inv with inv = 1/sqrt(var + eps), per row; returns
     # inv * (dy - mean(dy) - y * mean(dy * y)) with the row means spelled as
     # sum / width, which is what ndarray.mean computes; computed in place in
@@ -71,7 +67,7 @@ def _standardize_backward(dy, y, inv, pool=None):
     width = dy.shape[1]
     dy_mean = dy.sum(axis=1, keepdims=True)
     dy_mean /= width
-    prod = dy * y if pool is None else np.multiply(dy, y, out=pool.take(dy.shape))
+    prod = np.multiply(dy, y, out=pool.take(dy.shape))
     prod_mean = prod.sum(axis=1, keepdims=True)
     prod_mean /= width
     dy -= dy_mean
@@ -93,29 +89,23 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
     created = grads is None
     if created:
         grads = zero_grads(params)
-    graph = cache["graph"]
-    g, gt, _, _ = graph.matrices()
+    g, gt, _, _ = cache["graph"].matrices()
     sizes, by_size = cache["first_round"]
     n = cache["n"]
     dl = hp.delta_l
     slope = hp.leaky_slope
-    pool = _pool_for(graph, hp)
+    pool = _pool()
 
-    if pool is None:
-        dX_final = np.zeros((2 * n, 2 * dl))
-    else:
-        dX_final = pool.take((2 * n, 2 * dl))
-        dX_final.fill(0.0)
+    dX_final = pool.take((2 * n, 2 * dl))
+    dX_final.fill(0.0)
     dlogits = np.asarray(dlogits, dtype=float).reshape(n, 1)
     if np.any(dlogits):
-        dX_final[:n] += _mlp_backward(params.v_policy, cache["p_cache"], dlogits, slope, grads, "v_policy",
-                                      pool=pool)
+        dX_final[:n] += _mlp_backward(params.v_policy, cache["p_cache"], dlogits, slope, grads, "v_policy", pool)
     if params.v_value is not None and dvalue != 0.0:
         v = cache["value"]
         dmean = dvalue * v * (1.0 - v)
         dscores = np.full((2 * n, 1), dmean / (2 * n))
-        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value",
-                                  pool=pool)
+        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value", pool)
 
     dL = _add_swapped(dX_final[:, :dl].copy(), dX_final[:, dl:], n)
     iters = cache["iters"]
@@ -124,19 +114,16 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         xhat, ln_inv = it["xhat"], it["ln_inv"]
         grads["ln_scale"] += (dL * xhat).sum(axis=0)
         grads["ln_shift"] += dL.sum(axis=0)
-        if pool is None:
-            dxhat = dL * params.ln_scale
-        else:
-            dxhat = np.multiply(dL, params.ln_scale, out=pool.take(dL.shape))
+        dxhat = np.multiply(dL, params.ln_scale, out=pool.take(dL.shape))
         dres = _standardize_backward(dxhat, xhat, ln_inv, pool)
         dprev = 0.1 * dres
-        dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update", pool=pool)
+        dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update", pool)
         # iteration 0 ran the clause update once per size class: its
         # gradient sums over each class through by_size's transpose, and
         # the class aggregates were sizes times [l_init, l_init]
         gather_t, spread_t = (sizes[None], by_size.T) if index == 0 else (gt, g)
         dC = _standardize_backward(spread_t @ dB, it["c_std"], it["c_inv"], pool)
-        dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", gather_t, pool)
+        dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", pool, gather_t)
         if index == 0:
             grads["l_init"] += dprev.sum(axis=0) + dX[0, :dl] + dX[0, dl:]
         else:

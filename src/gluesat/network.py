@@ -235,32 +235,27 @@ class _Pool:
 _local = threading.local()
 
 
-def _pool_for(graph, hp):
-    """This thread's pool when the graph's largest intermediate reaches the
-    floor, else None: a small graph's pass keeps plain allocations, decided
-    once per pass."""
-    if max(graph.num_clauses, 2 * graph.num_vars) * max(hp.delta_c, 2 * hp.delta_l) < _POOL_FLOOR:
-        return None
-    pool = getattr(_local, "pool", None)
-    if pool is None:
-        pool = _local.pool = _Pool()
-    return pool
+def _pool():
+    """This thread's pool, made on first use."""
+    if not hasattr(_local, "pool"):
+        _local.pool = _Pool()
+    return _local.pool
 
 
-def _concat_neg(L, n, pool=None):
+def _concat_neg(L, n, pool):
     # pair each literal's embedding with its negation's: rows v-1 and n+v-1
     # swap; a single shared embedding (1-D L) gives the one row [L, L]
     if L.ndim == 1:
         return np.concatenate((L, L))[None]
     d = L.shape[1]
-    X = np.empty((2 * n, 2 * d)) if pool is None else pool.take((2 * n, 2 * d))
+    X = pool.take((2 * n, 2 * d))
     X[:, :d] = L
     X[:n, d:] = L[n:]
     X[n:, d:] = L[:n]
     return X
 
 
-def _mlp_forward(layers, h, slope, dropout, drng, cache, gather=None, pool=None):
+def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
     every layer but the last.
 
@@ -272,34 +267,30 @@ def _mlp_forward(layers, h, slope, dropout, drng, cache, gather=None, pool=None)
     None), where the first layer's input is h, not ``gather @ h``; the
     pre-activations are not kept, since a hidden layer's output is positive
     exactly where its pre-activation is.  With no cache, no reference to a
-    layer's input outlives the computation of its output.  With a ``pool``,
-    the dense products, the leaky ReLU temporary and the dropout masks take
-    its buffers, with the same bits."""
+    layer's input outlives the computation of its output.  The dense
+    products, the leaky ReLU temporary and the dropout masks come from
+    ``pool``."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = h @ w if pool is None else np.matmul(h, w, out=pool.take((len(h), w.shape[1])))
+        z = np.matmul(h, w, out=pool.take((len(h), w.shape[1])))
         if gather is not None and i == 0:
             if cache is None:
                 h = None        # free the input before the aggregate is made
-            if pool is None or not isinstance(gather, np.ndarray):
-                z = gather @ z
-            else:
+            if isinstance(gather, np.ndarray):
                 z = np.matmul(gather, z, out=pool.take((len(gather), z.shape[1])))
+            else:       # a scipy sparse product takes no out=
+                z = gather @ z
         z += b
         mask = None
         if i < last:
             # leaky ReLU in place: for 0 <= slope <= 1 (HyperParams enforces
             # it) this max is exactly where(z > 0, z, slope * z), without a
             # branch per element
-            np.maximum(z, slope * z if pool is None else np.multiply(z, slope, out=pool.take(z.shape)), out=z)
+            np.maximum(z, np.multiply(z, slope, out=pool.take(z.shape)), out=z)
             if drng is not None and dropout > 0.0:
-                if pool is None:
-                    mask = (drng.random(z.shape) >= dropout) / (1.0 - dropout)
-                else:
-                    # the same draws, compare and scale, in one buffer
-                    mask = drng.random(out=pool.take(z.shape))
-                    np.greater_equal(mask, dropout, out=mask)
-                    mask /= 1.0 - dropout
+                mask = drng.random(out=pool.take(z.shape))
+                np.greater_equal(mask, dropout, out=mask)
+                mask /= 1.0 - dropout
                 z *= mask
         if cache is not None:
             cache.append((h, mask))
@@ -334,7 +325,7 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     # its last use
     g, gt, sizes, by_size = graph.matrices()
     n = graph.num_vars
-    pool = _pool_for(graph, hp)
+    pool = _pool()
     drng = np.random.default_rng(dropout_seed) if (train_mode and hp.dropout > 0.0) else None
     # every literal starts at l_init, so in iteration 0 a clause's aggregate
     # is its size times [l_init, l_init]: the clause update runs once per
@@ -352,7 +343,7 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
         # clause update can free them after its first product
         C_std, c_inv = _standardize_rows(
             _mlp_forward(params.c_update, _concat_neg(L, n, pool), hp.leaky_slope, hp.dropout, drng, c_cache,
-                         gather, pool),
+                         pool, gather),
             hp.ln_eps,
         )
         B = spread @ C_std
@@ -360,15 +351,12 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
             # the largest array of an iteration; held through the literal
             # update, it would set the peak of a cache-free pass
             del C_std
-        L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool=pool)
+        L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool)
         del B
         L_res += 0.1 * L
         del L
         xhat, inv = _standardize_rows(L_res, hp.ln_eps)
-        if pool is None:
-            L = xhat * params.ln_scale
-        else:
-            L = np.multiply(xhat, params.ln_scale, out=pool.take(xhat.shape))
+        L = np.multiply(xhat, params.ln_scale, out=pool.take(xhat.shape))
         L += params.ln_shift
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
@@ -380,14 +368,13 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     X_final = _concat_neg(L, n, pool)
     del L
     p_cache = [] if keep else None
-    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache,
-                          pool=pool).ravel()
+    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache, pool).ravel()
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
     value = None
     v_cache = [] if keep else None
     if params.v_value is not None:
-        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool=pool)
+        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool)
         value = float(1.0 / (1.0 + np.exp(-v_scores.mean())))
     out = ForwardOutput(policy_logits=logits, value=value)
     if not keep:
@@ -485,6 +472,8 @@ def load_weights(path) -> tuple[NetParams, HyperParams]:
         hp = HyperParams(**{name: _HYPER_TYPES[name](tok) for name, tok in zip(_HYPER_FIELDS, tokens)})
     except ValueError as exc:
         raise WeightFormatError(f"bad hyper line: {exc}") from exc
+    if tokens[-1] not in ("0", "1"):
+        raise WeightFormatError(f"bad hyper line: value-head flag must be 0 or 1, got {tokens[-1]!r}")
     value_head = tokens[-1] == "1"
     declared = []
     for line in lines[2:]:
@@ -493,8 +482,11 @@ def load_weights(path) -> tuple[NetParams, HyperParams]:
             continue
         if parts[0] != "tensor" or len(parts) < 3:
             raise WeightFormatError(f"unexpected header line {line!r}")
-        name, ndim = parts[1], int(parts[2])
-        dims = tuple(int(d) for d in parts[3:])
+        try:
+            ndim, *dims = map(int, parts[2:])
+        except ValueError:
+            raise WeightFormatError(f"non-integer dimension in header line {line!r}") from None
+        name, dims = parts[1], tuple(dims)
         if len(dims) != ndim or min(dims, default=0) < 0:
             raise WeightFormatError(f"bad dimensions for {name}")
         declared.append((name, dims))

@@ -363,7 +363,7 @@ class Solver:
         self.qhead = qhead
         return conflict
 
-    def _analyze(self, conflict):
+    def analyze(self, conflict):
         """First-UIP conflict analysis.
 
         Returns (learned_lits, backjump_level, glue); learned_lits[0] is the
@@ -707,7 +707,7 @@ class Solver:
                 if self.decision_level == 0:
                     status = UNSAT
                     break
-                learned, bj, glue = self._analyze(conflict)
+                learned, bj, glue = self.analyze(conflict)
                 self._decay()
                 self.update_glue_emas(glue)
                 self._record_glue(learned, glue)

@@ -223,7 +223,7 @@ _worker_lock = threading.Lock()
 
 def _forward_worker() -> ThreadPoolExecutor:
     """The one thread that runs overlapped forwards, started on first use
-    and kept, so that its buffer pool (network._pool_for) persists."""
+    and kept, so that its buffer pool (network._pool) persists."""
     global _worker
     with _worker_lock:
         if _worker is None:

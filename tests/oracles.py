@@ -94,7 +94,7 @@ def compute_lbd(lits, levels) -> int:
 
 
 def bump(solver, v):
-    """One EVSIDS bump of variable v, as ``Solver._analyze`` does inline,
+    """One EVSIDS bump of variable v, as ``Solver.analyze`` does inline,
     plus the heap entry an unassigned variable needs at its new score."""
     s = solver.evsids[v] + solver.inc
     solver.evsids[v] = s
@@ -108,7 +108,7 @@ def bump(solver, v):
 class ReferenceSolver(Solver):
     """The straightforward form of the CDCL hot loop: ``solve`` checking
     the budget and every gate before each decision, and ``_propagate``,
-    ``_analyze`` and ``_backjump`` as plain loops over solver attributes,
+    ``analyze`` and ``_backjump`` as plain loops over solver attributes,
     with watch lists, reasons and conflicts holding each clause's literal
     list and every clause width taking the one generic scan.  The package's
     tuned versions must reproduce its search exactly: trail, literal order
@@ -141,7 +141,7 @@ class ReferenceSolver(Solver):
                 if self.decision_level == 0:
                     status = UNSAT
                     break
-                learned, bj, glue = self._analyze(conflict)
+                learned, bj, glue = self.analyze(conflict)
                 self._decay()
                 self.update_glue_emas(glue)
                 self._record_glue(learned, glue)
@@ -206,7 +206,7 @@ class ReferenceSolver(Solver):
                 return conflict
         return None
 
-    def _analyze(self, conflict):
+    def analyze(self, conflict):
         level = self.level
         reason = self.reason
         trail = self.trail

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gluesat
 from gluesat.cnf import SparseGraph, clause_literal_graph, random_ksat
 from gluesat.grads import backward_from_heads, check_finite, zero_grads
-from gluesat.network import _pool_for, forward, forward_with_cache, init_params, preset
+from gluesat.network import _POOL_FLOOR, _pool, forward, forward_with_cache, init_params, preset
 from gluesat.training import (
     kl_grads,
     kl_loss,
@@ -185,6 +185,12 @@ class TestBufferPool:
     reuse; a buffer is reused only once no live array references it."""
 
     @staticmethod
+    def largest_intermediate(graph, hp):
+        # float64s in a pass's largest dense buffer: a row per clause or per
+        # literal, as wide as a clause embedding or a literal pair
+        return max(graph.num_clauses, 2 * graph.num_vars) * max(hp.delta_c, 2 * hp.delta_l)
+
+    @staticmethod
     def pass_grads(p, hp, graph, cache, seed):
         dlogits = np.random.default_rng(seed).standard_normal(graph.num_vars)
         return backward_from_heads(p, hp, cache, dlogits, 0.3)
@@ -194,7 +200,7 @@ class TestBufferPool:
         p = init_params(hp, seed=1, value_head=True)
         graphs = [clause_literal_graph(random_ksat(500, 2130, 3, 1)),
                   clause_literal_graph(random_ksat(450, 1900, 3, 2))]
-        assert all(_pool_for(g, hp) is not None for g in graphs)
+        assert all(self.largest_intermediate(g, hp) >= _POOL_FLOOR for g in graphs)
         sequential = []
         for k, g in enumerate(graphs):
             _, cache = forward_with_cache(p, hp, g, train_mode=True, dropout_seed=k)
@@ -206,12 +212,28 @@ class TestBufferPool:
             for name, want in sequential[k].items():
                 assert np.array_equal(got[name], want), (k, name)
 
+    def test_small_graph_leaves_the_pool_empty(self):
+        # a train-rl-sized graph: every buffer of its pass is below the
+        # floor, so each is allocated fresh and the pool retains none
+        hp = preset("rl")
+        p = init_params(hp, seed=3, value_head=True)
+        g = clause_literal_graph(random_ksat(30, 180, 3, 0))
+        assert self.largest_intermediate(g, hp) < _POOL_FLOOR
+
+        def run():
+            _, cache = forward_with_cache(p, hp, g, train_mode=True, dropout_seed=0)
+            self.pass_grads(p, hp, g, cache, 0)
+            return _pool().bufs
+
+        with ThreadPoolExecutor(1) as ex:
+            assert ex.submit(run).result(timeout=60) == []
+
     def test_threads_at_once_match_serial_bits(self):
         # more threads than a 2-core runner has cores, each on its own graph
         hp = preset("supervised")
         p = init_params(hp, seed=2, value_head=True)
         graphs = [clause_literal_graph(random_ksat(300 + 20 * k, 1280 + 85 * k, 3, k)) for k in range(4)]
-        assert all(_pool_for(g, hp) is not None for g in graphs)
+        assert all(self.largest_intermediate(g, hp) >= _POOL_FLOOR for g in graphs)
         rounds = 6
 
         def run(g, barrier=None):

@@ -362,6 +362,24 @@ class TestWeights:
         with pytest.raises(WeightFormatError):
             load_weights(path)
 
+    @pytest.mark.parametrize("line", [b"tensor l_init one 3", b"tensor l_init 1 3.0"])
+    def test_non_integer_dimension_rejected(self, tmp_path, tiny_hyper, line):
+        path = tmp_path / "w.ngw"
+        save_weights(init_params(tiny_hyper, seed=0), tiny_hyper, path)
+        path.write_bytes(path.read_bytes().replace(b"tensor l_init 1 3", line, 1))
+        with pytest.raises(WeightFormatError, match=f"non-integer dimension in header line '{line.decode()}'"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("flag", [b"yes", b"2"])
+    def test_value_head_flag_must_be_0_or_1(self, tmp_path, tiny_hyper, flag):
+        path = tmp_path / "w.ngw"
+        save_weights(init_params(tiny_hyper, seed=0), tiny_hyper, path)
+        magic, hyper, rest = path.read_bytes().split(b"\n", 2)
+        assert hyper.endswith(b" 0")
+        path.write_bytes(b"\n".join([magic, hyper[:-1] + flag, rest]))
+        with pytest.raises(WeightFormatError, match="value-head flag must be 0 or 1"):
+            load_weights(path)
+
     @pytest.mark.parametrize("slope", [b"2", b"nan"])
     def test_bad_leaky_slope_rejected(self, tmp_path, tiny_hyper, slope):
         path = tmp_path / "w.ngw"

@@ -139,7 +139,7 @@ class TestAnalyzeConflict:
         s._enqueue(1, None)
         conflict = s._propagate()
         assert conflict is not None
-        learned, bj, glue = s._analyze(conflict)
+        learned, bj, glue = s.analyze(conflict)
         assert learned == [-1]
         assert bj == 0
         assert glue == 1
@@ -854,7 +854,7 @@ def mixed_width_formulas(draw):
 
 
 class TestMatchesReferenceSolver:
-    """The tuned solve/_propagate/_analyze/_backjump against the plain
+    """The tuned solve/_propagate/analyze/_backjump against the plain
     loops in oracles.ReferenceSolver: the same search, bit for bit."""
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
