@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -242,26 +244,48 @@ def _pool():
     return _local.pool
 
 
-def _concat_neg(L, n, pool):
-    # pair each literal's embedding with its negation's: rows v-1 and n+v-1
-    # swap; a single shared embedding (1-D L) gives the one row [L, L]
+def _pairs(L, n, lo, hi, pool):
+    # rows lo..hi of the literal pairs: each literal's embedding beside its
+    # negation's (rows v-1 and n+v-1 swap); a single shared embedding (1-D
+    # L) gives the one row [L, L]
     if L.ndim == 1:
         return np.concatenate((L, L))[None]
     d = L.shape[1]
-    X = pool.take((2 * n, 2 * d))
-    X[:, :d] = L
-    X[:n, d:] = L[n:]
-    X[n:, d:] = L[:n]
+    X = pool.take((hi - lo, 2 * d))
+    X[:, :d] = L[lo:hi]
+    mid = min(max(n, lo), hi)          # rows below mid are positive literals
+    X[: mid - lo, d:] = L[lo + n : mid + n]
+    X[mid - lo :, d:] = L[mid - n : hi - n]
     return X
 
 
-def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None):
+def _activate(z, b, slope, dropout, drng, pool, hidden):
+    """Add the bias to z in place and, on a hidden layer, apply leaky ReLU
+    and dropout; returns the dropout mask or None."""
+    z += b
+    if not hidden:
+        return None
+    # leaky ReLU in place: for 0 <= slope <= 1 (HyperParams enforces it)
+    # this max is exactly where(z > 0, z, slope * z), without a branch per
+    # element
+    np.maximum(z, np.multiply(z, slope, out=pool.take(z.shape)), out=z)
+    if drng is None or dropout == 0.0:
+        return None
+    mask = drng.random(out=pool.take(z.shape))
+    np.greater_equal(mask, dropout, out=mask)
+    mask /= 1.0 - dropout
+    z *= mask
+    return mask
+
+
+def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None, out=None):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
     every layer but the last.
 
     With ``gather``, the MLP runs on ``gather @ h``: the first layer is
     linear before its bias, so it runs on h's rows and ``gather`` applies to
-    its product, ``gather @ (h @ w) + b``.
+    its product, ``gather @ (h @ w) + b``.  With ``out`` (and no gather),
+    the last layer's product is written there.
 
     When cache is a list, each layer appends (its input, its dropout mask or
     None), where the first layer's input is h, not ``gather @ h``; the
@@ -272,7 +296,7 @@ def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None):
     ``pool``."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = np.matmul(h, w, out=pool.take((len(h), w.shape[1])))
+        z = np.matmul(h, w, out=out if i == last and out is not None else pool.take((len(h), w.shape[1])))
         if gather is not None and i == 0:
             if cache is None:
                 h = None        # free the input before the aggregate is made
@@ -280,18 +304,7 @@ def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None):
                 z = np.matmul(gather, z, out=pool.take((len(gather), z.shape[1])))
             else:       # a scipy sparse product takes no out=
                 z = gather @ z
-        z += b
-        mask = None
-        if i < last:
-            # leaky ReLU in place: for 0 <= slope <= 1 (HyperParams enforces
-            # it) this max is exactly where(z > 0, z, slope * z), without a
-            # branch per element
-            np.maximum(z, np.multiply(z, slope, out=pool.take(z.shape)), out=z)
-            if drng is not None and dropout > 0.0:
-                mask = drng.random(out=pool.take(z.shape))
-                np.greater_equal(mask, dropout, out=mask)
-                mask /= 1.0 - dropout
-                z *= mask
+        mask = _activate(z, b, slope, dropout, drng, pool, i < last)
         if cache is not None:
             cache.append((h, mask))
         h = z
@@ -319,14 +332,208 @@ def _standardize_rows(x, eps):
     return x, inv
 
 
+# ------------------------------------------------------- the network worker
+
+# A training batch runs the forward of its next example on the network
+# worker while the calling thread runs the current backward
+# (training._batch_kl) only when that next graph has at least this many
+# edges.  Below it numpy and scipy hold the GIL for much of a pass and the
+# two threads mostly take turns.  Overlapped time / serial time of a
+# 3-example batch, supervised preset, one BLAS thread, 2 cores: random
+# 3-SAT 1.33 at 384 edges, 1.16 at 768, 0.98 at 1,278, 0.97 at 2,001, 0.89
+# at 2,556; random 5-SAT 1.27 at 1,000, 1.08 at 2,000 and 0.94 at 4,000
+# edges.
+_OVERLAP_MIN_EDGES = 3_000
+
+# A cache-free pass over a graph of at least this many edges splits the
+# rows of each row-wise stage between the calling thread and the network
+# worker.  A split pass joins its halves five times (supervised preset),
+# and the halves of small stages contend for the GIL, so it breaks even
+# later than the overlap.  Split time / whole time of `forward`, random
+# 3-SAT, one BLAS thread, 2 vCPUs of a Xeon (Sapphire Rapids) VM:
+# supervised preset 1.36 at 5,112 edges, 1.07 at 7,668, 1.03 at 8,946,
+# 0.90 at 10,224, 0.82 at 12,780 and 0.73 at 17,892; rl preset 1.17 at
+# 3,195, 0.94 at 5,112 and 0.63 at 17,892.
+_SPLIT_MIN_EDGES = 10_000
+
+
+def _spare_core() -> bool:
+    """Whether numpy's BLAS runs one thread on a machine of two or more
+    cores, so that a second thread has a core to itself.  OpenBLAS reads
+    its thread count from the first of these variables set to a positive
+    number when it loads, and otherwise takes every core.  With more BLAS
+    threads, a second thread only competes for the cores that each BLAS
+    call already uses: a 3-example epoch on ~20k-edge graphs took 1.19x
+    the serial time with 2 BLAS threads on 2 cores."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1 and (os.cpu_count() or 1) >= 2
+    return False
+
+
+_SPARE_CORE = _spare_core()
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _on_worker():
+    _local.on_worker = True
+
+
+def _network_worker() -> ThreadPoolExecutor:
+    """The one thread that runs a split pass's second halves and a training
+    batch's forwards, started on first use and kept, so that its buffer
+    pool persists."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="gluesat-network", initializer=_on_worker)
+        return _worker
+
+
+def _forget_worker():
+    # a forked child has the executor but not its thread
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _split_worker(graph, keep, drng):
+    """The worker that takes the second half of every row-wise stage of
+    this pass, or None when the pass runs whole on this thread: it keeps a
+    cache, draws dropout masks (one stream, in row order), runs on the
+    worker itself, or has no spare core or too few edges to gain."""
+    if keep or drng is not None or not _SPARE_CORE or graph.num_edges < _SPLIT_MIN_EDGES:
+        return None
+    if getattr(_local, "on_worker", False):
+        return None
+    return _network_worker()
+
+
+def _half(rows, k):
+    """Rows [lo, hi) of half k (0 here, 1 on the worker) of a stage over
+    ``rows`` rows; k None is the whole stage.  The cut is a multiple of 16
+    rows, so that a half's rows keep their offsets modulo 16: BLAS's
+    matrix-vector kernels (the heads' one-column last layers) take rows in
+    blocks, and a row's bits depend on its place in a block.  The matrix
+    kernels gave the same bits at any cut that leaves each half two rows."""
+    if k is None:
+        return 0, rows
+    cut = rows // 2 // 16 * 16
+    return (0, cut) if k == 0 else (cut, rows)
+
+
+def _row_halves(m):
+    """The two row halves (``_half``) of the CSR matrix m as CSR matrices
+    sharing its data and indices (scipy's row slicing copies them).  Built
+    on the calling thread while the worker waits: the constructors hold
+    the GIL, and built inside the halves they cost a split pass at 18k
+    edges about 0.3 ms of GIL contention."""
+    from scipy.sparse import csr_matrix
+
+    halves = []
+    for k in (0, 1):
+        lo, hi = _half(m.shape[0], k)
+        start, end = m.indptr[lo], m.indptr[hi]
+        halves.append(csr_matrix((m.data[start:end], m.indices[start:end], m.indptr[lo : hi + 1] - start),
+                                 shape=(hi - lo, m.shape[1]), copy=False))
+    return halves
+
+
+def _in_halves(worker, stage, *args):
+    """stage(0, *args) on this thread and stage(1, *args) on the worker.
+    Returns once both have finished; an error in either raises here, this
+    thread's first, and only after the worker's half has ended."""
+    future = worker.submit(stage, 1, *args)
+    try:
+        stage(0, *args)
+    finally:
+        wait([future])
+    future.result()
+
+
+# ------------------------------------------------------------------ stages
+# Each stage works on rows [lo, hi) of its outputs (``_half``); a whole pass
+# runs it once over every row, a split pass runs the two halves at once.
+
+
+def _pair_products(k, L, n, w, P):
+    # the clause update's first product on rows of the literal pairs
+    lo, hi = _half(len(P), k)
+    np.matmul(_pairs(L, n, lo, hi, _pool()), w, out=P[lo:hi])
+
+
+def _clause_rows(k, params, hp, g_halves, P, C_std):
+    # the rest of the clause update on a half of the clauses: G's rows
+    # times the first products, then standardized into C_std's rows
+    lo, hi = _half(len(C_std), k)
+    pool = _pool()
+    z = g_halves[k] @ P
+    layers = params.c_update
+    _activate(z, layers[0][1], hp.leaky_slope, hp.dropout, None, pool, len(layers) > 1)
+    if len(layers) > 1:
+        _mlp_forward(layers[1:], z, hp.leaky_slope, hp.dropout, None, None, pool, out=C_std[lo:hi])
+    else:
+        C_std[lo:hi] = z
+    _standardize_rows(C_std[lo:hi], hp.ln_eps)
+
+
+def _literal_update(params, hp, B, L, out, drng, cache, pool):
+    """The literal update of the rows of B (the literals' aggregated clause
+    embeddings) and L (their embeddings, or the shared 1-D one): the
+    literal MLP, the 0.1 * L residual and the layer norm, written to out;
+    returns the normalized rows and their inverse deviations."""
+    L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, cache, pool)
+    L_res += 0.1 * L
+    xhat, inv = _standardize_rows(L_res, hp.ln_eps)
+    np.multiply(xhat, params.ln_scale, out=out)
+    out += params.ln_shift
+    return xhat, inv
+
+
+def _literal_rows(k, params, hp, spread_halves, C_std, L, out):
+    # the literal update on a half of the literals, from spread's rows
+    lo, hi = _half(len(out), k)
+    B = spread_halves[k] @ C_std
+    _literal_update(params, hp, B, L if L.ndim == 1 else L[lo:hi], out[lo:hi], None, None, _pool())
+
+
+def _heads(k, params, hp, L, n, logits, v_scores, drng=None, p_cache=None, v_cache=None):
+    # the policy head on a half of the variables' positive literal pairs,
+    # the value head on a half of all literal pairs
+    plo, phi = _half(n, k)
+    lo, hi = plo, phi
+    if v_scores is not None:
+        vlo, vhi = _half(2 * n, k)
+        lo, hi = min(lo, vlo), max(hi, vhi)
+    pool = _pool()
+    X = _pairs(L, n, lo, hi, pool)
+    _mlp_forward(params.v_policy, X[plo - lo : phi - lo], hp.leaky_slope, hp.dropout, drng, p_cache, pool,
+                 out=logits[plo:phi])
+    if v_scores is not None:
+        _mlp_forward(params.v_value, X[vlo - lo : vhi - lo], hp.leaky_slope, hp.dropout, drng, v_cache, pool,
+                     out=v_scores[vlo:vhi])
+
+
 def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     # the one forward body: with keep, it also returns the cache that
     # backward_from_heads reads; without, each intermediate is freed after
-    # its last use
+    # its last use.  A pass that _split_worker allows runs each row-wise
+    # stage in two halves at once, this thread's and the worker's, into
+    # one output; every split operation is row-wise, so the bits are the
+    # whole pass's
     g, gt, sizes, by_size = graph.matrices()
     n = graph.num_vars
     pool = _pool()
     drng = np.random.default_rng(dropout_seed) if (train_mode and hp.dropout > 0.0) else None
+    worker = _split_worker(graph, keep, drng)
     # every literal starts at l_init, so in iteration 0 a clause's aggregate
     # is its size times [l_init, l_init]: the clause update runs once per
     # size class and by_size sums the classes back into the literals
@@ -339,25 +546,34 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
         c_cache = [] if keep else None
         l_cache = [] if keep else None
         gather, spread = (sizes[:, None], by_size) if it == 0 else (g, gt)
-        # the literal pairs go in as an argument expression, so that the
-        # clause update can free them after its first product
-        C_std, c_inv = _standardize_rows(
-            _mlp_forward(params.c_update, _concat_neg(L, n, pool), hp.leaky_slope, hp.dropout, drng, c_cache,
-                         pool, gather),
-            hp.ln_eps,
-        )
-        B = spread @ C_std
-        if not keep:
-            # the largest array of an iteration; held through the literal
-            # update, it would set the peak of a cache-free pass
+        if worker is None or it == 0:
+            # the literal pairs go in as an argument expression, so that the
+            # clause update can free them after its first product
+            C_std, c_inv = _standardize_rows(
+                _mlp_forward(params.c_update, _pairs(L, n, 0, 2 * n, pool), hp.leaky_slope, hp.dropout, drng,
+                             c_cache, pool, gather),
+                hp.ln_eps,
+            )
+        else:
+            w = params.c_update[0][0]
+            P = pool.take((2 * n, w.shape[1]))
+            _in_halves(worker, _pair_products, L, n, w, P)
+            C_std = pool.take((graph.num_clauses, hp.delta_c))
+            _in_halves(worker, _clause_rows, params, hp, _row_halves(g), P, C_std)
+            del P
+        L_next = pool.take((2 * n, hp.delta_l))
+        if worker is None:
+            B = spread @ C_std
+            if not keep:
+                # the largest array of an iteration; held through the literal
+                # update, it would set the peak of a cache-free pass
+                del C_std
+            xhat, inv = _literal_update(params, hp, B, L, L_next, drng, l_cache, pool)
+            del B
+        else:
+            _in_halves(worker, _literal_rows, params, hp, _row_halves(spread), C_std, L, L_next)
             del C_std
-        L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool)
-        del B
-        L_res += 0.1 * L
-        del L
-        xhat, inv = _standardize_rows(L_res, hp.ln_eps)
-        L = np.multiply(xhat, params.ln_scale, out=pool.take(xhat.shape))
-        L += params.ln_shift
+        L = L_next
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
         if keep:
@@ -365,17 +581,19 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
                 {"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv,
                  "l_cache": l_cache, "xhat": xhat, "ln_inv": inv}
             )
-    X_final = _concat_neg(L, n, pool)
-    del L
+    logits = pool.take((n, 1))
+    v_scores = pool.take((2 * n, 1)) if params.v_value is not None else None
     p_cache = [] if keep else None
-    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache, pool).ravel()
+    v_cache = [] if keep else None
+    if worker is None:
+        _heads(None, params, hp, L, n, logits, v_scores, drng, p_cache, v_cache)
+    else:
+        _in_halves(worker, _heads, params, hp, L, n, logits, v_scores)
+    del L
+    logits = logits.ravel()
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
-    value = None
-    v_cache = [] if keep else None
-    if params.v_value is not None:
-        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool)
-        value = float(1.0 / (1.0 + np.exp(-v_scores.mean())))
+    value = None if v_scores is None else float(1.0 / (1.0 + np.exp(-v_scores.mean())))
     out = ForwardOutput(policy_logits=logits, value=value)
     if not keep:
         return out, None

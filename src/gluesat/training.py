@@ -6,13 +6,12 @@ clipping, and importance-sampling correction for policy lag.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import network
 from .cnf import SparseGraph
 from .env import GlueEnv, TrivialFormulaError
 from .grads import backward_from_heads, check_finite, zero_grads
@@ -186,78 +185,24 @@ class SupervisedResult:
     epoch_kl: list[float]
 
 
-# A batch runs the forward of its next example on a worker thread while the
-# calling thread runs the current backward only when that next graph has at
-# least this many edges.  Below it numpy and scipy hold the GIL for much of
-# a pass and the two threads mostly take turns.  Overlapped time / serial
-# time of a 3-example batch, supervised preset, one BLAS thread, 2 cores:
-# random 3-SAT 1.33 at 384 edges, 1.16 at 768, 0.98 at 1,278, 0.97 at
-# 2,001, 0.89 at 2,556; random 5-SAT 1.27 at 1,000, 1.08 at 2,000 and 0.94
-# at 4,000 edges.
-_OVERLAP_MIN_EDGES = 3_000
-
-
-def _spare_core() -> bool:
-    """Whether numpy's BLAS runs one thread on a machine of two or more
-    cores, so that a second thread has a core to itself.  OpenBLAS reads
-    its thread count from the first of these variables set to a positive
-    number when it loads, and otherwise takes every core.  With more BLAS
-    threads, the overlap only makes the two passes compete for the cores
-    that each BLAS call already uses: a 3-example epoch on ~20k-edge graphs
-    took 1.19x the serial time with 2 BLAS threads on 2 cores."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1 and (os.cpu_count() or 1) >= 2
-    return False
-
-
-_SPARE_CORE = _spare_core()
-
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _forward_worker() -> ThreadPoolExecutor:
-    """The one thread that runs overlapped forwards, started on first use
-    and kept, so that its buffer pool (network._pool) persists."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="gluesat-forward")
-        return _worker
-
-
-def _forget_worker():
-    # a forked child has the executor but not its thread
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
 def _batch_kl(params, hp, graphs, targets, seeds, train_mode, grads) -> float:
     """The summed KL loss of one batch, with the gradient of each example's
     KL / len(graphs) accumulated into ``grads`` in batch order.
 
     When a core is spare and a graph after the first reaches
-    _OVERLAP_MIN_EDGES, every forward of the batch runs on the worker
-    thread, and the forward of each such graph starts as soon as the
+    network._OVERLAP_MIN_EDGES, every forward of the batch runs on the
+    network worker, and the forward of each such graph starts as soon as the
     previous forward has returned, so it runs while this thread runs the
     previous example's backward.  Backwards stay here and in order, and each
     forward has its own dropout seed, so the sums are the serial loop's bit
     for bit.  At most one forward runs ahead, and none is left running when
     this returns or raises."""
     scale = 1.0 / len(graphs)
-    ahead = [_SPARE_CORE and g.num_edges >= _OVERLAP_MIN_EDGES for g in graphs[1:]] + [False]
+    ahead = [network._SPARE_CORE and g.num_edges >= network._OVERLAP_MIN_EDGES for g in graphs[1:]] + [False]
     if not any(ahead):
         return sum(kl_grads(params, hp, graph, target, grads, scale, train_mode, seed)[0]
                    for graph, target, seed in zip(graphs, targets, seeds))
-    worker = _forward_worker()
+    worker = network._network_worker()
 
     def submit(k):
         return worker.submit(forward_with_cache, params, hp, graphs[k], train_mode=train_mode,
@@ -362,6 +307,7 @@ class ReinforceLoss:
     value_loss: float
     grads: dict
     mean_return: float
+    policy_entropy: float         # mean entropy of the steps' policies
 
 
 @dataclass
@@ -463,15 +409,18 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
     policy_loss = 0.0
     value_loss = 0.0
     returns_sum = 0.0
+    entropy = 0.0
     i = 0
     for ep in episodes:
         returns_sum += sum(s.reward for s in ep)
         for step in ep:
             out, cache = forward_with_cache(params, hp, step.observation)
             logp = log_softmax(out.policy_logits)
+            probs = np.exp(logp)
+            entropy -= float(probs @ logp)
             weight = ratios[i] * advantages[i]
             policy_loss += -weight * float(logp[step.action]) / total_steps
-            dlogits = (weight / total_steps) * (np.exp(logp) - _onehot(step.action, logp.size))
+            dlogits = (weight / total_steps) * (probs - _onehot(step.action, logp.size))
             dvalue = 0.0
             if params.v_value is not None:
                 err = out.value - value_targets[i]
@@ -487,6 +436,7 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
         value_loss=float(value_loss),
         grads=grads,
         mean_return=returns_sum / len(episodes),
+        policy_entropy=entropy / total_steps,
     )
 
 
@@ -515,8 +465,11 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     the training memory.  A non-finite gradient raises FloatingPointError
     before the Adam step.
 
-    Each history row also records ``grad_norm``, the global gradient norm
-    of the last grad step before clipping.
+    Each history row also records, for the last grad step, ``grad_norm``,
+    the global gradient norm before clipping; ``ratio_clip_frac``, the
+    share of its importance ratios held at the ratio clip (0 at the first
+    step, whose ratios are all 1); and ``policy_entropy``, the mean entropy
+    of its per-step policies.
     """
     cfg = config or RLConfig()
     if not formulas:
@@ -547,6 +500,7 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                 weights = _rollout_weights(episodes)
             else:
                 weights = reinforce_weights(episodes, params, hp)
+            ratios = weights[0]
             last = reinforce_surrogate(episodes, params, hp, *weights[:3])
             grad_norm = clip_gradients(last.grads, _CLIP_NORM)
             adam_step(adam, params, last.grads, cfg.lr)
@@ -559,6 +513,8 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                 "value_loss": last.value_loss,
                 "total_loss": last.total,
                 "grad_norm": grad_norm,
+                "ratio_clip_frac": float(np.mean(ratios >= _RATIO_CLIP)),
+                "policy_entropy": last.policy_entropy,
             }
         )
         if cfg.checkpoint_path:

@@ -339,7 +339,8 @@ class TestPipelineCommands:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert list(rows[0]) == ["batch", "episodes", "mean_return", "policy_loss",
-                                 "value_loss", "total_loss", "grad_norm"]
+                                 "value_loss", "total_loss", "grad_norm", "ratio_clip_frac",
+                                 "policy_entropy"]
         assert all(float(row["grad_norm"]) > 0 for row in rows)
 
     @pytest.mark.parametrize("flag", [["--grad-steps", "0"], ["--workers", "0"],

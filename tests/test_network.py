@@ -1,10 +1,17 @@
 import hashlib
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import gluesat.network as network
 from gluesat.cnf import Formula, SparseGraph, clause_literal_graph, random_ksat
 from gluesat.network import (
     HyperParams,
@@ -237,6 +244,206 @@ class TestCacheFreeForward:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * retained, (peak, retained)
+
+
+@st.composite
+def split_graphs(draw):
+    """1 to 80 variables and 0, 1 or up to 120 clauses of 0 to 6 literal
+    columns drawn with replacement: stages of fewer than 32 rows (which
+    the worker runs whole) and of more, odd row counts, repeated edges,
+    empty and one-literal clauses."""
+    n = draw(st.integers(1, 80))
+    m = draw(st.sampled_from([0, 1]) | st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.repeat(np.arange(m), rng.integers(0, 7, m))
+    cols = rng.integers(0, 2 * n, len(rows))
+    return SparseGraph(m, n, rows, cols, tuple(range(1, n + 1)))
+
+
+def _whole(params, hp, graph):
+    """forward with the split off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_SPARE_CORE", False)
+        return forward(params, hp, graph)
+
+
+def _same_output(got, want):
+    assert np.array_equal(got.policy_logits, want.policy_logits)
+    assert got.value == want.value
+
+
+def _stages(monkeypatch):
+    """Record the name of each stage that a pass splits."""
+    names = []
+    in_halves = network._in_halves
+
+    def recorded(worker, stage, *args):
+        names.append(stage.__name__)
+        return in_halves(worker, stage, *args)
+
+    monkeypatch.setattr(network, "_in_halves", recorded)
+    return names
+
+
+def _split_in_child(params, hp, graph, want):
+    # exits 0 only when this forked process starts a worker of its own, the
+    # parent's being forgotten, and its split pass gives the whole pass's bits
+    assert network._worker is None
+    got = forward(params, hp, graph)
+    assert network._worker is not None
+    assert any(t.name.startswith("gluesat-network") for t in threading.enumerate())
+    _same_output(got, want)
+
+
+@pytest.fixture(scope="module")
+def split_graph():
+    return clause_literal_graph(random_ksat(300, 1278, 3, 2))
+
+
+class TestSplitForward:
+    """With a spare core, a cache-free pass over a large enough graph runs
+    the rows of each row-wise stage half here and half on the network
+    worker: the outputs must be the whole pass's bits, and no half may
+    outlive the call."""
+
+    @pytest.fixture
+    def split_on(self, monkeypatch):
+        monkeypatch.setattr(network, "_SPARE_CORE", True)
+        monkeypatch.setattr(network, "_SPLIT_MIN_EDGES", 0)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(split_graphs(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000))
+    def test_same_bits_as_the_whole_pass(self, graph, name, seed):
+        hp = preset(name)
+        params = init_params(hp, seed=seed, value_head=True)
+        want = _whole(params, hp, graph)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "_SPARE_CORE", True)
+            patch.setattr(network, "_SPLIT_MIN_EDGES", 0)
+            stages = _stages(patch)
+            got = forward(params, hp, graph)
+        # iteration 0 splits only its literal update: its clause update runs
+        # once per size class
+        assert stages == (["_literal_rows"] + ["_pair_products", "_clause_rows", "_literal_rows"]
+                          * (hp.tau_iters - 1) + ["_heads"])
+        _same_output(got, want)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_in_either_half_raises_here_after_both_end(self, split_on, monkeypatch, split_graph,
+                                                                failing):
+        hp = preset("supervised")
+        params = init_params(hp, seed=1)
+        ends = {}
+        literal_rows = network._literal_rows
+
+        def poisoned(k, *args):
+            try:
+                if k != failing:
+                    time.sleep(0.05)        # still running when the other half fails
+                literal_rows(k, *args)
+                if k == failing:
+                    raise FloatingPointError(f"poisoned half {k}")
+            finally:
+                ends[k] = (threading.current_thread(), time.perf_counter())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_literal_rows", poisoned)
+            with pytest.raises(FloatingPointError, match=f"poisoned half {failing}"):
+                forward(params, hp, split_graph)
+            raised = time.perf_counter()
+        assert ends[0][0] is threading.current_thread() and ends[1][0].name.startswith("gluesat-network")
+        assert max(end for _, end in ends.values()) < raised
+        # the worker still serves the next call
+        _same_output(forward(params, hp, split_graph), _whole(params, hp, split_graph))
+
+    def test_concurrent_callers_get_the_whole_pass_bits(self, split_on, split_graph):
+        # three callers and the worker on two cores, switching threads every
+        # few bytecodes: their halves interleave on the one worker and its
+        # buffer pool
+        hp = preset("rl")
+        params = init_params(hp, seed=3, value_head=True)
+        graphs = [split_graph] + [clause_literal_graph(random_ksat(301, 1282, 3, s)) for s in (5, 6)]
+        wants = [_whole(params, hp, g) for g in graphs]
+        results = [[] for _ in graphs]
+
+        def run(i):
+            for _ in range(8):
+                results[i].append(forward(params, hp, graphs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(graphs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got, want in zip(results, wants):
+            assert len(got) == 8
+            for out in got:
+                _same_output(out, want)
+
+    def test_forked_child_splits_on_its_own_worker(self, split_on, split_graph):
+        hp = preset("supervised")
+        params = init_params(hp, seed=4)
+        want = _whole(params, hp, split_graph)
+        forward(params, hp, split_graph)            # the worker now runs here
+        assert network._worker is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_split_in_child, args=(params, hp, split_graph, want))
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+        assert not alive and child.exitcode == 0
+
+    @pytest.mark.parametrize("spare, min_edges", [(True, 10**9), (False, 0)])
+    def test_below_the_gate_or_with_no_spare_core_no_thread_starts(self, monkeypatch, split_graph, spare,
+                                                                    min_edges):
+        monkeypatch.setattr(network, "_SPARE_CORE", spare)
+        monkeypatch.setattr(network, "_SPLIT_MIN_EDGES", min_edges)
+        monkeypatch.setattr(network, "_worker", None)
+        stages = _stages(monkeypatch)
+        before = set(threading.enumerate())
+        hp = preset("supervised")
+        forward(init_params(hp, seed=0), hp, split_graph)
+        assert stages == [] and network._worker is None
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_forward_with_cache_never_splits(self, split_on, monkeypatch, split_graph, train_mode):
+        monkeypatch.setattr(network, "_worker", None)
+        stages = _stages(monkeypatch)
+        hp = preset("supervised")
+        forward_with_cache(init_params(hp, seed=0), hp, split_graph, train_mode=train_mode)
+        assert stages == [] and network._worker is None
+
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_same_bits_at_the_real_gate(self, monkeypatch, name):
+        # no gate patched: under one BLAS thread on two or more cores (CI
+        # runs this file so) this pass splits, otherwise it runs whole
+        graph = clause_literal_graph(random_ksat(900, 3834, 3, 1))
+        assert graph.num_edges >= network._SPLIT_MIN_EDGES
+        hp = preset(name)
+        params = init_params(hp, seed=6, value_head=True)
+        stages = _stages(monkeypatch)
+        got = forward(params, hp, graph)
+        assert bool(stages) == network._SPARE_CORE
+        _same_output(got, _whole(params, hp, graph))
+
+    def test_a_pass_on_the_worker_runs_whole(self, split_on, monkeypatch, split_graph):
+        # a half waits for the worker, so the worker must never wait for itself
+        hp = preset("supervised")
+        params = init_params(hp, seed=0)
+        want = _whole(params, hp, split_graph)
+        stages = _stages(monkeypatch)
+        got = network._network_worker().submit(forward, params, hp, split_graph).result(timeout=60)
+        assert stages == []
+        _same_output(got, want)
 
 
 class TestPolicyDistribution:

@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import gluesat.network as network
 import gluesat.training as training
 from gluesat.cnf import Formula, clause_literal_graph, random_ksat
 from gluesat.env import GlueEnv
@@ -229,9 +230,9 @@ def _labelled(graph, seed):
 def overlap_data():
     """Three graphs above the overlap gate and one below it."""
     big = [clause_literal_graph(random_ksat(260, 1100, 3, s)) for s in range(3)]
-    assert min(g.num_edges for g in big) >= training._OVERLAP_MIN_EDGES
+    assert min(g.num_edges for g in big) >= network._OVERLAP_MIN_EDGES
     small = degree_example(0).graph
-    assert small.num_edges < training._OVERLAP_MIN_EDGES
+    assert small.num_edges < network._OVERLAP_MIN_EDGES
     return [_labelled(g, s) for s, g in enumerate([big[0], small, big[1], big[2]])]
 
 
@@ -263,7 +264,7 @@ class TestOverlappedTraining:
 
     @pytest.fixture(autouse=True)
     def spare_core(self, monkeypatch):
-        monkeypatch.setattr(training, "_SPARE_CORE", True)
+        monkeypatch.setattr(network, "_SPARE_CORE", True)
 
     @pytest.mark.parametrize("dropout", [True, False])
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
@@ -314,11 +315,11 @@ class TestOverlappedTraining:
         cfg = SupervisedConfig(epochs=2, batch_size=3, seed=0)
         init = init_params(hp, seed=0)
         reference = serial_train_supervised(data, hp, cfg, init)
-        monkeypatch.setattr(training, "_worker", None)
+        monkeypatch.setattr(network, "_worker", None)
         threads = _forward_threads(monkeypatch)
         before = set(threading.enumerate())
         _same_bits(train_supervised(data, hp, cfg, init=init), reference)
-        assert training._worker is None
+        assert network._worker is None
         assert set(threading.enumerate()) == before
         assert len(threads) == 8 and all(t is threading.main_thread() for t in threads)
 
@@ -335,11 +336,11 @@ class TestOverlappedTraining:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        monkeypatch.setattr(training.os, "cpu_count", lambda: cores)
-        assert training._spare_core() is spare
+        monkeypatch.setattr(network.os, "cpu_count", lambda: cores)
+        assert network._spare_core() is spare
 
     def test_no_core_to_spare_starts_no_thread(self, overlap_data, monkeypatch):
-        monkeypatch.setattr(training, "_SPARE_CORE", False)
+        monkeypatch.setattr(network, "_SPARE_CORE", False)
         threads = _forward_threads(monkeypatch)
         hp = preset("supervised")
         train_supervised(overlap_data, hp, SupervisedConfig(epochs=1, batch_size=4))
@@ -353,7 +354,7 @@ class TestOverlappedTraining:
         # the first example of the first batch whose successor runs ahead:
         # that forward is still running when this example's backward fails
         order = np.random.default_rng(cfg.seed).permutation(len(overlap_data))
-        k = next(k for k in range(3) if overlap_data[order[k + 1]].graph.num_edges >= training._OVERLAP_MIN_EDGES)
+        k = next(k for k in range(3) if overlap_data[order[k + 1]].graph.num_edges >= network._OVERLAP_MIN_EDGES)
         poisoned = overlap_data[order[k]].graph
         ends = []
         forward_with_cache = training.forward_with_cache
@@ -391,7 +392,7 @@ class TestOverlappedTraining:
         hp = preset("supervised")
         cfg = SupervisedConfig(epochs=1, batch_size=4, seed=0)
         train_supervised(overlap_data, hp, cfg)        # the worker now runs here
-        assert training._worker is not None
+        assert network._worker is not None
         child = multiprocessing.get_context("fork").Process(
             target=train_supervised, args=(overlap_data, hp, cfg))
         child.start()
@@ -471,6 +472,17 @@ class TestReinforcePieces:
         ratios, _, _, _ = reinforce_weights(inflated, p, tiny_hyper)
         assert ratios.max() <= 10.0
 
+    def test_policy_entropy_is_the_mean_step_entropy(self, tiny_hyper):
+        p = perturbed_params(tiny_hyper)
+        episodes = self._episodes(p, tiny_hyper, k=4, seed=3)
+        res = reinforce_surrogate(episodes, p, tiny_hyper, *reinforce_weights(episodes, p, tiny_hyper)[:3])
+        entropies = []
+        for ep in episodes:
+            for step in ep:
+                probs = np.exp(log_softmax(forward(p, tiny_hyper, step.observation).policy_logits))
+                entropies.append(-np.sum(probs * np.log(probs)))
+        assert res.policy_entropy == pytest.approx(np.mean(entropies), rel=1e-12)
+
     def test_empty_batch_rejected(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         with pytest.raises(ValueError, match="empty episode batch"):
@@ -522,6 +534,23 @@ class TestTrainRl:
         assert a.history == b.history
         for (_, ta), (_, tb) in zip(a.params.tensors(), b.params.tensors()):
             assert np.array_equal(ta, tb)
+
+    @pytest.mark.parametrize("grad_steps", [1, 3])
+    def test_history_records_ratio_clips_and_entropy(self, grad_steps):
+        hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        formulas = [random_ksat(20, 85, 3, s) for s in range(4)]
+        # a large step moves the policy far enough for ratios to reach the clip
+        cfg = RLConfig(workers=2, episodes_per_worker=2, grad_steps=grad_steps, batches=3, lr=0.5, seed=1)
+        history = train_rl(formulas, hp, cfg).history
+        for row in history:
+            assert 0.0 <= row["ratio_clip_frac"] <= 1.0
+            # every step's policy is over at most 20 variables
+            assert 0.0 <= row["policy_entropy"] <= np.log(20)
+        clipped = [row["ratio_clip_frac"] for row in history]
+        if grad_steps == 1:
+            assert clipped == [0.0] * len(history)     # every ratio is exp(0) = 1
+        else:
+            assert max(clipped) > 0.0
 
     def test_forward_and_backward_counts(self, monkeypatch):
         # the first grad step reuses the rollout's log-probabilities and
