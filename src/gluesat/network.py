@@ -244,18 +244,16 @@ def _pool():
     return _local.pool
 
 
-def _pairs(L, n, lo, hi, pool):
-    # rows lo..hi of the literal pairs: each literal's embedding beside its
-    # negation's (rows v-1 and n+v-1 swap); a single shared embedding (1-D
-    # L) gives the one row [L, L]
+def _concat_neg(L, n, pool):
+    # pair each literal's embedding with its negation's: rows v-1 and n+v-1
+    # swap; a single shared embedding (1-D L) gives the one row [L, L]
     if L.ndim == 1:
         return np.concatenate((L, L))[None]
     d = L.shape[1]
-    X = pool.take((hi - lo, 2 * d))
-    X[:, :d] = L[lo:hi]
-    mid = min(max(n, lo), hi)          # rows below mid are positive literals
-    X[: mid - lo, d:] = L[lo + n : mid + n]
-    X[mid - lo :, d:] = L[mid - n : hi - n]
+    X = pool.take((2 * n, 2 * d))
+    X[:, :d] = L
+    X[:n, d:] = L[n:]
+    X[n:, d:] = L[:n]
     return X
 
 
@@ -346,14 +344,15 @@ def _standardize_rows(x, eps):
 _OVERLAP_MIN_EDGES = 3_000
 
 # A cache-free pass over a graph of at least this many edges splits the
-# rows of each row-wise stage between the calling thread and the network
-# worker.  A split pass joins its halves five times (supervised preset),
-# and the halves of small stages contend for the GIL, so it breaks even
-# later than the overlap.  Split time / whole time of `forward`, random
-# 3-SAT, one BLAS thread, 2 vCPUs of a Xeon (Sapphire Rapids) VM:
-# supervised preset 1.36 at 5,112 edges, 1.07 at 7,668, 1.03 at 8,946,
-# 0.90 at 10,224, 0.82 at 12,780 and 0.73 at 17,892; rl preset 1.17 at
-# 3,195, 0.94 at 5,112 and 0.63 at 17,892.
+# rows of its clause and literal updates between the calling thread and
+# the network worker.  A split pass joins its halves 2 * tau_iters - 1
+# times, and the halves of small stages contend for the GIL, so it breaks
+# even later than the overlap.  Split time / whole time of `forward`,
+# random 3-SAT, one BLAS thread, 2 vCPUs of a Xeon (Sapphire Rapids) VM,
+# two alternating medians of 50 passes each: supervised preset 0.97-1.0
+# at 8,946 edges, 0.89-0.94 at 10,224, 0.74-0.78 at 12,780 and 0.70-0.72
+# at 17,892; rl preset 1.02-1.13 at 6,390, 0.95-0.98 at 8,946 and
+# 0.62-0.65 at 17,892.
 _SPLIT_MIN_EDGES = 10_000
 
 
@@ -406,8 +405,8 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _split_worker(graph, keep, drng):
-    """The worker that takes the second half of every row-wise stage of
-    this pass, or None when the pass runs whole on this thread: it keeps a
+    """The worker that takes the second half of each split stage of this
+    pass, or None when the pass runs whole on this thread: it keeps a
     cache, draws dropout masks (one stream, in row order), runs on the
     worker itself, or has no spare core or too few edges to gain."""
     if keep or drng is not None or not _SPARE_CORE or graph.num_edges < _SPLIT_MIN_EDGES:
@@ -419,14 +418,10 @@ def _split_worker(graph, keep, drng):
 
 def _half(rows, k):
     """Rows [lo, hi) of half k (0 here, 1 on the worker) of a stage over
-    ``rows`` rows; k None is the whole stage.  The cut is a multiple of 16
-    rows, so that a half's rows keep their offsets modulo 16: BLAS's
-    matrix-vector kernels (the heads' one-column last layers) take rows in
-    blocks, and a row's bits depend on its place in a block.  The matrix
-    kernels gave the same bits at any cut that leaves each half two rows."""
-    if k is None:
-        return 0, rows
-    cut = rows // 2 // 16 * 16
+    ``rows`` rows.  A stage of fewer than four rows runs whole here: numpy
+    multiplies a one-row matrix with a matrix-vector kernel, whose bits
+    can differ from the matrix kernel's that the whole stage uses."""
+    cut = rows // 2 if rows >= 4 else rows
     return (0, cut) if k == 0 else (cut, rows)
 
 
@@ -460,19 +455,13 @@ def _in_halves(worker, stage, *args):
 
 
 # ------------------------------------------------------------------ stages
-# Each stage works on rows [lo, hi) of its outputs (``_half``); a whole pass
-# runs it once over every row, a split pass runs the two halves at once.
-
-
-def _pair_products(k, L, n, w, P):
-    # the clause update's first product on rows of the literal pairs
-    lo, hi = _half(len(P), k)
-    np.matmul(_pairs(L, n, lo, hi, _pool()), w, out=P[lo:hi])
+# Each stage works on rows [lo, hi) of its output (``_half``); a split pass
+# runs its two halves at once.
 
 
 def _clause_rows(k, params, hp, g_halves, P, C_std):
-    # the rest of the clause update on a half of the clauses: G's rows
-    # times the first products, then standardized into C_std's rows
+    # the clause update on a half of the clauses after its first product P:
+    # G's rows times P, then the rest of the MLP, standardized into C_std
     lo, hi = _half(len(C_std), k)
     pool = _pool()
     z = g_halves[k] @ P
@@ -485,50 +474,31 @@ def _clause_rows(k, params, hp, g_halves, P, C_std):
     _standardize_rows(C_std[lo:hi], hp.ln_eps)
 
 
-def _literal_update(params, hp, B, L, out, drng, cache, pool):
-    """The literal update of the rows of B (the literals' aggregated clause
-    embeddings) and L (their embeddings, or the shared 1-D one): the
-    literal MLP, the 0.1 * L residual and the layer norm, written to out;
-    returns the normalized rows and their inverse deviations."""
-    L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, cache, pool)
-    L_res += 0.1 * L
-    xhat, inv = _standardize_rows(L_res, hp.ln_eps)
+def _layer_norm(params, hp, x, out):
+    """Standardize x's rows in place and write their affine layer norm to
+    out; returns the standardized rows and their inverse deviations."""
+    xhat, inv = _standardize_rows(x, hp.ln_eps)
     np.multiply(xhat, params.ln_scale, out=out)
     out += params.ln_shift
     return xhat, inv
 
 
-def _literal_rows(k, params, hp, spread_halves, C_std, L, out):
+def _literal_rows(k, params, hp, spread_halves, C_std, L, L_next):
     # the literal update on a half of the literals, from spread's rows
-    lo, hi = _half(len(out), k)
-    B = spread_halves[k] @ C_std
-    _literal_update(params, hp, B, L if L.ndim == 1 else L[lo:hi], out[lo:hi], None, None, _pool())
-
-
-def _heads(k, params, hp, L, n, logits, v_scores, drng=None, p_cache=None, v_cache=None):
-    # the policy head on a half of the variables' positive literal pairs,
-    # the value head on a half of all literal pairs
-    plo, phi = _half(n, k)
-    lo, hi = plo, phi
-    if v_scores is not None:
-        vlo, vhi = _half(2 * n, k)
-        lo, hi = min(lo, vlo), max(hi, vhi)
-    pool = _pool()
-    X = _pairs(L, n, lo, hi, pool)
-    _mlp_forward(params.v_policy, X[plo - lo : phi - lo], hp.leaky_slope, hp.dropout, drng, p_cache, pool,
-                 out=logits[plo:phi])
-    if v_scores is not None:
-        _mlp_forward(params.v_value, X[vlo - lo : vhi - lo], hp.leaky_slope, hp.dropout, drng, v_cache, pool,
-                     out=v_scores[vlo:vhi])
+    lo, hi = _half(len(L_next), k)
+    L_res = _mlp_forward(params.l_update, spread_halves[k] @ C_std, hp.leaky_slope, hp.dropout, None, None,
+                         _pool())
+    L_res += 0.1 * (L if L.ndim == 1 else L[lo:hi])
+    _layer_norm(params, hp, L_res, L_next[lo:hi])
 
 
 def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     # the one forward body: with keep, it also returns the cache that
     # backward_from_heads reads; without, each intermediate is freed after
-    # its last use.  A pass that _split_worker allows runs each row-wise
-    # stage in two halves at once, this thread's and the worker's, into
-    # one output; every split operation is row-wise, so the bits are the
-    # whole pass's
+    # its last use.  A pass that _split_worker allows runs each literal
+    # update, and each clause update after its first product but iteration
+    # 0's, in two halves at once, this thread's and the worker's, into one
+    # output; the heads run whole
     g, gt, sizes, by_size = graph.matrices()
     n = graph.num_vars
     pool = _pool()
@@ -550,30 +520,33 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
             # the literal pairs go in as an argument expression, so that the
             # clause update can free them after its first product
             C_std, c_inv = _standardize_rows(
-                _mlp_forward(params.c_update, _pairs(L, n, 0, 2 * n, pool), hp.leaky_slope, hp.dropout, drng,
+                _mlp_forward(params.c_update, _concat_neg(L, n, pool), hp.leaky_slope, hp.dropout, drng,
                              c_cache, pool, gather),
                 hp.ln_eps,
             )
         else:
             w = params.c_update[0][0]
-            P = pool.take((2 * n, w.shape[1]))
-            _in_halves(worker, _pair_products, L, n, w, P)
+            P = np.matmul(_concat_neg(L, n, pool), w, out=pool.take((2 * n, w.shape[1])))
             C_std = pool.take((graph.num_clauses, hp.delta_c))
             _in_halves(worker, _clause_rows, params, hp, _row_halves(g), P, C_std)
             del P
-        L_next = pool.take((2 * n, hp.delta_l))
         if worker is None:
             B = spread @ C_std
             if not keep:
                 # the largest array of an iteration; held through the literal
                 # update, it would set the peak of a cache-free pass
                 del C_std
-            xhat, inv = _literal_update(params, hp, B, L, L_next, drng, l_cache, pool)
+            L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool)
             del B
+            L_res += 0.1 * L
+            del L
+            L = pool.take(L_res.shape)
+            xhat, inv = _layer_norm(params, hp, L_res, L)
         else:
+            L_next = pool.take((2 * n, hp.delta_l))
             _in_halves(worker, _literal_rows, params, hp, _row_halves(spread), C_std, L, L_next)
             del C_std
-        L = L_next
+            L = L_next
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
         if keep:
@@ -581,19 +554,17 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
                 {"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv,
                  "l_cache": l_cache, "xhat": xhat, "ln_inv": inv}
             )
-    logits = pool.take((n, 1))
-    v_scores = pool.take((2 * n, 1)) if params.v_value is not None else None
-    p_cache = [] if keep else None
-    v_cache = [] if keep else None
-    if worker is None:
-        _heads(None, params, hp, L, n, logits, v_scores, drng, p_cache, v_cache)
-    else:
-        _in_halves(worker, _heads, params, hp, L, n, logits, v_scores)
+    X_final = _concat_neg(L, n, pool)
     del L
-    logits = logits.ravel()
+    p_cache = [] if keep else None
+    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache, pool).ravel()
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
-    value = None if v_scores is None else float(1.0 / (1.0 + np.exp(-v_scores.mean())))
+    value = None
+    v_cache = [] if keep else None
+    if params.v_value is not None:
+        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool)
+        value = float(1.0 / (1.0 + np.exp(-v_scores.mean())))
     out = ForwardOutput(policy_logits=logits, value=value)
     if not keep:
         return out, None

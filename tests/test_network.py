@@ -249,8 +249,8 @@ class TestCacheFreeForward:
 @st.composite
 def split_graphs(draw):
     """1 to 80 variables and 0, 1 or up to 120 clauses of 0 to 6 literal
-    columns drawn with replacement: stages of fewer than 32 rows (which
-    the worker runs whole) and of more, odd row counts, repeated edges,
+    columns drawn with replacement: stages of fewer than four rows (which
+    run whole on the caller) and of more, odd row counts, repeated edges,
     empty and one-literal clauses."""
     n = draw(st.integers(1, 80))
     m = draw(st.sampled_from([0, 1]) | st.integers(2, 120))
@@ -324,8 +324,7 @@ class TestSplitForward:
             got = forward(params, hp, graph)
         # iteration 0 splits only its literal update: its clause update runs
         # once per size class
-        assert stages == (["_literal_rows"] + ["_pair_products", "_clause_rows", "_literal_rows"]
-                          * (hp.tau_iters - 1) + ["_heads"])
+        assert stages == ["_literal_rows"] + ["_clause_rows", "_literal_rows"] * (hp.tau_iters - 1)
         _same_output(got, want)
 
     @pytest.mark.parametrize("failing", [0, 1])
