@@ -20,6 +20,7 @@ __all__ = [
     "SplitPiece",
     "brute_force",
     "clause_literal_graph",
+    "disjoint_union",
     "normalize_clause",
     "parse_dimacs",
     "random_ksat",
@@ -142,6 +143,12 @@ class SparseGraph:
     ``i`` (1-based) is positive at column ``i-1`` and negative at column
     ``num_vars + i - 1``.  ``var_map[i-1]`` gives the original variable
     behind compacted variable ``i``.
+
+    ``parts`` holds the (clause count, variable count) of each graph that
+    ``disjoint_union`` joined into this one, in order; a plain graph is
+    one part, ``((num_clauses, num_vars),)``, the default.  In a union the
+    layout above holds within each part's own block of columns
+    (``disjoint_union``).
     """
 
     num_clauses: int
@@ -149,49 +156,128 @@ class SparseGraph:
     rows: np.ndarray
     cols: np.ndarray
     var_map: tuple[int, ...]
+    parts: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int32)
         cols = np.asarray(self.cols, dtype=np.int32)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError(f"rows {rows.shape} and cols {cols.shape} must be equal-length vectors")
+        parts = tuple(self.parts) or ((self.num_clauses, self.num_vars),)
+        if tuple(map(sum, zip(*parts))) != (self.num_clauses, self.num_vars):
+            raise ValueError(f"parts {parts} do not sum to ({self.num_clauses}, {self.num_vars})")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def num_edges(self) -> int:
         return len(self.cols)
 
+    def part_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(clause bounds, variable bounds), cached after first use: part j
+        holds clauses [c[j], c[j + 1]) and compacted variables v[j] + 1 to
+        v[j + 1]."""
+        cached = self.__dict__.get("_bounds")
+        if cached is None:
+            cached = tuple(np.cumsum(np.array(((0, 0),) + self.parts), axis=0).T)
+            object.__setattr__(self, "_bounds", cached)
+        return cached
+
+    def pairing(self):
+        """(negation, positive), cached after first use, or None for a
+        plain graph, whose literal columns l and l + num_vars are each
+        other's negation.  In a union ``negation[l]`` is the column of
+        literal l's negation and ``positive`` the columns of the positive
+        literals, in variable order."""
+        if len(self.parts) == 1:
+            return None
+        cached = self.__dict__.get("_pairing")
+        if cached is None:
+            starts = 2 * self.part_bounds()[1][:-1]
+            sizes = np.array([n for _, n in self.parts])
+            base = np.repeat(starts, 2 * sizes)
+            within = np.arange(2 * self.num_vars) - base
+            half = np.repeat(sizes, 2 * sizes)
+            negation = base + np.where(within < half, within + half, within - half)
+            cached = (negation, np.flatnonzero(within < half))
+            object.__setattr__(self, "_pairing", cached)
+        return cached
+
     def matrices(self):
-        """(G, G_transpose, sizes, by_size), cached after first use.
+        """(G, G_transpose, sizes, by_size, class_bounds), cached after
+        first use.
 
         G and its transpose are scipy CSR matrices; repeated (row, col)
-        edges sum into one entry.  ``sizes`` holds the distinct clause sizes
-        (edge counts, repeats included) in ascending order, as floats;
-        ``by_size`` is the 2N x len(sizes) CSR matrix whose entry (l, u)
-        sums G[c, l] over the clauses c of size ``sizes[u]``: G transposed
-        times the clause-to-size indicator.
+        edges sum into one entry.  A size class is one part's clauses of one
+        size (edge count, repeats included).  ``sizes`` holds each class's
+        size as a float, part after part and ascending within a part; part
+        j's classes are [class_bounds[j], class_bounds[j + 1]).  ``by_size``
+        is the 2N x len(sizes) CSR matrix whose entry (l, u) sums G[c, l]
+        over the clauses c of class u: G transposed times the
+        clause-to-class indicator.  A union that ``disjoint_union`` made
+        joins its graphs' own matrices, block by block.
         """
         cached = self.__dict__.get("_mats")
         if cached is None:
             from scipy.sparse import coo_matrix, csr_matrix
 
+            members = self.__dict__.get("_members")
+            if members is not None:
+                cached = _block_diagonal([m.matrices() for m in members])
+                object.__setattr__(self, "_mats", cached)
+                return cached
             shape = (self.num_clauses, 2 * self.num_vars)
             g = coo_matrix((np.ones(len(self.rows)), (self.rows, self.cols)), shape=shape).tocsr()
             gt = g.T.tocsr()
             counts = np.bincount(self.rows, minlength=self.num_clauses)
-            present = np.bincount(counts) > 0
+            width = int(counts.max(initial=0)) + 1
+            key = counts
+            if len(self.parts) > 1:
+                # a clause's class key: its part times a bound on the sizes, plus its size
+                key = counts + np.repeat(np.arange(len(self.parts)) * width, [c for c, _ in self.parts])
+            present = np.bincount(key, minlength=len(self.parts) * width) > 0
             size_class = np.cumsum(present) - 1
             # G^T's entries with each clause column replaced by its size
             # class; sum_duplicates works in place, hence the copies
             by_size = csr_matrix(
-                (gt.data.copy(), size_class[counts][gt.indices], gt.indptr.copy()),
+                (gt.data.copy(), size_class[key][gt.indices], gt.indptr.copy()),
                 shape=(2 * self.num_vars, int(present.sum())),
             )
             by_size.sum_duplicates()
-            cached = (g, gt, np.flatnonzero(present).astype(float), by_size)
+            class_bounds = np.concatenate(([0], np.cumsum(present.reshape(-1, width).sum(axis=1))))
+            cached = (g, gt, (np.flatnonzero(present) % width).astype(float), by_size, class_bounds)
             object.__setattr__(self, "_mats", cached)
         return cached
+
+
+def _block_diagonal(parts):
+    """``matrices()`` of a union from those of its graphs, ``parts``: each
+    matrix is block diagonal, so its CSR arrays are the graphs' own, end
+    to end, with the column indices moved past the blocks before; a row's
+    entries, and so every product, are those of the graph's own."""
+    from scipy.sparse import csr_matrix
+
+    def join(k, cols):
+        mats = [p[k] for p in parts]
+        offsets = np.cumsum([0] + [m.nnz for m in mats[:-1]]).tolist()
+        col_offsets = np.cumsum([0] + cols[:-1]).tolist()
+        return csr_matrix(
+            (np.concatenate([m.data for m in mats]),
+             np.concatenate([m.indices + off for m, off in zip(mats, col_offsets)]),
+             np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])),
+            shape=(sum(m.shape[0] for m in mats), sum(cols)),
+        )
+
+    literals = [m.shape[1] for m, *_ in parts]
+    clauses = [m.shape[0] for m, *_ in parts]
+    classes = [len(p[2]) for p in parts]
+    # a graph that is itself a union brings its parts' class bounds
+    class_bounds = [0]
+    for p in parts:
+        class_bounds.extend((p[4][1:] + class_bounds[-1]).tolist())
+    return (join(0, literals), join(1, clauses), np.concatenate([p[2] for p in parts]), join(3, classes),
+            np.array(class_bounds))
 
 
 def _flat_literals(clauses):
@@ -208,6 +294,35 @@ def clause_literal_graph(formula: Formula) -> SparseGraph:
     rows = np.repeat(np.arange(len(lens), dtype=np.int32), lens)
     cols = np.where(lits > 0, lits - 1, n - lits - 1).astype(np.int32, copy=False)
     return SparseGraph(len(lens), n, rows, cols, tuple(range(1, n + 1)))
+
+
+def disjoint_union(graphs) -> SparseGraph:
+    """The graphs side by side in one graph, for one network pass over all
+    of them.  Clauses keep their order, graph after graph, and so do
+    literals: each graph keeps its own layout, positive literals then
+    negative ones, in a block of its own.  So for a graph whose
+    predecessors hold o variables, its variable i is variable o + i of the
+    union, and its literal column c is column 2 o + c: every graph's rows
+    of a literal array are one contiguous block, in the order of its own
+    pass.  ``parts`` records each graph's clause and variable counts (a
+    union's parts count singly), ``pairing`` pairs each literal with its
+    negation, and ``var_map`` chains the graphs' maps."""
+    graphs = list(graphs)
+    if not graphs:
+        raise ValueError("no graphs to join")
+    rows, cols = [], []
+    clauses = offset = 0
+    for g in graphs:
+        rows.append(g.rows + clauses)
+        cols.append(g.cols + 2 * offset)
+        clauses += g.num_clauses
+        offset += g.num_vars
+    union = SparseGraph(clauses, offset, np.concatenate(rows), np.concatenate(cols),
+                        tuple(chain.from_iterable(g.var_map for g in graphs)),
+                        tuple(chain.from_iterable(g.parts for g in graphs)))
+    # matrices() joins the graphs' own
+    object.__setattr__(union, "_members", graphs)
+    return union
 
 
 def random_ksat(n: int, m: int, k: int, seed=None) -> Formula:

@@ -6,13 +6,14 @@ clipping, and importance-sampling correction for policy lag.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network
-from .cnf import SparseGraph
+from .cnf import SparseGraph, disjoint_union
 from .env import GlueEnv, TrivialFormulaError
 from .grads import backward_from_heads, check_finite, zero_grads
 from .network import (
@@ -38,6 +39,7 @@ __all__ = [
     "kl_grads",
     "kl_loss",
     "log_softmax",
+    "pack_steps",
     "run_episode",
     "sample_action",
     "target_distribution",
@@ -352,19 +354,74 @@ def _returns_to_go(episodes):
     return np.asarray(returns)
 
 
-def reinforce_weights(episodes, params: NetParams, hp: HyperParams):
+# The gradient passes of a batch run over disjoint unions of consecutive
+# episode steps of at most this many edges (a larger step runs alone): at
+# a few hundred edges per step, per-call overhead sets much of a pass's
+# cost.  A union's forward cache grows with its edges, its buffers pass
+# the pool floor and stay retained, and its backward holds the gradients
+# of all its steps but the first until the end, so the budget trades time
+# for memory.  perfbench train-rl (rl preset, steps of 240-540 edges, one
+# BLAS thread, 2-vCPU Xeon VM), seeds 1-2, op_s_p50 and peak_rss_mb: one
+# pass per step 0.339-0.356 s and 65.9 MB; budget 1,200 0.331-0.337 s and
+# 68.9-69.2 MB; 1,500 0.323-0.325 s and 70.4-70.7 MB; 1,800 0.318-0.320 s
+# and 72.3-72.8 MB; 2,000 0.312-0.315 s and 75.8-76.5 MB, past the
+# benchmark's 15% memory bound.
+_UNION_MAX_EDGES = 1_500
+
+
+def pack_steps(episodes) -> list[SparseGraph]:
+    """The episodes' step observations, in order, as disjoint unions
+    (``cnf.disjoint_union``) of consecutive steps, packed greedily under
+    _UNION_MAX_EDGES edges each.  Union k holds the len(parts) steps after
+    those of unions 0..k-1."""
+    unions = []
+    group = []
+    edges = 0
+    for ep in episodes:
+        for step in ep:
+            graph = step.observation
+            if group and edges + graph.num_edges > _UNION_MAX_EDGES:
+                unions.append(disjoint_union(group))
+                group, edges = [], 0
+            group.append(graph)
+            edges += graph.num_edges
+    if group:
+        unions.append(disjoint_union(group))
+    return unions
+
+
+def _union_parts(episodes, unions):
+    """Each union with its steps as (step, index in the batch, part index,
+    slice of the union's logits); with ``unions`` None, packs the
+    episodes' steps here.  Raises ValueError unless the unions' parts
+    match the steps, in order, by clause and variable count."""
+    if unions is None:
+        unions = pack_steps(episodes)
+    steps = [step for ep in episodes for step in ep]
+    parts = [part for union in unions for part in union.parts]
+    if parts != [(step.observation.num_clauses, step.observation.num_vars) for step in steps]:
+        raise ValueError(f"the unions' {len(parts)} parts do not match the episodes' {len(steps)} steps")
+    i = 0
+    for union in unions:
+        bounds = union.part_bounds()[1]
+        yield union, [(steps[i + j], i + j, j, slice(bounds[j], bounds[j + 1])) for j in range(len(union.parts))]
+        i += len(union.parts)
+
+
+def reinforce_weights(episodes, params: NetParams, hp: HyperParams, unions=None):
     """Per-step constants of the surrogate objective.
 
     Returns (ratios, normalized advantages, value targets, returns); all are
-    treated as constants by the gradient of the surrogate.
+    treated as constants by the gradient of the surrogate.  The forwards run
+    over ``unions``, ``pack_steps(episodes)`` when None.
     """
     logprobs = []
     values = []
-    for ep in episodes:
-        for step in ep:
-            out, _ = forward_with_cache(params, hp, step.observation)
-            logprobs.append(log_softmax(out.policy_logits)[step.action])
-            values.append(out.value if out.value is not None else 0.0)
+    for union, parts in _union_parts(episodes, unions):
+        out, _ = forward_with_cache(params, hp, union)
+        for step, _, j, part in parts:
+            logprobs.append(log_softmax(out.policy_logits[part])[step.action])
+            values.append(out.values[j] if out.values is not None else 0.0)
     return _surrogate_weights(episodes, logprobs, values)
 
 
@@ -395,39 +452,41 @@ def _surrogate_weights(episodes, logprobs, values):
 
 
 def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
-                        ratios, advantages, value_targets) -> ReinforceLoss:
+                        ratios, advantages, value_targets, unions=None) -> ReinforceLoss:
     """Surrogate loss and its exact gradients, with (ratios, advantages,
     value_targets) held constant: total = policy + 0.5 * value, where the
     policy term weights each step's log-probability by its ratio times its
     advantage.  The constants of a batch come from ``reinforce_weights``.
-    The summed gradients are checked for finiteness once, after the last
-    backward pass."""
+    One forward and one backward run per union of ``unions``
+    (``pack_steps(episodes)`` when None); each step's log-softmax, loss
+    and head gradients are its own, sliced out of its union's logits, and
+    the sums have the bits of one pass per step.  The summed gradients
+    are checked for finiteness once, after the last backward pass."""
     total_steps = sum(len(ep) for ep in episodes)
     if total_steps == 0:
         raise ValueError("empty episode batch")
     grads = zero_grads(params)
     policy_loss = 0.0
     value_loss = 0.0
-    returns_sum = 0.0
+    returns_sum = sum(sum(s.reward for s in ep) for ep in episodes)
     entropy = 0.0
-    i = 0
-    for ep in episodes:
-        returns_sum += sum(s.reward for s in ep)
-        for step in ep:
-            out, cache = forward_with_cache(params, hp, step.observation)
-            logp = log_softmax(out.policy_logits)
+    for union, parts in _union_parts(episodes, unions):
+        out, cache = forward_with_cache(params, hp, union)
+        dlogits = np.empty_like(out.policy_logits)
+        dvalues = np.zeros(len(parts))
+        for step, i, j, part in parts:
+            logp = log_softmax(out.policy_logits[part])
             probs = np.exp(logp)
             entropy -= float(probs @ logp)
             weight = ratios[i] * advantages[i]
             policy_loss += -weight * float(logp[step.action]) / total_steps
-            dlogits = (weight / total_steps) * (probs - _onehot(step.action, logp.size))
-            dvalue = 0.0
+            dlogits[part] = (weight / total_steps) * (probs - _onehot(step.action, logp.size))
             if params.v_value is not None:
-                err = out.value - value_targets[i]
+                err = out.values[j] - value_targets[i]
                 value_loss += err * err / total_steps
-                dvalue = _VALUE_COEF * 2.0 * err / total_steps
-            backward_from_heads(params, hp, cache, dlogits, dvalue, grads)
-            i += 1
+                dvalues[j] = _VALUE_COEF * 2.0 * err / total_steps
+        backward_from_heads(params, hp, cache, dlogits, dvalues, grads)
+        del cache       # before the next union's forward allocates its own
     check_finite(grads)
     total = policy_loss + _VALUE_COEF * value_loss
     return ReinforceLoss(
@@ -454,22 +513,30 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     snapshot of the current policy; the learner then applies grad_steps Adam
     updates, so importance ratios depart from 1 after the first step.
 
-    A batch of S episode steps makes 2 * grad_steps * S forward passes and
-    grad_steps * S backward passes: S in the rollouts, S for the first
-    surrogate gradient, whose ratios, advantages and value targets come from
-    the values recorded in the rollouts (the params are still the rollout
-    snapshot), and 2 * S for each later step, whose weights need a forward
-    at the updated params before the forward that feeds the backward.  No
-    forward cache is kept from one step to the next: at the rl preset one
-    costs 2.3 MB on a 540-edge graph, so keeping a batch's would multiply
-    the training memory.  A non-finite gradient raises FloatingPointError
-    before the Adam step.
+    The rollouts run one forward per episode step.  The gradient steps run
+    over the batch's steps packed once (``pack_steps``) into U disjoint
+    unions of consecutive steps, each of at most _UNION_MAX_EDGES edges,
+    and each union's sparse operators are built once and serve every
+    gradient step.  So a batch of S episode steps makes S + (2 *
+    grad_steps - 1) * U forward passes and grad_steps * U backward passes:
+    S in the rollouts, U for the first surrogate gradient, whose ratios,
+    advantages and value targets come from the values recorded in the
+    rollouts (the params are still the rollout snapshot), and 2 * U for
+    each later step, whose weights need a forward at the updated params
+    before the forward that feeds the backward.  Every number is the one
+    that one pass per step gives, bit for bit.  The edge budget bounds
+    memory: a union's forward cache grows with its edges (at the rl preset
+    one is 2.3 MB on a 540-edge graph) and its backward holds the
+    gradients of all its steps but the first until the end; no cache is
+    kept from one pass to the next.  A non-finite gradient raises
+    FloatingPointError before the Adam step.
 
     Each history row also records, for the last grad step, ``grad_norm``,
     the global gradient norm before clipping; ``ratio_clip_frac``, the
     share of its importance ratios held at the ratio clip (0 at the first
     step, whose ratios are all 1); and ``policy_entropy``, the mean entropy
-    of its per-step policies.
+    of its per-step policies; and, for the whole batch, ``rollout_s`` and
+    ``update_s``, the wall time of its rollouts and of its gradient steps.
     """
     cfg = config or RLConfig()
     if not formulas:
@@ -480,6 +547,7 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     adam = AdamState.for_params(params)
     history = []
     for batch_idx in range(cfg.batches):
+        started = time.perf_counter()
         snapshot = params.copy()
         episodes = []
         for worker in range(cfg.workers):
@@ -494,16 +562,19 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                         continue
         if not episodes:
             raise RuntimeError("no usable training formulas (all trivially decided)")
+        rolled_out = time.perf_counter()
+        unions = pack_steps(episodes)
         last = None
         for k in range(cfg.grad_steps):
             if k == 0:
                 weights = _rollout_weights(episodes)
             else:
-                weights = reinforce_weights(episodes, params, hp)
+                weights = reinforce_weights(episodes, params, hp, unions)
             ratios = weights[0]
-            last = reinforce_surrogate(episodes, params, hp, *weights[:3])
+            last = reinforce_surrogate(episodes, params, hp, *weights[:3], unions)
             grad_norm = clip_gradients(last.grads, _CLIP_NORM)
             adam_step(adam, params, last.grads, cfg.lr)
+        updated = time.perf_counter()
         history.append(
             {
                 "batch": batch_idx,
@@ -515,6 +586,8 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                 "grad_norm": grad_norm,
                 "ratio_clip_frac": float(np.mean(ratios >= _RATIO_CLIP)),
                 "policy_entropy": last.policy_entropy,
+                "rollout_s": rolled_out - started,
+                "update_s": updated - rolled_out,
             }
         )
         if cfg.checkpoint_path:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from gluesat.cnf import SparseGraph
 from gluesat.network import HyperParams, init_params
 
 
@@ -18,3 +20,23 @@ def perturbed_params(hp, seed=5, noise=0.05, value_head=True):
     for _, arr in params.tensors():
         arr += noise * rng.standard_normal(arr.shape)
     return params
+
+
+@st.composite
+def small_graphs(draw):
+    """1 to 12 variables and 0 to 30 clauses of 1 to 5 literal columns
+    drawn with replacement, so clause sizes mix within and across graphs."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.repeat(np.arange(m), rng.integers(1, 6, m))
+    cols = rng.integers(0, 2 * n, len(rows))
+    return SparseGraph(m, n, rows, cols, tuple(range(1, n + 1)))
+
+
+@st.composite
+def graph_lists(draw):
+    """1 to 6 small graphs, one of them of one variable and one clause."""
+    graphs = draw(st.lists(small_graphs(), min_size=0, max_size=5))
+    graphs.insert(draw(st.integers(0, len(graphs))), SparseGraph(1, 1, [0, 0], [0, 1], (1,)))
+    return graphs

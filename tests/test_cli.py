@@ -340,8 +340,9 @@ class TestPipelineCommands:
         assert len(rows) == 2
         assert list(rows[0]) == ["batch", "episodes", "mean_return", "policy_loss",
                                  "value_loss", "total_loss", "grad_norm", "ratio_clip_frac",
-                                 "policy_entropy"]
+                                 "policy_entropy", "rollout_s", "update_s"]
         assert all(float(row["grad_norm"]) > 0 for row in rows)
+        assert all(float(row["rollout_s"]) > 0 and float(row["update_s"]) > 0 for row in rows)
 
     @pytest.mark.parametrize("flag", [["--grad-steps", "0"], ["--workers", "0"],
                                       ["--episodes-per-worker", "0"], ["--lr", "-1.0"],

@@ -9,6 +9,7 @@ from gluesat.cnf import (
     SparseGraph,
     brute_force,
     clause_literal_graph,
+    disjoint_union,
     normalize_clause,
     parse_dimacs,
     random_ksat,
@@ -122,7 +123,7 @@ class TestClauseLiteralGraph:
         # Formula keeps duplicates: two edges, one CSR entry of 2.0
         g = clause_literal_graph(Formula(2, ((1, 1, -2),)))
         assert edge_pairs(g) == [(0, 0), (0, 0), (0, 3)]
-        csr, csr_t, _, _ = g.matrices()
+        csr, csr_t = g.matrices()[:2]
         assert csr.nnz == 2
         assert csr[0, 0] == 2.0 and csr[0, 3] == 1.0
         assert csr_t[0, 0] == 2.0
@@ -131,8 +132,9 @@ class TestClauseLiteralGraph:
         # clause sizes count repeated literals: (1, 1, -2) has size 3 like
         # (3, 2, -1), and the empty clause has its own class
         g = clause_literal_graph(Formula(3, ((1, -2), (), (3, 2, -1), (1, 1, -2))))
-        csr, csr_t, sizes, by_size = g.matrices()
+        csr, csr_t, sizes, by_size, class_bounds = g.matrices()
         assert sizes.tolist() == [0.0, 2.0, 3.0]
+        assert class_bounds.tolist() == [0, 3]
         indicator = np.zeros((g.num_clauses, len(sizes)))
         indicator[[0, 1, 2, 3], [1, 0, 2, 2]] = 1.0
         assert np.array_equal(by_size.toarray(), csr_t.toarray() @ indicator)
@@ -142,6 +144,69 @@ class TestClauseLiteralGraph:
     def test_mismatched_edge_arrays_rejected(self):
         with pytest.raises(ValueError):
             SparseGraph(1, 2, np.zeros(2, dtype=np.int32), np.zeros(1, dtype=np.int32), (1, 2))
+
+    def test_parts_must_sum_to_the_graph(self):
+        with pytest.raises(ValueError, match="do not sum"):
+            SparseGraph(1, 2, [0], [0], (1, 2), ((1, 1),))
+
+
+class TestDisjointUnion:
+    def test_layout_keeps_each_graph_in_its_own_block(self):
+        a = clause_literal_graph(Formula(2, ((1, -2), (2,))))
+        b = clause_literal_graph(Formula(3, ((-1, 3), (-3, 2, 1))))
+        u = disjoint_union([a, b])
+        assert (u.num_clauses, u.num_vars, u.parts) == (4, 5, ((2, 2), (2, 3)))
+        assert u.var_map == (1, 2, 1, 2, 3)
+        # a keeps columns 0-3; b's column c moves to 4 + c: its variable i
+        # is positive at column 3 + i and negative at 6 + i
+        assert edge_pairs(u) == [(0, 0), (0, 3), (1, 1), (2, 7), (2, 6), (3, 9), (3, 5), (3, 4)]
+        assert u.part_bounds()[0].tolist() == [0, 2, 4]
+        assert u.part_bounds()[1].tolist() == [0, 2, 5]
+        negation, positive = u.pairing()
+        assert negation.tolist() == [2, 3, 0, 1, 7, 8, 9, 4, 5, 6]
+        assert positive.tolist() == [0, 1, 4, 5, 6]
+        assert a.pairing() is None and disjoint_union([a]).pairing() is None
+
+    def test_unions_flatten_and_one_graph_keeps_its_edges(self):
+        graphs = [clause_literal_graph(random_ksat(5, 9, 3, s)) for s in range(3)]
+        nested = disjoint_union([disjoint_union(graphs[:2]), graphs[2]])
+        flat = disjoint_union(graphs)
+        assert nested.parts == flat.parts == tuple((9, 5) for _ in graphs)
+        assert np.array_equal(nested.rows, flat.rows) and np.array_equal(nested.cols, flat.cols)
+        one = disjoint_union(graphs[:1])
+        assert np.array_equal(one.rows, graphs[0].rows) and np.array_equal(one.cols, graphs[0].cols)
+        assert one.parts == graphs[0].parts == ((9, 5),)
+        with pytest.raises(ValueError):
+            disjoint_union([])
+
+    def test_matrices_join_the_graphs_own(self):
+        # the same arrays as a graph with the union's edges and parts builds
+        # from its edges, nested or not; repeated literals and an empty
+        # clause included
+        graphs = [clause_literal_graph(random_ksat(6 + s, 20 + 3 * s, 3, s)) for s in range(3)]
+        graphs.append(clause_literal_graph(Formula(3, ((1, 1, -2), (), (3,)))))
+        union = disjoint_union(graphs)
+        nested = disjoint_union([disjoint_union(graphs[:2]), disjoint_union(graphs[2:])])
+        from_edges = SparseGraph(union.num_clauses, union.num_vars, union.rows, union.cols, union.var_map, union.parts)
+        want = from_edges.matrices()
+        for got in (union.matrices(), nested.matrices()):
+            for k in (0, 1, 3):
+                assert got[k].shape == want[k].shape
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got[k], attr), getattr(want[k], attr)), (k, attr)
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[4], want[4])
+
+    def test_size_classes_are_per_part(self):
+        # a's clauses have sizes 2 and 1, b's 2 and 3: four classes, part
+        # after part, each ascending
+        a = clause_literal_graph(Formula(2, ((1, -2), (2,))))
+        b = clause_literal_graph(Formula(3, ((-1, 3), (-3, 2, 1))))
+        _, csr_t, sizes, by_size, class_bounds = disjoint_union([a, b]).matrices()
+        assert sizes.tolist() == [1.0, 2.0, 2.0, 3.0]
+        assert class_bounds.tolist() == [0, 2, 4]
+        indicator = np.zeros((4, 4))
+        indicator[[0, 1, 2, 3], [1, 0, 2, 3]] = 1.0
+        assert np.array_equal(by_size.toarray(), csr_t.toarray() @ indicator)
 
 
 class TestRandomKsat:

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gluesat
-from gluesat.cnf import SparseGraph, clause_literal_graph, random_ksat
+from gluesat.cnf import SparseGraph, clause_literal_graph, disjoint_union, random_ksat
 from gluesat.grads import backward_from_heads, check_finite, zero_grads
 from gluesat.network import _POOL_FLOOR, _pool, forward, forward_with_cache, init_params, preset
 from gluesat.training import (
@@ -22,7 +22,7 @@ from gluesat.training import (
     run_episode,
 )
 
-from conftest import perturbed_params
+from conftest import graph_lists, perturbed_params
 from oracles import fd_gradients, max_rel_error, reference_backward, reference_network
 
 
@@ -126,6 +126,52 @@ class TestKlFiniteDifferences:
 
         worst, name = max_rel_error(grads, fd_gradients(p, loss))
         assert worst <= 1e-4, f"{name}: {worst}"
+
+
+class TestDisjointUnionBackward:
+    """A backward over a union, from each part's head gradients, leaves the
+    bits of one backward per part, part after part."""
+
+    @staticmethod
+    def _heads(rng, graphs):
+        return [(rng.standard_normal(g.num_vars), float(rng.standard_normal())) for g in graphs]
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graph_lists(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000))
+    def test_sums_the_per_part_gradients(self, graphs, name, seed):
+        hp = preset(name)
+        params = init_params(hp, seed=seed, value_head=True)
+        heads = self._heads(np.random.default_rng(seed), graphs)
+        want = zero_grads(params)
+        for graph, (dlogits, dvalue) in zip(graphs, heads):
+            backward_from_heads(params, hp, forward_with_cache(params, hp, graph)[1], dlogits, dvalue, want)
+        _, cache = forward_with_cache(params, hp, disjoint_union(graphs))
+        got = backward_from_heads(params, hp, cache, np.concatenate([d for d, _ in heads]),
+                                  np.array([v for _, v in heads]))
+        for name_, g in got.items():
+            assert np.array_equal(g, want[name_]), name_
+
+    def test_backward_empties_the_cache(self, graph_6x8):
+        # so that a layer's memory can go once the backward has read it
+        hp = preset("rl")
+        params = init_params(hp, seed=1, value_head=True)
+        union = disjoint_union([graph_6x8, clause_literal_graph(random_ksat(5, 9, 3, 2))])
+        dlogits = np.random.default_rng(0).standard_normal(union.num_vars)
+        dvalues = np.array([0.3, -0.2])
+        _, cache = forward_with_cache(params, hp, union)
+        backward_from_heads(params, hp, cache, dlogits, dvalues)
+        assert cache["p_cache"] is None and cache["v_cache"] is None
+        assert cache["iters"] == [None] * hp.tau_iters
+
+    def test_one_part_union_gives_the_same_bits(self, graph_6x8):
+        hp = preset("rl")
+        params = init_params(hp, seed=1, value_head=True)
+        dlogits = np.random.default_rng(0).standard_normal(graph_6x8.num_vars)
+        want = backward_from_heads(params, hp, forward_with_cache(params, hp, graph_6x8)[1], dlogits, 0.3)
+        _, cache = forward_with_cache(params, hp, disjoint_union([graph_6x8]))
+        got = backward_from_heads(params, hp, cache, dlogits, np.array([0.3]))
+        for name, g in got.items():
+            assert np.array_equal(g, want[name]), name
 
 
 class TestReinforceFiniteDifferences:

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gluesat.network as network
-from gluesat.cnf import Formula, SparseGraph, clause_literal_graph, random_ksat
+from gluesat.cnf import Formula, SparseGraph, clause_literal_graph, disjoint_union, random_ksat
+from gluesat.grads import backward_from_heads
 from gluesat.network import (
     HyperParams,
     WeightFormatError,
@@ -25,6 +26,8 @@ from gluesat.network import (
     preset,
     save_weights,
 )
+
+from conftest import graph_lists
 
 
 @pytest.fixture
@@ -443,6 +446,69 @@ class TestSplitForward:
         got = network._network_worker().submit(forward, params, hp, split_graph).result(timeout=60)
         assert stages == []
         _same_output(got, want)
+
+
+class TestDisjointUnion:
+    """One pass over a disjoint union gives each part its own pass's
+    logits and value."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graph_lists(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000))
+    def test_each_part_gets_its_own_pass(self, graphs, name, seed):
+        hp = preset(name)
+        params = init_params(hp, seed=seed, value_head=True)
+        union = disjoint_union(graphs)
+        got = forward_with_cache(params, hp, union)[0]
+        assert len(got.values) == len(graphs)
+        lo = 0
+        for j, graph in enumerate(graphs):
+            want = forward_with_cache(params, hp, graph)[0]
+            part = got.policy_logits[lo : lo + graph.num_vars]
+            lo += graph.num_vars
+            # the same bits: every dense product runs over the part's own
+            # rows, and the rest of the pass is row-wise
+            assert np.array_equal(part, want.policy_logits)
+            assert got.values[j] == want.value
+        lean = forward(params, hp, union)
+        assert np.array_equal(lean.policy_logits, got.policy_logits)
+        assert np.array_equal(lean.values, got.values)
+
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_one_part_union_is_the_plain_pass(self, small_graph, name):
+        hp = preset(name)
+        params = init_params(hp, seed=4, value_head=True)
+        got, want = forward(params, hp, disjoint_union([small_graph])), forward(params, hp, small_graph)
+        assert np.array_equal(got.policy_logits, want.policy_logits)
+        assert np.array_equal(got.values, want.values)
+        assert isinstance(want.value, float)
+
+    def test_a_union_has_no_single_value(self, tiny_hyper, small_graph):
+        params = init_params(tiny_hyper, seed=0, value_head=True)
+        out = forward(params, tiny_hyper, disjoint_union([small_graph, small_graph]))
+        assert out.values.shape == (2,) and out.values[0] == out.values[1]
+        with pytest.raises(ValueError, match="one value per part"):
+            out.value
+
+    def test_a_union_runs_whole(self, monkeypatch):
+        # its dense products run per part, which a split would cut
+        monkeypatch.setattr(network, "_SPARE_CORE", True)
+        monkeypatch.setattr(network, "_SPLIT_MIN_EDGES", 0)
+        graph = clause_literal_graph(random_ksat(30, 120, 3, 1))
+        assert network._split_worker(graph, False, None) is not None
+        assert network._split_worker(disjoint_union([graph, graph]), False, None) is None
+
+
+class TestValueHead:
+    def test_very_negative_mean_gives_zero_without_warning(self, small_graph):
+        # exp(-mean) overflows below a mean of about -709; filterwarnings =
+        # error turns numpy's overflow warning into a failure here
+        hp = preset("rl")
+        params = init_params(hp, seed=0, value_head=True)
+        params.v_value[-1][1][:] = -1e6
+        out, cache = forward_with_cache(params, hp, small_graph)
+        assert out.value == 0.0 and out.values.tolist() == [0.0]
+        grads = backward_from_heads(params, hp, cache, np.zeros(small_graph.num_vars), 1.0)
+        assert not grads["v_value.3.b"].any()
 
 
 class TestPolicyDistribution:

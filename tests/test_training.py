@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 
 import gluesat.network as network
 import gluesat.training as training
-from gluesat.cnf import Formula, clause_literal_graph, random_ksat
+from gluesat.cnf import Formula, clause_literal_graph, disjoint_union, random_ksat
 from gluesat.env import GlueEnv
 from gluesat.network import HyperParams, forward, init_params, preset
 from gluesat.training import (
@@ -23,6 +24,7 @@ from gluesat.training import (
     clip_gradients,
     kl_loss,
     log_softmax,
+    pack_steps,
     reinforce_surrogate,
     reinforce_weights,
     run_episode,
@@ -419,6 +421,11 @@ def _no_step(*args, **kwargs):
     raise AssertionError("optimizer stepped on a non-finite gradient")
 
 
+def _untimed(row):
+    # a history row without its wall times
+    return {k: v for k, v in row.items() if k not in ("rollout_s", "update_s")}
+
+
 class TestReinforcePieces:
     def _episodes(self, params, hp, k=3, seed=2):
         f = random_ksat(6, 8, 3, 11)
@@ -483,6 +490,41 @@ class TestReinforcePieces:
                 entropies.append(-np.sum(probs * np.log(probs)))
         assert res.policy_entropy == pytest.approx(np.mean(entropies), rel=1e-12)
 
+    def test_unions_match_one_pass_per_step(self, tiny_hyper):
+        # the same bits: each step's logits and value are its own pass's,
+        # and a union's backward adds each step's gradients in step order
+        p = perturbed_params(tiny_hyper)
+        behavior = perturbed_params(tiny_hyper, seed=6, noise=0.07)
+        episodes = self._episodes(behavior, tiny_hyper, k=5, seed=4)
+        unions = pack_steps(episodes)
+        singles = [step.observation for ep in episodes for step in ep]     # a plain graph is one part
+        assert len(unions) < len(singles)
+        got, want = reinforce_weights(episodes, p, tiny_hyper, unions), reinforce_weights(episodes, p, tiny_hyper,
+                                                                                           singles)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        got = reinforce_surrogate(episodes, p, tiny_hyper, *want[:3], unions)
+        want = reinforce_surrogate(episodes, p, tiny_hyper, *want[:3], singles)
+        for key in ("total", "policy_loss", "value_loss", "mean_return", "policy_entropy"):
+            assert getattr(got, key) == getattr(want, key), key
+        for name, g in got.grads.items():
+            assert np.array_equal(g, want.grads[name]), name
+
+    def test_unions_must_match_the_steps(self, tiny_hyper):
+        p = perturbed_params(tiny_hyper)
+        episodes = self._episodes(p, tiny_hyper, k=2, seed=4)
+        graphs = [step.observation for ep in episodes for step in ep]
+        weights = reinforce_weights(episodes, p, tiny_hyper)
+        short = [disjoint_union(graphs[:-1])]
+        extra = [disjoint_union(graphs + graphs[:1])]
+        swapped = [disjoint_union([graphs[-1], *graphs[:-1]])]
+        assert graphs[-1].parts != graphs[0].parts
+        for unions in (short, extra, swapped):
+            with pytest.raises(ValueError, match="do not match"):
+                reinforce_weights(episodes, p, tiny_hyper, unions)
+            with pytest.raises(ValueError, match="do not match"):
+                reinforce_surrogate(episodes, p, tiny_hyper, *weights[:3], unions)
+
     def test_empty_batch_rejected(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         with pytest.raises(ValueError, match="empty episode batch"):
@@ -531,9 +573,16 @@ class TestTrainRl:
         cfg = RLConfig(workers=1, episodes_per_worker=2, grad_steps=2, batches=4, lr=1e-3, seed=5)
         a = train_rl(formulas, hp, cfg)
         b = train_rl(formulas, hp, cfg)
-        assert a.history == b.history
+        assert [_untimed(row) for row in a.history] == [_untimed(row) for row in b.history]
         for (_, ta), (_, tb) in zip(a.params.tensors(), b.params.tensors()):
             assert np.array_equal(ta, tb)
+
+    def test_history_records_rollout_and_update_time(self):
+        hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        formulas = [random_ksat(8, 28, 3, s) for s in range(4)]
+        cfg = RLConfig(workers=2, episodes_per_worker=1, grad_steps=2, batches=2, lr=1e-3, seed=5)
+        for row in train_rl(formulas, hp, cfg).history:
+            assert row["rollout_s"] > 0.0 and row["update_s"] > 0.0
 
     @pytest.mark.parametrize("grad_steps", [1, 3])
     def test_history_records_ratio_clips_and_entropy(self, grad_steps):
@@ -553,38 +602,58 @@ class TestTrainRl:
             assert max(clipped) > 0.0
 
     def test_forward_and_backward_counts(self, monkeypatch):
-        # the first grad step reuses the rollout's log-probabilities and
-        # values, so each episode step costs 2 * grad_steps forwards
-        counts = {"steps": 0, "forward": 0, "backward": 0}
+        # a batch of S steps packed into U unions makes S rollout forwards,
+        # one per step on its own graph; then, per grad step, one forward
+        # and one backward per union, and from the second grad step on one
+        # more forward per union first, for the step's weights (the first
+        # takes them from the rollouts).  Every pass kind sees each step's
+        # graph exactly once, and every grad step the same union objects,
+        # so each union's operators are built once per batch
+        episodes, passes = [], []
         run_episode_, forward_, backward_ = (
             training.run_episode, training.forward_with_cache, training.backward_from_heads)
 
         def counted_episode(*args, **kwargs):
-            steps = run_episode_(*args, **kwargs)
-            counts["steps"] += len(steps)
-            return steps
+            episodes.append(run_episode_(*args, **kwargs))
+            return episodes[-1]
 
-        def counted_forward(*args, **kwargs):
-            counts["forward"] += 1
-            return forward_(*args, **kwargs)
+        def counted_forward(params, hp, graph, *args, **kwargs):
+            passes.append(("forward", graph))
+            return forward_(params, hp, graph, *args, **kwargs)
 
-        def counted_backward(*args, **kwargs):
-            counts["backward"] += 1
-            return backward_(*args, **kwargs)
+        def counted_backward(params, hp, cache, *args, **kwargs):
+            passes.append(("backward", cache["graph"]))
+            return backward_(params, hp, cache, *args, **kwargs)
 
         monkeypatch.setattr(training, "run_episode", counted_episode)
         monkeypatch.setattr(training, "forward_with_cache", counted_forward)
         monkeypatch.setattr(training, "backward_from_heads", counted_backward)
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
         formulas = [random_ksat(8, 28, 3, s) for s in range(4)]
-        for grad_steps in (1, 2, 3):
-            counts.update(steps=0, forward=0, backward=0)
-            cfg = RLConfig(workers=2, episodes_per_worker=2, grad_steps=grad_steps, batches=2,
-                           lr=1e-3, seed=1)
+        # one step per union, a few steps per union, the default budget
+        for budget, grad_steps in itertools.product((0, 250, training._UNION_MAX_EDGES), (1, 2, 3)):
+            monkeypatch.setattr(training, "_UNION_MAX_EDGES", budget)
+            episodes.clear()
+            passes.clear()
+            cfg = RLConfig(workers=2, episodes_per_worker=2, grad_steps=grad_steps, batches=1, lr=1e-3, seed=1)
             train_rl(formulas, hp, cfg)
-            assert counts["steps"] > 0
-            assert counts["forward"] == counts["steps"] * 2 * grad_steps
-            assert counts["backward"] == counts["steps"] * grad_steps
+            graphs = [step.observation for ep in episodes for step in ep]
+            S = len(graphs)
+            backwards = [graph for kind, graph in passes if kind == "backward"]
+            U = len(backwards) // grad_steps
+            unions = backwards[:U]
+            assert sum(kind == "forward" for kind, _ in passes) == S + (2 * grad_steps - 1) * U
+            assert len(backwards) == grad_steps * U
+            surrogate = [(kind, u) for u in unions for kind in ("forward", "backward")]
+            want = [("forward", g) for g in graphs] + surrogate
+            want += ([("forward", u) for u in unions] + surrogate) * (grad_steps - 1)
+            assert len(passes) == len(want)
+            assert all(kind == want_kind and graph is want_graph
+                       for (kind, graph), (want_kind, want_graph) in zip(passes, want))
+            assert [p for u in unions for p in u.parts] == [(g.num_clauses, g.num_vars) for g in graphs]
+            assert sum(u.num_edges for u in unions) == sum(g.num_edges for g in graphs)
+            assert all(u.num_edges <= budget or len(u.parts) == 1 for u in unions)
+            assert U == S if budget == 0 else 1 < U < S or budget >= sum(g.num_edges for g in graphs)
 
     def test_non_finite_gradient_stops_before_the_step(self, monkeypatch):
         monkeypatch.setattr(training, "backward_from_heads", _poisoned_backward(training.backward_from_heads))
