@@ -146,9 +146,8 @@ class SparseGraph:
 
     ``parts`` holds the (clause count, variable count) of each graph that
     ``disjoint_union`` joined into this one, in order; a plain graph is
-    one part, ``((num_clauses, num_vars),)``, the default.  In a union the
-    layout above holds within each part's own block of columns
-    (``disjoint_union``).
+    one part, ``((num_clauses, num_vars),)``, the default.  Parts only say
+    how to slice a pass's outputs: a union is laid out as any graph.
     """
 
     num_clauses: int
@@ -184,100 +183,37 @@ class SparseGraph:
             object.__setattr__(self, "_bounds", cached)
         return cached
 
-    def pairing(self):
-        """(negation, positive), cached after first use, or None for a
-        plain graph, whose literal columns l and l + num_vars are each
-        other's negation.  In a union ``negation[l]`` is the column of
-        literal l's negation and ``positive`` the columns of the positive
-        literals, in variable order."""
-        if len(self.parts) == 1:
-            return None
-        cached = self.__dict__.get("_pairing")
-        if cached is None:
-            starts = 2 * self.part_bounds()[1][:-1]
-            sizes = np.array([n for _, n in self.parts])
-            base = np.repeat(starts, 2 * sizes)
-            within = np.arange(2 * self.num_vars) - base
-            half = np.repeat(sizes, 2 * sizes)
-            negation = base + np.where(within < half, within + half, within - half)
-            cached = (negation, np.flatnonzero(within < half))
-            object.__setattr__(self, "_pairing", cached)
-        return cached
-
     def matrices(self):
-        """(G, G_transpose, sizes, by_size, class_bounds), cached after
-        first use.
+        """(G, G_transpose, sizes, by_size), cached after first use.
 
         G and its transpose are scipy CSR matrices; repeated (row, col)
-        edges sum into one entry.  A size class is one part's clauses of one
-        size (edge count, repeats included).  ``sizes`` holds each class's
-        size as a float, part after part and ascending within a part; part
-        j's classes are [class_bounds[j], class_bounds[j + 1]).  ``by_size``
-        is the 2N x len(sizes) CSR matrix whose entry (l, u) sums G[c, l]
-        over the clauses c of class u: G transposed times the
-        clause-to-class indicator.  A union that ``disjoint_union`` made
-        joins its graphs' own matrices, block by block.
+        edges sum into one entry.  ``sizes`` holds the distinct clause sizes
+        (edge counts, repeats included) in ascending order, as floats;
+        ``by_size`` is the 2N x len(sizes) CSR matrix whose entry (l, u)
+        sums G[c, l] over the clauses c of size ``sizes[u]``: G transposed
+        times the clause-to-size indicator.  A union's size classes span
+        its parts.
         """
         cached = self.__dict__.get("_mats")
         if cached is None:
             from scipy.sparse import coo_matrix, csr_matrix
 
-            members = self.__dict__.get("_members")
-            if members is not None:
-                cached = _block_diagonal([m.matrices() for m in members])
-                object.__setattr__(self, "_mats", cached)
-                return cached
             shape = (self.num_clauses, 2 * self.num_vars)
             g = coo_matrix((np.ones(len(self.rows)), (self.rows, self.cols)), shape=shape).tocsr()
             gt = g.T.tocsr()
             counts = np.bincount(self.rows, minlength=self.num_clauses)
-            width = int(counts.max(initial=0)) + 1
-            key = counts
-            if len(self.parts) > 1:
-                # a clause's class key: its part times a bound on the sizes, plus its size
-                key = counts + np.repeat(np.arange(len(self.parts)) * width, [c for c, _ in self.parts])
-            present = np.bincount(key, minlength=len(self.parts) * width) > 0
+            present = np.bincount(counts) > 0
             size_class = np.cumsum(present) - 1
             # G^T's entries with each clause column replaced by its size
             # class; sum_duplicates works in place, hence the copies
             by_size = csr_matrix(
-                (gt.data.copy(), size_class[key][gt.indices], gt.indptr.copy()),
+                (gt.data.copy(), size_class[counts][gt.indices], gt.indptr.copy()),
                 shape=(2 * self.num_vars, int(present.sum())),
             )
             by_size.sum_duplicates()
-            class_bounds = np.concatenate(([0], np.cumsum(present.reshape(-1, width).sum(axis=1))))
-            cached = (g, gt, (np.flatnonzero(present) % width).astype(float), by_size, class_bounds)
+            cached = (g, gt, np.flatnonzero(present).astype(float), by_size)
             object.__setattr__(self, "_mats", cached)
         return cached
-
-
-def _block_diagonal(parts):
-    """``matrices()`` of a union from those of its graphs, ``parts``: each
-    matrix is block diagonal, so its CSR arrays are the graphs' own, end
-    to end, with the column indices moved past the blocks before; a row's
-    entries, and so every product, are those of the graph's own."""
-    from scipy.sparse import csr_matrix
-
-    def join(k, cols):
-        mats = [p[k] for p in parts]
-        offsets = np.cumsum([0] + [m.nnz for m in mats[:-1]]).tolist()
-        col_offsets = np.cumsum([0] + cols[:-1]).tolist()
-        return csr_matrix(
-            (np.concatenate([m.data for m in mats]),
-             np.concatenate([m.indices + off for m, off in zip(mats, col_offsets)]),
-             np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])),
-            shape=(sum(m.shape[0] for m in mats), sum(cols)),
-        )
-
-    literals = [m.shape[1] for m, *_ in parts]
-    clauses = [m.shape[0] for m, *_ in parts]
-    classes = [len(p[2]) for p in parts]
-    # a graph that is itself a union brings its parts' class bounds
-    class_bounds = [0]
-    for p in parts:
-        class_bounds.extend((p[4][1:] + class_bounds[-1]).tolist())
-    return (join(0, literals), join(1, clauses), np.concatenate([p[2] for p in parts]), join(3, classes),
-            np.array(class_bounds))
 
 
 def _flat_literals(clauses):
@@ -298,31 +234,28 @@ def clause_literal_graph(formula: Formula) -> SparseGraph:
 
 def disjoint_union(graphs) -> SparseGraph:
     """The graphs side by side in one graph, for one network pass over all
-    of them.  Clauses keep their order, graph after graph, and so do
-    literals: each graph keeps its own layout, positive literals then
-    negative ones, in a block of its own.  So for a graph whose
-    predecessors hold o variables, its variable i is variable o + i of the
-    union, and its literal column c is column 2 o + c: every graph's rows
-    of a literal array are one contiguous block, in the order of its own
-    pass.  ``parts`` records each graph's clause and variable counts (a
-    union's parts count singly), ``pairing`` pairs each literal with its
-    negation, and ``var_map`` chains the graphs' maps."""
+    of them, laid out as one graph (NeuroSAT's batching): its clauses
+    graph after graph, and as its literal columns all the graphs'
+    positive literals, then all their negative ones.  A graph whose
+    predecessors hold o of the union's N variables keeps its variable i
+    as variable o + i, so its column c below its own variable count n
+    moves to o + c, and a negative column c to N + o + (c - n).
+    ``parts`` records each graph's clause and variable counts (a union's
+    parts count singly), and ``var_map`` chains the graphs' maps."""
     graphs = list(graphs)
     if not graphs:
         raise ValueError("no graphs to join")
+    total = sum(g.num_vars for g in graphs)
     rows, cols = [], []
     clauses = offset = 0
     for g in graphs:
         rows.append(g.rows + clauses)
-        cols.append(g.cols + 2 * offset)
+        cols.append(np.where(g.cols < g.num_vars, g.cols + offset, g.cols + (total - g.num_vars + offset)))
         clauses += g.num_clauses
         offset += g.num_vars
-    union = SparseGraph(clauses, offset, np.concatenate(rows), np.concatenate(cols),
-                        tuple(chain.from_iterable(g.var_map for g in graphs)),
-                        tuple(chain.from_iterable(g.parts for g in graphs)))
-    # matrices() joins the graphs' own
-    object.__setattr__(union, "_members", graphs)
-    return union
+    return SparseGraph(clauses, total, np.concatenate(rows), np.concatenate(cols),
+                       tuple(chain.from_iterable(g.var_map for g in graphs)),
+                       tuple(chain.from_iterable(g.parts for g in graphs)))
 
 
 def random_ksat(n: int, m: int, k: int, seed=None) -> Formula:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import HyperParams, NetParams, _blocks, _matmul, _pool
+from .network import HyperParams, NetParams, _pool
 
 __all__ = ["backward_from_heads", "check_finite", "zero_grads"]
 
@@ -19,74 +19,19 @@ def zero_grads(params: NetParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.tensors()}
 
 
-def _add_swapped(acc, m, n, negation=None):
-    """acc += m with its first n rows and the rest swapped, or with row l
-    taken from row negation[l] in a union: the gradient of pairing each
-    literal with its negation; returns acc."""
-    if negation is None:
-        acc[:n] += m[n:]
-        acc[n:] += m[:n]
-    else:
-        acc += m[negation]
+def _add_swapped(acc, m, n):
+    """acc += m with its first n rows and the rest swapped (the gradient of
+    joining each literal with its negation); returns acc."""
+    acc[:n] += m[n:]
+    acc[n:] += m[:n]
     return acc
 
 
-class _PartGrads:
-    """Adds a backward's parameter gradients, given one per part, to
-    ``grads`` in the order of one backward per part, part after part, so
-    that a backward over a disjoint union leaves the same bits in
-    ``grads`` as its parts' own backwards would, one after the other.  A
-    tensor that gets one gradient per part (``defer`` False) takes them at
-    once, in part order; one that gets several, one per message-passing
-    iteration, takes part 0's as they come and the others' at ``flush``."""
-
-    def __init__(self, grads, parts, defer=True):
-        self.grads = grads
-        self.parts = parts
-        self.later = [[] for _ in range(parts - 1)] if defer else None
-
-    def add(self, name, per_part):
-        """Adds per_part[j], part j's gradient of tensor ``name``."""
-        self.grads[name] += per_part[0]
-        if self.later is None:
-            for grad in per_part[1:]:
-                self.grads[name] += grad
-        else:
-            for pending, grad in zip(self.later, per_part[1:]):
-                pending.append((name, grad))
-
-    def sums(self, name, x, blocks):
-        """Adds the column sums of each part's rows of x, the (lo, hi)
-        ranges of ``blocks``."""
-        if self.parts > 1:
-            self.add(name, [x[lo:hi].sum(axis=0) for lo, hi in blocks])
-        else:
-            self.grads[name] += x.sum(axis=0)
-
-    def products(self, name, h, dz, blocks):
-        """Adds h.T @ dz over each part's rows."""
-        if self.parts > 1:
-            self.add(name, [h[lo:hi].T @ dz[lo:hi] for lo, hi in blocks])
-        else:
-            self.grads[name] += h.T @ dz
-
-    def flush(self):
-        for pending in self.later or ():
-            for name, grad in pending:
-                self.grads[name] += grad
-
-
-def _mlp_backward(layers, caches, dout, slope, sink, prefix, pool, blocks, gather_t=None, in_blocks=None):
+def _mlp_backward(layers, caches, dout, slope, grads, prefix, pool, gather_t=None):
     # caches[i] is (layer i's input, its dropout mask or None), as
     # network._mlp_forward keeps them; gather_t is the transpose of the
-    # forward's gather, which the first layer's product went through.
-    # Rows come part after part, each part's in the order of its own pass:
-    # part j holds rows blocks[j] = (lo, hi) of dout and of every layer's
-    # output, and in_blocks[j] of the first layer's input when gather_t is
-    # given.  Every dense product and sum runs once per part (_matmul), so
-    # each part gets the bits of its own backward: a product with a
-    # transposed weight rounds a row differently at different row counts.
-    # The leaky derivatives and the upstream products come from pool
+    # forward's gather, which the first layer's product went through; the
+    # leaky derivatives and the upstream products come from pool
     upstream = dout
     h_next = None
     for i in range(len(layers) - 1, -1, -1):
@@ -105,13 +50,11 @@ def _mlp_backward(layers, caches, dout, slope, sink, prefix, pool, blocks, gathe
             if mask is not None:
                 upstream *= mask
             dz *= upstream
-        sink.sums(f"{prefix}.{i}.b", dz, blocks)
-        rows = blocks
+        grads[f"{prefix}.{i}.b"] += dz.sum(axis=0)
         if gather_t is not None and i == 0:
-            dz = gather_t(dz) if callable(gather_t) else gather_t @ dz
-            rows = in_blocks
-        sink.products(f"{prefix}.{i}.w", h, dz, rows)
-        upstream = _matmul(dz, w.T, pool.take((len(dz), len(w))), rows)
+            dz = gather_t @ dz
+        grads[f"{prefix}.{i}.w"] += h.T @ dz
+        upstream = np.matmul(dz, w.T, out=pool.take((len(dz), len(w))))
         h_next = h
     return upstream
 
@@ -144,9 +87,9 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
     tensor is not finite; a caller that accumulates into its own ``grads``
     over several calls checks the sum once with ``check_finite``.
 
-    Over a ``cnf.disjoint_union`` each tensor gets each part's gradients in
-    part order, after all of the previous part's, so ``grads`` ends with
-    the bits of one backward per graph, graph after graph.
+    A ``cnf.disjoint_union`` runs as one graph: each dense product and
+    column sum spans all its parts, so the gradients equal the sum of one
+    backward per part to rounding, not bit for bit.
 
     The cache serves one backward: it drops each layer's entries once
     read, so that their memory can go while the pass goes on.
@@ -155,80 +98,53 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
     if created:
         grads = zero_grads(params)
     graph = cache["graph"]
-    g, gt = graph.matrices()[:2]
-    sizes, by_size, class_bounds = cache["first_round"]
-    clause_bounds, var_bounds = graph.part_bounds()
+    g, gt, _, _ = graph.matrices()
+    sizes, by_size = cache["first_round"]
     n = cache["n"]
     dl = hp.delta_l
     slope = hp.leaky_slope
     pool = _pool()
-    # the heads' and l_init's tensors get one gradient per part, the
-    # message passing's one per part and iteration
-    once = _PartGrads(grads, len(graph.parts), defer=False)
-    sink = _PartGrads(grads, len(graph.parts))
-    # a union keeps each part's rows in one block, in the order of the
-    # part's own pass (cnf.disjoint_union): every dense product and column
-    # sum runs per block
-    var_blocks, literal_blocks = _blocks(var_bounds), _blocks(2 * var_bounds)
-    clause_blocks, class_blocks = _blocks(clause_bounds), _blocks(class_bounds)
-    negation, positive = graph.pairing() or (None, None)
 
     dX_final = pool.take((2 * n, 2 * dl))
     dX_final.fill(0.0)
     dlogits = np.asarray(dlogits, dtype=float).reshape(n, 1)
     if np.any(dlogits):
-        dpos = _mlp_backward(params.v_policy, cache["p_cache"], dlogits, slope, once, "v_policy", pool, var_blocks)
-        if positive is None:
-            dX_final[:n] += dpos
-        else:
-            dX_final[positive] += dpos
+        dX_final[:n] += _mlp_backward(params.v_policy, cache["p_cache"], dlogits, slope, grads, "v_policy", pool)
     if params.v_value is not None and np.any(dvalue):
         # each part's value is the sigmoid of the mean of its 2 n_j score
-        # rows: its gradient spreads evenly over them
-        rows = 2 * np.diff(var_bounds)
+        # rows, n_j positive and n_j negative: its gradient spreads evenly
+        # over them
+        counts = np.diff(graph.part_bounds()[1])
         v = cache["values"]
-        dscores = np.repeat(np.asarray(dvalue, dtype=float) * v * (1.0 - v) / rows, rows)[:, None]
-        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, once, "v_value", pool,
-                                  literal_blocks)
+        dscores = np.repeat(np.asarray(dvalue, dtype=float) * v * (1.0 - v) / (2 * counts), counts)
+        dscores = np.concatenate((dscores, dscores))[:, None]
+        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value", pool)
 
     cache["p_cache"] = cache["v_cache"] = None
-    dL = _add_swapped(dX_final[:, :dl].copy(), dX_final[:, dl:], n, negation)
+    dL = _add_swapped(dX_final[:, :dl].copy(), dX_final[:, dl:], n)
     iters = cache["iters"]
     for index in reversed(range(len(iters))):
         it = iters[index]
         iters[index] = None
         xhat, ln_inv = it["xhat"], it["ln_inv"]
-        sink.sums("ln_scale", dL * xhat, literal_blocks)
-        sink.sums("ln_shift", dL, literal_blocks)
+        grads["ln_scale"] += (dL * xhat).sum(axis=0)
+        grads["ln_shift"] += dL.sum(axis=0)
         dxhat = np.multiply(dL, params.ln_scale, out=pool.take(dL.shape))
         dres = _standardize_backward(dxhat, xhat, ln_inv, pool)
         dprev = 0.1 * dres
-        dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, sink, "l_update", pool, literal_blocks)
-        c_cache = it["c_cache"]
-        if index == 0:
-            # iteration 0 ran the clause update once per size class of
-            # each part: its gradient sums over each part's classes
-            # through by_size's transpose, and each part's class
-            # aggregates were its sizes times the one row [l_init, l_init]
-            parts = len(class_blocks)
-            (h, mask), *rest = c_cache
-            c_cache = [(np.repeat(h, parts, axis=0), mask), *rest]
-            spread_t, blocks, in_blocks = by_size.T, class_blocks, [(j, j + 1) for j in range(parts)]
-
-            def gather_t(dz):
-                return np.concatenate([sizes[None, lo:hi] @ dz[lo:hi] for lo, hi in class_blocks])
-        else:
-            spread_t, blocks, in_blocks, gather_t = g, clause_blocks, literal_blocks, gt
+        dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update", pool)
+        # iteration 0 ran the clause update once per size class: its
+        # gradient sums over each class through by_size's transpose, and
+        # the class aggregates were sizes times [l_init, l_init]
+        gather_t, spread_t = (sizes[None], by_size.T) if index == 0 else (gt, g)
         dC = _standardize_backward(spread_t @ dB, it["c_std"], it["c_inv"], pool)
-        dX = _mlp_backward(params.c_update, c_cache, dC, slope, sink, "c_update", pool, blocks, gather_t, in_blocks)
+        dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", pool, gather_t)
         if index == 0:
-            once.add("l_init", [dprev[lo:hi].sum(axis=0) + dX[j, :dl] + dX[j, dl:]
-                                for j, (lo, hi) in enumerate(literal_blocks)])
+            grads["l_init"] += dprev.sum(axis=0) + dX[0, :dl] + dX[0, dl:]
         else:
             dL = dprev
             dL += dX[:, :dl]
-            _add_swapped(dL, dX[:, dl:], n, negation)
-    sink.flush()
+            _add_swapped(dL, dX[:, dl:], n)
 
     if created:
         check_finite(grads)

@@ -5,8 +5,8 @@ into clause embeddings, standardizes them per clause, scatters them back to
 literals through a residual update, and layer-normalizes.  The policy head
 scores each variable from its concatenated positive/negative literal
 embeddings; the optional value head maps the mean literal score through a
-sigmoid.  A pass over a ``cnf.disjoint_union`` of graphs gives each graph
-its own pass's outputs.
+sigmoid.  A ``cnf.disjoint_union`` of graphs runs as one graph, with one
+value per graph.
 """
 
 from __future__ import annotations
@@ -254,20 +254,16 @@ def _pool():
     return _local.pool
 
 
-def _concat_neg(L, n, pool, negation=None):
+def _concat_neg(L, n, pool):
     # pair each literal's embedding with its negation's: rows v-1 and n+v-1
-    # swap, or row l and negation[l] in a union (cnf.SparseGraph.pairing);
-    # a single shared embedding (1-D L) gives the one row [L, L]
+    # swap; a single shared embedding (1-D L) gives the one row [L, L]
     if L.ndim == 1:
         return np.concatenate((L, L))[None]
     d = L.shape[1]
     X = pool.take((2 * n, 2 * d))
     X[:, :d] = L
-    if negation is None:
-        X[:n, d:] = L[n:]
-        X[n:, d:] = L[:n]
-    else:
-        X[:, d:] = L[negation]
+    X[:n, d:] = L[n:]
+    X[n:, d:] = L[:n]
     return X
 
 
@@ -290,38 +286,14 @@ def _activate(z, b, slope, dropout, drng, pool, hidden):
     return mask
 
 
-def _blocks(bounds):
-    """The list of (lo, hi) row ranges between consecutive ``bounds``."""
-    bounds = bounds.tolist()
-    return list(zip(bounds, bounds[1:]))
-
-
-def _matmul(h, w, out, blocks):
-    """h @ w into out, one product per (lo, hi) row range of ``blocks``
-    (None or one range: one product).  A range's rows then get the bits of
-    a product over those rows alone: numpy and BLAS choose the kernel, and
-    with it the rounding, by the shape, such as a matrix-vector kernel for
-    one row, remainder code for the last rows when w has few columns, or,
-    when w is a transposed view, a kernel chosen by the row count."""
-    if blocks is None or len(blocks) <= 1:
-        return np.matmul(h, w, out=out)
-    for lo, hi in blocks:
-        np.matmul(h[lo:hi], w, out=out[lo:hi])
-    return out
-
-
-def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None, out=None, blocks=None,
-                 in_blocks=None):
+def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None, out=None):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
     every layer but the last.
 
     With ``gather``, the MLP runs on ``gather @ h``: the first layer is
     linear before its bias, so it runs on h's rows and ``gather`` applies to
     its product, ``gather @ (h @ w) + b``.  With ``out`` (and no gather),
-    the last layer's product is written there.  With ``blocks``, (lo, hi)
-    row ranges of the output, each dense product over those rows runs once
-    per range (``_matmul``); the first layer's product with ``gather``
-    runs once per range of ``in_blocks``, ranges of h's rows.
+    the last layer's product is written there.
 
     When cache is a list, each layer appends (its input, its dropout mask or
     None), where the first layer's input is h, not ``gather @ h``; the
@@ -332,8 +304,7 @@ def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None, out=
     ``pool``."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = out if i == last and out is not None else pool.take((len(h), w.shape[1]))
-        z = _matmul(h, w, z, in_blocks if gather is not None and i == 0 else blocks)
+        z = np.matmul(h, w, out=out if i == last and out is not None else pool.take((len(h), w.shape[1])))
         if gather is not None and i == 0:
             if cache is None:
                 h = None        # free the input before the aggregate is made
@@ -447,9 +418,8 @@ def _split_worker(graph, keep, drng):
     """The worker that takes the second half of each split stage of this
     pass, or None when the pass runs whole on this thread: it keeps a
     cache, draws dropout masks (one stream, in row order), runs on the
-    worker itself, runs over a union of graphs (its dense products run per
-    part), or has no spare core or too few edges to gain."""
-    if keep or drng is not None or len(graph.parts) > 1 or not _SPARE_CORE or graph.num_edges < _SPLIT_MIN_EDGES:
+    worker itself, or has no spare core or too few edges to gain."""
+    if keep or drng is not None or not _SPARE_CORE or graph.num_edges < _SPLIT_MIN_EDGES:
         return None
     if getattr(_local, "on_worker", False):
         return None
@@ -532,12 +502,19 @@ def _literal_rows(k, params, hp, spread_halves, C_std, L, L_next):
     _layer_norm(params, hp, L_res, L_next[lo:hi])
 
 
-def _part_values(v_scores, blocks):
+def _part_values(v_scores, var_bounds):
     """Each part's value: the sigmoid of the mean of its rows of the value
-    head's scores, the (lo, hi) ranges of ``blocks``.  Below a mean of about -709
+    head's scores, its positive literals' [v_j, v_j+1) and then its
+    negative literals' [N + v_j, N + v_j+1), for N = var_bounds[-1]; for a
+    plain graph, the mean of all the scores.  Below a mean of about -709
     exp overflows to inf, and the value is its limit, 0.0."""
-    with np.errstate(over="ignore"):
-        return np.array([1.0 / (1.0 + np.exp(-v_scores[lo:hi].mean())) for lo, hi in blocks])
+    n = var_bounds[-1]
+    values = []
+    for lo, hi in zip(var_bounds[:-1].tolist(), var_bounds[1:].tolist()):
+        mean = np.concatenate((v_scores[lo:hi], v_scores[n + lo : n + hi])).mean()
+        with np.errstate(over="ignore"):
+            values.append(1.0 / (1.0 + np.exp(-mean)))
+    return np.array(values)
 
 
 def _forward(params, hp, graph, train_mode, dropout_seed, keep):
@@ -546,20 +523,11 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     # its last use.  A pass that _split_worker allows runs each literal
     # update, and each clause update after its first product but iteration
     # 0's, in two halves at once, this thread's and the worker's, into one
-    # output; the heads run whole.
-    #
-    # Over a disjoint union the sparse products and the row-wise stages run
-    # once for all parts, and every dense product runs once per part
-    # (_matmul), over the part's own rows, which the union keeps in one
-    # block each, in the order of the part's own pass (its clauses, its
-    # literals, in iteration 0 its size classes).  BLAS picks a kernel, and
-    # with it the rounding of a row, by the shape of the product, so each
-    # part gets its own pass's logits and value bit for bit
-    g, gt, sizes, by_size, class_bounds = graph.matrices()
-    clause_bounds, var_bounds = graph.part_bounds()
-    class_blocks, clause_blocks = _blocks(class_bounds), _blocks(clause_bounds)
-    var_blocks, literal_blocks = _blocks(var_bounds), _blocks(2 * var_bounds)
-    negation, positive = graph.pairing() or (None, None)
+    # output; the heads run whole
+    for j, (_, num_vars) in enumerate(graph.parts):
+        if num_vars == 0:       # no logits, and its value the mean of no scores
+            raise ValueError(f"part {j} of {len(graph.parts)} of the graph has no variables")
+    g, gt, sizes, by_size = graph.matrices()
     n = graph.num_vars
     pool = _pool()
     drng = np.random.default_rng(dropout_seed) if (train_mode and hp.dropout > 0.0) else None
@@ -570,21 +538,18 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     if drng is not None:
         # dropout draws a mask per clause: every clause is its own class
         sizes, by_size = np.bincount(graph.rows, minlength=graph.num_clauses).astype(float), gt
-        class_bounds, class_blocks = clause_bounds, clause_blocks
     L = params.l_init
     iters = [] if keep else None
     for it in range(hp.tau_iters):
         c_cache = [] if keep else None
         l_cache = [] if keep else None
-        gather, spread, blocks = (sizes[:, None], by_size, class_blocks) if it == 0 else (g, gt, clause_blocks)
-        # iteration 0's literal pairs are the one row [l_init, l_init]
-        in_blocks = None if it == 0 else literal_blocks
+        gather, spread = (sizes[:, None], by_size) if it == 0 else (g, gt)
         if worker is None or it == 0:
             # the literal pairs go in as an argument expression, so that the
             # clause update can free them after its first product
             C_std, c_inv = _standardize_rows(
-                _mlp_forward(params.c_update, _concat_neg(L, n, pool, negation), hp.leaky_slope, hp.dropout,
-                             drng, c_cache, pool, gather, blocks=blocks, in_blocks=in_blocks),
+                _mlp_forward(params.c_update, _concat_neg(L, n, pool), hp.leaky_slope, hp.dropout, drng,
+                             c_cache, pool, gather),
                 hp.ln_eps,
             )
         else:
@@ -599,8 +564,7 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
                 # the largest array of an iteration; held through the literal
                 # update, it would set the peak of a cache-free pass
                 del C_std
-            L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool,
-                                 blocks=literal_blocks)
+            L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool)
             del B
             L_res += 0.1 * L
             del L
@@ -618,25 +582,23 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
                 {"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv,
                  "l_cache": l_cache, "xhat": xhat, "ln_inv": inv}
             )
-    X_final = _concat_neg(L, n, pool, negation)
+    X_final = _concat_neg(L, n, pool)
     del L
     p_cache = [] if keep else None
-    logits = _mlp_forward(params.v_policy, X_final[:n] if positive is None else X_final[positive],
-                          hp.leaky_slope, hp.dropout, drng, p_cache, pool, blocks=var_blocks).ravel()
+    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache, pool).ravel()
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
     values = None
     v_cache = [] if keep else None
     if params.v_value is not None:
-        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool,
-                                blocks=literal_blocks)
-        values = _part_values(v_scores, literal_blocks)
+        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool)
+        values = _part_values(v_scores, graph.part_bounds()[1])
     out = ForwardOutput(policy_logits=logits, values=values)
     if not keep:
         return out, None
     cache = {
-        "graph": graph, "iters": iters, "first_round": (sizes, by_size, class_bounds), "p_cache": p_cache,
-        "v_cache": v_cache, "values": values, "n": n,
+        "graph": graph, "iters": iters, "first_round": (sizes, by_size), "p_cache": p_cache, "v_cache": v_cache,
+        "values": values, "n": n,
     }
     return out, cache
 
@@ -651,18 +613,22 @@ def forward_with_cache(params: NetParams, hp: HyperParams, graph, train_mode=Fal
     embeddings ``c_std`` (one row per size class in iteration 0 without
     dropout) and the layer-normalized literals ``xhat`` with their inverse
     deviations; the same per layer for both heads; iteration 0's
-    ``first_round`` (sizes, by_size, class_bounds); and the graph, the
-    values and the variable count."""
+    ``first_round`` (sizes, by_size) pair; and the graph, the values and
+    the variable count.  Raises ValueError, before allocating, for a
+    graph with a part of no variables."""
     return _forward(params, hp, graph, train_mode, dropout_seed, keep=True)
 
 
 def forward(params: NetParams, hp: HyperParams, graph, train_mode=False, dropout_seed=0) -> ForwardOutput:
     """Run the network over a graph: per-variable policy logits plus the
     optional value estimate of each part (``ForwardOutput.value`` for a
-    plain graph).  Over a ``cnf.disjoint_union`` a part's logits are the
-    union's logits at its variables, and its logits and value are those of
-    its own pass.  Keeps no cache, so each intermediate is freed after its
-    last use; the outputs are bit-identical to ``forward_with_cache``'s."""
+    plain graph).  A ``cnf.disjoint_union`` runs as one graph: a part's
+    logits are the union's logits at its variables, and its logits and
+    value equal those of its own pass to rounding, not bit for bit, since
+    BLAS may round a row differently in a product of another shape.
+    Raises ValueError, before allocating, when a part has no variables.
+    Keeps no cache, so each intermediate is freed after its last use; the
+    outputs are bit-identical to ``forward_with_cache``'s."""
     out, _ = _forward(params, hp, graph, train_mode, dropout_seed, keep=False)
     return out
 

@@ -357,15 +357,17 @@ def _returns_to_go(episodes):
 # The gradient passes of a batch run over disjoint unions of consecutive
 # episode steps of at most this many edges (a larger step runs alone): at
 # a few hundred edges per step, per-call overhead sets much of a pass's
-# cost.  A union's forward cache grows with its edges, its buffers pass
-# the pool floor and stay retained, and its backward holds the gradients
-# of all its steps but the first until the end, so the budget trades time
-# for memory.  perfbench train-rl (rl preset, steps of 240-540 edges, one
-# BLAS thread, 2-vCPU Xeon VM), seeds 1-2, op_s_p50 and peak_rss_mb: one
-# pass per step 0.339-0.356 s and 65.9 MB; budget 1,200 0.331-0.337 s and
+# cost.  A union's forward cache grows with its edges, and its buffers
+# pass the pool floor and stay retained, so the budget trades time for
+# memory.  perfbench train-rl (rl preset, steps of 240-540 edges, one BLAS
+# thread, 2-vCPU Xeon VM), seeds 1-2, op_s_p50 and peak_rss_mb: one pass
+# per step 0.339-0.356 s and 65.9 MB; budget 1,200 0.331-0.337 s and
 # 68.9-69.2 MB; 1,500 0.323-0.325 s and 70.4-70.7 MB; 1,800 0.318-0.320 s
 # and 72.3-72.8 MB; 2,000 0.312-0.315 s and 75.8-76.5 MB, past the
-# benchmark's 15% memory bound.
+# benchmark's 15% memory bound.  The sweep was measured with an earlier
+# union backward that ran one dense product per step and deferred the
+# gradients of a union's later steps to its end; it has not been rerun
+# since unions run as one plain graph.
 _UNION_MAX_EDGES = 1_500
 
 
@@ -460,8 +462,10 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
     One forward and one backward run per union of ``unions``
     (``pack_steps(episodes)`` when None); each step's log-softmax, loss
     and head gradients are its own, sliced out of its union's logits, and
-    the sums have the bits of one pass per step.  The summed gradients
-    are checked for finiteness once, after the last backward pass."""
+    the numbers equal those of one pass per step to rounding (a plain graph
+    in ``unions`` is a one-part union and gives its own pass's numbers).
+    The summed gradients are checked for finiteness once, after the last
+    backward pass."""
     total_steps = sum(len(ep) for ep in episodes)
     if total_steps == 0:
         raise ValueError("empty episode batch")
@@ -523,13 +527,12 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     advantages and value targets come from the values recorded in the
     rollouts (the params are still the rollout snapshot), and 2 * U for
     each later step, whose weights need a forward at the updated params
-    before the forward that feeds the backward.  Every number is the one
-    that one pass per step gives, bit for bit.  The edge budget bounds
-    memory: a union's forward cache grows with its edges (at the rl preset
-    one is 2.3 MB on a 540-edge graph) and its backward holds the
-    gradients of all its steps but the first until the end; no cache is
-    kept from one pass to the next.  A non-finite gradient raises
-    FloatingPointError before the Adam step.
+    before the forward that feeds the backward.  A union runs as one
+    graph, so its numbers equal those of one pass per step to rounding,
+    not bit for bit.  The edge budget bounds memory: a union's forward
+    cache grows with its edges (at the rl preset one is 2.3 MB on a
+    540-edge graph); no cache is kept from one pass to the next.  A
+    non-finite gradient raises FloatingPointError before the Adam step.
 
     Each history row also records, for the last grad step, ``grad_norm``,
     the global gradient norm before clipping; ``ratio_clip_frac``, the

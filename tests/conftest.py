@@ -12,6 +12,19 @@ def tiny_hyper():
     return HyperParams(delta_l=3, delta_c=4, tau_iters=2, n_l=2, n_c=2, n_p=2, dropout=0.0)
 
 
+# A disjoint union runs as one graph, so its numbers equal those of one
+# pass per part only to rounding: this bound, relative to max(|x|, 1) of
+# the per-part value x, is 100 times tighter than the golden values' 1e-10
+ROUNDING = 1e-12
+
+
+def assert_rounding_close(got, want, label=""):
+    """got equals want to within ROUNDING of max(|want|, 1), elementwise."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, label
+    assert np.all(np.abs(got - want) <= ROUNDING * np.maximum(np.abs(want), 1.0)), (label, got, want)
+
+
 def perturbed_params(hp, seed=5, noise=0.05, value_head=True):
     """Init params nudged off the zero-bias point so no pre-activation sits
     exactly on the LeakyReLU kink (which would break finite differences)."""

@@ -132,9 +132,8 @@ class TestClauseLiteralGraph:
         # clause sizes count repeated literals: (1, 1, -2) has size 3 like
         # (3, 2, -1), and the empty clause has its own class
         g = clause_literal_graph(Formula(3, ((1, -2), (), (3, 2, -1), (1, 1, -2))))
-        csr, csr_t, sizes, by_size, class_bounds = g.matrices()
+        csr, csr_t, sizes, by_size = g.matrices()
         assert sizes.tolist() == [0.0, 2.0, 3.0]
-        assert class_bounds.tolist() == [0, 3]
         indicator = np.zeros((g.num_clauses, len(sizes)))
         indicator[[0, 1, 2, 3], [1, 0, 2, 2]] = 1.0
         assert np.array_equal(by_size.toarray(), csr_t.toarray() @ indicator)
@@ -151,21 +150,20 @@ class TestClauseLiteralGraph:
 
 
 class TestDisjointUnion:
-    def test_layout_keeps_each_graph_in_its_own_block(self):
+    def test_layout_puts_all_positive_literals_first(self):
         a = clause_literal_graph(Formula(2, ((1, -2), (2,))))
         b = clause_literal_graph(Formula(3, ((-1, 3), (-3, 2, 1))))
         u = disjoint_union([a, b])
         assert (u.num_clauses, u.num_vars, u.parts) == (4, 5, ((2, 2), (2, 3)))
         assert u.var_map == (1, 2, 1, 2, 3)
-        # a keeps columns 0-3; b's column c moves to 4 + c: its variable i
-        # is positive at column 3 + i and negative at 6 + i
-        assert edge_pairs(u) == [(0, 0), (0, 3), (1, 1), (2, 7), (2, 6), (3, 9), (3, 5), (3, 4)]
+        # b's variable i is the union's variable 2 + i: positive at column
+        # 1 + i, negative at column 6 + i
+        assert edge_pairs(u) == [(0, 0), (0, 6), (1, 1), (2, 7), (2, 4), (3, 9), (3, 3), (3, 2)]
         assert u.part_bounds()[0].tolist() == [0, 2, 4]
         assert u.part_bounds()[1].tolist() == [0, 2, 5]
-        negation, positive = u.pairing()
-        assert negation.tolist() == [2, 3, 0, 1, 7, 8, 9, 4, 5, 6]
-        assert positive.tolist() == [0, 1, 4, 5, 6]
-        assert a.pairing() is None and disjoint_union([a]).pairing() is None
+        # the graph of the formulas side by side, b's variables renumbered
+        side_by_side = clause_literal_graph(Formula(5, ((1, -2), (2,), (-3, 5), (-5, 4, 3))))
+        assert edge_pairs(u) == edge_pairs(side_by_side)
 
     def test_unions_flatten_and_one_graph_keeps_its_edges(self):
         graphs = [clause_literal_graph(random_ksat(5, 9, 3, s)) for s in range(3)]
@@ -179,33 +177,31 @@ class TestDisjointUnion:
         with pytest.raises(ValueError):
             disjoint_union([])
 
-    def test_matrices_join_the_graphs_own(self):
-        # the same arrays as a graph with the union's edges and parts builds
-        # from its edges, nested or not; repeated literals and an empty
-        # clause included
+    def test_each_part_block_is_the_graphs_own_matrix(self):
+        # G holds each graph's G at its rows and its positive and negative
+        # columns, and nothing else; repeated literals and an empty clause
+        # included
         graphs = [clause_literal_graph(random_ksat(6 + s, 20 + 3 * s, 3, s)) for s in range(3)]
         graphs.append(clause_literal_graph(Formula(3, ((1, 1, -2), (), (3,)))))
         union = disjoint_union(graphs)
-        nested = disjoint_union([disjoint_union(graphs[:2]), disjoint_union(graphs[2:])])
-        from_edges = SparseGraph(union.num_clauses, union.num_vars, union.rows, union.cols, union.var_map, union.parts)
-        want = from_edges.matrices()
-        for got in (union.matrices(), nested.matrices()):
-            for k in (0, 1, 3):
-                assert got[k].shape == want[k].shape
-                for attr in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got[k], attr), getattr(want[k], attr)), (k, attr)
-            assert np.array_equal(got[2], want[2]) and np.array_equal(got[4], want[4])
+        g = union.matrices()[0].toarray()
+        n = union.num_vars
+        clause_bounds, var_bounds = union.part_bounds()
+        for j, graph in enumerate(graphs):
+            lo, hi = var_bounds[j], var_bounds[j + 1]
+            cols = np.r_[lo:hi, n + lo : n + hi]
+            assert np.array_equal(g[clause_bounds[j] : clause_bounds[j + 1]][:, cols], graph.matrices()[0].toarray())
+        assert g.sum() == sum(graph.matrices()[0].sum() for graph in graphs)
 
-    def test_size_classes_are_per_part(self):
-        # a's clauses have sizes 2 and 1, b's 2 and 3: four classes, part
-        # after part, each ascending
+    def test_size_classes_span_the_parts(self):
+        # a's clauses have sizes 2 and 1, b's 2 and 3: three classes, one
+        # per size, whichever part its clauses come from
         a = clause_literal_graph(Formula(2, ((1, -2), (2,))))
         b = clause_literal_graph(Formula(3, ((-1, 3), (-3, 2, 1))))
-        _, csr_t, sizes, by_size, class_bounds = disjoint_union([a, b]).matrices()
-        assert sizes.tolist() == [1.0, 2.0, 2.0, 3.0]
-        assert class_bounds.tolist() == [0, 2, 4]
-        indicator = np.zeros((4, 4))
-        indicator[[0, 1, 2, 3], [1, 0, 2, 3]] = 1.0
+        _, csr_t, sizes, by_size = disjoint_union([a, b]).matrices()
+        assert sizes.tolist() == [1.0, 2.0, 3.0]
+        indicator = np.zeros((4, 3))
+        indicator[[0, 1, 2, 3], [1, 0, 1, 2]] = 1.0
         assert np.array_equal(by_size.toarray(), csr_t.toarray() @ indicator)
 
 

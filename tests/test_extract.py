@@ -328,7 +328,7 @@ class TestRowOrder:
         order = np.lexsort((rng.random(g.num_edges), g.rows))
         assert not np.array_equal(order, np.arange(g.num_edges))
         h = SparseGraph(g.num_clauses, g.num_vars, g.rows[order], g.cols[order], g.var_map)
-        (g_mat, gt_mat, sizes, by_size, _), (h_mat, ht_mat, h_sizes, h_by_size, _) = g.matrices(), h.matrices()
+        (g_mat, gt_mat, sizes, by_size), (h_mat, ht_mat, h_sizes, h_by_size) = g.matrices(), h.matrices()
         assert np.array_equal(sizes, h_sizes)
         for a, b in ((g_mat, h_mat), (gt_mat, ht_mat), (by_size, h_by_size)):
             assert np.array_equal(a.indptr, b.indptr)

@@ -8,12 +8,17 @@ digest: sum, L1 norm and a fixed random projection), a short ``train_rl``
 history with its final parameters, and one ``train_supervised`` epoch.
 Tolerances are 1e-10 relative to each quantity's scale, far tighter than
 any change to the arithmetic.  For the network they also leave room for a
-different BLAS build; for the two training loops they do not.  The policy
-head's output bias has an exact gradient of zero (softmax minus target sums
-to zero), so its trained value is rounding noise, and Adam rescales the
-near-cancelling gradients of the layer below it: a rewrite that only
-reorders floating-point sums moves those entries past 1e-10, and so may a
-different BLAS.
+different BLAS build; for the two training loops they do not.  The
+``train_rl`` section pins Adam-amplified rounding noise in two tensors.
+One is the policy head's output bias ``v_policy.{n_p-1}.b``, whose exact
+gradient is 0: each step's softmax minus its one-hot target sums to 0.
+The other is the bias of the layer below, ``v_policy.{n_p-2}.b``: a unit
+that is active on all of a step's rows gets its outgoing weight times that
+same zero sum, so its bias gradient also cancels exactly.  Adam divides
+each such gradient by its own running magnitude, so rounding noise moves
+those entries by up to the learning rate.  So any reassociation of a
+gradient sum, such as a change in how ``train_rl`` batches its steps,
+means regenerating that section, and so may a different BLAS.
 Conflict-budget solves are pinned exactly: status, search counters,
 glue counts and a digest of the final trail.
 
