@@ -260,6 +260,8 @@ def disjoint_union(graphs) -> SparseGraph:
 
 def random_ksat(n: int, m: int, k: int, seed=None) -> Formula:
     """Uniform random k-SAT: m clauses over k distinct variables each."""
+    if k < 1 or m < 0:
+        raise ValueError(f"need a clause width k >= 1 and a clause count m >= 0, got k={k}, m={m}")
     if k > n:
         raise ValueError(f"clause width {k} exceeds variable count {n}")
     rng = np.random.default_rng(seed)

@@ -286,32 +286,20 @@ def _activate(z, b, slope, dropout, drng, pool, hidden):
     return mask
 
 
-def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, gather=None, out=None):
+def _mlp_forward(layers, h, slope, dropout, drng, cache, pool, out=None):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
-    every layer but the last.
-
-    With ``gather``, the MLP runs on ``gather @ h``: the first layer is
-    linear before its bias, so it runs on h's rows and ``gather`` applies to
-    its product, ``gather @ (h @ w) + b``.  With ``out`` (and no gather),
-    the last layer's product is written there.
+    every layer but the last.  With ``out``, the last layer's product is
+    written there.
 
     When cache is a list, each layer appends (its input, its dropout mask or
-    None), where the first layer's input is h, not ``gather @ h``; the
-    pre-activations are not kept, since a hidden layer's output is positive
-    exactly where its pre-activation is.  With no cache, no reference to a
-    layer's input outlives the computation of its output.  The dense
-    products, the leaky ReLU temporary and the dropout masks come from
-    ``pool``."""
+    None); the pre-activations are not kept, since a hidden layer's output
+    is positive exactly where its pre-activation is.  With no cache, no
+    reference to a layer's input outlives the computation of its output.
+    The dense products, the leaky ReLU temporary and the dropout masks come
+    from ``pool``."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = np.matmul(h, w, out=out if i == last and out is not None else pool.take((len(h), w.shape[1])))
-        if gather is not None and i == 0:
-            if cache is None:
-                h = None        # free the input before the aggregate is made
-            if isinstance(gather, np.ndarray):
-                z = np.matmul(gather, z, out=pool.take((len(gather), z.shape[1])))
-            else:       # a scipy sparse product takes no out=
-                z = gather @ z
         mask = _activate(z, b, slope, dropout, drng, pool, i < last)
         if cache is not None:
             cache.append((h, mask))
@@ -395,9 +383,9 @@ def _on_worker():
 
 
 def _network_worker() -> ThreadPoolExecutor:
-    """The one thread that runs a split pass's second halves and a training
-    batch's forwards, started on first use and kept, so that its buffer
-    pool persists."""
+    """The one thread that runs a split pass's second row blocks and a
+    training batch's forwards, started on first use and kept, so that its
+    buffer pool persists."""
     global _worker
     with _worker_lock:
         if _worker is None:
@@ -414,92 +402,119 @@ def _forget_worker():
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _split_worker(graph, keep, drng):
-    """The worker that takes the second half of each split stage of this
-    pass, or None when the pass runs whole on this thread: it keeps a
-    cache, draws dropout masks (one stream, in row order), runs on the
-    worker itself, or has no spare core or too few edges to gain."""
-    if keep or drng is not None or not _SPARE_CORE or graph.num_edges < _SPLIT_MIN_EDGES:
-        return None
-    if getattr(_local, "on_worker", False):
+def _spare_worker(edges, min_edges):
+    """The network worker, for work on a graph of ``edges`` edges, or None
+    when no core is spare, the graph has fewer than ``min_edges`` edges, or
+    this thread is the worker, which must never wait for itself."""
+    if not _SPARE_CORE or edges < min_edges or getattr(_local, "on_worker", False):
         return None
     return _network_worker()
 
 
-def _half(rows, k):
-    """Rows [lo, hi) of half k (0 here, 1 on the worker) of a stage over
-    ``rows`` rows.  A stage of fewer than four rows runs whole here: numpy
-    multiplies a one-row matrix with a matrix-vector kernel, whose bits
-    can differ from the matrix kernel's that the whole stage uses."""
-    cut = rows // 2 if rows >= 4 else rows
-    return (0, cut) if k == 0 else (cut, rows)
+def _split_worker(graph, keep, drng):
+    """The worker that takes the second row block of each split stage of
+    this pass, or None when the pass runs whole here: it keeps a cache,
+    draws dropout masks (one stream, in row order), or has fewer than
+    _SPLIT_MIN_EDGES edges or no worker from ``_spare_worker``."""
+    if keep or drng is not None:
+        return None
+    return _spare_worker(graph.num_edges, _SPLIT_MIN_EDGES)
 
 
-def _row_halves(m):
-    """The two row halves (``_half``) of the CSR matrix m as CSR matrices
-    sharing its data and indices (scipy's row slicing copies them).  Built
-    on the calling thread while the worker waits: the constructors hold
-    the GIL, and built inside the halves they cost a split pass at 18k
-    edges about 0.3 ms of GIL contention."""
+def _row_block(m, lo, hi):
+    # rows [lo, hi) of the CSR matrix m as a CSR matrix sharing its data
+    # and indices (scipy's row slicing copies them)
     from scipy.sparse import csr_matrix
 
-    halves = []
-    for k in (0, 1):
-        lo, hi = _half(m.shape[0], k)
-        start, end = m.indptr[lo], m.indptr[hi]
-        halves.append(csr_matrix((m.data[start:end], m.indices[start:end], m.indptr[lo : hi + 1] - start),
-                                 shape=(hi - lo, m.shape[1]), copy=False))
-    return halves
+    start, end = m.indptr[lo], m.indptr[hi]
+    return csr_matrix((m.data[start:end], m.indices[start:end], m.indptr[lo : hi + 1] - start),
+                      shape=(hi - lo, m.shape[1]), copy=False)
 
 
-def _in_halves(worker, stage, *args):
-    """stage(0, *args) on this thread and stage(1, *args) on the worker.
-    Returns once both have finished; an error in either raises here, this
-    thread's first, and only after the worker's half has ended."""
-    future = worker.submit(stage, 1, *args)
+def _by_rows(worker, stage, m, width, box, pool, params, hp, drng, cache):
+    """Run a row stage over the R rows of m, the matrix that gathers its
+    input; returns (its output, what the cache needs of it).
+
+    With no worker, or R < 4 (numpy multiplies a one-row matrix with a
+    matrix-vector kernel, whose bits can differ from the matrix kernel's),
+    it runs whole here: stage(0, R, m, None, box, pool, ...).  Otherwise
+    rows [0, R//2) run here and [R//2, R) on the worker at once, each on
+    its CSR row block of m, into one (R, width) output from ``pool``, and
+    this returns (output, None).  The blocks are built here first: their
+    constructors hold the GIL, and built in the blocks they cost a split
+    pass at 18k edges about 0.3 ms of GIL contention.  An error in either
+    block raises here, this thread's first, once both blocks have ended.
+    ``box`` lists inputs that go once read: a whole stage empties it as
+    soon as it has read them, and after a split stage this empties it."""
+    rows = m.shape[0]
+    if worker is None or rows < 4:
+        return stage(0, rows, m, None, box, pool, params, hp, drng, cache)
+    cut = rows // 2
+    out = pool.take((rows, width))
+    top, bottom = _row_block(m, 0, cut), _row_block(m, cut, rows)
+    future = worker.submit(lambda: stage(cut, rows, bottom, out, box, _pool(), params, hp, drng, cache))
     try:
-        stage(0, *args)
+        stage(0, cut, top, out, box, pool, params, hp, drng, cache)
     finally:
         wait([future])
     future.result()
+    box.clear()
+    return out, None
 
 
 # ------------------------------------------------------------------ stages
-# Each stage works on rows [lo, hi) of its output (``_half``); a split pass
-# runs its two halves at once.
+# A stage computes rows [lo, hi) of its output from ``rows``, those rows of
+# the matrix that gathers its input, into out[lo:hi], with its thread's
+# ``pool``.  With out None it is the whole stage, and its output a new
+# array (``_by_rows``).
 
 
-def _clause_rows(k, params, hp, g_halves, P, C_std):
-    # the clause update on a half of the clauses after its first product P:
-    # G's rows times P, then the rest of the MLP, standardized into C_std
-    lo, hi = _half(len(C_std), k)
-    pool = _pool()
-    z = g_halves[k] @ P
+def _clause_rows(lo, hi, rows, out, first, pool, params, hp, drng, cache):
+    """The clause update after its first product P (``first`` is [P]):
+    rows @ P, the first bias and the rest of the MLP, standardized per
+    clause; returns the standardized rows and their inverse deviations.
+    A kept ``cache`` arrives holding the first layer's input, the literal
+    pairs, which go in with that layer's dropout mask."""
+    P = first.pop() if out is None else first[0]
+    if isinstance(rows, np.ndarray):        # iteration 0's one size column
+        z = np.matmul(rows, P, out=pool.take((len(rows), P.shape[1])))
+    else:       # a scipy sparse product takes no out=
+        z = rows @ P
+    del P
     layers = params.c_update
-    _activate(z, layers[0][1], hp.leaky_slope, hp.dropout, None, pool, len(layers) > 1)
+    mask = _activate(z, layers[0][1], hp.leaky_slope, hp.dropout, drng, pool, len(layers) > 1)
+    if cache is not None:
+        cache.append((cache.pop(), mask))
+    block = None if out is None else out[lo:hi]
     if len(layers) > 1:
-        _mlp_forward(layers[1:], z, hp.leaky_slope, hp.dropout, None, None, pool, out=C_std[lo:hi])
-    else:
-        C_std[lo:hi] = z
-    _standardize_rows(C_std[lo:hi], hp.ln_eps)
+        z = _mlp_forward(layers[1:], z, hp.leaky_slope, hp.dropout, drng, cache, pool, out=block)
+    elif block is not None:
+        block[...] = z
+        z = block
+    return _standardize_rows(z, hp.ln_eps)
 
 
-def _layer_norm(params, hp, x, out):
-    """Standardize x's rows in place and write their affine layer norm to
-    out; returns the standardized rows and their inverse deviations."""
-    xhat, inv = _standardize_rows(x, hp.ln_eps)
-    np.multiply(xhat, params.ln_scale, out=out)
-    out += params.ln_shift
-    return xhat, inv
-
-
-def _literal_rows(k, params, hp, spread_halves, C_std, L, L_next):
-    # the literal update on a half of the literals, from spread's rows
-    lo, hi = _half(len(L_next), k)
-    L_res = _mlp_forward(params.l_update, spread_halves[k] @ C_std, hp.leaky_slope, hp.dropout, None, None,
-                         _pool())
-    L_res += 0.1 * (L if L.ndim == 1 else L[lo:hi])
-    _layer_norm(params, hp, L_res, L_next[lo:hi])
+def _literal_rows(lo, hi, rows, out, held, pool, params, hp, drng, cache):
+    """The literal update, where ``held`` is [C_std, L]: rows @ C_std, the
+    literal MLP, the residual 0.1 L and the layer norm; returns the new
+    literal rows and the layer norm's standardized input rows with their
+    inverse deviations."""
+    C_std, L = held
+    if out is None:
+        held.clear()
+    B = rows @ C_std
+    # the largest array of an iteration; held through the literal MLP, it
+    # would set the peak of a cache-free pass
+    del C_std
+    L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, cache, pool)
+    del B
+    L_res += 0.1 * (L if out is None or L.ndim == 1 else L[lo:hi])
+    del L
+    block = pool.take(L_res.shape) if out is None else out[lo:hi]
+    xhat, inv = _standardize_rows(L_res, hp.ln_eps)
+    np.multiply(xhat, params.ln_scale, out=block)
+    block += params.ln_shift
+    return block, (xhat, inv)
 
 
 def _part_values(v_scores, var_bounds):
@@ -520,10 +535,12 @@ def _part_values(v_scores, var_bounds):
 def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     # the one forward body: with keep, it also returns the cache that
     # backward_from_heads reads; without, each intermediate is freed after
-    # its last use.  A pass that _split_worker allows runs each literal
-    # update, and each clause update after its first product but iteration
-    # 0's, in two halves at once, this thread's and the worker's, into one
-    # output; the heads run whole
+    # its last use.  Every pass, kept, cache-free or with dropout, runs each
+    # iteration's clause update after its first product and its literal
+    # update through the same row stages (_by_rows): whole here, the
+    # one-block case, or, where _split_worker allows, as two row blocks at
+    # once, this thread's and the worker's.  The first product, iteration
+    # 0's clause update (one row per size class) and the heads run whole
     for j, (_, num_vars) in enumerate(graph.parts):
         if num_vars == 0:       # no logits, and its value the mean of no scores
             raise ValueError(f"part {j} of {len(graph.parts)} of the graph has no variables")
@@ -539,49 +556,27 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
         # dropout draws a mask per clause: every clause is its own class
         sizes, by_size = np.bincount(graph.rows, minlength=graph.num_clauses).astype(float), gt
     L = params.l_init
+    w = params.c_update[0][0]
     iters = [] if keep else None
     for it in range(hp.tau_iters):
-        c_cache = [] if keep else None
-        l_cache = [] if keep else None
         gather, spread = (sizes[:, None], by_size) if it == 0 else (g, gt)
-        if worker is None or it == 0:
-            # the literal pairs go in as an argument expression, so that the
-            # clause update can free them after its first product
-            C_std, c_inv = _standardize_rows(
-                _mlp_forward(params.c_update, _concat_neg(L, n, pool), hp.leaky_slope, hp.dropout, drng,
-                             c_cache, pool, gather),
-                hp.ln_eps,
-            )
-        else:
-            w = params.c_update[0][0]
-            P = np.matmul(_concat_neg(L, n, pool), w, out=pool.take((2 * n, w.shape[1])))
-            C_std = pool.take((graph.num_clauses, hp.delta_c))
-            _in_halves(worker, _clause_rows, params, hp, _row_halves(g), P, C_std)
-            del P
-        if worker is None:
-            B = spread @ C_std
-            if not keep:
-                # the largest array of an iteration; held through the literal
-                # update, it would set the peak of a cache-free pass
-                del C_std
-            L_res = _mlp_forward(params.l_update, B, hp.leaky_slope, hp.dropout, drng, l_cache, pool)
-            del B
-            L_res += 0.1 * L
-            del L
-            L = pool.take(L_res.shape)
-            xhat, inv = _layer_norm(params, hp, L_res, L)
-        else:
-            L_next = pool.take((2 * n, hp.delta_l))
-            _in_halves(worker, _literal_rows, params, hp, _row_halves(spread), C_std, L, L_next)
-            del C_std
-            L = L_next
+        X = _concat_neg(L, n, pool)
+        # P, and below C_std and L, go to their stage in a list that a
+        # whole stage empties, so that each is freed after its last use
+        first = [np.matmul(X, w, out=pool.take((len(X), w.shape[1])))]
+        c_cache, l_cache = ([X], []) if keep else (None, None)
+        del X
+        C_std, c_inv = _by_rows(worker if it else None, _clause_rows, gather, hp.delta_c, first, pool, params, hp,
+                                drng, c_cache)
+        if keep:
+            iters.append({"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv, "l_cache": l_cache})
+        held = [C_std, L]
+        del C_std, L
+        L, ln = _by_rows(worker, _literal_rows, spread, hp.delta_l, held, pool, params, hp, drng, l_cache)
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
         if keep:
-            iters.append(
-                {"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv,
-                 "l_cache": l_cache, "xhat": xhat, "ln_inv": inv}
-            )
+            iters[-1]["xhat"], iters[-1]["ln_inv"] = ln
     X_final = _concat_neg(L, n, pool)
     del L
     p_cache = [] if keep else None
@@ -635,14 +630,15 @@ def forward(params: NetParams, hp: HyperParams, graph, train_mode=False, dropout
 
 def policy_distribution(logits, temperature: float) -> np.ndarray:
     """softmax(temperature * logits), stabilized by max subtraction.
-    Raises ValueError for empty or non-finite logits."""
+    Raises ValueError for empty or non-finite logits, or a temperature that
+    is not finite and > 0."""
     logits = np.asarray(logits, dtype=float)
     if logits.size == 0:
         raise ValueError("empty logits")
     if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     z = temperature * logits
     z = z - z.max()
     e = np.exp(z)

@@ -99,8 +99,8 @@ def _kl_backward(params, hp, out, cache, target, grads, scale):
 
 def clip_gradients(grads: dict, max_norm: float = 1.0) -> float:
     """Scale the global L2 norm down to max_norm; returns the pre-clip norm."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+    if not max_norm > 0:        # NaN too: it would never clip
+        raise ValueError(f"max_norm must be > 0, got {max_norm}")
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if total > max_norm:
         factor = max_norm / total
@@ -191,8 +191,9 @@ def _batch_kl(params, hp, graphs, targets, seeds, train_mode, grads) -> float:
     """The summed KL loss of one batch, with the gradient of each example's
     KL / len(graphs) accumulated into ``grads`` in batch order.
 
-    When a core is spare and a graph after the first reaches
-    network._OVERLAP_MIN_EDGES, every forward of the batch runs on the
+    When ``network._spare_worker`` grants the worker for a graph after the
+    first (a core is spare and the graph reaches
+    network._OVERLAP_MIN_EDGES), every forward of the batch runs on the
     network worker, and the forward of each such graph starts as soon as the
     previous forward has returned, so it runs while this thread runs the
     previous example's backward.  Backwards stay here and in order, and each
@@ -200,7 +201,8 @@ def _batch_kl(params, hp, graphs, targets, seeds, train_mode, grads) -> float:
     for bit.  At most one forward runs ahead, and none is left running when
     this returns or raises."""
     scale = 1.0 / len(graphs)
-    ahead = [network._SPARE_CORE and g.num_edges >= network._OVERLAP_MIN_EDGES for g in graphs[1:]] + [False]
+    ahead = [network._spare_worker(g.num_edges, network._OVERLAP_MIN_EDGES) is not None for g in graphs[1:]]
+    ahead.append(False)
     if not any(ahead):
         return sum(kl_grads(params, hp, graph, target, grads, scale, train_mode, seed)[0]
                    for graph, target, seed in zip(graphs, targets, seeds))

@@ -218,6 +218,12 @@ class TestRandomKsat:
         with pytest.raises(ValueError):
             random_ksat(2, 1, 3, 0)
 
+    @pytest.mark.parametrize("m, k", [(3, 0), (-1, 3)])
+    def test_no_clause_width_or_negative_count_refused(self, m, k):
+        # k = 0 would give m empty clauses, and m < 0 an empty formula
+        with pytest.raises(ValueError, match="k >= 1 and a clause count m >= 0"):
+            random_ksat(5, m, k, 1)
+
     def test_sat_rate_near_threshold(self):
         # finite-size proxy for the phase transition; wide tolerance
         n, m = 50, int(np.ceil(4.26 * 50))

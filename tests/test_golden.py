@@ -24,7 +24,13 @@ glue counts and a digest of the final trail.
 
 Regenerate the file only for an intended change of the numbers::
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [SECTION ...]
+
+With section names (``network``, ``train_rl``, ``train_supervised``,
+``solve``) only those are recomputed, and every other section stays
+byte-identical; a bare ``--write`` recomputes them all.  Each section
+recomputed follows the running machine's BLAS, so name only the ones
+whose numbers the change is meant to move.
 """
 
 import hashlib
@@ -145,14 +151,26 @@ def solve_case(key):
     }
 
 
-def compute() -> dict:
-    network = {key: network_case(key) for key in NETWORK_KEYS}
-    return {
-        "network": network,
-        "train_rl": rl_case(),
-        "train_supervised": supervised_case(),
-        "solve": {key: solve_case(key) for key in SOLVE_KEYS},
-    }
+SECTIONS = {
+    "network": lambda: {key: network_case(key) for key in NETWORK_KEYS},
+    "train_rl": rl_case,
+    "train_supervised": supervised_case,
+    "solve": lambda: {key: solve_case(key) for key in SOLVE_KEYS},
+}
+
+
+def write(names) -> None:
+    """Recompute the named sections of the golden file, keeping the others
+    as they are."""
+    unknown = sorted(set(names) - set(SECTIONS))
+    if unknown:
+        sys.exit(f"unknown section(s) {unknown}; choose from {list(SECTIONS)}")
+    values = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in names:
+        values[name] = SECTIONS[name]()
+    # json gives each float its shortest repr, which reads back to the same
+    # float, so a section read and written again keeps its bytes
+    GOLDEN.write_text(json.dumps({name: values[name] for name in SECTIONS if name in values}, indent=1) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +231,23 @@ def test_solve_search(golden, key):
     assert solve_case(key) == golden["solve"][key]
 
 
+def test_write_recomputes_only_the_named_sections(tmp_path, monkeypatch):
+    path = tmp_path / GOLDEN.name
+    original = GOLDEN.read_text()
+    path.write_text(original)
+    monkeypatch.setitem(globals(), "GOLDEN", path)
+    monkeypatch.setitem(SECTIONS, "train_supervised", lambda: {"recomputed": True})
+    write(["train_supervised"])
+    got = json.loads(path.read_text())
+    assert got["train_supervised"] == {"recomputed": True}
+    got["train_supervised"] = json.loads(original)["train_supervised"]
+    assert json.dumps(got, indent=1) + "\n" == original
+    with pytest.raises(SystemExit, match="unknown section"):
+        write(["nonsense"])
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:2] != ["--write"]:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n")
+    write(sys.argv[2:] or list(SECTIONS))
     print(f"wrote {GOLDEN}")

@@ -291,13 +291,14 @@ def _same_output(got, want):
 def _stages(monkeypatch):
     """Record the name of each stage that a pass splits."""
     names = []
-    in_halves = network._in_halves
+    by_rows = network._by_rows
 
     def recorded(worker, stage, *args):
-        names.append(stage.__name__)
-        return in_halves(worker, stage, *args)
+        if worker is not None:
+            names.append(stage.__name__)
+        return by_rows(worker, stage, *args)
 
-    monkeypatch.setattr(network, "_in_halves", recorded)
+    monkeypatch.setattr(network, "_by_rows", recorded)
     return names
 
 
@@ -351,11 +352,12 @@ class TestSplitForward:
         ends = {}
         literal_rows = network._literal_rows
 
-        def poisoned(k, *args):
+        def poisoned(lo, *args):
+            k = int(lo > 0)
             try:
                 if k != failing:
                     time.sleep(0.05)        # still running when the other half fails
-                literal_rows(k, *args)
+                literal_rows(lo, *args)
                 if k == failing:
                     raise FloatingPointError(f"poisoned half {k}")
             finally:
@@ -466,6 +468,26 @@ class TestSplitForward:
         assert np.array_equal(got.policy_logits, want.policy_logits)
         assert np.array_equal(got.values, want.values)
 
+    def test_a_split_stage_runs_both_blocks_and_frees_its_box(self):
+        # the blocks share the box's inputs, so only _by_rows can drop them,
+        # once both have ended; held on, they would outlive the stage
+        from scipy.sparse import csr_matrix
+
+        seen = []
+
+        def stage(lo, hi, rows, out, box, pool, *args):
+            seen.append((lo, hi, rows.shape[0], threading.current_thread() is main))
+            out[lo:hi] = rows @ box[0]
+
+        main = threading.current_thread()
+        m = csr_matrix(np.arange(18.0).reshape(9, 2))
+        box = [np.array([[1.0], [-1.0]])]
+        out, extra = network._by_rows(network._network_worker(), stage, m, 1, box, network._pool(), None, None,
+                                      None, None)
+        assert box == [] and extra is None
+        assert sorted(seen) == [(0, 4, 4, True), (4, 9, 5, False)]
+        assert np.array_equal(out, np.full((9, 1), -1.0))
+
     def test_a_pass_on_the_worker_runs_whole(self, split_on, monkeypatch, split_graph):
         # a half waits for the worker, so the worker must never wait for itself
         hp = preset("supervised")
@@ -562,8 +584,10 @@ class TestPolicyDistribution:
             policy_distribution(np.array([]), 4.0)
 
     def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            policy_distribution(np.array([1.0]), 0.0)
+        # NaN and inf would give [nan nan]
+        for temperature in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="temperature"):
+                policy_distribution(np.array([1.0, 2.0]), temperature)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_logits_rejected(self, bad):

@@ -120,6 +120,12 @@ class TestClipGradients:
             total = np.sqrt(sum((g**2).sum() for g in grads.values()))
             assert total <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("max_norm", [0.0, np.nan])
+    def test_non_positive_max_norm_refused(self, max_norm):
+        # NaN fails every comparison: unrefused, it would never clip
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_gradients({"a": np.ones(3)}, max_norm)
+
 
 class TestAsgd:
     def test_single_quadratic_step(self):
