@@ -60,6 +60,20 @@ class Formula:
     num_vars: int
     clauses: tuple[tuple[int, ...], ...] = ()
 
+    def __post_init__(self):
+        """Refuse, with ValueError, num_vars < 0 and any literal that is 0
+        or beyond +-num_vars: the solver and the graph index by it."""
+        n = self.num_vars
+        if n < 0:
+            raise ValueError(f"num_vars must be >= 0, got {n}")
+        try:
+            lits, _ = _flat_literals(self.clauses)
+        except OverflowError as exc:        # beyond int32, so beyond any num_vars that fits a graph
+            raise ValueError(f"literal out of range for num_vars={n}: {exc}") from None
+        bad = lits[(lits == 0) | (lits < -n) | (lits > n)]
+        if bad.size:
+            raise ValueError(f"literal {bad[0]} out of range: literals are nonzero and at most num_vars={n} in size")
+
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)

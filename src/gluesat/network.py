@@ -277,7 +277,7 @@ def _activate(z, b, slope, dropout, drng, pool, hidden):
     # this max is exactly where(z > 0, z, slope * z), without a branch per
     # element
     np.maximum(z, np.multiply(z, slope, out=pool.take(z.shape)), out=z)
-    if drng is None or dropout == 0.0:
+    if drng is None:
         return None
     mask = drng.random(out=pool.take(z.shape))
     np.greater_equal(mask, dropout, out=mask)
@@ -532,7 +532,7 @@ def _part_values(v_scores, var_bounds):
     return np.array(values)
 
 
-def _forward(params, hp, graph, train_mode, dropout_seed, keep):
+def _forward(params, hp, graph, dropout_seed, keep):
     # the one forward body: with keep, it also returns the cache that
     # backward_from_heads reads; without, each intermediate is freed after
     # its last use.  Every pass, kept, cache-free or with dropout, runs each
@@ -547,7 +547,7 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     g, gt, sizes, by_size = graph.matrices()
     n = graph.num_vars
     pool = _pool()
-    drng = np.random.default_rng(dropout_seed) if (train_mode and hp.dropout > 0.0) else None
+    drng = None if dropout_seed is None or hp.dropout == 0.0 else np.random.default_rng(dropout_seed)
     worker = _split_worker(graph, keep, drng)
     # every literal starts at l_init, so in iteration 0 a clause's aggregate
     # is its size times [l_init, l_init]: the clause update runs once per
@@ -598,7 +598,7 @@ def _forward(params, hp, graph, train_mode, dropout_seed, keep):
     return out, cache
 
 
-def forward_with_cache(params: NetParams, hp: HyperParams, graph, train_mode=False, dropout_seed=0):
+def forward_with_cache(params: NetParams, hp: HyperParams, graph, dropout_seed=None):
     """The forward pass of ``forward``, also returning the cache that
     ``backward_from_heads`` reads, once: it empties the cache as it goes.
 
@@ -611,20 +611,22 @@ def forward_with_cache(params: NetParams, hp: HyperParams, graph, train_mode=Fal
     ``first_round`` (sizes, by_size) pair; and the graph, the values and
     the variable count.  Raises ValueError, before allocating, for a
     graph with a part of no variables."""
-    return _forward(params, hp, graph, train_mode, dropout_seed, keep=True)
+    return _forward(params, hp, graph, dropout_seed, keep=True)
 
 
-def forward(params: NetParams, hp: HyperParams, graph, train_mode=False, dropout_seed=0) -> ForwardOutput:
+def forward(params: NetParams, hp: HyperParams, graph, dropout_seed=None) -> ForwardOutput:
     """Run the network over a graph: per-variable policy logits plus the
     optional value estimate of each part (``ForwardOutput.value`` for a
     plain graph).  A ``cnf.disjoint_union`` runs as one graph: a part's
     logits are the union's logits at its variables, and its logits and
     value equal those of its own pass to rounding, not bit for bit, since
     BLAS may round a row differently in a product of another shape.
+    Draws dropout masks from ``default_rng(dropout_seed)`` exactly when
+    given a seed and ``hp.dropout > 0``; inference passes no seed.
     Raises ValueError, before allocating, when a part has no variables.
     Keeps no cache, so each intermediate is freed after its last use; the
     outputs are bit-identical to ``forward_with_cache``'s."""
-    out, _ = _forward(params, hp, graph, train_mode, dropout_seed, keep=False)
+    out, _ = _forward(params, hp, graph, dropout_seed, keep=False)
     return out
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import wait
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -76,14 +76,15 @@ def kl_loss(pi, logits) -> float:
     return float(np.sum(pi[mask] * (np.log(pi[mask]) - logq[mask])))
 
 
-def kl_grads(params, hp, graph, target, grads=None, scale=1.0, train_mode=False, dropout_seed=0):
+def kl_grads(params, hp, graph, target, grads=None, scale=1.0, dropout_seed=None):
     """KL loss for one example, accumulating scaled gradients into ``grads``.
 
-    Returns (loss, grads); the gradient of scale*KL lands in the dict.  As
+    Returns (loss, grads); the gradient of scale*KL lands in the dict.  The
+    forward drops units only with a ``dropout_seed`` (see ``forward``).  As
     in ``backward_from_heads``, only a dict created here (``grads`` None) is
     checked for finiteness.
     """
-    out, cache = forward_with_cache(params, hp, graph, train_mode=train_mode, dropout_seed=dropout_seed)
+    out, cache = forward_with_cache(params, hp, graph, dropout_seed=dropout_seed)
     return _kl_backward(params, hp, out, cache, target, grads, scale)
 
 
@@ -168,9 +169,13 @@ class SupervisedConfig:
     epochs: int = 3
     batch_size: int = 8
     seed: int = 0
-    train_dropout: bool = True
+    # constructor-only: perfbench still passes it; goes with ROADMAP item 8's benchmark change
+    train_dropout: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, train_dropout):
+        if train_dropout is not True:
+            raise ValueError(f"train_dropout must be True, got {train_dropout!r}: "
+                             "train without dropout through HyperParams.dropout=0 (--dropout 0)")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("epochs", "batch_size"):
@@ -187,7 +192,7 @@ class SupervisedResult:
     epoch_kl: list[float]
 
 
-def _batch_kl(params, hp, graphs, targets, seeds, train_mode, grads) -> float:
+def _batch_kl(params, hp, graphs, targets, seeds, grads) -> float:
     """The summed KL loss of one batch, with the gradient of each example's
     KL / len(graphs) accumulated into ``grads`` in batch order.
 
@@ -204,13 +209,12 @@ def _batch_kl(params, hp, graphs, targets, seeds, train_mode, grads) -> float:
     ahead = [network._spare_worker(g.num_edges, network._OVERLAP_MIN_EDGES) is not None for g in graphs[1:]]
     ahead.append(False)
     if not any(ahead):
-        return sum(kl_grads(params, hp, graph, target, grads, scale, train_mode, seed)[0]
+        return sum(kl_grads(params, hp, graph, target, grads, scale, seed)[0]
                    for graph, target, seed in zip(graphs, targets, seeds))
     worker = network._network_worker()
 
     def submit(k):
-        return worker.submit(forward_with_cache, params, hp, graphs[k], train_mode=train_mode,
-                             dropout_seed=seeds[k])
+        return worker.submit(forward_with_cache, params, hp, graphs[k], dropout_seed=seeds[k])
 
     total = 0.0
     pending = submit(0)
@@ -229,7 +233,9 @@ def _batch_kl(params, hp, graphs, targets, seeds, train_mode, grads) -> float:
 
 def train_supervised(dataset, hp: HyperParams, config: SupervisedConfig | None = None,
                      init: NetParams | None = None) -> SupervisedResult:
-    """Minibatch ASGD on the KL objective; epoch order is seeded.  A
+    """Minibatch ASGD on the KL objective; epoch order and each forward's
+    dropout seed are drawn from one rng seeded by ``cfg.seed``, and
+    ``hp.dropout`` alone decides whether those forwards drop units.  A
     non-finite batch gradient raises FloatingPointError before the step.
     Within a batch, the next example's forward may run on a worker thread
     during the current backward (see ``_batch_kl``); the results are the
@@ -252,7 +258,7 @@ def train_supervised(dataset, hp: HyperParams, config: SupervisedConfig | None =
             seeds = [int(rng.integers(2**63)) for _ in batch]
             grads = zero_grads(params)
             batch_loss = _batch_kl(params, hp, [dataset[i].graph for i in batch], [targets[i] for i in batch],
-                                   seeds, cfg.train_dropout, grads)
+                                   seeds, grads)
             check_finite(grads)
             asgd_step(params, avg, grads, cfg.lr, step)
             step += 1
@@ -542,6 +548,8 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     step, whose ratios are all 1); and ``policy_entropy``, the mean entropy
     of its per-step policies; and, for the whole batch, ``rollout_s`` and
     ``update_s``, the wall time of its rollouts and of its gradient steps.
+    Raises ValueError when a batch's rollouts find only formulas that
+    propagation decides at the root.
     """
     cfg = config or RLConfig()
     if not formulas:
@@ -566,7 +574,7 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                     except TrivialFormulaError:
                         continue
         if not episodes:
-            raise RuntimeError("no usable training formulas (all trivially decided)")
+            raise ValueError("no usable training formulas (all trivially decided)")
         rolled_out = time.perf_counter()
         unions = pack_steps(episodes)
         last = None

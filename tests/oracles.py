@@ -432,19 +432,20 @@ def _pair_with_negation(L, n):
     return np.hstack([L, np.vstack([L[n:], L[:n]])])
 
 
-def reference_network(params, hp, graph, train_mode=False, dropout_seed=0):
+def reference_network(params, hp, graph, dropout_seed=None):
     """The network in its textbook order: every iteration pairs each
     literal with its negation, aggregates the pairs into clauses through a
     dense adjacency (repeated edges add up) and runs the clause update on
     the clause rows; every literal row starts as its own copy of l_init.
-    Dropout masks are drawn in the package's order, layer by layer.
+    With a dropout seed and hp.dropout > 0, dropout masks are drawn in the
+    package's order, layer by layer.
 
     Returns (logits, value, tape); ``reference_backward`` reads the tape."""
     n = graph.num_vars
     G = np.zeros((graph.num_clauses, 2 * n))
     np.add.at(G, (graph.rows, graph.cols), 1.0)
     slope = hp.leaky_slope
-    drng = np.random.default_rng(dropout_seed) if train_mode and hp.dropout > 0.0 else None
+    drng = None if dropout_seed is None or hp.dropout == 0.0 else np.random.default_rng(dropout_seed)
     L = np.tile(params.l_init, (2 * n, 1))
     iters = []
     for _ in range(hp.tau_iters):
@@ -544,7 +545,6 @@ def serial_train_supervised(dataset, hp, config, init):
                 loss, _ = kl_grads(
                     params, hp, dataset[idx].graph, targets[idx],
                     grads=grads, scale=1.0 / len(batch),
-                    train_mode=config.train_dropout,
                     dropout_seed=int(rng.integers(2**63)),
                 )
                 batch_loss += loss

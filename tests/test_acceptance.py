@@ -7,6 +7,7 @@ lines as they complete.
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -282,8 +283,8 @@ class TestCriterion6:
     def test_supervised_overfit(self):
         t0 = time.time()
         examples = [_degree_example(s) for s in range(10)]
-        hp = preset("supervised")
-        cfg = SupervisedConfig(lr=0.1, epochs=200, batch_size=2, seed=0, train_dropout=False)
+        hp = replace(preset("supervised"), dropout=0.0)
+        cfg = SupervisedConfig(lr=0.1, epochs=200, batch_size=2, seed=0)
         result = train_supervised(examples, hp, cfg)
         elapsed = time.time() - t0
         best = min(result.epoch_kl)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -615,11 +616,14 @@ class TestUnreadableInput:
         ["train-rl", "--formulas", "{bad_dir}", "--out", "{out}"],
         ["train-supervised", "--data", "{empty_dir}", "--out", "{out}"],
         ["bench", "--instances", "{bad_dir}", "--out", "{out}", "--variants", "vanilla"],
+        ["train-rl", "--formulas", "{trivial_dir}", "--out", "{out}"],
     ])
     def test_error_and_exit_1(self, tmp_path, capsys, argv):
-        paths = {name: tmp_path / name for name in ("bad_dir", "empty_dir", "out")}
-        paths["bad_dir"].mkdir()
-        paths["empty_dir"].mkdir()
+        paths = {name: tmp_path / name for name in ("bad_dir", "empty_dir", "trivial_dir", "out")}
+        for name in ("bad_dir", "empty_dir", "trivial_dir"):
+            paths[name].mkdir()
+        # units decide it at the root, so no episode can start
+        (paths["trivial_dir"] / "trivial.cnf").write_text("p cnf 2 2\n1 0\n2 0\n")
         paths["bad"] = paths["bad_dir"] / "bad.cnf"
         paths["bad"].write_text("p cnf 2 1\n1 x 0\n")
         paths["good"] = tmp_path / "good.cnf"
@@ -628,3 +632,41 @@ class TestUnreadableInput:
         assert main([arg.format(**paths) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _readme_commands():
+    """Every ``python3 -m gluesat.cli ...`` line in README.md's fenced code
+    blocks, joined across backslash continuations, as argument lists."""
+    commands, in_block, line = [], False, ""
+    for raw in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if raw.strip().startswith("```"):
+            in_block, line = not in_block, ""
+            continue
+        if not in_block:
+            continue
+        line += raw.strip()
+        if line.endswith("\\"):
+            line = line[:-1] + " "
+            continue
+        if line.startswith("python3 -m gluesat.cli "):
+            commands.append(shlex.split(line, comments=True)[3:])
+        line = ""
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_its_commands():
+    # the parser of each subcommand shows up at least once
+    assert {argv[0] for argv in README_COMMANDS} >= {
+        "solve", "extract", "datagen", "train-supervised", "train-rl", "env-rollout", "bench"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(argv):
+    # a flag retired from the parser must not linger in the docs
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"README command does not parse (exit {exc.code}): {' '.join(argv)}")

@@ -70,6 +70,25 @@ class TestParseDimacs:
         assert f.clauses == ((1,),)
 
 
+class TestFormula:
+    @pytest.mark.parametrize("num_vars, clauses", [
+        (2, ((1, 3),)),         # solve raised IndexError; the graph put 3 in -1's column
+        (2, ((1, 0),)),         # solve raised TypeError; the graph put 0 in +2's column
+        (2, ((-3,),)),
+        (-1, ()),               # solve raised RuntimeError("no unassigned variable")
+        (0, ((1,),)),
+        (2, ((2**40,),)),       # beyond int32
+        (2, ((-2**31,),)),      # int32's minimum, whose absolute value overflows
+    ])
+    def test_literal_it_cannot_hold_refused(self, num_vars, clauses):
+        with pytest.raises(ValueError, match="num_vars"):
+            Formula(num_vars, clauses)
+
+    def test_every_literal_in_range_accepted(self):
+        assert Formula(2, ((), (1, -2), (2, 2))).num_clauses == 3
+        assert Formula(0, ((),)).num_clauses == 1
+
+
 class TestWriteDimacs:
     def test_single_unit(self):
         assert write_dimacs(Formula(1, ((1,),))) == "p cnf 1 1\n1 0\n"

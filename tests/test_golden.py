@@ -58,7 +58,7 @@ from conftest import perturbed_params
 GOLDEN = Path(__file__).with_name("golden_values.json")
 TOL = 1e-10
 GRAPHS = [(12, 40, 1), (20, 70, 2)]     # (variables, clauses, seed) of random 3-SAT
-MODES = {"eval": False, "dropout": True}
+MODES = {"eval": None, "dropout": 7}     # mode: dropout seed
 NETWORK_KEYS = [f"{name}/{i}/{mode}" for name in ("supervised", "rl") for i in range(len(GRAPHS)) for mode in MODES]
 SOLVE_FORMULAS = [(100, 426, 1), (100, 426, 2), (100, 426, 4), (150, 639, 5)]     # random 3-SAT at ratio 4.26
 SOLVE_CONFLICTS = 600
@@ -83,7 +83,7 @@ def network_case(key):
     params = perturbed_params(hp, seed=3, value_head=preset_name == "rl")
     n, m, seed = GRAPHS[int(graph_index)]
     graph = clause_literal_graph(random_ksat(n, m, 3, seed))
-    out, cache = forward_with_cache(params, hp, graph, train_mode=MODES[mode], dropout_seed=7)
+    out, cache = forward_with_cache(params, hp, graph, dropout_seed=MODES[mode])
     dlogits = np.random.default_rng(seed).standard_normal(n)
     dvalue = 0.7 if params.v_value is not None else 0.0
     grads = backward_from_heads(params, hp, cache, dlogits, dvalue)
@@ -109,7 +109,7 @@ def supervised_case():
         graph = clause_literal_graph(random_ksat(10, 40, 3, 20 + s))
         counts = np.random.default_rng(s).integers(0, 30, graph.num_vars)
         dataset.append(SupervisedExample(graph, tuple(int(c) for c in counts)))
-    cfg = SupervisedConfig(lr=1e-2, epochs=1, batch_size=2, seed=3, train_dropout=True)
+    cfg = SupervisedConfig(lr=1e-2, epochs=1, batch_size=2, seed=3)
     res = train_supervised(dataset, preset("supervised"), cfg)
     return {"epoch_kl": res.epoch_kl, "params": params_digest(res.params)}
 

@@ -84,12 +84,13 @@ class TestMatchesReferenceNetwork:
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(odd_graphs(), st.sampled_from(["supervised", "rl"]), st.booleans(), st.integers(0, 2**30))
-    def test_odd_graphs(self, graph, name, train_mode, seed):
+    def test_odd_graphs(self, graph, name, dropout, seed):
         hp = preset(name)
         params = perturbed_params(hp, seed=seed % 1000)
-        want_logits, want_value, tape = reference_network(params, hp, graph, train_mode, seed)
-        lean = forward(params, hp, graph, train_mode, seed)
-        full, cache = forward_with_cache(params, hp, graph, train_mode, seed)
+        dropout_seed = seed if dropout else None
+        want_logits, want_value, tape = reference_network(params, hp, graph, dropout_seed)
+        lean = forward(params, hp, graph, dropout_seed)
+        full, cache = forward_with_cache(params, hp, graph, dropout_seed)
         for out in (lean, full):
             assert_rel_close(out.policy_logits, want_logits, "logits")
             assert_rel_close(out.value, want_value, "value")
@@ -112,16 +113,16 @@ class TestKlFiniteDifferences:
         worst, name = max_rel_error(grads, numeric)
         assert worst <= 1e-4, f"{name}: {worst}"
 
-    def test_train_mode_with_dropout_matches(self, graph_6x8):
+    def test_dropout_matches(self, graph_6x8):
         from gluesat.network import HyperParams
 
         hp = HyperParams(delta_l=3, delta_c=4, tau_iters=1, n_l=2, n_c=2, n_p=2, dropout=0.2)
         p = perturbed_params(hp)
         target = np.random.default_rng(1).dirichlet(np.ones(6))
-        _, grads = kl_grads(p, hp, graph_6x8, target, train_mode=True, dropout_seed=77)
+        _, grads = kl_grads(p, hp, graph_6x8, target, dropout_seed=77)
 
         def loss():
-            out = forward(p, hp, graph_6x8, train_mode=True, dropout_seed=77)
+            out = forward(p, hp, graph_6x8, dropout_seed=77)
             return kl_loss(target, out.policy_logits)
 
         worst, name = max_rel_error(grads, fd_gradients(p, loss))
@@ -249,9 +250,9 @@ class TestBufferPool:
         assert all(self.largest_intermediate(g, hp) >= _POOL_FLOOR for g in graphs)
         sequential = []
         for k, g in enumerate(graphs):
-            _, cache = forward_with_cache(p, hp, g, train_mode=True, dropout_seed=k)
+            _, cache = forward_with_cache(p, hp, g, dropout_seed=k)
             sequential.append(self.pass_grads(p, hp, g, cache, k))
-        caches = [forward_with_cache(p, hp, g, train_mode=True, dropout_seed=k)[1]
+        caches = [forward_with_cache(p, hp, g, dropout_seed=k)[1]
                   for k, g in enumerate(graphs)]
         for k, (g, cache) in enumerate(zip(graphs, caches)):
             got = self.pass_grads(p, hp, g, cache, k)
@@ -267,7 +268,7 @@ class TestBufferPool:
         assert self.largest_intermediate(g, hp) < _POOL_FLOOR
 
         def run():
-            _, cache = forward_with_cache(p, hp, g, train_mode=True, dropout_seed=0)
+            _, cache = forward_with_cache(p, hp, g, dropout_seed=0)
             self.pass_grads(p, hp, g, cache, 0)
             return _pool().bufs
 
@@ -285,7 +286,7 @@ class TestBufferPool:
         def run(g, barrier=None):
             if barrier is not None:
                 barrier.wait(timeout=60)
-            return [forward(p, hp, g, train_mode=True, dropout_seed=r).policy_logits for r in range(rounds)]
+            return [forward(p, hp, g, dropout_seed=r).policy_logits for r in range(rounds)]
 
         serial = [run(g) for g in graphs]
         barrier = threading.Barrier(len(graphs))
@@ -331,7 +332,7 @@ class TestBufferPool:
             for k in range(6):
                 if k == 1:
                     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                _, cache = forward_with_cache(p, hp, g, train_mode=True, dropout_seed=k)
+                _, cache = forward_with_cache(p, hp, g, dropout_seed=k)
                 backward_from_heads(p, hp, cache, rng.standard_normal(n))
                 del cache
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -142,16 +143,27 @@ class TestForward:
         assert np.array_equal(a.policy_logits, b.policy_logits)
         assert a.value == b.value
 
-    def test_dropout_changes_train_mode_only(self, small_graph):
+    def test_dropout_needs_a_seed(self, small_graph):
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=2, n_c=2, n_p=2, dropout=0.3)
         p = init_params(hp, seed=4)
         eval_out = forward(p, hp, small_graph)
-        train_a = forward(p, hp, small_graph, train_mode=True, dropout_seed=1)
-        train_b = forward(p, hp, small_graph, train_mode=True, dropout_seed=2)
-        train_a2 = forward(p, hp, small_graph, train_mode=True, dropout_seed=1)
+        train_a = forward(p, hp, small_graph, dropout_seed=1)
+        train_b = forward(p, hp, small_graph, dropout_seed=2)
+        train_a2 = forward(p, hp, small_graph, dropout_seed=1)
         assert not np.allclose(eval_out.policy_logits, train_a.policy_logits)
         assert not np.allclose(train_a.policy_logits, train_b.policy_logits)
         assert np.array_equal(train_a.policy_logits, train_a2.policy_logits)
+
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_no_seed_is_dropout_zero(self, name):
+        # the one switch: a pass without a seed is the pass at dropout 0
+        hp = preset(name)
+        p = init_params(hp, seed=2, value_head=True)
+        g = clause_literal_graph(random_ksat(40, 170, 3, 1))
+        unseeded = forward(p, hp, g)
+        zero = forward(p, replace(hp, dropout=0.0), g, dropout_seed=5)
+        assert np.array_equal(unseeded.policy_logits, zero.policy_logits)
+        assert unseeded.value == zero.value
 
     def test_permutation_equivariance(self, tiny_hyper):
         rng = np.random.default_rng(0)
@@ -221,13 +233,14 @@ class TestForward:
 
 class TestCacheFreeForward:
     @pytest.mark.parametrize("name", ["supervised", "rl"])
-    @pytest.mark.parametrize("train_mode", [False, True])
-    def test_same_bits_as_forward_with_cache(self, name, train_mode):
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_same_bits_as_forward_with_cache(self, name, dropout):
+        dropout_seed = 9 if dropout else None
         hp = preset(name)
         p = init_params(hp, seed=2, value_head=True)
         g = clause_literal_graph(random_ksat(60, 256, 3, 4))
-        lean = forward(p, hp, g, train_mode=train_mode, dropout_seed=9)
-        full, _ = forward_with_cache(p, hp, g, train_mode=train_mode, dropout_seed=9)
+        lean = forward(p, hp, g, dropout_seed)
+        full, _ = forward_with_cache(p, hp, g, dropout_seed)
         assert np.array_equal(lean.policy_logits, full.policy_logits)
         assert lean.value == full.value
 
@@ -431,12 +444,12 @@ class TestSplitForward:
         assert stages == [] and network._worker is None
         assert set(threading.enumerate()) == before
 
-    @pytest.mark.parametrize("train_mode", [False, True])
-    def test_forward_with_cache_never_splits(self, split_on, monkeypatch, split_graph, train_mode):
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_forward_with_cache_never_splits(self, split_on, monkeypatch, split_graph, dropout):
         monkeypatch.setattr(network, "_worker", None)
         stages = _stages(monkeypatch)
         hp = preset("supervised")
-        forward_with_cache(init_params(hp, seed=0), hp, split_graph, train_mode=train_mode)
+        forward_with_cache(init_params(hp, seed=0), hp, split_graph, 0 if dropout else None)
         assert stages == [] and network._worker is None
 
     @pytest.mark.parametrize("name", ["supervised", "rl"])

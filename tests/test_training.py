@@ -3,7 +3,7 @@ import multiprocessing
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -182,16 +182,16 @@ def degree_example(seed, n=12, m=40):
 class TestTrainSupervised:
     def test_loss_decreases_and_overfits(self):
         examples = [degree_example(s) for s in range(10)]
-        hp = preset("supervised")
-        cfg = SupervisedConfig(lr=0.1, epochs=60, batch_size=2, seed=0, train_dropout=False)
+        hp = replace(preset("supervised"), dropout=0.0)
+        cfg = SupervisedConfig(lr=0.1, epochs=60, batch_size=2, seed=0)
         res = train_supervised(examples, hp, cfg)
         assert res.epoch_kl[-1] < res.epoch_kl[0]
         assert min(res.epoch_kl) < 0.5
 
     def test_epoch3_not_worse_than_epoch1(self):
         examples = [degree_example(s) for s in range(10)]
-        hp = preset("supervised")
-        cfg = SupervisedConfig(lr=0.1, epochs=3, batch_size=2, seed=0, train_dropout=False)
+        hp = replace(preset("supervised"), dropout=0.0)
+        cfg = SupervisedConfig(lr=0.1, epochs=3, batch_size=2, seed=0)
         res = train_supervised(examples, hp, cfg)
         assert res.epoch_kl[2] <= res.epoch_kl[0]
 
@@ -215,6 +215,25 @@ class TestTrainSupervised:
             for (_, ta), (_, tb) in zip(res.params.tensors(), res.final_params.tensors())
         ]
         assert max(diffs) > 0  # average lags the last iterate
+
+    def test_dropout_zero_is_the_retired_train_dropout_false(self):
+        # the values SupervisedConfig(..., train_dropout=False) gave under the
+        # supervised preset's dropout 0.15, before hp.dropout became the only
+        # switch: epoch KLs and a digest (sum, L1 norm, fixed projection) of
+        # the averaged parameters, to the golden values' 1e-10 of scale
+        dataset = []
+        for s in range(4):
+            graph = clause_literal_graph(random_ksat(10, 40, 3, 20 + s))
+            counts = np.random.default_rng(s).integers(0, 30, graph.num_vars)
+            dataset.append(SupervisedExample(graph, tuple(int(c) for c in counts)))
+        hp = replace(preset("supervised"), dropout=0.0)
+        res = train_supervised(dataset, hp, SupervisedConfig(lr=1e-2, epochs=2, batch_size=2, seed=3))
+        flat = np.concatenate([arr.ravel() for _, arr in res.params.tensors()])
+        proj = np.random.default_rng(flat.size).uniform(-1.0, 1.0, flat.size)
+        got = [*res.epoch_kl, flat.sum(), np.abs(flat).sum(), flat @ proj]
+        want = [1.6565570731877912, 1.6560598524713008, 1.770654631780971, 1347.2784730896492, -10.629705604272141]
+        scale = [1.6565570731877912, 1.6560598524713008, *[1347.2784730896492] * 3]
+        assert np.all(np.abs(np.subtract(got, want)) <= 1e-10 * np.array(scale)), got
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -277,8 +296,8 @@ class TestOverlappedTraining:
     @pytest.mark.parametrize("dropout", [True, False])
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
     def test_matches_the_serial_loop(self, overlap_data, monkeypatch, dropout, batch_size):
-        hp = preset("supervised")
-        cfg = SupervisedConfig(lr=0.05, epochs=2, batch_size=batch_size, seed=3, train_dropout=dropout)
+        hp = preset("supervised") if dropout else replace(preset("supervised"), dropout=0.0)
+        cfg = SupervisedConfig(lr=0.05, epochs=2, batch_size=batch_size, seed=3)
         init = init_params(hp, seed=1)
         reference = serial_train_supervised(overlap_data, hp, cfg, init)
         threads = _forward_threads(monkeypatch)
@@ -565,6 +584,16 @@ class TestRLConfig:
         assert len(fields(RLConfig)) == 7
 
 
+def test_train_dropout_is_constructor_only():
+    # perfbench's call, still accepted by value but not a stored setting
+    cfg = SupervisedConfig(epochs=1, seed=123, train_dropout=True)
+    assert cfg == SupervisedConfig(epochs=1, seed=123)
+    assert [f.name for f in fields(SupervisedConfig)] == ["lr", "epochs", "batch_size", "seed"]
+    assert "train_dropout" not in asdict(cfg)
+    with pytest.raises(ValueError, match=r"HyperParams\.dropout=0"):
+        SupervisedConfig(epochs=1, seed=123, train_dropout=False)
+
+
 @pytest.mark.parametrize("cls", [RLConfig, SupervisedConfig])
 def test_seed_must_be_nonnegative(cls):
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -676,6 +705,12 @@ class TestTrainRl:
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
         with pytest.raises(ValueError, match="edge_cap=10 "):
             train_rl([random_ksat(20, 85, 3, 0)], hp, RLConfig(batches=1))
+
+    def test_only_trivial_formulas_refused(self):
+        hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        trivial = Formula(2, ((1,), (2,)))
+        with pytest.raises(ValueError, match="trivially decided"):
+            train_rl([trivial], hp, RLConfig(workers=1, episodes_per_worker=1, batches=1))
 
     def test_requires_value_head(self):
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
