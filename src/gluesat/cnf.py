@@ -61,18 +61,12 @@ class Formula:
     clauses: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        """Refuse, with ValueError, num_vars < 0 and any literal that is 0
-        or beyond +-num_vars: the solver and the graph index by it."""
-        n = self.num_vars
-        if n < 0:
-            raise ValueError(f"num_vars must be >= 0, got {n}")
-        try:
-            lits, _ = _flat_literals(self.clauses)
-        except OverflowError as exc:        # beyond int32, so beyond any num_vars that fits a graph
-            raise ValueError(f"literal out of range for num_vars={n}: {exc}") from None
-        bad = lits[(lits == 0) | (lits < -n) | (lits > n)]
-        if bad.size:
-            raise ValueError(f"literal {bad[0]} out of range: literals are nonzero and at most num_vars={n} in size")
+        """Refuse, with ValueError, num_vars < 0 and any literal that is not
+        an integer (a bool, float or str among them), is 0 or lies beyond
+        +-num_vars: the solver and the graph index by it."""
+        if self.num_vars < 0:
+            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
+        _check_literals(self.clauses, self.num_vars)
 
     @property
     def num_clauses(self) -> int:
@@ -84,14 +78,18 @@ def parse_dimacs(source) -> Formula:
 
     Duplicate literals within a clause are dropped, tautological clauses are
     removed, and an explicit empty clause is preserved.  A bare ``%`` line is
-    treated as an end-of-file marker (SATLIB convention).
+    treated as an end-of-file marker (SATLIB convention).  A literal beyond
+    the header's variable count raises DimacsError naming its line, also
+    in a tautology.
     """
     text = source.read() if hasattr(source, "read") else source
     num_vars = None
     clauses = []
+    dropped = []        # the literals of tautologies, which the formula does not keep
     current = []
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -119,18 +117,39 @@ def parse_dimacs(source) -> Formula:
                 raise DimacsError(f"non-integer token {tok!r}", lineno) from None
             if lit == 0:
                 clause = normalize_clause(current)
-                if clause is not None:
+                if clause is None:
+                    dropped += current
+                else:
                     clauses.append(clause)
                 current = []
             else:
-                if abs(lit) > num_vars:
-                    raise DimacsError(f"literal {lit} out of range", lineno)
                 current.append(lit)
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header", lineno or 1)
     if current:
         raise DimacsError("missing terminating 0 in final clause", lineno)
-    return Formula(num_vars, tuple(clauses))
+    # the one range check of each literal is the vectorized one of Formula;
+    # only a refused literal sends the parse back over the lines for it
+    try:
+        if dropped:
+            _check_literals((dropped,), num_vars)
+        return Formula(num_vars, tuple(clauses))
+    except ValueError:
+        lineno, lit = _out_of_range(lines, num_vars)
+        raise DimacsError(f"literal {lit} out of range", lineno) from None
+
+
+def _out_of_range(lines, num_vars):
+    # the line number and value of the first clause literal beyond
+    # +-num_vars in lines that parse_dimacs has read without error
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line == "%":
+            break
+        if line and not line.startswith(("c", "p")):
+            for lit in map(int, line.split()):
+                if abs(lit) > num_vars:
+                    return lineno, lit
 
 
 def write_dimacs(formula: Formula) -> str:
@@ -198,34 +217,43 @@ class SparseGraph:
         return cached
 
     def matrices(self):
-        """(G, G_transpose, sizes, by_size), cached after first use.
+        """(G, sizes, by_size), cached after first use.
 
-        G and its transpose are scipy CSR matrices; repeated (row, col)
-        edges sum into one entry.  ``sizes`` holds the distinct clause sizes
-        (edge counts, repeats included) in ascending order, as floats;
-        ``by_size`` is the 2N x len(sizes) CSR matrix whose entry (l, u)
-        sums G[c, l] over the clauses c of size ``sizes[u]``: G transposed
-        times the clause-to-size indicator.  A union's size classes span
+        G is the M x 2N scipy CSR matrix of clause rows and literal
+        columns, with sorted indices; repeated (row, col) edges sum into
+        one entry.  The network applies G's transpose through G's own
+        arrays (``network._scatter``), so none is kept.  ``sizes`` holds the
+        distinct clause sizes (edge counts, repeats included) in ascending
+        order, as floats; ``by_size`` is the len(sizes) x 2N CSR matrix
+        whose entry (u, l) sums G[c, l] over the clauses c of size
+        ``sizes[u]``: the clause-to-size indicator transposed times G, laid
+        out like G, one row per size class.  A union's size classes span
         its parts.
         """
         cached = self.__dict__.get("_mats")
         if cached is None:
-            from scipy.sparse import coo_matrix, csr_matrix
+            from scipy.sparse import _sparsetools, coo_matrix, csr_matrix
 
             shape = (self.num_clauses, 2 * self.num_vars)
             g = coo_matrix((np.ones(len(self.rows)), (self.rows, self.cols)), shape=shape).tocsr()
-            gt = g.T.tocsr()
             counts = np.bincount(self.rows, minlength=self.num_clauses)
             present = np.bincount(counts) > 0
             size_class = np.cumsum(present) - 1
             # G^T's entries with each clause column replaced by its size
-            # class; sum_duplicates works in place, hence the copies
-            by_size = csr_matrix(
-                (gt.data.copy(), size_class[counts][gt.indices], gt.indptr.copy()),
-                shape=(2 * self.num_vars, int(present.sum())),
-            )
+            # class, moved to one row per class by scipy's transpose kernel
+            # (a row's literals ascending, repeats side by side), then
+            # summed; G^T is dropped after
+            gt = g.T.tocsr()
+            classes = int(present.sum())
+            indptr = np.empty(classes + 1, gt.indptr.dtype)
+            indices = np.empty(gt.nnz, gt.indices.dtype)
+            data = np.empty(gt.nnz)
+            _sparsetools.csr_tocsc(2 * self.num_vars, classes, gt.indptr,
+                                   size_class[counts][gt.indices].astype(gt.indices.dtype), gt.data,
+                                   indptr, indices, data)
+            by_size = csr_matrix((data, indices, indptr), shape=(classes, 2 * self.num_vars))
             by_size.sum_duplicates()
-            cached = (g, gt, np.flatnonzero(present).astype(float), by_size)
+            cached = (g, np.flatnonzero(present).astype(float), by_size)
             object.__setattr__(self, "_mats", cached)
         return cached
 
@@ -235,6 +263,25 @@ def _flat_literals(clauses):
     lens = np.fromiter(map(len, clauses), dtype=np.int64, count=len(clauses))
     lits = np.fromiter(chain.from_iterable(clauses), dtype=np.int32, count=int(lens.sum()))
     return lits, lens
+
+
+def _check_literals(clauses, n):
+    """Raise ValueError unless every literal of ``clauses`` is an integer,
+    not a bool, of size 1 to n.  One pass collects the literals' types and
+    one array takes their values: numpy would turn 1.5, True or "1" into 1
+    without a word, and no Python loop runs per literal."""
+    flat = list(chain.from_iterable(clauses))
+    for kind in set(map(type, flat)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            example = next(x for x in flat if type(x) is kind)
+            raise ValueError(f"literals must be integers, got {kind.__name__} {example!r}")
+    try:
+        lits = np.fromiter(flat, dtype=np.int32, count=len(flat))
+    except OverflowError as exc:        # beyond int32, so beyond any num_vars that fits a graph
+        raise ValueError(f"literal out of range for num_vars={n}: {exc}") from None
+    if lits.size and (lits.min() < -n or lits.max() > n or not lits.all()):
+        bad = lits[(lits == 0) | (lits < -n) | (lits > n)][0]
+        raise ValueError(f"literal {bad} out of range: literals are nonzero and at most num_vars={n} in size")
 
 
 def clause_literal_graph(formula: Formula) -> SparseGraph:

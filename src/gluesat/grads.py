@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import HyperParams, NetParams, _pool
+from .network import HyperParams, NetParams, _gather, _pool, _scatter
 
 __all__ = ["backward_from_heads", "check_finite", "zero_grads"]
 
@@ -29,9 +29,11 @@ def _add_swapped(acc, m, n):
 
 def _mlp_backward(layers, caches, dout, slope, grads, prefix, pool, gather_t=None):
     # caches[i] is (layer i's input, its dropout mask or None), as
-    # network._mlp_forward keeps them; gather_t is the transpose of the
-    # forward's gather, which the first layer's product went through; the
-    # leaky derivatives and the upstream products come from pool
+    # network._mlp_forward keeps them; the first layer's product went
+    # through the forward's gather, and gather_t is its transpose as a
+    # dense row (iteration 0's sizes) or G itself, whose transpose
+    # network._scatter applies; the leaky derivatives, the upstream
+    # products and the scattered rows come from pool
     upstream = dout
     h_next = None
     for i in range(len(layers) - 1, -1, -1):
@@ -51,8 +53,13 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix, pool, gather_t=Non
                 upstream *= mask
             dz *= upstream
         grads[f"{prefix}.{i}.b"] += dz.sum(axis=0)
-        if gather_t is not None and i == 0:
+        if isinstance(gather_t, np.ndarray) and i == 0:
             dz = gather_t @ dz
+        elif gather_t is not None and i == 0:
+            out = pool.take((gather_t.shape[1], dz.shape[1]))
+            out.fill(0.0)
+            _scatter(gather_t, 0, gather_t.shape[0], dz, out)
+            dz = out
         grads[f"{prefix}.{i}.w"] += h.T @ dz
         upstream = np.matmul(dz, w.T, out=pool.take((len(dz), len(w))))
         h_next = h
@@ -98,7 +105,7 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
     if created:
         grads = zero_grads(params)
     graph = cache["graph"]
-    g, gt, _, _ = graph.matrices()
+    g = graph.matrices()[0]
     sizes, by_size = cache["first_round"]
     n = cache["n"]
     dl = hp.delta_l
@@ -134,10 +141,10 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         dprev = 0.1 * dres
         dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update", pool)
         # iteration 0 ran the clause update once per size class: its
-        # gradient sums over each class through by_size's transpose, and
-        # the class aggregates were sizes times [l_init, l_init]
-        gather_t, spread_t = (sizes[None], by_size.T) if index == 0 else (gt, g)
-        dC = _standardize_backward(spread_t @ dB, it["c_std"], it["c_inv"], pool)
+        # gradient sums over each class through by_size, and the class
+        # aggregates were sizes times [l_init, l_init]
+        gather_t, spread_t = (sizes[None], by_size) if index == 0 else (g, g)
+        dC = _standardize_backward(_gather(spread_t, 0, spread_t.shape[0], dB, pool), it["c_std"], it["c_inv"], pool)
         dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", pool, gather_t)
         if index == 0:
             grads["l_init"] += dprev.sum(axis=0) + dX[0, :dl] + dX[0, dl:]

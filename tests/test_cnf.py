@@ -49,6 +49,15 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="out of range"):
             parse_dimacs("p cnf 3 1\n4 0\n")
 
+    @pytest.mark.parametrize("text, where", [
+        ("c x\np cnf 2 2\n1 -2 0\n1\n-1 3 0\n", "line 5: literal 3 "),    # a clause over two lines
+        ("p cnf 2 2\n1 -1 3 0\n2 0\n", "line 2: literal 3 "),             # in a tautology, which is dropped
+        ("p cnf 2 1\n1 -99999999999 0\n", "line 2: literal -99999999999 "),   # beyond int32
+    ])
+    def test_out_of_range_names_its_line(self, text, where):
+        with pytest.raises(DimacsError, match=f"^{where}out of range$"):
+            parse_dimacs(text)
+
     def test_missing_terminator(self):
         with pytest.raises(DimacsError, match="terminating 0"):
             parse_dimacs("p cnf 2 1\n1 2\n")
@@ -84,7 +93,14 @@ class TestFormula:
         with pytest.raises(ValueError, match="num_vars"):
             Formula(num_vars, clauses)
 
+    @pytest.mark.parametrize("literal", [1.5, 1.0, True, "1", np.float64(1.0), np.bool_(True)])
+    def test_non_integer_literal_refused(self, literal):
+        # numpy would store each of these as the literal 1
+        with pytest.raises(ValueError, match="literals must be integers"):
+            Formula(2, ((2,), (1, literal)))
+
     def test_every_literal_in_range_accepted(self):
+        assert Formula(2, ((np.int64(1), np.int32(-2)),)).num_clauses == 1
         assert Formula(2, ((), (1, -2), (2, 2))).num_clauses == 3
         assert Formula(0, ((),)).num_clauses == 1
 
@@ -142,22 +158,23 @@ class TestClauseLiteralGraph:
         # Formula keeps duplicates: two edges, one CSR entry of 2.0
         g = clause_literal_graph(Formula(2, ((1, 1, -2),)))
         assert edge_pairs(g) == [(0, 0), (0, 0), (0, 3)]
-        csr, csr_t = g.matrices()[:2]
+        csr = g.matrices()[0]
         assert csr.nnz == 2
         assert csr[0, 0] == 2.0 and csr[0, 3] == 1.0
-        assert csr_t[0, 0] == 2.0
+        assert csr.has_sorted_indices
 
     def test_size_classes_sum_clauses_by_edge_count(self):
         # clause sizes count repeated literals: (1, 1, -2) has size 3 like
         # (3, 2, -1), and the empty clause has its own class
         g = clause_literal_graph(Formula(3, ((1, -2), (), (3, 2, -1), (1, 1, -2))))
-        csr, csr_t, sizes, by_size = g.matrices()
+        csr, sizes, by_size = g.matrices()
         assert sizes.tolist() == [0.0, 2.0, 3.0]
         indicator = np.zeros((g.num_clauses, len(sizes)))
         indicator[[0, 1, 2, 3], [1, 0, 2, 2]] = 1.0
-        assert np.array_equal(by_size.toarray(), csr_t.toarray() @ indicator)
-        assert by_size[0, 1] == 1.0 and by_size[0, 2] == 2.0       # literal 1
-        assert g.matrices()[3] is by_size
+        assert np.array_equal(by_size.toarray(), indicator.T @ csr.toarray())
+        assert by_size[1, 0] == 1.0 and by_size[2, 0] == 2.0       # literal 1
+        assert by_size.has_sorted_indices
+        assert g.matrices()[2] is by_size
 
     def test_mismatched_edge_arrays_rejected(self):
         with pytest.raises(ValueError):
@@ -217,11 +234,11 @@ class TestDisjointUnion:
         # per size, whichever part its clauses come from
         a = clause_literal_graph(Formula(2, ((1, -2), (2,))))
         b = clause_literal_graph(Formula(3, ((-1, 3), (-3, 2, 1))))
-        _, csr_t, sizes, by_size = disjoint_union([a, b]).matrices()
+        csr, sizes, by_size = disjoint_union([a, b]).matrices()
         assert sizes.tolist() == [1.0, 2.0, 3.0]
         indicator = np.zeros((4, 3))
         indicator[[0, 1, 2, 3], [1, 0, 1, 2]] = 1.0
-        assert np.array_equal(by_size.toarray(), csr_t.toarray() @ indicator)
+        assert np.array_equal(by_size.toarray(), indicator.T @ csr.toarray())
 
 
 class TestRandomKsat:

@@ -1,6 +1,9 @@
 import hashlib
 import multiprocessing
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -274,6 +277,73 @@ class TestCacheFreeForward:
             tracemalloc.stop()
         assert peak < 0.5 * retained, (peak, retained)
 
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_peak_does_not_grow_with_the_clause_count(self, monkeypatch, name):
+        # at a fixed variable count, a pass holds its literal state and one
+        # clause block at a time: four times the clauses, in blocks of the
+        # same size, leave its peak where it was (a whole clause stage makes
+        # it grow about threefold).  The split is off, so only this
+        # thread's pool, fresh on a fresh thread, serves the pass
+        monkeypatch.setattr(network, "_SPARE_CORE", False)
+        hp = preset(name)
+        p = init_params(hp, seed=0, value_head=True)
+        peaks = []
+        for m in (4_096, 16_384):               # multiples of the block size
+            g = clause_literal_graph(random_ksat(500, m, 3, 1))
+            g.matrices()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                with ThreadPoolExecutor(1) as ex:
+                    ex.submit(forward, p, hp, g).result(timeout=60)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
+    @pytest.mark.skipif(
+        not os.environ.get("GLUESAT_SLOW"),
+        reason="set GLUESAT_SLOW=1 for the paper-scale memory check (a 3M-edge pass, about 1 GB of RSS)",
+    )
+    def test_rss_per_edge_at_paper_scale(self):
+        # one pass over 1,001,100 random 3-clauses (3,003,300 edges) in a
+        # fresh interpreter: its peak RSS above the built graph and
+        # operators, per edge.  Measured on a 2-vCPU VM, with one BLAS
+        # thread and with default BLAS alike: 480-515 bytes per edge
+        # (1.38-1.47 GB) with whole clause stages, about 160 (0.46 GB)
+        # streamed
+        script = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            sys.path.insert(0, sys.argv[1])
+            from gluesat.cnf import SparseGraph
+            from gluesat.network import forward, init_params, preset
+
+            m = 1_001_100
+            n = round(m / 4.26)
+            rng = np.random.default_rng(1)
+            v = rng.integers(0, n, (m, 3))
+            while True:                         # three distinct variables a clause
+                bad = (v[:, 0] == v[:, 1]) | (v[:, 0] == v[:, 2]) | (v[:, 1] == v[:, 2])
+                if not bad.any():
+                    break
+                v[bad] = rng.integers(0, n, (int(bad.sum()), 3))
+            cols = np.where(rng.integers(0, 2, (m, 3)) == 1, v, v + n).ravel()
+            g = SparseGraph(m, n, np.repeat(np.arange(m), 3), cols, tuple(range(1, n + 1)))
+            del v, cols
+            hp = preset("supervised")
+            p = init_params(hp, seed=0)
+            g.matrices()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            forward(p, hp, g)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024 / g.num_edges)
+        """)
+        src = os.path.dirname(os.path.dirname(network.__file__))
+        out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, check=True)
+        per_edge = float(out.stdout)
+        assert per_edge < 300, per_edge
+
 
 @st.composite
 def split_graphs(draw):
@@ -289,11 +359,12 @@ def split_graphs(draw):
     return SparseGraph(m, n, rows, cols, tuple(range(1, n + 1)))
 
 
-def _whole(params, hp, graph):
-    """forward with the split off."""
+def _whole(params, hp, graph, dropout_seed=None):
+    """forward as one block per stage, with the split off."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_SPARE_CORE", False)
-        return forward(params, hp, graph)
+        patch.setattr(network, "_BLOCK_ROWS", 10**9)
+        return forward(params, hp, graph, dropout_seed)
 
 
 def _same_output(got, want):
@@ -301,15 +372,18 @@ def _same_output(got, want):
     assert got.value == want.value
 
 
-def _stages(monkeypatch):
-    """Record the name of each stage that a pass splits."""
+def _stages(monkeypatch, blocks=None):
+    """Record the name of each stage that a pass hands the worker and, in
+    ``blocks``, each stage's name and block count."""
     names = []
     by_rows = network._by_rows
 
-    def recorded(worker, stage, *args):
+    def recorded(worker, stage, bounds, *args):
         if worker is not None:
             names.append(stage.__name__)
-        return by_rows(worker, stage, *args)
+        if blocks is not None:
+            blocks.append((stage.__name__, len(bounds) - 1))
+        return by_rows(worker, stage, bounds, *args)
 
     monkeypatch.setattr(network, "_by_rows", recorded)
     return names
@@ -332,9 +406,10 @@ def split_graph():
 
 class TestSplitForward:
     """With a spare core, a cache-free pass over a large enough graph runs
-    the rows of each row-wise stage half here and half on the network
-    worker: the outputs must be the whole pass's bits, and no half may
-    outlive the call."""
+    every other row block of its stages on the network worker, at least
+    two blocks a stage (here, where the graphs are below one block, two
+    halves): the outputs must be the one-block pass's bits, and no block
+    may outlive the call."""
 
     @pytest.fixture
     def split_on(self, monkeypatch):
@@ -352,9 +427,9 @@ class TestSplitForward:
             patch.setattr(network, "_SPLIT_MIN_EDGES", 0)
             stages = _stages(patch)
             got = forward(params, hp, graph)
-        # iteration 0 splits only its literal update: its clause update runs
-        # once per size class
-        assert stages == ["_literal_rows"] + ["_clause_rows", "_literal_rows"] * (hp.tau_iters - 1)
+        # iteration 0 splits only its literal update: its first product has
+        # one row, and its clause update runs once per size class
+        assert stages == ["_literal_rows"] + ["_pair_rows", "_clause_rows", "_literal_rows"] * (hp.tau_iters - 1)
         _same_output(got, want)
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -388,7 +463,7 @@ class TestSplitForward:
 
     def test_concurrent_callers_get_the_whole_pass_bits(self, split_on, split_graph):
         # three callers and the worker on two cores, switching threads every
-        # few bytecodes: their halves interleave on the one worker and its
+        # few bytecodes: their blocks interleave on the one worker and its
         # buffer pool
         hp = preset("rl")
         params = init_params(hp, seed=3, value_head=True)
@@ -476,30 +551,71 @@ class TestSplitForward:
         params = init_params(hp, seed=7, value_head=True)
         stages = _stages(monkeypatch)
         got = forward(params, hp, union)
-        assert stages == ["_literal_rows"] + ["_clause_rows", "_literal_rows"] * (hp.tau_iters - 1)
+        assert stages == ["_literal_rows"] + ["_pair_rows", "_clause_rows", "_literal_rows"] * (hp.tau_iters - 1)
         want = _whole(params, hp, union)
         assert np.array_equal(got.policy_logits, want.policy_logits)
         assert np.array_equal(got.values, want.values)
 
-    def test_a_split_stage_runs_both_blocks_and_frees_its_box(self):
-        # the blocks share the box's inputs, so only _by_rows can drop them,
-        # once both have ended; held on, they would outlive the stage
-        from scipy.sparse import csr_matrix
-
-        seen = []
-
-        def stage(lo, hi, rows, out, box, pool, *args):
-            seen.append((lo, hi, rows.shape[0], threading.current_thread() is main))
-            out[lo:hi] = rows @ box[0]
-
+    def test_blocks_alternate_and_are_taken_in_order(self):
+        # even blocks run here and odd ones on the worker, and each thread
+        # takes in its own blocks, in block order whichever finishes first:
+        # that keeps the clause stage's additions into the literal messages
+        # in order
         main = threading.current_thread()
-        m = csr_matrix(np.arange(18.0).reshape(9, 2))
-        box = [np.array([[1.0], [-1.0]])]
-        out, extra = network._by_rows(network._network_worker(), stage, m, 1, box, network._pool(), None, None,
-                                      None, None)
-        assert box == [] and extra is None
-        assert sorted(seen) == [(0, 4, 4, True), (4, 9, 5, False)]
-        assert np.array_equal(out, np.full((9, 1), -1.0))
+        ran, taken = [], []
+
+        def stage(lo, hi, x):
+            time.sleep(0.01 * (hi - lo))        # later blocks finish sooner
+            ran.append((lo, hi, threading.current_thread() is main))
+            return x[lo:hi].sum()
+
+        def take(lo, hi, result):
+            taken.append((lo, hi, float(result), threading.current_thread() is main))
+
+        x = np.arange(9.0)
+        assert network._by_rows(network._network_worker(), stage, [0, 3, 5, 6, 9], (x,), take) is None
+        assert sorted(ran) == [(0, 3, True), (3, 5, False), (5, 6, True), (6, 9, False)]
+        assert taken == [(0, 3, 3.0, True), (3, 5, 7.0, False), (5, 6, 5.0, True), (6, 9, 21.0, False)]
+        # here alone, the blocks run in order and the last one's result returns
+        ran.clear(), taken.clear()
+        assert network._by_rows(None, stage, [0, 3, 9], (x,), take) == 33.0
+        assert ran == [(0, 3, True), (3, 9, True)] and [t[:3] for t in taken] == [(0, 3, 3.0), (3, 9, 33.0)]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
+    def test_an_error_in_any_block_raises_here_after_the_worker_ends(self, failing):
+        # no take waits for ever on a block that failed, and every block
+        # handed to the worker has ended when the error arrives here
+        ends = []
+
+        def stage(lo, hi):
+            time.sleep(0.02 if lo % 2 else 0.005)
+            if lo == failing:
+                raise FloatingPointError(f"block {lo}")
+            return lo
+
+        def take(lo, hi, result):
+            ends.append(lo)
+
+        with pytest.raises(FloatingPointError, match=f"block {failing}"):
+            network._by_rows(network._network_worker(), stage, [0, 1, 2, 3, 4], (), take)
+        raised = len(ends)
+        time.sleep(0.1)
+        assert len(ends) == raised          # nothing ran on after the raise
+        assert failing not in ends
+        assert network._network_worker().submit(lambda: 1).result(timeout=5) == 1
+
+    @pytest.mark.parametrize("rows, worker, whole, want", [
+        (9, False, False, [0, 3, 6, 9]), (9, True, False, [0, 2, 4, 6, 9]), (9, True, True, [0, 9]),
+        (3, True, False, [0, 3]), (1, False, False, [0, 1]), (0, True, False, [0, 0]),
+        (11, False, False, [0, 3, 7, 11]), (11, True, False, [0, 2, 5, 8, 11]), (5, False, False, [0, 2, 5]),
+    ])
+    def test_block_bounds(self, monkeypatch, rows, worker, whole, want):
+        # at most _BLOCK_ROWS rows a block, near-equal sizes, an even count
+        # with a worker, no block below two rows, and one block for a pass
+        # that keeps a cache or draws dropout masks
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 4)
+        got = network._block_bounds(rows, object() if worker else None, whole)
+        assert got == want
 
     def test_a_pass_on_the_worker_runs_whole(self, split_on, monkeypatch, split_graph):
         # a half waits for the worker, so the worker must never wait for itself
@@ -510,6 +626,88 @@ class TestSplitForward:
         got = network._network_worker().submit(forward, params, hp, split_graph).result(timeout=60)
         assert stages == []
         _same_output(got, want)
+
+
+class TestStreamedForward:
+    """A pass that keeps no cache and draws no dropout masks runs each stage
+    in row blocks of at most _BLOCK_ROWS rows, here or alternating with the
+    network worker, and adds each clause block into the literal messages in
+    block order: with blocks of a few rows it must give the one-block
+    pass's bits, and a pass that keeps a cache or draws dropout masks
+    stays one block."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(split_graphs(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000), st.integers(2, 7),
+           st.booleans(), st.sampled_from([None, 5]))
+    def test_same_bits_as_one_block(self, graph, name, seed, block_rows, split, dropout_seed):
+        hp = preset(name)
+        params = init_params(hp, seed=seed, value_head=True)
+        want = _whole(params, hp, graph, dropout_seed)
+        blocks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "_BLOCK_ROWS", block_rows)
+            patch.setattr(network, "_SPARE_CORE", split)
+            patch.setattr(network, "_SPLIT_MIN_EDGES", 0)
+            _stages(patch, blocks)
+            got = forward(params, hp, graph, dropout_seed)
+            kept, _ = forward_with_cache(params, hp, graph, dropout_seed)
+        _same_output(got, want)
+        _same_output(kept, want)
+        counts = {stage: max(k for s, k in blocks if s == stage) for stage, _ in blocks}
+        if dropout_seed is not None:
+            assert set(counts.values()) == {1}
+        else:
+            # past iteration 0, clause rows are the graph's clauses and
+            # literal rows its 2N literals; no block has fewer than 2 rows
+            for stage, rows in (("_clause_rows", graph.num_clauses), ("_literal_rows", 2 * graph.num_vars)):
+                assert (counts[stage] > 1) == (rows >= 4 and (split or rows > block_rows))
+                assert counts[stage] >= -(-rows // block_rows) or counts[stage] == max(1, rows // 2)
+
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_streams_at_the_real_block_size(self, monkeypatch, name):
+        # more clauses than _BLOCK_ROWS, with the split off: the clause
+        # stages run in blocks on this thread alone
+        monkeypatch.setattr(network, "_SPARE_CORE", False)
+        graph = clause_literal_graph(random_ksat(1000, 4260, 3, 3))
+        hp = preset(name)
+        params = init_params(hp, seed=8, value_head=True)
+        blocks = []
+        _stages(monkeypatch, blocks)
+        got = forward(params, hp, graph)
+        assert ("_clause_rows", -(-graph.num_clauses // network._BLOCK_ROWS)) in blocks
+        _same_output(got, _whole(params, hp, graph))
+
+
+def _kernel_graph(seed):
+    # 0 to 6 literal columns per clause drawn with replacement, so repeated
+    # edges and empty clauses, several terms per literal
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(40), rng.integers(0, 7, 40))
+    return SparseGraph(40, 5, rows, rng.integers(0, 10, len(rows)), tuple(range(1, 6)))
+
+
+class TestSparseKernels:
+    """``network._gather`` and ``network._scatter`` call scipy's private CSR
+    and CSC kernels.  Streaming relies on their order of addition: these
+    pin it against scipy's public products, so that a scipy that changes
+    it fails here rather than in a pass's last bits."""
+
+    @pytest.mark.parametrize("bounds", [[0, 40], [0, 1, 2, 40], [0, 7, 19, 20, 33, 40]])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_scattered_in_order_are_the_transposed_product(self, bounds, seed):
+        g = _kernel_graph(seed).matrices()[0]
+        C = np.random.default_rng(seed).standard_normal((40, 64))
+        B = np.zeros((10, 64))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            network._scatter(g, lo, hi, C[lo:hi], B)
+        assert np.array_equal(B, g.T.tocsr() @ C)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gathered_blocks_are_the_product(self, seed):
+        g = _kernel_graph(seed).matrices()[0]
+        P = np.random.default_rng(seed).standard_normal((10, 32))
+        got = [network._gather(g, lo, hi, P, network._pool()).copy() for lo, hi in ((0, 13), (13, 14), (14, 40))]
+        assert np.array_equal(np.vstack(got), g @ P)
 
 
 class TestDisjointUnion:
