@@ -7,13 +7,20 @@ positively as ``v`` and negatively as ``-v``; negation is unary minus.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "CSR",
     "DimacsError",
     "Formula",
     "SparseGraph",
@@ -166,6 +173,112 @@ def satisfies(formula: Formula, assignment) -> bool:
     return all(any(l in true_lits for l in clause) for clause in formula.clauses)
 
 
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+_sparsetools_module = None
+_sparsetools_lock = threading.Lock()
+
+
+def _sparsetools():
+    """scipy's compiled sparse kernels, the extension module
+    scipy.sparse._sparsetools, loaded once per process.
+
+    Importing scipy.sparse loads about 300 modules and 15-22 MB of RSS
+    (scipy 1.17) for the seven kernels that gluesat calls; this loads
+    their one extension file alone.  A process that has imported scipy.sparse
+    already gets its module.  Otherwise the file comes from scipy's package
+    directory, found without running any scipy code, and leaves no entry
+    in sys.modules, so that a later ``import scipy.sparse`` loads and binds
+    it as usual.  Where that file is missing, this imports the module the
+    ordinary way: the kernels are the same, only the import costs more."""
+    global _sparsetools_module
+    if _sparsetools_module is None:
+        with _sparsetools_lock:
+            if _sparsetools_module is None:
+                _sparsetools_module = sys.modules.get(_SPARSETOOLS) or _load_sparsetools(_sparsetools_file())
+    return _sparsetools_module
+
+
+def _sparsetools_file():
+    # the path of scipy/sparse/_sparsetools<extension suffix>, or None
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_sparsetools(path):
+    # the extension at path, by scipy's module name, or the ordinary import
+    # without a path; an extension of single-phase initialization enters
+    # itself in sys.modules as it loads, without its parent package, which
+    # would then never bind it as an attribute
+    if path is None:
+        return importlib.import_module(_SPARSETOOLS)
+    spec = importlib.util.spec_from_file_location(_SPARSETOOLS, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get(_SPARSETOOLS) is module:
+        del sys.modules[_SPARSETOOLS]
+    return module
+
+
+class CSR(NamedTuple):
+    """A compressed sparse row matrix in scipy's layout, the form that
+    scipy's kernels take: row i holds the columns indices[indptr[i] :
+    indptr[i + 1]] with the values data[indptr[i] : indptr[i + 1]].
+    ``scipy.sparse.csr_matrix((data, indices, indptr), shape)`` wraps one
+    without a copy."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _coo_to_csr(rows, cols, shape):
+    """The CSR matrix of ones at (rows[k], cols[k]), repeats summed, by
+    scipy's own steps for ``coo_matrix(...).tocsr()``: coo_tocsr, then,
+    unless the result already has sorted indices without repeats,
+    csr_sort_indices and ``_summed``.  Every index must lie in the shape:
+    the kernels write without bounds checks."""
+    kernels = _sparsetools()
+    nnz = len(rows)
+    # scipy's index type: int32 where every index and count fits
+    idx = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
+    m = CSR(np.empty(shape[0] + 1, idx), np.empty(nnz, idx), np.empty(nnz), shape)
+    kernels.coo_tocsr(*shape, nnz, rows.astype(idx, copy=False), cols.astype(idx, copy=False), np.ones(nnz), *m[:3])
+    if kernels.csr_has_canonical_format(shape[0], m.indptr, m.indices):
+        return m
+    kernels.csr_sort_indices(shape[0], *m[:3])
+    return _summed(m)
+
+
+def _summed(m):
+    """m, whose rows have sorted indices, with each run of a repeated index
+    summed into one entry by csr_sum_duplicates, in place, then trimmed as
+    scipy's prune trims: indices and data cut to the new count, and copied
+    where that frees more than half of them."""
+    _sparsetools().csr_sum_duplicates(*m.shape, *m[:3])
+    nnz = int(m.indptr[-1])
+    indices, data = m.indices[:nnz], m.data[:nnz]
+    if nnz < len(m.indices) // 2:
+        indices, data = indices.copy(), data.copy()
+    return CSR(m.indptr, indices, data, m.shape)
+
+
+def _transposed(m):
+    """m^T as a CSR matrix, by scipy's transpose kernel csr_tocsc: its row
+    k lists the rows of m with an entry in column k in ascending order,
+    side by side where m's indices repeat."""
+    rows, cols = m.shape
+    t = CSR(np.empty(cols + 1, m.indptr.dtype), np.empty(len(m.indices), m.indptr.dtype), np.empty(len(m.data)),
+            (cols, rows))
+    _sparsetools().csr_tocsc(rows, cols, *m[:3], *t[:3])
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class SparseGraph:
     """Clause-literal bipartite adjacency in coordinate form.
@@ -191,13 +304,26 @@ class SparseGraph:
     parts: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        """Refuse, with ValueError, a negative clause or variable count, a
+        var_map of other than num_vars entries, parts that do not sum to
+        the graph, and an edge whose row lies outside [0, num_clauses) or
+        whose column lies outside [0, 2 num_vars): ``matrices()`` hands
+        the edges to kernels that write without bounds checks."""
         rows = np.asarray(self.rows, dtype=np.int32)
         cols = np.asarray(self.cols, dtype=np.int32)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError(f"rows {rows.shape} and cols {cols.shape} must be equal-length vectors")
+        if self.num_clauses < 0 or self.num_vars < 0:
+            raise ValueError(f"clause and variable counts must be >= 0, got {self.num_clauses} and {self.num_vars}")
+        if len(self.var_map) != self.num_vars:
+            raise ValueError(f"var_map has {len(self.var_map)} entries for {self.num_vars} variables")
         parts = tuple(self.parts) or ((self.num_clauses, self.num_vars),)
         if tuple(map(sum, zip(*parts))) != (self.num_clauses, self.num_vars):
             raise ValueError(f"parts {parts} do not sum to ({self.num_clauses}, {self.num_vars})")
+        for name, index, bound in (("row", rows, self.num_clauses), ("column", cols, 2 * self.num_vars)):
+            if index.size and (index.min() < 0 or index.max() >= bound):
+                bad = index[(index < 0) | (index >= bound)][0]
+                raise ValueError(f"edge {name} {bad} outside [0, {bound})")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "parts", parts)
@@ -219,40 +345,36 @@ class SparseGraph:
     def matrices(self):
         """(G, sizes, by_size), cached after first use.
 
-        G is the M x 2N scipy CSR matrix of clause rows and literal
-        columns, with sorted indices; repeated (row, col) edges sum into
-        one entry.  The network applies G's transpose through G's own
-        arrays (``network._scatter``), so none is kept.  ``sizes`` holds the
+        G is the M x 2N ``CSR`` record of clause rows and literal columns,
+        with sorted indices; repeated (row, col) edges sum into one entry.
+        The network applies G's transpose through G's own arrays
+        (``network._scatter``), so none is kept.  ``sizes`` holds the
         distinct clause sizes (edge counts, repeats included) in ascending
-        order, as floats; ``by_size`` is the len(sizes) x 2N CSR matrix
+        order, as floats; ``by_size`` is the len(sizes) x 2N ``CSR`` record
         whose entry (u, l) sums G[c, l] over the clauses c of size
         ``sizes[u]``: the clause-to-size indicator transposed times G, laid
         out like G, one row per size class.  A union's size classes span
         its parts.
+
+        Both are built by scipy's compiled kernels alone (``_sparsetools``),
+        in scipy's own steps, so their arrays equal those of
+        ``scipy.sparse.coo_matrix(...).tocsr()`` and of the indicator
+        product, without importing scipy.sparse.
         """
         cached = self.__dict__.get("_mats")
         if cached is None:
-            from scipy.sparse import _sparsetools, coo_matrix, csr_matrix
-
-            shape = (self.num_clauses, 2 * self.num_vars)
-            g = coo_matrix((np.ones(len(self.rows)), (self.rows, self.cols)), shape=shape).tocsr()
+            g = _coo_to_csr(self.rows, self.cols, (self.num_clauses, 2 * self.num_vars))
             counts = np.bincount(self.rows, minlength=self.num_clauses)
             present = np.bincount(counts) > 0
             size_class = np.cumsum(present) - 1
-            # G^T's entries with each clause column replaced by its size
-            # class, moved to one row per class by scipy's transpose kernel
-            # (a row's literals ascending, repeats side by side), then
-            # summed; G^T is dropped after
-            gt = g.T.tocsr()
-            classes = int(present.sum())
-            indptr = np.empty(classes + 1, gt.indptr.dtype)
-            indices = np.empty(gt.nnz, gt.indices.dtype)
-            data = np.empty(gt.nnz)
-            _sparsetools.csr_tocsc(2 * self.num_vars, classes, gt.indptr,
-                                   size_class[counts][gt.indices].astype(gt.indices.dtype), gt.data,
-                                   indptr, indices, data)
-            by_size = csr_matrix((data, indices, indptr), shape=(classes, 2 * self.num_vars))
-            by_size.sum_duplicates()
+            # G^T with each clause column relabelled to its size class,
+            # transposed again: one row per class (a row's literals
+            # ascending, repeats side by side), then summed; G^T is
+            # dropped after
+            gt = _transposed(g)
+            gt = gt._replace(indices=size_class[counts][gt.indices].astype(gt.indices.dtype),
+                             shape=(gt.shape[0], int(present.sum())))
+            by_size = _summed(_transposed(gt))
             cached = (g, np.flatnonzero(present).astype(float), by_size)
             object.__setattr__(self, "_mats", cached)
         return cached

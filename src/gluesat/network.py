@@ -1,4 +1,5 @@
-"""Message-passing network over clause-literal graphs (CPU, numpy/scipy).
+"""Message-passing network over clause-literal graphs (CPU, numpy and
+scipy's compiled sparse kernels).
 
 Each iteration aggregates the paired (literal, negated-literal) embeddings
 into clause embeddings, standardizes them per clause, scatters them back to
@@ -22,6 +23,8 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
+
+from .cnf import _sparsetools
 
 __all__ = [
     "ForwardOutput",
@@ -518,26 +521,23 @@ def _csr_rows(m, lo, hi):
 
 
 def _gather(m, lo, hi, x, pool):
-    """Rows [lo, hi) of m @ x, for the CSR matrix m, in a buffer from
-    ``pool``: scipy's CSR kernel added into zeros, as scipy's ``@`` adds,
-    so the same bits."""
-    from scipy.sparse import _sparsetools
-
+    """Rows [lo, hi) of m @ x, for the ``cnf.CSR`` matrix m, in a buffer
+    from ``pool``: scipy's CSR kernel added into zeros, as scipy's ``@``
+    adds, so the same bits."""
     out = pool.take((hi - lo, x.shape[1]))
     out.fill(0.0)
-    _sparsetools.csr_matvecs(hi - lo, m.shape[1], x.shape[1], *_csr_rows(m, lo, hi), x, out)
+    _sparsetools().csr_matvecs(hi - lo, m.shape[1], x.shape[1], *_csr_rows(m, lo, hi), x, out)
     return out
 
 
 def _scatter(m, lo, hi, x, out):
-    """out += (rows [lo, hi) of m)^T @ x, for the CSR matrix m and x the
-    rows [lo, hi) of a dense operand: scipy's CSC kernel on m's row block,
-    read as the CSC form of its transpose.  Each row of out adds its terms
-    in ascending row order of m, so blocks added in order into zeros give
-    the bits of scipy's CSR product m^T @ x (m^T's indices are sorted)."""
-    from scipy.sparse import _sparsetools
-
-    _sparsetools.csc_matvecs(m.shape[1], hi - lo, x.shape[1], *_csr_rows(m, lo, hi), x, out)
+    """out += (rows [lo, hi) of m)^T @ x, for the ``cnf.CSR`` matrix m and
+    x the rows [lo, hi) of a dense operand: scipy's CSC kernel on m's row
+    block, read as the CSC form of its transpose.  Each row of out adds its
+    terms in ascending row order of m, so blocks added in order into zeros
+    give the bits of scipy's CSR product m^T @ x (m^T's indices are
+    sorted)."""
+    _sparsetools().csc_matvecs(m.shape[1], hi - lo, x.shape[1], *_csr_rows(m, lo, hi), x, out)
 
 
 def _pair_rows(lo, hi, L, n, w, P, cache):

@@ -18,6 +18,32 @@ def edge_pairs(graph):
     return list(zip(graph.rows.tolist(), graph.cols.tolist()))
 
 
+def scipy_csr(m):
+    """A ``cnf.CSR`` record as a scipy CSR matrix over the same arrays."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def scipy_matrices(graph):
+    """(G, sizes, by_size) of ``SparseGraph.matrices()`` built through
+    scipy.sparse's public API: G by ``coo_matrix(...).tocsr()``, and
+    by_size as the clause-to-size-class indicator, transposed, times G,
+    in canonical form (the product's indices come unsorted)."""
+    from scipy.sparse import coo_matrix
+
+    shape = (graph.num_clauses, 2 * graph.num_vars)
+    g = coo_matrix((np.ones(graph.num_edges), (graph.rows, graph.cols)), shape=shape).tocsr()
+    counts = np.bincount(graph.rows, minlength=graph.num_clauses)
+    sizes = np.unique(counts).astype(float)
+    classes = np.searchsorted(sizes, counts)
+    indicator = coo_matrix((np.ones(graph.num_clauses), (np.arange(graph.num_clauses), classes)),
+                           shape=(graph.num_clauses, len(sizes))).tocsr()
+    by_size = (indicator.T @ g).tocsr()
+    by_size.sum_duplicates()
+    return g, sizes, by_size
+
+
 def naive_up(clauses, assign, new_lits):
     """Full-scan unit propagation to fixpoint.
 

@@ -1,8 +1,12 @@
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import gluesat.cnf as cnf
 from gluesat.cnf import (
     DimacsError,
     Formula,
@@ -19,7 +23,7 @@ from gluesat.cnf import (
 )
 from gluesat.solver import solve
 
-from oracles import edge_pairs
+from oracles import edge_pairs, scipy_csr, scipy_matrices
 
 
 class TestParseDimacs:
@@ -158,7 +162,7 @@ class TestClauseLiteralGraph:
         # Formula keeps duplicates: two edges, one CSR entry of 2.0
         g = clause_literal_graph(Formula(2, ((1, 1, -2),)))
         assert edge_pairs(g) == [(0, 0), (0, 0), (0, 3)]
-        csr = g.matrices()[0]
+        csr = scipy_csr(g.matrices()[0])
         assert csr.nnz == 2
         assert csr[0, 0] == 2.0 and csr[0, 3] == 1.0
         assert csr.has_sorted_indices
@@ -167,14 +171,15 @@ class TestClauseLiteralGraph:
         # clause sizes count repeated literals: (1, 1, -2) has size 3 like
         # (3, 2, -1), and the empty clause has its own class
         g = clause_literal_graph(Formula(3, ((1, -2), (), (3, 2, -1), (1, 1, -2))))
-        csr, sizes, by_size = g.matrices()
+        mats = g.matrices()
+        csr, sizes, by_size = scipy_csr(mats[0]), mats[1], scipy_csr(mats[2])
         assert sizes.tolist() == [0.0, 2.0, 3.0]
         indicator = np.zeros((g.num_clauses, len(sizes)))
         indicator[[0, 1, 2, 3], [1, 0, 2, 2]] = 1.0
         assert np.array_equal(by_size.toarray(), indicator.T @ csr.toarray())
         assert by_size[1, 0] == 1.0 and by_size[2, 0] == 2.0       # literal 1
         assert by_size.has_sorted_indices
-        assert g.matrices()[2] is by_size
+        assert g.matrices()[2] is mats[2]
 
     def test_mismatched_edge_arrays_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +188,141 @@ class TestClauseLiteralGraph:
     def test_parts_must_sum_to_the_graph(self):
         with pytest.raises(ValueError, match="do not sum"):
             SparseGraph(1, 2, [0], [0], (1, 2), ((1, 1),))
+
+    @pytest.mark.parametrize("args, match", [
+        ((-1, 2, [], [], (1, 2)), "counts must be >= 0"),
+        ((1, -1, [], [], ()), "counts must be >= 0"),
+        # a short var_map would otherwise surface only in apply_refocus
+        ((1, 2, [0], [0], (1,)), "var_map has 1 entries for 2 variables"),
+        ((2, 2, [0, 2], [0, 1], (1, 2)), r"row 2 outside \[0, 2\)"),
+        ((2, 2, [-1, 0], [0, 1], (1, 2)), r"row -1 outside"),
+        ((0, 2, [0], [0], (1, 2)), r"row 0 outside \[0, 0\)"),
+        ((2, 2, [0, 1], [0, 4], (1, 2)), r"column 4 outside \[0, 4\)"),
+        ((2, 2, [0, 1], [-3, 0], (1, 2)), r"column -3 outside"),
+        ((1, 0, [0], [0], ()), r"column 0 outside \[0, 0\)"),
+    ])
+    def test_bad_counts_var_map_and_indices_refused_at_construction(self, args, match):
+        # the CSR kernels write without bounds checks, so no such graph
+        # may reach matrices()
+        with pytest.raises(ValueError, match=match):
+            SparseGraph(*args)
+
+
+_KERNELS = ("coo_tocsr", "csr_has_canonical_format", "csr_sort_indices", "csr_sum_duplicates", "csr_tocsc",
+            "csr_matvecs", "csc_matvecs")
+
+
+def _assert_scipy_build(graph):
+    # matrices() equals scipy.sparse's public build, array for array
+    got, want = graph.matrices(), scipy_matrices(graph)
+    assert np.array_equal(got[1], want[1])
+    for record, matrix in ((got[0], want[0]), (got[2], want[2])):
+        assert record.shape == matrix.shape
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(record, name), getattr(matrix, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+
+
+def _random_graph(seed, m=40, n=5):
+    # 0 to 6 literal columns per clause drawn with replacement: repeated
+    # edges and empty clause rows
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(m), rng.integers(0, 7, m))
+    return SparseGraph(m, n, rows, rng.integers(0, 2 * n, len(rows)), tuple(range(1, n + 1)))
+
+
+class TestMatricesAreScipys:
+    """``matrices()`` calls scipy's compiled kernels in scipy's own steps;
+    G and by_size equal ``coo_matrix(...).tocsr()`` and the size-class
+    indicator times G, array for array, dtypes included."""
+
+    @pytest.mark.parametrize("graph", [
+        clause_literal_graph(Formula(2, ((1, 1, -2),))),                        # a repeated literal
+        clause_literal_graph(Formula(3, ((1, -2), (), (3, 2, -1), (1, 1, -2)))),  # an empty clause row
+        SparseGraph(1, 1, [0] * 9 + [0], [0] * 9 + [1], (1,)),                  # repeats trimmed by a copy
+        SparseGraph(3, 2, [], [], (1, 2)),                                      # no edges
+        SparseGraph(0, 0, [], [], ()),
+        clause_literal_graph(random_ksat(200, 852, 3, 1)),
+    ], ids=["repeat", "empty-row", "many-repeats", "no-edges", "empty", "3-sat"])
+    def test_cases(self, graph):
+        _assert_scipy_build(graph)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs_and_their_union(self, seed):
+        graphs = [_random_graph(seed * 3 + k, m=10 + 15 * k, n=1 + 3 * k) for k in range(3)]
+        for graph in graphs:
+            _assert_scipy_build(graph)
+        _assert_scipy_build(disjoint_union(graphs))
+        _assert_scipy_build(disjoint_union([graphs[0], SparseGraph(2, 1, [], [], (1,)), graphs[2]]))
+
+
+class TestSparsetools:
+    """The loader of scipy's compiled sparse kernels: one module per
+    process, from scipy.sparse where it is imported, else its extension
+    file alone, else the ordinary import."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        # an unloaded cache, and scipy.sparse's kernel module, set aside
+        # unless a test needs it; both come back after the test
+        import scipy.sparse._sparsetools as module
+
+        monkeypatch.setattr(cnf, "_sparsetools_module", None)
+        monkeypatch.delitem(sys.modules, cnf._SPARSETOOLS)
+        return module
+
+    def test_loaded_module_has_every_kernel(self):
+        import scipy
+
+        module = cnf._sparsetools()
+        missing = [name for name in _KERNELS if not callable(getattr(module, name, None))]
+        assert not missing, (f"scipy {scipy.__version__}: {module.__name__} lacks {missing}, "
+                             "which SparseGraph.matrices() and the network's products call")
+        assert cnf._sparsetools() is module
+
+    def test_reuses_scipy_sparse_module(self, fresh, monkeypatch):
+        monkeypatch.setitem(sys.modules, cnf._SPARSETOOLS, fresh)
+        assert cnf._sparsetools() is fresh
+
+    def test_loads_the_extension_file_alone(self, fresh):
+        module = cnf._sparsetools()
+        assert module is not fresh and os.path.samefile(module.__file__, fresh.__file__)
+        assert cnf._SPARSETOOLS not in sys.modules
+        assert all(callable(getattr(module, name)) for name in _KERNELS)
+        _assert_scipy_build(_random_graph(0))
+
+    def test_falls_back_to_the_ordinary_import(self, fresh, monkeypatch):
+        monkeypatch.setattr(cnf, "_sparsetools_file", lambda: None)
+        module = cnf._sparsetools()
+        assert module is sys.modules[cnf._SPARSETOOLS]
+        _assert_scipy_build(_random_graph(1))
+
+    def test_threads_load_once(self, fresh, monkeypatch):
+        # more threads than cores race for the first load, with a short
+        # switch interval: one load, one module for all
+        loads = []
+        barrier = threading.Barrier(8)
+        real = cnf._load_sparsetools
+
+        def counted(path):
+            loads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cnf, "_load_sparsetools", counted)
+
+        def first_use():
+            barrier.wait(timeout=10)
+            return cnf._sparsetools()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as ex:
+                modules = [f.result(timeout=30) for f in [ex.submit(first_use) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(loads) == 1
+        assert all(module is modules[0] for module in modules)
 
 
 class TestDisjointUnion:
@@ -220,14 +360,15 @@ class TestDisjointUnion:
         graphs = [clause_literal_graph(random_ksat(6 + s, 20 + 3 * s, 3, s)) for s in range(3)]
         graphs.append(clause_literal_graph(Formula(3, ((1, 1, -2), (), (3,)))))
         union = disjoint_union(graphs)
-        g = union.matrices()[0].toarray()
+        g = scipy_csr(union.matrices()[0]).toarray()
         n = union.num_vars
         clause_bounds, var_bounds = union.part_bounds()
         for j, graph in enumerate(graphs):
             lo, hi = var_bounds[j], var_bounds[j + 1]
             cols = np.r_[lo:hi, n + lo : n + hi]
-            assert np.array_equal(g[clause_bounds[j] : clause_bounds[j + 1]][:, cols], graph.matrices()[0].toarray())
-        assert g.sum() == sum(graph.matrices()[0].sum() for graph in graphs)
+            assert np.array_equal(g[clause_bounds[j] : clause_bounds[j + 1]][:, cols],
+                                  scipy_csr(graph.matrices()[0]).toarray())
+        assert g.sum() == sum(scipy_csr(graph.matrices()[0]).sum() for graph in graphs)
 
     def test_size_classes_span_the_parts(self):
         # a's clauses have sizes 2 and 1, b's 2 and 3: three classes, one
@@ -235,6 +376,7 @@ class TestDisjointUnion:
         a = clause_literal_graph(Formula(2, ((1, -2), (2,))))
         b = clause_literal_graph(Formula(3, ((-1, 3), (-3, 2, 1))))
         csr, sizes, by_size = disjoint_union([a, b]).matrices()
+        csr, by_size = scipy_csr(csr), scipy_csr(by_size)
         assert sizes.tolist() == [1.0, 2.0, 3.0]
         indicator = np.zeros((4, 3))
         indicator[[0, 1, 2, 3], [1, 0, 1, 2]] = 1.0

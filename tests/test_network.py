@@ -32,6 +32,7 @@ from gluesat.network import (
 )
 
 from conftest import assert_rounding_close, graph_lists
+from oracles import scipy_csr
 
 
 @pytest.fixture
@@ -311,9 +312,11 @@ class TestCacheFreeForward:
         # operators, per edge.  Measured on a 2-vCPU VM, with one BLAS
         # thread and with default BLAS alike: 480-515 bytes per edge
         # (1.38-1.47 GB) with whole clause stages, about 160 (0.46 GB)
-        # streamed
+        # streamed.  RSS growth moves with the heap that the operator
+        # build freed and the pass reuses, so the pass's own peak of traced
+        # allocations above its start, per edge, is bounded beside it
         script = textwrap.dedent("""
-            import resource, sys
+            import resource, sys, tracemalloc
             import numpy as np
             sys.path.insert(0, sys.argv[1])
             from gluesat.cnf import SparseGraph
@@ -335,14 +338,18 @@ class TestCacheFreeForward:
             p = init_params(hp, seed=0)
             g.matrices()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            tracemalloc.start()
+            start = tracemalloc.get_traced_memory()[0]
             forward(p, hp, g)
+            traced = tracemalloc.get_traced_memory()[1] - start
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            print((after - before) * 1024 / g.num_edges)
+            print((after - before) * 1024 / g.num_edges, traced / g.num_edges)
         """)
         src = os.path.dirname(os.path.dirname(network.__file__))
         out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, check=True)
-        per_edge = float(out.stdout)
+        per_edge, traced_per_edge = map(float, out.stdout.split())
         assert per_edge < 300, per_edge
+        assert traced_per_edge < 300, traced_per_edge
 
 
 @st.composite
@@ -700,14 +707,56 @@ class TestSparseKernels:
         B = np.zeros((10, 64))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             network._scatter(g, lo, hi, C[lo:hi], B)
-        assert np.array_equal(B, g.T.tocsr() @ C)
+        assert np.array_equal(B, scipy_csr(g).T.tocsr() @ C)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gathered_blocks_are_the_product(self, seed):
         g = _kernel_graph(seed).matrices()[0]
         P = np.random.default_rng(seed).standard_normal((10, 32))
         got = [network._gather(g, lo, hi, P, network._pool()).copy() for lo, hi in ((0, 13), (13, 14), (14, 40))]
-        assert np.array_equal(np.vstack(got), g @ P)
+        assert np.array_equal(np.vstack(got), scipy_csr(g) @ P)
+
+    def test_network_processes_never_import_scipy_sparse(self):
+        # a fresh interpreter runs forward, forward_with_cache with
+        # backward_from_heads and a solve refocused by the network, with
+        # scipy's kernels loaded alone; then scipy.sparse imports as usual,
+        # and its public products agree with the kernels' bits
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            sys.path.insert(0, sys.argv[1])
+            from gluesat.cnf import clause_literal_graph, random_ksat
+            from gluesat.grads import backward_from_heads
+            from gluesat.network import _gather, _pool, _scatter, forward, forward_with_cache, init_params, preset
+            from gluesat.solver import SolverConfig, solve
+
+            hp = preset("supervised")
+            params = init_params(hp, seed=0, value_head=True)
+            g = clause_literal_graph(random_ksat(40, 170, 3, 1))
+            forward(params, hp, g)
+            _, cache = forward_with_cache(params, hp, g)
+            backward_from_heads(params, hp, cache, np.ones(g.num_vars), 1.0)
+            cfg = SolverConfig(warmup_conflicts=0, schedule_base=5, schedule_quad=0, schedule_cap=5,
+                               refocus_margin=0.0)
+            result = solve(random_ksat(60, 256, 3, 2), config=cfg,
+                           oracle=lambda graph: forward(params, hp, graph).policy_logits)
+            assert result.stats.refocuses > 0, result.stats
+            loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+            assert "scipy.sparse" not in sys.modules, loaded
+
+            from scipy.sparse import csr_matrix
+            G = g.matrices()[0]
+            public = csr_matrix((G.data, G.indices, G.indptr), shape=G.shape)
+            x = np.random.default_rng(0).standard_normal((G.shape[1], 8))
+            assert np.array_equal(_gather(G, 0, G.shape[0], x, _pool()), public @ x)
+            y = np.random.default_rng(1).standard_normal((G.shape[0], 8))
+            out = np.zeros((G.shape[1], 8))
+            _scatter(G, 0, G.shape[0], y, out)
+            assert np.array_equal(out, public.T.tocsr() @ y)
+        """)
+        src = os.path.dirname(os.path.dirname(network.__file__))
+        out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
 
 class TestDisjointUnion:
