@@ -155,19 +155,6 @@ def _solve_task(args):
     return EvalRecord(instance=name, variant=variant, seed=seed, status=result.status, **stats)
 
 
-def _whole_passes():
-    # a bench worker process shares the cores with the other workers, so
-    # its network passes run on one thread each
-    from . import network
-
-    network._SPARE_CORE = False
-
-
-def _worker_pool(parallelism) -> ProcessPoolExecutor:
-    """The worker processes of a parallel benchmark run."""
-    return ProcessPoolExecutor(max_workers=parallelism, initializer=_whole_passes)
-
-
 def _load_records(path) -> list[EvalRecord]:
     with open(path, newline="") as fh:
         return [EvalRecord(**{name: _RECORD_TYPES[name](row[name]) for name in _RECORD_FIELDS})
@@ -222,7 +209,7 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
         records = list(done.values())
         run = map
         if cfg.parallelism > 1 and len(tasks) > 1:
-            run = stack.enter_context(_worker_pool(cfg.parallelism)).map
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.parallelism)).map
         for rec in run(_solve_task, tasks):
             records.append(rec)
             if writer is not None:

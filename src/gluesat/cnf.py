@@ -306,13 +306,17 @@ class SparseGraph:
     def __post_init__(self):
         """Refuse, with ValueError, a negative clause or variable count, a
         var_map of other than num_vars entries, parts that do not sum to
-        the graph, and an edge whose row lies outside [0, num_clauses) or
-        whose column lies outside [0, 2 num_vars): ``matrices()`` hands
-        the edges to kernels that write without bounds checks."""
-        rows = np.asarray(self.rows, dtype=np.int32)
-        cols = np.asarray(self.cols, dtype=np.int32)
+        the graph, edges that are not integers (bool, float or object
+        elements; empty arrays pass), and an edge whose row lies outside
+        [0, num_clauses) or whose column lies outside [0, 2 num_vars):
+        ``matrices()`` hands the edges to kernels that write without bounds
+        checks.  The edges are checked as given, then kept as int32."""
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError(f"rows {rows.shape} and cols {cols.shape} must be equal-length vectors")
+        for name, index in (("rows", rows), ("cols", cols)):
+            if index.size and index.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {index.dtype}")
         if self.num_clauses < 0 or self.num_vars < 0:
             raise ValueError(f"clause and variable counts must be >= 0, got {self.num_clauses} and {self.num_vars}")
         if len(self.var_map) != self.num_vars:
@@ -324,8 +328,8 @@ class SparseGraph:
             if index.size and (index.min() < 0 or index.max() >= bound):
                 bad = index[(index < 0) | (index >= bound)][0]
                 raise ValueError(f"edge {name} {bad} outside [0, {bound})")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "rows", rows.astype(np.int32, copy=False))
+        object.__setattr__(self, "cols", cols.astype(np.int32, copy=False))
         object.__setattr__(self, "parts", parts)
 
     @property

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -332,180 +330,45 @@ def _standardize_rows(x, eps):
     return x, inv
 
 
-# ------------------------------------------------------- the network worker
-
-# A training batch runs the forward of its next example on the network
-# worker while the calling thread runs the current backward
-# (training._batch_kl) only when that next graph has at least this many
-# edges.  Below it numpy and scipy hold the GIL for much of a pass and the
-# two threads mostly take turns.  Overlapped time / serial time of a
-# 3-example batch, supervised preset, one BLAS thread, 2 cores: random
-# 3-SAT 1.33 at 384 edges, 1.16 at 768, 0.98 at 1,278, 0.97 at 2,001, 0.89
-# at 2,556; random 5-SAT 1.27 at 1,000, 1.08 at 2,000 and 0.94 at 4,000
-# edges.
-_OVERLAP_MIN_EDGES = 3_000
-
-# A cache-free pass over a graph of at least this many edges runs the row
-# blocks of its stages alternately on the calling thread and the network
-# worker.  The threads hand blocks over several times per iteration, and
-# small blocks contend for the GIL, so it breaks even later than the
-# overlap.  Split time / whole time of `forward` with the rows of each
-# stage in two halves, random 3-SAT, one BLAS thread, 2 vCPUs of a Xeon
-# (Sapphire Rapids) VM, two alternating medians of 50 passes each:
-# supervised preset 0.97-1.0 at 8,946 edges, 0.89-0.94 at 10,224,
-# 0.74-0.78 at 12,780 and 0.70-0.72 at 17,892; rl preset 1.02-1.13 at
-# 6,390, 0.95-0.98 at 8,946 and 0.62-0.65 at 17,892.
-_SPLIT_MIN_EDGES = 10_000
-
-
-def _spare_core() -> bool:
-    """Whether numpy's BLAS runs one thread on a machine of two or more
-    cores, so that a second thread has a core to itself.  OpenBLAS reads
-    its thread count from the first of these variables set to a positive
-    number when it loads, and otherwise takes every core.  With more BLAS
-    threads, a second thread only competes for the cores that each BLAS
-    call already uses: a 3-example epoch on ~20k-edge graphs took 1.19x
-    the serial time with 2 BLAS threads on 2 cores."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1 and (os.cpu_count() or 1) >= 2
-    return False
-
-
-_SPARE_CORE = _spare_core()
-
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _on_worker():
-    _local.on_worker = True
-
-
-def _network_worker() -> ThreadPoolExecutor:
-    """The one thread that runs a split pass's second row blocks and a
-    training batch's forwards, started on first use and kept, so that its
-    buffer pool persists."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="gluesat-network", initializer=_on_worker)
-        return _worker
-
-
-def _forget_worker():
-    # a forked child has the executor but not its thread
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _spare_worker(edges, min_edges):
-    """The network worker, for work on a graph of ``edges`` edges, or None
-    when no core is spare, the graph has fewer than ``min_edges`` edges, or
-    this thread is the worker, which must never wait for itself."""
-    if not _SPARE_CORE or edges < min_edges or getattr(_local, "on_worker", False):
-        return None
-    return _network_worker()
-
-
-def _split_worker(graph, keep, drng):
-    """The worker that takes every other row block of this pass's stages,
-    or None when the pass runs here alone: it keeps a cache, draws dropout
-    masks (one stream, in row order), or has fewer than _SPLIT_MIN_EDGES
-    edges or no worker from ``_spare_worker``."""
-    if keep or drng is not None:
-        return None
-    return _spare_worker(graph.num_edges, _SPLIT_MIN_EDGES)
-
-
 # A pass that keeps no cache and draws no dropout masks runs each stage in
 # row blocks of at most this many rows, so that it holds O(block x
 # delta_c) of clause state where a whole stage held O(M x delta_c).
-# `forward`, supervised preset, random 3-SAT, one BLAS thread with the
-# split, 2 vCPUs of a Xeon VM, for 1,024 / 2,048 / 4,096 / 8,192 rows:
-# 7.90 / 7.05 / 7.02 / 6.79 ms at 18,000 edges and 139.8 / 129.1 / 127.4 /
-# 119.3 ms at 300,330 (medians of interleaved rounds); at 3,003,300 edges
-# a peak RSS growth of 455 / 457 / 459 / 468 MB, and 1.66 / 1.15 / 1.11 /
-# 1.27 s (best of 2; single runs there vary by about 20%).  Larger blocks
-# are faster, but below one block a pass holds P and B beside its whole
-# clause stage: at 4,096 rows a 2,130-clause pass peaked 22% above its
-# peak at 2,048 (tracemalloc).
+# `forward`, supervised preset, random 3-SAT, one BLAS thread, 2 vCPUs of a
+# Xeon VM, for 1,024 / 2,048 / 4,096 / 8,192 rows: 6.1-6.2 / 6.3-6.4 /
+# 6.5-6.6 / 6.6-6.8 ms at 18,000 edges and 139 / 138 / 143 / 139 ms at
+# 300,330 (medians of interleaved rounds, the quietest runs of several); at
+# 3,003,300 edges a peak RSS growth of 448 / 448 / 448 / 459 MB, and 2.0 /
+# 2.0 / 1.8 / 1.9 s (a second pass, one run each; single runs there vary
+# by about 20%).  The times are flat within the noise, and below one block
+# a pass holds P and B beside its whole clause stage: at 4,096 rows a
+# 2,130-clause pass peaked 22% above its peak at 2,048 (tracemalloc).
 _BLOCK_ROWS = 2_048
 
 
-def _block_bounds(rows, worker, whole):
+def _block_bounds(rows, whole):
     """The bounds [0, ..., rows] of a stage's row blocks: one block for a
     ``whole`` pass (it keeps a cache or draws dropout masks), otherwise
-    ceil(rows / _BLOCK_ROWS) blocks of near-equal size, at least two and
-    an even number of them with a worker.  A block has two rows or more
-    unless the stage has fewer: numpy multiplies a one-row matrix with a
-    matrix-vector kernel, whose bits can differ from the matrix kernel's."""
+    ceil(rows / _BLOCK_ROWS) blocks of near-equal size.  A block has two
+    rows or more unless the stage has fewer: numpy multiplies a one-row
+    matrix with a matrix-vector kernel, whose bits can differ from the
+    matrix kernel's."""
     if whole:
         return [0, rows]
-    count = -(-rows // _BLOCK_ROWS)
-    if worker is not None:
-        count = max(2, count + count % 2)
-    count = max(1, min(count, rows // 2))
+    count = max(1, min(-(-rows // _BLOCK_ROWS), rows // 2))
     return [rows * k // count for k in range(count + 1)]
 
 
-def _by_rows(worker, stage, bounds, args, take=None):
-    """Run stage(lo, hi, *args) on each row block [lo, hi) of ``bounds``,
-    then take(lo, hi, its result), with the takes in block order.
-
-    With no worker, or one block, the blocks run here one after another,
-    and this returns the last one's result: a one-block stage's is the
-    whole stage's, which a kept cache needs.  With a worker it returns
-    None, and no block's result outlives its take: block k runs here for
-    even k and on the worker for odd k, each thread taking in its own
-    blocks.  A take waits for the take of the block before it, so the
-    clause stage adds its blocks into the literal messages in order while
-    the other thread computes its next block.  The worker has
-    at most two blocks handed to it at once.  An error in a block raises
-    here once every block handed to the worker has ended, this thread's
-    first."""
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    if worker is None or len(blocks) == 1:
-        for block in blocks:
-            result = None       # a block taken in must not hold its buffers through the next
-            result = stage(*block, *args)
-            if take is not None:
-                take(*block, result)
-        return result
-    taken = [threading.Event() for _ in blocks]
-
-    def run(k):
-        try:
-            result = stage(*blocks[k], *args)
-            if take is not None:
-                if k:
-                    taken[k - 1].wait()
-                take(*blocks[k], result)
-        finally:
-            taken[k].set()      # also after an error: no later take waits for ever
-
-    futures = []
-    try:
-        for k in range(0, len(blocks), 2):
-            if k + 1 < len(blocks):
-                futures.append(worker.submit(run, k + 1))
-            run(k)
-            if len(futures) > 1:
-                futures[-2].result()
-    finally:
-        for event in taken:
-            event.set()
-        wait(futures)
-    for future in futures:
-        future.result()
-    return None
+def _by_rows(stage, bounds, args, take=None):
+    """Run stage(lo, hi, *args) on each row block [lo, hi) of ``bounds`` in
+    order, each followed by take(lo, hi, its result); returns the last
+    block's result: a one-block stage's is the whole stage's, which a kept
+    cache needs."""
+    for block in zip(bounds[:-1], bounds[1:]):
+        result = None       # a block taken in must not hold its buffers through the next
+        result = stage(*block, *args)
+        if take is not None:
+            take(*block, result)
+    return result
 
 
 # ------------------------------------------------------------------ stages
@@ -607,8 +470,8 @@ def _forward(params, hp, graph, dropout_seed, keep):
     # over clause rows, each block added into the literal messages B as it
     # comes, and the literal update over the rows of B.  A pass that keeps
     # a cache or draws dropout masks runs each stage as one block; any
-    # other runs row blocks of at most _BLOCK_ROWS rows, alternating with
-    # the worker where _split_worker allows.  The heads run whole
+    # other runs row blocks of at most _BLOCK_ROWS rows.  The heads run
+    # whole
     for j, (_, num_vars) in enumerate(graph.parts):
         if num_vars == 0:       # no logits, and its value the mean of no scores
             raise ValueError(f"part {j} of {len(graph.parts)} of the graph has no variables")
@@ -616,7 +479,6 @@ def _forward(params, hp, graph, dropout_seed, keep):
     n = graph.num_vars
     pool = _pool()
     drng = None if dropout_seed is None or hp.dropout == 0.0 else np.random.default_rng(dropout_seed)
-    worker = _split_worker(graph, keep, drng)
     whole = keep or drng is not None
     # every literal starts at l_init, so in iteration 0 a clause's aggregate
     # is its size times [l_init, l_init]: the clause update runs once per
@@ -630,18 +492,14 @@ def _forward(params, hp, graph, dropout_seed, keep):
     for it in range(hp.tau_iters):
         gather, scatter = (sizes[:, None], by_size) if it == 0 else (g, g)
         c_cache, l_cache = ([], []) if keep else (None, None)
-        # iteration 0's first product has one row, and its clause update
-        # one per size class: they run here
-        early = worker if it else None
         # B first: it takes the last iteration's B buffer, which P, half as
         # wide, would otherwise take
         B = pool.take((2 * n, hp.delta_c))
         B.fill(0.0)
         pair_rows = 1 if it == 0 else 2 * n
         P = pool.take((pair_rows, w.shape[1]))
-        _by_rows(early, _pair_rows, _block_bounds(pair_rows, early, whole), (L, n, w, P, c_cache))
-        kept = _by_rows(early, _clause_rows, _block_bounds(gather.shape[0], early, whole),
-                        (gather, P, params, hp, drng, c_cache),
+        _by_rows(_pair_rows, _block_bounds(pair_rows, whole), (L, n, w, P, c_cache))
+        kept = _by_rows(_clause_rows, _block_bounds(gather.shape[0], whole), (gather, P, params, hp, drng, c_cache),
                         lambda lo, hi, out: _scatter(scatter, lo, hi, out[0], B))
         del P
         if keep:
@@ -649,8 +507,7 @@ def _forward(params, hp, graph, dropout_seed, keep):
             iters.append({"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv, "l_cache": l_cache})
         del kept
         L_new = pool.take((2 * n, hp.delta_l))
-        kept = _by_rows(worker, _literal_rows, _block_bounds(2 * n, worker, whole),
-                        (B, L, L_new, params, hp, drng, l_cache))
+        kept = _by_rows(_literal_rows, _block_bounds(2 * n, whole), (B, L, L_new, params, hp, drng, l_cache))
         del B
         if keep:
             iters[-1]["xhat"], iters[-1]["ln_inv"] = kept
@@ -709,13 +566,13 @@ def forward(params: NetParams, hp: HyperParams, graph, dropout_seed=None) -> For
     outputs are bit-identical to ``forward_with_cache``'s.
 
     Without dropout masks it streams: each message-passing stage runs in
-    row blocks of at most ``_BLOCK_ROWS`` rows, and each block of clause
-    embeddings is added into the literal messages as it comes, in block
-    order, so the pass holds its O(N x delta_c) literal state and a block
-    or two of clause state, not O(M x delta_c); at 3M edges that was about
-    160 bytes of peak RSS per edge, against 480-515 with whole stages.
-    A pass with dropout masks, like ``forward_with_cache``, runs each stage
-    as one block."""
+    row blocks of at most ``_BLOCK_ROWS`` rows, one after another on the
+    calling thread, and each block of clause embeddings is added into the
+    literal messages as it comes, so the pass holds its O(N x delta_c)
+    literal state and a block of clause state, not O(M x delta_c); at 3M
+    edges that was about 160 bytes of peak RSS per edge, against 480-515
+    with whole stages.  A pass with dropout masks, like
+    ``forward_with_cache``, runs each stage as one block."""
     out, _ = _forward(params, hp, graph, dropout_seed, keep=False)
     return out
 

@@ -6,13 +6,14 @@ clipping, and importance-sampling correction for policy lag.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import network
 from .cnf import SparseGraph, disjoint_union
 from .env import GlueEnv, TrivialFormulaError
 from .grads import backward_from_heads, check_finite, zero_grads
@@ -192,26 +193,79 @@ class SupervisedResult:
     epoch_kl: list[float]
 
 
+# A training batch runs the forward of its next example on the network
+# worker while the calling thread runs the current backward (_batch_kl)
+# only when that next graph has at least this many edges.  Below it numpy
+# and scipy hold the GIL for much of a pass and the two threads mostly
+# take turns.  Overlapped time / serial time of a 3-example batch,
+# supervised preset, one BLAS thread, 2 cores: random 3-SAT 1.33 at 384
+# edges, 1.16 at 768, 0.98 at 1,278, 0.97 at 2,001, 0.89 at 2,556; random
+# 5-SAT 1.27 at 1,000, 1.08 at 2,000 and 0.94 at 4,000 edges.
+_OVERLAP_MIN_EDGES = 3_000
+
+
+def _spare_core() -> bool:
+    """Whether numpy's BLAS runs one thread on a machine of two or more
+    cores, so that a second thread has a core to itself.  OpenBLAS reads
+    its thread count from the first of these variables set to a positive
+    number when it loads, and otherwise takes every core.  With more BLAS
+    threads, a second thread only competes for the cores that each BLAS
+    call already uses: a 3-example epoch on ~20k-edge graphs took 1.19x
+    the serial time with 2 BLAS threads on 2 cores."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1 and (os.cpu_count() or 1) >= 2
+    return False
+
+
+_SPARE_CORE = _spare_core()
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _network_worker() -> ThreadPoolExecutor:
+    """The one thread that runs a training batch's forwards, started on
+    first use and kept, so that its buffer pool persists."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="gluesat-network")
+        return _worker
+
+
+def _forget_worker():
+    # a forked child has the executor but not its thread
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _batch_kl(params, hp, graphs, targets, seeds, grads) -> float:
     """The summed KL loss of one batch, with the gradient of each example's
     KL / len(graphs) accumulated into ``grads`` in batch order.
 
-    When ``network._spare_worker`` grants the worker for a graph after the
-    first (a core is spare and the graph reaches
-    network._OVERLAP_MIN_EDGES), every forward of the batch runs on the
-    network worker, and the forward of each such graph starts as soon as the
+    When a core is spare and a graph after the first reaches
+    _OVERLAP_MIN_EDGES, every forward of the batch runs on the network
+    worker, and the forward of each such graph starts as soon as the
     previous forward has returned, so it runs while this thread runs the
     previous example's backward.  Backwards stay here and in order, and each
     forward has its own dropout seed, so the sums are the serial loop's bit
     for bit.  At most one forward runs ahead, and none is left running when
     this returns or raises."""
     scale = 1.0 / len(graphs)
-    ahead = [network._spare_worker(g.num_edges, network._OVERLAP_MIN_EDGES) is not None for g in graphs[1:]]
+    ahead = [_SPARE_CORE and g.num_edges >= _OVERLAP_MIN_EDGES for g in graphs[1:]]
     ahead.append(False)
     if not any(ahead):
         return sum(kl_grads(params, hp, graph, target, grads, scale, seed)[0]
                    for graph, target, seed in zip(graphs, targets, seeds))
-    worker = network._network_worker()
+    worker = _network_worker()
 
     def submit(k):
         return worker.submit(forward_with_cache, params, hp, graphs[k], dropout_seed=seeds[k])

@@ -3,7 +3,6 @@ import csv
 import numpy as np
 import pytest
 
-from gluesat import bench, network
 from gluesat.bench import (
     AggregateRecord,
     BenchConfig,
@@ -33,10 +32,6 @@ def make_instances(directory, count, n=15, m=63):
         p.write_text(write_dimacs(random_ksat(n, m, 3, seed)))
         paths.append(str(p))
     return paths
-
-
-def _spare_core_gate():
-    return network._SPARE_CORE
 
 
 def desk_config(**kw):
@@ -76,14 +71,6 @@ class TestRunBenchmark:
         assert len(records) == 12
         keys = {(r.instance, r.variant, r.seed) for r in records}
         assert len(keys) == 12
-
-    def test_workers_run_network_passes_whole(self, monkeypatch):
-        # a forked worker inherits the parent's spare-core gate: each must
-        # turn the split off, or N workers would run 2N busy threads
-        monkeypatch.setattr(network, "_SPARE_CORE", True)
-        with bench._worker_pool(2) as pool:
-            assert pool.submit(_spare_core_gate).result(timeout=60) is False
-        assert network._SPARE_CORE
 
     def test_neuro_requires_weights(self, tmp_path):
         instances = make_instances(tmp_path / "inst", 1)

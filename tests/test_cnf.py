@@ -181,6 +181,15 @@ class TestClauseLiteralGraph:
         assert by_size.has_sorted_indices
         assert g.matrices()[2] is mats[2]
 
+    @pytest.mark.parametrize("rows, cols", [
+        ([], []), (np.array([0, 1], dtype=np.int64), np.array([3, 0], dtype=np.int64)),
+        (np.array([1, 0], dtype=np.uint16), [2, 1]),
+    ])
+    def test_integer_and_empty_edges_kept_as_int32(self, rows, cols):
+        g = SparseGraph(2, 2, rows, cols, (1, 2))
+        assert g.rows.dtype == g.cols.dtype == np.int32
+        assert g.rows.tolist() == list(rows) and g.cols.tolist() == list(cols)
+
     def test_mismatched_edge_arrays_rejected(self):
         with pytest.raises(ValueError):
             SparseGraph(1, 2, np.zeros(2, dtype=np.int32), np.zeros(1, dtype=np.int32), (1, 2))
@@ -200,6 +209,12 @@ class TestClauseLiteralGraph:
         ((2, 2, [0, 1], [0, 4], (1, 2)), r"column 4 outside \[0, 4\)"),
         ((2, 2, [0, 1], [-3, 0], (1, 2)), r"column -3 outside"),
         ((1, 0, [0], [0], ()), r"column 0 outside \[0, 0\)"),
+        # checked before the int32 cast, which would wrap it to row 0
+        ((1, 1, np.array([2**32]), np.array([0]), (1,)), r"row 4294967296 outside \[0, 1\)"),
+        # a float edge would truncate to row 0 and column 1
+        ((1, 1, np.array([0.7]), np.array([1.9]), (1,)), "rows must hold integers, got dtype float64"),
+        ((1, 1, [0], np.array([True]), (1,)), "cols must hold integers, got dtype bool"),
+        ((1, 1, np.array([0], dtype=object), [0], (1,)), "rows must hold integers, got dtype object"),
     ])
     def test_bad_counts_var_map_and_indices_refused_at_construction(self, args, match):
         # the CSR kernels write without bounds checks, so no such graph

@@ -1,11 +1,9 @@
 import hashlib
-import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gluesat.network as network
+import gluesat.training as training
 from gluesat.cnf import Formula, SparseGraph, clause_literal_graph, disjoint_union, random_ksat
 from gluesat.grads import backward_from_heads
 from gluesat.network import (
@@ -279,13 +278,12 @@ class TestCacheFreeForward:
         assert peak < 0.5 * retained, (peak, retained)
 
     @pytest.mark.parametrize("name", ["supervised", "rl"])
-    def test_peak_does_not_grow_with_the_clause_count(self, monkeypatch, name):
+    def test_peak_does_not_grow_with_the_clause_count(self, name):
         # at a fixed variable count, a pass holds its literal state and one
         # clause block at a time: four times the clauses, in blocks of the
         # same size, leave its peak where it was (a whole clause stage makes
-        # it grow about threefold).  The split is off, so only this
-        # thread's pool, fresh on a fresh thread, serves the pass
-        monkeypatch.setattr(network, "_SPARE_CORE", False)
+        # it grow about threefold).  Each pass runs on a fresh thread, whose
+        # fresh pool serves it alone
         hp = preset(name)
         p = init_params(hp, seed=0, value_head=True)
         peaks = []
@@ -353,11 +351,11 @@ class TestCacheFreeForward:
 
 
 @st.composite
-def split_graphs(draw):
+def block_graphs(draw):
     """1 to 80 variables and 0, 1 or up to 120 clauses of 0 to 6 literal
     columns drawn with replacement: stages of fewer than four rows (which
-    run whole on the caller) and of more, odd row counts, repeated edges,
-    empty and one-literal clauses."""
+    run as one block) and of more, odd row counts, repeated edges, empty
+    and one-literal clauses."""
     n = draw(st.integers(1, 80))
     m = draw(st.sampled_from([0, 1]) | st.integers(2, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -367,9 +365,8 @@ def split_graphs(draw):
 
 
 def _whole(params, hp, graph, dropout_seed=None):
-    """forward as one block per stage, with the split off."""
+    """forward as one block per stage."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network, "_SPARE_CORE", False)
         patch.setattr(network, "_BLOCK_ROWS", 10**9)
         return forward(params, hp, graph, dropout_seed)
 
@@ -379,102 +376,142 @@ def _same_output(got, want):
     assert got.value == want.value
 
 
-def _stages(monkeypatch, blocks=None):
-    """Record the name of each stage that a pass hands the worker and, in
-    ``blocks``, each stage's name and block count."""
-    names = []
+def _stages(monkeypatch):
+    """Record each stage that a pass runs: its name and block count."""
+    blocks = []
     by_rows = network._by_rows
 
-    def recorded(worker, stage, bounds, *args):
-        if worker is not None:
-            names.append(stage.__name__)
-        if blocks is not None:
-            blocks.append((stage.__name__, len(bounds) - 1))
-        return by_rows(worker, stage, bounds, *args)
+    def recorded(stage, bounds, *args):
+        blocks.append((stage.__name__, len(bounds) - 1))
+        return by_rows(stage, bounds, *args)
 
     monkeypatch.setattr(network, "_by_rows", recorded)
-    return names
+    return blocks
 
 
-def _split_in_child(params, hp, graph, want):
-    # exits 0 only when this forked process starts a worker of its own, the
-    # parent's being forgotten, and its split pass gives the whole pass's bits
-    assert network._worker is None
-    got = forward(params, hp, graph)
-    assert network._worker is not None
-    assert any(t.name.startswith("gluesat-network") for t in threading.enumerate())
-    _same_output(got, want)
-
-
-@pytest.fixture(scope="module")
-def split_graph():
-    return clause_literal_graph(random_ksat(300, 1278, 3, 2))
-
-
-class TestSplitForward:
-    """With a spare core, a cache-free pass over a large enough graph runs
-    every other row block of its stages on the network worker, at least
-    two blocks a stage (here, where the graphs are below one block, two
-    halves): the outputs must be the one-block pass's bits, and no block
-    may outlive the call."""
-
-    @pytest.fixture
-    def split_on(self, monkeypatch):
-        monkeypatch.setattr(network, "_SPARE_CORE", True)
-        monkeypatch.setattr(network, "_SPLIT_MIN_EDGES", 0)
+class TestStreamedForward:
+    """A pass that keeps no cache and draws no dropout masks runs each stage
+    in row blocks of at most _BLOCK_ROWS rows on the calling thread, and
+    adds each clause block into the literal messages in block order: with
+    blocks of a few rows it must give the one-block pass's bits, and a pass
+    that keeps a cache or draws dropout masks stays one block."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(split_graphs(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000))
-    def test_same_bits_as_the_whole_pass(self, graph, name, seed):
+    @given(block_graphs(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000), st.integers(2, 7),
+           st.sampled_from([None, 5]))
+    def test_same_bits_as_one_block(self, graph, name, seed, block_rows, dropout_seed):
         hp = preset(name)
         params = init_params(hp, seed=seed, value_head=True)
-        want = _whole(params, hp, graph)
+        want = _whole(params, hp, graph, dropout_seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(network, "_SPARE_CORE", True)
-            patch.setattr(network, "_SPLIT_MIN_EDGES", 0)
-            stages = _stages(patch)
-            got = forward(params, hp, graph)
-        # iteration 0 splits only its literal update: its first product has
-        # one row, and its clause update runs once per size class
-        assert stages == ["_literal_rows"] + ["_pair_rows", "_clause_rows", "_literal_rows"] * (hp.tau_iters - 1)
+            patch.setattr(network, "_BLOCK_ROWS", block_rows)
+            blocks = _stages(patch)
+            got = forward(params, hp, graph, dropout_seed)
+            kept, _ = forward_with_cache(params, hp, graph, dropout_seed)
         _same_output(got, want)
+        _same_output(kept, want)
+        counts = {stage: max(k for s, k in blocks if s == stage) for stage, _ in blocks}
+        if dropout_seed is not None:
+            assert set(counts.values()) == {1}
+        else:
+            # past iteration 0, clause rows are the graph's clauses and
+            # literal rows its 2N literals; no block has fewer than 2 rows
+            for stage, rows in (("_clause_rows", graph.num_clauses), ("_literal_rows", 2 * graph.num_vars)):
+                assert (counts[stage] > 1) == (rows >= 4 and rows > block_rows)
+                assert counts[stage] >= -(-rows // block_rows) or counts[stage] == max(1, rows // 2)
+
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_streams_at_the_real_block_size(self, monkeypatch, name):
+        # more clauses than _BLOCK_ROWS: the clause stages run in blocks
+        graph = clause_literal_graph(random_ksat(1000, 4260, 3, 3))
+        hp = preset(name)
+        params = init_params(hp, seed=8, value_head=True)
+        blocks = _stages(monkeypatch)
+        got = forward(params, hp, graph)
+        assert ("_clause_rows", -(-graph.num_clauses // network._BLOCK_ROWS)) in blocks
+        _same_output(got, _whole(params, hp, graph))
+
+    def test_a_forward_starts_no_thread(self, monkeypatch):
+        # a pass of several row blocks, with a core spare for the training
+        # overlap, runs every block on this thread
+        monkeypatch.setattr(training, "_SPARE_CORE", True)
+        graph = clause_literal_graph(random_ksat(900, 3834, 3, 1))
+        hp = preset("supervised")
+        params = init_params(hp, seed=0)
+        before = set(threading.enumerate())
+        forward(params, hp, graph)
+        forward_with_cache(params, hp, graph)
+        assert set(threading.enumerate()) == before
+
+    def test_blocks_are_taken_in_order(self):
+        # each block is taken in before the next one runs, which keeps the
+        # clause stage's additions into the literal messages in order, and
+        # the last block's result is returned
+        ran, taken = [], []
+
+        def stage(lo, hi, x):
+            ran.append((lo, hi))
+            return x[lo:hi].sum()
+
+        def take(lo, hi, result):
+            taken.append((lo, hi, float(result), len(ran)))
+
+        x = np.arange(9.0)
+        assert network._by_rows(stage, [0, 3, 5, 9], (x,), take) == 26.0
+        assert ran == [(0, 3), (3, 5), (5, 9)]
+        assert taken == [(0, 3, 3.0, 1), (3, 5, 7.0, 2), (5, 9, 26.0, 3)]
+        assert network._by_rows(stage, [0, 9], (x,)) == 36.0
+
+    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
+    def test_an_error_in_any_block_raises_here(self, failing):
+        # the blocks before the failing one are taken in, and neither it nor
+        # any later block
+        ran, taken = [], []
+
+        def stage(lo, hi):
+            ran.append(lo)
+            if lo == failing:
+                raise FloatingPointError(f"block {lo}")
+            return lo
+
+        def take(lo, hi, result):
+            taken.append(lo)
+
+        with pytest.raises(FloatingPointError, match=f"block {failing}"):
+            network._by_rows(stage, [0, 1, 2, 3, 4], (), take)
+        assert ran == list(range(failing + 1))
+        assert taken == list(range(failing))
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_an_error_in_either_half_raises_here_after_both_end(self, split_on, monkeypatch, split_graph,
-                                                                failing):
+    def test_an_error_in_a_block_leaves_the_next_pass_exact(self, monkeypatch, failing):
+        # a literal block that raises mid-pass leaves this thread's buffer
+        # pool serving the next pass its bits
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 256)
+        graph = clause_literal_graph(random_ksat(300, 1278, 3, 2))
         hp = preset("supervised")
         params = init_params(hp, seed=1)
-        ends = {}
+        want = _whole(params, hp, graph)
         literal_rows = network._literal_rows
 
         def poisoned(lo, *args):
-            k = int(lo > 0)
-            try:
-                if k != failing:
-                    time.sleep(0.05)        # still running when the other half fails
-                literal_rows(lo, *args)
-                if k == failing:
-                    raise FloatingPointError(f"poisoned half {k}")
-            finally:
-                ends[k] = (threading.current_thread(), time.perf_counter())
+            result = literal_rows(lo, *args)
+            if int(lo > 0) == failing:
+                raise FloatingPointError(f"poisoned block {failing}")
+            return result
 
         with monkeypatch.context() as patch:
             patch.setattr(network, "_literal_rows", poisoned)
-            with pytest.raises(FloatingPointError, match=f"poisoned half {failing}"):
-                forward(params, hp, split_graph)
-            raised = time.perf_counter()
-        assert ends[0][0] is threading.current_thread() and ends[1][0].name.startswith("gluesat-network")
-        assert max(end for _, end in ends.values()) < raised
-        # the worker still serves the next call
-        _same_output(forward(params, hp, split_graph), _whole(params, hp, split_graph))
+            with pytest.raises(FloatingPointError, match=f"poisoned block {failing}"):
+                forward(params, hp, graph)
+        _same_output(forward(params, hp, graph), want)
 
-    def test_concurrent_callers_get_the_whole_pass_bits(self, split_on, split_graph):
-        # three callers and the worker on two cores, switching threads every
-        # few bytecodes: their blocks interleave on the one worker and its
-        # buffer pool
+    def test_concurrent_callers_get_the_whole_pass_bits(self, monkeypatch):
+        # three callers streaming small blocks, switching threads every few
+        # bytecodes: each runs its blocks on its own buffer pool
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 128)
         hp = preset("rl")
         params = init_params(hp, seed=3, value_head=True)
-        graphs = [split_graph] + [clause_literal_graph(random_ksat(301, 1282, 3, s)) for s in (5, 6)]
+        graphs = [clause_literal_graph(random_ksat(300 + s, 1278 + 4 * s, 3, s)) for s in (2, 5, 6)]
         wants = [_whole(params, hp, g) for g in graphs]
         results = [[] for _ in graphs]
 
@@ -498,191 +535,44 @@ class TestSplitForward:
             for out in got:
                 _same_output(out, want)
 
-    def test_forked_child_splits_on_its_own_worker(self, split_on, split_graph):
-        hp = preset("supervised")
-        params = init_params(hp, seed=4)
-        want = _whole(params, hp, split_graph)
-        forward(params, hp, split_graph)            # the worker now runs here
-        assert network._worker is not None
-        child = multiprocessing.get_context("fork").Process(
-            target=_split_in_child, args=(params, hp, split_graph, want))
-        child.start()
-        child.join(timeout=60)
-        alive = child.is_alive()
-        if alive:
-            child.kill()
-        assert not alive and child.exitcode == 0
-
-    @pytest.mark.parametrize("spare, min_edges", [(True, 10**9), (False, 0)])
-    def test_below_the_gate_or_with_no_spare_core_no_thread_starts(self, monkeypatch, split_graph, spare,
-                                                                    min_edges):
-        monkeypatch.setattr(network, "_SPARE_CORE", spare)
-        monkeypatch.setattr(network, "_SPLIT_MIN_EDGES", min_edges)
-        monkeypatch.setattr(network, "_worker", None)
-        stages = _stages(monkeypatch)
-        before = set(threading.enumerate())
-        hp = preset("supervised")
-        forward(init_params(hp, seed=0), hp, split_graph)
-        assert stages == [] and network._worker is None
-        assert set(threading.enumerate()) == before
-
     @pytest.mark.parametrize("dropout", [False, True])
-    def test_forward_with_cache_never_splits(self, split_on, monkeypatch, split_graph, dropout):
-        monkeypatch.setattr(network, "_worker", None)
-        stages = _stages(monkeypatch)
+    def test_forward_with_cache_runs_each_stage_as_one_block(self, monkeypatch, dropout):
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 4)
+        graph = clause_literal_graph(random_ksat(300, 1278, 3, 2))
         hp = preset("supervised")
-        forward_with_cache(init_params(hp, seed=0), hp, split_graph, 0 if dropout else None)
-        assert stages == [] and network._worker is None
+        params = init_params(hp, seed=0)
+        blocks = _stages(monkeypatch)
+        kept, _ = forward_with_cache(params, hp, graph, 0 if dropout else None)
+        assert blocks and {k for _, k in blocks} == {1}
+        _same_output(kept, _whole(params, hp, graph, 0 if dropout else None))
 
     @pytest.mark.parametrize("name", ["supervised", "rl"])
-    def test_same_bits_at_the_real_gate(self, monkeypatch, name):
-        # no gate patched: under one BLAS thread on two or more cores (CI
-        # runs this file so) this pass splits, otherwise it runs whole
-        graph = clause_literal_graph(random_ksat(900, 3834, 3, 1))
-        assert graph.num_edges >= network._SPLIT_MIN_EDGES
-        hp = preset(name)
-        params = init_params(hp, seed=6, value_head=True)
-        stages = _stages(monkeypatch)
-        got = forward(params, hp, graph)
-        assert bool(stages) == network._SPARE_CORE
-        _same_output(got, _whole(params, hp, graph))
-
-    @pytest.mark.parametrize("name", ["supervised", "rl"])
-    def test_a_union_splits_like_a_plain_graph(self, monkeypatch, name):
-        # past the real edge gate, a union's pass splits and gives the
-        # whole pass's bits
-        monkeypatch.setattr(network, "_SPARE_CORE", True)
+    def test_a_union_streams_like_a_plain_graph(self, monkeypatch, name):
+        # a union's clause and literal stages run in several blocks and give
+        # the one-block pass's bits, every part's value included
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 300)
         union = disjoint_union([clause_literal_graph(random_ksat(120, 511, 3, s)) for s in range(7)])
-        assert union.num_edges > network._SPLIT_MIN_EDGES
         hp = preset(name)
         params = init_params(hp, seed=7, value_head=True)
-        stages = _stages(monkeypatch)
+        blocks = _stages(monkeypatch)
         got = forward(params, hp, union)
-        assert stages == ["_literal_rows"] + ["_pair_rows", "_clause_rows", "_literal_rows"] * (hp.tau_iters - 1)
+        assert ("_clause_rows", -(-union.num_clauses // 300)) in blocks
+        assert ("_literal_rows", -(-2 * union.num_vars // 300)) in blocks
         want = _whole(params, hp, union)
         assert np.array_equal(got.policy_logits, want.policy_logits)
         assert np.array_equal(got.values, want.values)
 
-    def test_blocks_alternate_and_are_taken_in_order(self):
-        # even blocks run here and odd ones on the worker, and each thread
-        # takes in its own blocks, in block order whichever finishes first:
-        # that keeps the clause stage's additions into the literal messages
-        # in order
-        main = threading.current_thread()
-        ran, taken = [], []
-
-        def stage(lo, hi, x):
-            time.sleep(0.01 * (hi - lo))        # later blocks finish sooner
-            ran.append((lo, hi, threading.current_thread() is main))
-            return x[lo:hi].sum()
-
-        def take(lo, hi, result):
-            taken.append((lo, hi, float(result), threading.current_thread() is main))
-
-        x = np.arange(9.0)
-        assert network._by_rows(network._network_worker(), stage, [0, 3, 5, 6, 9], (x,), take) is None
-        assert sorted(ran) == [(0, 3, True), (3, 5, False), (5, 6, True), (6, 9, False)]
-        assert taken == [(0, 3, 3.0, True), (3, 5, 7.0, False), (5, 6, 5.0, True), (6, 9, 21.0, False)]
-        # here alone, the blocks run in order and the last one's result returns
-        ran.clear(), taken.clear()
-        assert network._by_rows(None, stage, [0, 3, 9], (x,), take) == 33.0
-        assert ran == [(0, 3, True), (3, 9, True)] and [t[:3] for t in taken] == [(0, 3, 3.0), (3, 9, 33.0)]
-
-    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
-    def test_an_error_in_any_block_raises_here_after_the_worker_ends(self, failing):
-        # no take waits for ever on a block that failed, and every block
-        # handed to the worker has ended when the error arrives here
-        ends = []
-
-        def stage(lo, hi):
-            time.sleep(0.02 if lo % 2 else 0.005)
-            if lo == failing:
-                raise FloatingPointError(f"block {lo}")
-            return lo
-
-        def take(lo, hi, result):
-            ends.append(lo)
-
-        with pytest.raises(FloatingPointError, match=f"block {failing}"):
-            network._by_rows(network._network_worker(), stage, [0, 1, 2, 3, 4], (), take)
-        raised = len(ends)
-        time.sleep(0.1)
-        assert len(ends) == raised          # nothing ran on after the raise
-        assert failing not in ends
-        assert network._network_worker().submit(lambda: 1).result(timeout=5) == 1
-
-    @pytest.mark.parametrize("rows, worker, whole, want", [
-        (9, False, False, [0, 3, 6, 9]), (9, True, False, [0, 2, 4, 6, 9]), (9, True, True, [0, 9]),
-        (3, True, False, [0, 3]), (1, False, False, [0, 1]), (0, True, False, [0, 0]),
-        (11, False, False, [0, 3, 7, 11]), (11, True, False, [0, 2, 5, 8, 11]), (5, False, False, [0, 2, 5]),
+    @pytest.mark.parametrize("rows, whole, want", [
+        (9, False, [0, 3, 6, 9]), (9, True, [0, 9]), (3, False, [0, 3]), (1, False, [0, 1]), (0, False, [0, 0]),
+        (11, False, [0, 3, 7, 11]), (5, False, [0, 2, 5]), (8, False, [0, 4, 8]), (4, False, [0, 4]),
+        (12, False, [0, 4, 8, 12]),
     ])
-    def test_block_bounds(self, monkeypatch, rows, worker, whole, want):
-        # at most _BLOCK_ROWS rows a block, near-equal sizes, an even count
-        # with a worker, no block below two rows, and one block for a pass
-        # that keeps a cache or draws dropout masks
+    def test_block_bounds(self, monkeypatch, rows, whole, want):
+        # at most _BLOCK_ROWS rows a block, near-equal sizes, no block below
+        # two rows, and one block for a pass that keeps a cache or draws
+        # dropout masks
         monkeypatch.setattr(network, "_BLOCK_ROWS", 4)
-        got = network._block_bounds(rows, object() if worker else None, whole)
-        assert got == want
-
-    def test_a_pass_on_the_worker_runs_whole(self, split_on, monkeypatch, split_graph):
-        # a half waits for the worker, so the worker must never wait for itself
-        hp = preset("supervised")
-        params = init_params(hp, seed=0)
-        want = _whole(params, hp, split_graph)
-        stages = _stages(monkeypatch)
-        got = network._network_worker().submit(forward, params, hp, split_graph).result(timeout=60)
-        assert stages == []
-        _same_output(got, want)
-
-
-class TestStreamedForward:
-    """A pass that keeps no cache and draws no dropout masks runs each stage
-    in row blocks of at most _BLOCK_ROWS rows, here or alternating with the
-    network worker, and adds each clause block into the literal messages in
-    block order: with blocks of a few rows it must give the one-block
-    pass's bits, and a pass that keeps a cache or draws dropout masks
-    stays one block."""
-
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(split_graphs(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000), st.integers(2, 7),
-           st.booleans(), st.sampled_from([None, 5]))
-    def test_same_bits_as_one_block(self, graph, name, seed, block_rows, split, dropout_seed):
-        hp = preset(name)
-        params = init_params(hp, seed=seed, value_head=True)
-        want = _whole(params, hp, graph, dropout_seed)
-        blocks = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(network, "_BLOCK_ROWS", block_rows)
-            patch.setattr(network, "_SPARE_CORE", split)
-            patch.setattr(network, "_SPLIT_MIN_EDGES", 0)
-            _stages(patch, blocks)
-            got = forward(params, hp, graph, dropout_seed)
-            kept, _ = forward_with_cache(params, hp, graph, dropout_seed)
-        _same_output(got, want)
-        _same_output(kept, want)
-        counts = {stage: max(k for s, k in blocks if s == stage) for stage, _ in blocks}
-        if dropout_seed is not None:
-            assert set(counts.values()) == {1}
-        else:
-            # past iteration 0, clause rows are the graph's clauses and
-            # literal rows its 2N literals; no block has fewer than 2 rows
-            for stage, rows in (("_clause_rows", graph.num_clauses), ("_literal_rows", 2 * graph.num_vars)):
-                assert (counts[stage] > 1) == (rows >= 4 and (split or rows > block_rows))
-                assert counts[stage] >= -(-rows // block_rows) or counts[stage] == max(1, rows // 2)
-
-    @pytest.mark.parametrize("name", ["supervised", "rl"])
-    def test_streams_at_the_real_block_size(self, monkeypatch, name):
-        # more clauses than _BLOCK_ROWS, with the split off: the clause
-        # stages run in blocks on this thread alone
-        monkeypatch.setattr(network, "_SPARE_CORE", False)
-        graph = clause_literal_graph(random_ksat(1000, 4260, 3, 3))
-        hp = preset(name)
-        params = init_params(hp, seed=8, value_head=True)
-        blocks = []
-        _stages(monkeypatch, blocks)
-        got = forward(params, hp, graph)
-        assert ("_clause_rows", -(-graph.num_clauses // network._BLOCK_ROWS)) in blocks
-        _same_output(got, _whole(params, hp, graph))
+        assert network._block_bounds(rows, whole) == want
 
 
 def _kernel_graph(seed):

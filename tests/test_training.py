@@ -9,7 +9,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-import gluesat.network as network
 import gluesat.training as training
 from gluesat.cnf import Formula, clause_literal_graph, disjoint_union, random_ksat
 from gluesat.env import GlueEnv
@@ -257,9 +256,9 @@ def _labelled(graph, seed):
 def overlap_data():
     """Three graphs above the overlap gate and one below it."""
     big = [clause_literal_graph(random_ksat(260, 1100, 3, s)) for s in range(3)]
-    assert min(g.num_edges for g in big) >= network._OVERLAP_MIN_EDGES
+    assert min(g.num_edges for g in big) >= training._OVERLAP_MIN_EDGES
     small = degree_example(0).graph
-    assert small.num_edges < network._OVERLAP_MIN_EDGES
+    assert small.num_edges < training._OVERLAP_MIN_EDGES
     return [_labelled(g, s) for s, g in enumerate([big[0], small, big[1], big[2]])]
 
 
@@ -291,7 +290,7 @@ class TestOverlappedTraining:
 
     @pytest.fixture(autouse=True)
     def spare_core(self, monkeypatch):
-        monkeypatch.setattr(network, "_SPARE_CORE", True)
+        monkeypatch.setattr(training, "_SPARE_CORE", True)
 
     @pytest.mark.parametrize("dropout", [True, False])
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
@@ -342,11 +341,11 @@ class TestOverlappedTraining:
         cfg = SupervisedConfig(epochs=2, batch_size=3, seed=0)
         init = init_params(hp, seed=0)
         reference = serial_train_supervised(data, hp, cfg, init)
-        monkeypatch.setattr(network, "_worker", None)
+        monkeypatch.setattr(training, "_worker", None)
         threads = _forward_threads(monkeypatch)
         before = set(threading.enumerate())
         _same_bits(train_supervised(data, hp, cfg, init=init), reference)
-        assert network._worker is None
+        assert training._worker is None
         assert set(threading.enumerate()) == before
         assert len(threads) == 8 and all(t is threading.main_thread() for t in threads)
 
@@ -363,11 +362,11 @@ class TestOverlappedTraining:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        monkeypatch.setattr(network.os, "cpu_count", lambda: cores)
-        assert network._spare_core() is spare
+        monkeypatch.setattr(training.os, "cpu_count", lambda: cores)
+        assert training._spare_core() is spare
 
     def test_no_core_to_spare_starts_no_thread(self, overlap_data, monkeypatch):
-        monkeypatch.setattr(network, "_SPARE_CORE", False)
+        monkeypatch.setattr(training, "_SPARE_CORE", False)
         threads = _forward_threads(monkeypatch)
         hp = preset("supervised")
         train_supervised(overlap_data, hp, SupervisedConfig(epochs=1, batch_size=4))
@@ -381,7 +380,7 @@ class TestOverlappedTraining:
         # the first example of the first batch whose successor runs ahead:
         # that forward is still running when this example's backward fails
         order = np.random.default_rng(cfg.seed).permutation(len(overlap_data))
-        k = next(k for k in range(3) if overlap_data[order[k + 1]].graph.num_edges >= network._OVERLAP_MIN_EDGES)
+        k = next(k for k in range(3) if overlap_data[order[k + 1]].graph.num_edges >= training._OVERLAP_MIN_EDGES)
         poisoned = overlap_data[order[k]].graph
         ends = []
         forward_with_cache = training.forward_with_cache
@@ -419,7 +418,7 @@ class TestOverlappedTraining:
         hp = preset("supervised")
         cfg = SupervisedConfig(epochs=1, batch_size=4, seed=0)
         train_supervised(overlap_data, hp, cfg)        # the worker now runs here
-        assert network._worker is not None
+        assert training._worker is not None
         child = multiprocessing.get_context("fork").Process(
             target=train_supervised, args=(overlap_data, hp, cfg))
         child.start()
