@@ -372,6 +372,9 @@ class ReinforceLoss:
     grads: dict
     mean_return: float
     policy_entropy: float         # mean entropy of the steps' policies
+    ratios: np.ndarray            # the importance ratio each step was weighted by
+    forward_s: float              # wall time inside the forward passes
+    backward_s: float             # wall time inside the backward passes
 
 
 @dataclass
@@ -421,15 +424,13 @@ def _returns_to_go(episodes):
 # a few hundred edges per step, per-call overhead sets much of a pass's
 # cost.  A union's forward cache grows with its edges, and its buffers
 # pass the pool floor and stay retained, so the budget trades time for
-# memory.  perfbench train-rl (rl preset, steps of 240-540 edges, one BLAS
-# thread, 2-vCPU Xeon VM), seeds 1-2, op_s_p50 and peak_rss_mb: one pass
-# per step 0.339-0.356 s and 65.9 MB; budget 1,200 0.331-0.337 s and
-# 68.9-69.2 MB; 1,500 0.323-0.325 s and 70.4-70.7 MB; 1,800 0.318-0.320 s
-# and 72.3-72.8 MB; 2,000 0.312-0.315 s and 75.8-76.5 MB, past the
-# benchmark's 15% memory bound.  The sweep was measured with an earlier
-# union backward that ran one dense product per step and deferred the
-# gradients of a union's later steps to its end; it has not been rerun
-# since unions run as one plain graph.
+# memory.  perfbench train-rl (rl preset, steps of 240-540 edges, one
+# forward and one backward per union per grad step, one BLAS thread,
+# 2-vCPU Xeon VM, --seconds 12), seeds 31-33, op_s_p50 and peak_rss_mb:
+# budget 1,200 0.267-0.276 s and 56.0-56.3 MB; 1,500 0.260-0.267 s and
+# 56.9-57.6 MB; 2,000 0.252-0.274 s and 62.9-63.7 MB; 3,000 0.251-0.264 s
+# and 68.6-69.9 MB.  The larger budgets' times overlap 1,500's, while
+# their peaks grow by 6 MB at 2,000 and 12 MB at 3,000.
 _UNION_MAX_EDGES = 1_500
 
 
@@ -472,47 +473,26 @@ def _union_parts(episodes, unions):
         i += len(union.parts)
 
 
-def reinforce_weights(episodes, params: NetParams, hp: HyperParams, unions=None):
-    """Per-step constants of the surrogate objective.
+def reinforce_weights(episodes):
+    """The per-step constants of a batch's surrogate objective, from the
+    episodes alone: (normalized advantages, value targets, returns).
 
-    Returns (ratios, normalized advantages, value targets, returns); all are
-    treated as constants by the gradient of the surrogate.  The forwards run
-    over ``unions``, ``pack_steps(episodes)`` when None.
+    Each advantage is the step's return-to-go less ``behavior_value``, the
+    value the rollout policy recorded for it (0 for a policy without a
+    value head), so the baseline never depends on a gradient step taken on
+    these same returns; the advantages are then centered and scaled to unit
+    variance.  Value targets are the returns clipped to [0, 1].  No forward
+    runs, so one call serves every gradient step of the batch.
     """
-    logprobs = []
-    values = []
-    for union, parts in _union_parts(episodes, unions):
-        out, _ = forward_with_cache(params, hp, union)
-        for step, _, j, part in parts:
-            logprobs.append(log_softmax(out.policy_logits[part])[step.action])
-            values.append(out.values[j] if out.values is not None else 0.0)
-    return _surrogate_weights(episodes, logprobs, values)
-
-
-def _rollout_weights(episodes):
-    """reinforce_weights at the params the episodes were rolled out with,
-    from the log-probabilities and values run_episode recorded: no forward
-    pass, the same numbers (every ratio is exp(0) = 1 before clipping)."""
-    steps = [step for ep in episodes for step in ep]
-    logprobs = [step.behavior_logprob for step in steps]
-    values = [step.behavior_value for step in steps]
-    return _surrogate_weights(episodes, logprobs, values)
-
-
-def _surrogate_weights(episodes, logprobs, values):
-    """Clipped importance ratios, normalized advantages and value targets
-    from each step's current log-probability of its action and value."""
     returns = _returns_to_go(episodes)
-    behavior = [step.behavior_logprob for ep in episodes for step in ep]
-    ratios = [min(max(float(np.exp(lp - blp)), 0.0), _RATIO_CLIP) for lp, blp in zip(logprobs, behavior)]
-    values = np.asarray(values)
+    values = np.array([0.0 if step.behavior_value is None else step.behavior_value
+                       for ep in episodes for step in ep])
     adv = returns - values
     if adv.size > 1:
         std = adv.std()
         centered = adv - adv.mean()
         adv = centered / std if std > 1e-8 else centered
-    value_targets = np.clip(returns, 0.0, 1.0)
-    return np.asarray(ratios), adv, value_targets, returns
+    return adv, np.clip(returns, 0.0, 1.0), returns
 
 
 def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
@@ -520,7 +500,13 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
     """Surrogate loss and its exact gradients, with (ratios, advantages,
     value_targets) held constant: total = policy + 0.5 * value, where the
     policy term weights each step's log-probability by its ratio times its
-    advantage.  The constants of a batch come from ``reinforce_weights``.
+    advantage.  Advantages and value targets come from
+    ``reinforce_weights``.  With ``ratios`` None, each step's importance
+    ratio exp(log-probability of its action - behavior_logprob), clipped to
+    [0, _RATIO_CLIP], is read from this call's own forward, and is still a
+    constant of the gradient; explicit ratios are used as given.  Either
+    way the ratios used are returned in ``ReinforceLoss.ratios``.
+
     One forward and one backward run per union of ``unions``
     (``pack_steps(episodes)`` when None); each step's log-softmax, loss
     and head gradients are its own, sliced out of its union's logits, and
@@ -531,19 +517,26 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
     total_steps = sum(len(ep) for ep in episodes)
     if total_steps == 0:
         raise ValueError("empty episode batch")
+    own_ratios = ratios is None
+    ratios = np.empty(total_steps) if own_ratios else np.asarray(ratios, dtype=float)
     grads = zero_grads(params)
     policy_loss = 0.0
     value_loss = 0.0
     returns_sum = sum(sum(s.reward for s in ep) for ep in episodes)
     entropy = 0.0
+    forward_s = backward_s = 0.0
     for union, parts in _union_parts(episodes, unions):
+        started = time.perf_counter()
         out, cache = forward_with_cache(params, hp, union)
+        forward_s += time.perf_counter() - started
         dlogits = np.empty_like(out.policy_logits)
         dvalues = np.zeros(len(parts))
         for step, i, j, part in parts:
             logp = log_softmax(out.policy_logits[part])
             probs = np.exp(logp)
             entropy -= float(probs @ logp)
+            if own_ratios:
+                ratios[i] = min(max(float(np.exp(logp[step.action] - step.behavior_logprob)), 0.0), _RATIO_CLIP)
             weight = ratios[i] * advantages[i]
             policy_loss += -weight * float(logp[step.action]) / total_steps
             dlogits[part] = (weight / total_steps) * (probs - _onehot(step.action, logp.size))
@@ -551,7 +544,9 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
                 err = out.values[j] - value_targets[i]
                 value_loss += err * err / total_steps
                 dvalues[j] = _VALUE_COEF * 2.0 * err / total_steps
+        started = time.perf_counter()
         backward_from_heads(params, hp, cache, dlogits, dvalues, grads)
+        backward_s += time.perf_counter() - started
         del cache       # before the next union's forward allocates its own
     check_finite(grads)
     total = policy_loss + _VALUE_COEF * value_loss
@@ -562,6 +557,9 @@ def reinforce_surrogate(episodes, params: NetParams, hp: HyperParams,
         grads=grads,
         mean_return=returns_sum / len(episodes),
         policy_entropy=entropy / total_steps,
+        ratios=ratios,
+        forward_s=forward_s,
+        backward_s=backward_s,
     )
 
 
@@ -579,29 +577,32 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     snapshot of the current policy; the learner then applies grad_steps Adam
     updates, so importance ratios depart from 1 after the first step.
 
-    The rollouts run one forward per episode step.  The gradient steps run
-    over the batch's steps packed once (``pack_steps``) into U disjoint
-    unions of consecutive steps, each of at most _UNION_MAX_EDGES edges,
-    and each union's sparse operators are built once and serve every
-    gradient step.  So a batch of S episode steps makes S + (2 *
-    grad_steps - 1) * U forward passes and grad_steps * U backward passes:
-    S in the rollouts, U for the first surrogate gradient, whose ratios,
-    advantages and value targets come from the values recorded in the
-    rollouts (the params are still the rollout snapshot), and 2 * U for
-    each later step, whose weights need a forward at the updated params
-    before the forward that feeds the backward.  A union runs as one
-    graph, so its numbers equal those of one pass per step to rounding,
-    not bit for bit.  The edge budget bounds memory: a union's forward
-    cache grows with its edges (at the rl preset one is 2.3 MB on a
-    540-edge graph); no cache is kept from one pass to the next.  A
+    The advantages and value targets are computed once per batch, by
+    ``reinforce_weights`` from the values the rollouts recorded, and serve
+    every gradient step, as in PPO: the baseline is the rollout policy's,
+    never one refitted on the returns it baselines.  The rollouts run one
+    forward per episode step.  The gradient steps run over the batch's
+    steps packed once (``pack_steps``) into U disjoint unions of
+    consecutive steps, each of at most _UNION_MAX_EDGES edges, and each
+    union's sparse operators are built once and serve every gradient step.
+    Every gradient step runs one forward and one backward per union, and
+    takes each step's importance ratio from that forward.  So a batch of S
+    episode steps makes S + grad_steps * U forward passes and grad_steps *
+    U backward passes.  A union runs as one graph, so its numbers equal
+    those of one pass per step to rounding, not bit for bit, and the first
+    step's ratios equal 1 to rounding.  The edge budget bounds memory: a
+    union's forward cache grows with its edges (at the rl preset one is 2.3
+    MB on a 540-edge graph); no cache is kept from one pass to the next.  A
     non-finite gradient raises FloatingPointError before the Adam step.
 
     Each history row also records, for the last grad step, ``grad_norm``,
     the global gradient norm before clipping; ``ratio_clip_frac``, the
     share of its importance ratios held at the ratio clip (0 at the first
-    step, whose ratios are all 1); and ``policy_entropy``, the mean entropy
-    of its per-step policies; and, for the whole batch, ``rollout_s`` and
-    ``update_s``, the wall time of its rollouts and of its gradient steps.
+    step, whose ratios are 1 to rounding); and ``policy_entropy``, the mean
+    entropy of its per-step policies; and, for the whole batch,
+    ``rollout_s`` and ``update_s``, the wall time of its rollouts and of its
+    gradient steps, and ``forward_s`` and ``backward_s``, the wall time of
+    its gradient steps inside their forward and their backward passes.
     Raises ValueError when a batch's rollouts find only formulas that
     propagation decides at the root.
     """
@@ -631,14 +632,12 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
             raise ValueError("no usable training formulas (all trivially decided)")
         rolled_out = time.perf_counter()
         unions = pack_steps(episodes)
-        last = None
-        for k in range(cfg.grad_steps):
-            if k == 0:
-                weights = _rollout_weights(episodes)
-            else:
-                weights = reinforce_weights(episodes, params, hp, unions)
-            ratios = weights[0]
-            last = reinforce_surrogate(episodes, params, hp, *weights[:3], unions)
+        advantages, value_targets, _ = reinforce_weights(episodes)
+        forward_s = backward_s = 0.0
+        for _ in range(cfg.grad_steps):
+            last = reinforce_surrogate(episodes, params, hp, None, advantages, value_targets, unions)
+            forward_s += last.forward_s
+            backward_s += last.backward_s
             grad_norm = clip_gradients(last.grads, _CLIP_NORM)
             adam_step(adam, params, last.grads, cfg.lr)
         updated = time.perf_counter()
@@ -651,10 +650,12 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                 "value_loss": last.value_loss,
                 "total_loss": last.total,
                 "grad_norm": grad_norm,
-                "ratio_clip_frac": float(np.mean(ratios >= _RATIO_CLIP)),
+                "ratio_clip_frac": float(np.mean(last.ratios >= _RATIO_CLIP)),
                 "policy_entropy": last.policy_entropy,
                 "rollout_s": rolled_out - started,
                 "update_s": updated - rolled_out,
+                "forward_s": forward_s,
+                "backward_s": backward_s,
             }
         )
         if cfg.checkpoint_path:

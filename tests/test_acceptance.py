@@ -199,8 +199,9 @@ class TestCriterion4:
         behavior = perturbed_params(hp, seed=6, noise=0.07)
         rng = np.random.default_rng(2)
         episodes = [run_episode(f, behavior, hp, rng) for _ in range(3)]
-        ratios, adv, targets, _ = reinforce_weights(episodes, p, hp)
-        res = reinforce_surrogate(episodes, p, hp, ratios, adv, targets)
+        adv, targets, _ = reinforce_weights(episodes)
+        res = reinforce_surrogate(episodes, p, hp, None, adv, targets)
+        ratios = res.ratios     # the surrogate's own ratios, now held constant
         rl_fd = fd_gradients(
             p, lambda: reinforce_surrogate(episodes, p, hp, ratios, adv, targets).total
         )
@@ -319,8 +320,9 @@ class TestCriterion7:
                 wrng = np.random.default_rng(np.random.SeedSequence([cfg.seed, steps, w]))
                 for _ in range(cfg.episodes_per_worker):
                     episodes.append(run_episode(bandit, snapshot, hp, wrng))
+            adv, targets, _ = reinforce_weights(episodes)
             for _ in range(cfg.grad_steps):
-                res = reinforce_surrogate(episodes, params, hp, *reinforce_weights(episodes, params, hp)[:3])
+                res = reinforce_surrogate(episodes, params, hp, None, adv, targets)
                 clip_gradients(res.grads, 1.0)
                 adam_step(adam, params, res.grads, cfg.lr)
                 steps += 1

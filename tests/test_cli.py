@@ -341,7 +341,7 @@ class TestPipelineCommands:
         assert len(rows) == 2
         assert list(rows[0]) == ["batch", "episodes", "mean_return", "policy_loss",
                                  "value_loss", "total_loss", "grad_norm", "ratio_clip_frac",
-                                 "policy_entropy", "rollout_s", "update_s"]
+                                 "policy_entropy", "rollout_s", "update_s", "forward_s", "backward_s"]
         assert all(float(row["grad_norm"]) > 0 for row in rows)
         assert all(float(row["rollout_s"]) > 0 and float(row["update_s"]) > 0 for row in rows)
 

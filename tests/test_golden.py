@@ -99,7 +99,8 @@ def rl_case():
     cfg = RLConfig(workers=2, episodes_per_worker=1, grad_steps=2, batches=2, lr=1e-3, seed=3)
     res = train_rl(formulas, preset("rl"), cfg)
     # wall times vary from run to run: they are not pinned
-    history = [{k: v for k, v in row.items() if k not in ("rollout_s", "update_s")} for row in res.history]
+    timed = ("rollout_s", "update_s", "forward_s", "backward_s")
+    history = [{k: v for k, v in row.items() if k not in timed} for row in res.history]
     return {"history": history, "params": params_digest(res.params)}
 
 

@@ -182,8 +182,9 @@ class TestReinforceFiniteDifferences:
         f = random_ksat(6, 8, 3, 11)
         rng = np.random.default_rng(2)
         episodes = [run_episode(f, behavior, tiny_hyper, rng) for _ in range(3)]
-        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper)
-        res = reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets)
+        adv, targets, _ = reinforce_weights(episodes)
+        res = reinforce_surrogate(episodes, p, tiny_hyper, None, adv, targets)
+        ratios = res.ratios     # the surrogate's own ratios, now held constant
 
         def loss():
             return reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets).total
@@ -196,8 +197,8 @@ class TestReinforceFiniteDifferences:
         f = random_ksat(6, 8, 3, 11)
         rng = np.random.default_rng(3)
         episodes = [run_episode(f, p, tiny_hyper, rng)]
-        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper)
-        res = reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets)
+        adv, targets, _ = reinforce_weights(episodes)
+        res = reinforce_surrogate(episodes, p, tiny_hyper, None, adv, targets)
         assert any(res.grads[f"v_value.{i}.w"].any() for i in range(tiny_hyper.n_p))
 
 

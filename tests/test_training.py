@@ -447,7 +447,7 @@ def _no_step(*args, **kwargs):
 
 def _untimed(row):
     # a history row without its wall times
-    return {k: v for k, v in row.items() if k not in ("rollout_s", "update_s")}
+    return {k: v for k, v in row.items() if k not in ("rollout_s", "update_s", "forward_s", "backward_s")}
 
 
 class TestReinforcePieces:
@@ -459,7 +459,7 @@ class TestReinforcePieces:
     def test_on_policy_ratios_are_one(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper)
-        ratios, _, _, _ = reinforce_weights(episodes, p, tiny_hyper)
+        ratios = reinforce_surrogate(episodes, p, tiny_hyper, None, *reinforce_weights(episodes)[:2]).ratios
         # the steps run in unions, the rollouts one by one: equal to rounding
         assert_rounding_close(ratios, np.ones(len(ratios)))
 
@@ -478,9 +478,9 @@ class TestReinforcePieces:
         rng = np.random.default_rng(0)
         episodes = [run_episode(f, p, tiny_hyper, rng) for _ in range(4)]
         assert all(len(ep) == 1 and ep[0].reward == 1.0 for ep in episodes)
-        ratios, adv, targets, _ = reinforce_weights(episodes, p, tiny_hyper)
+        adv, targets, _ = reinforce_weights(episodes)
         assert np.allclose(adv, 0.0)
-        res = reinforce_surrogate(episodes, p, tiny_hyper, ratios, adv, targets)
+        res = reinforce_surrogate(episodes, p, tiny_hyper, None, adv, targets)
         assert res.policy_loss == pytest.approx(0.0, abs=1e-12)
         for i in range(tiny_hyper.n_p):
             assert not res.grads[f"v_policy.{i}.w"].any()
@@ -488,7 +488,7 @@ class TestReinforcePieces:
     def test_advantage_normalization_stats(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper, k=5, seed=7)
-        _, adv, _, _ = reinforce_weights(episodes, p, tiny_hyper)
+        adv, _, _ = reinforce_weights(episodes)
         if adv.size > 1 and adv.std() > 0:
             assert abs(adv.mean()) < 1e-9
             assert abs(adv.var() - 1.0) < 1e-6
@@ -497,17 +497,30 @@ class TestReinforcePieces:
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper)
         # inflate the behavior logprobs so exp(lp - blp) explodes
-        inflated = [
-            [type(s)(s.observation, s.action, s.behavior_logprob - 50.0, s.reward) for s in ep]
-            for ep in episodes
-        ]
-        ratios, _, _, _ = reinforce_weights(inflated, p, tiny_hyper)
+        inflated = [[replace(s, behavior_logprob=s.behavior_logprob - 50.0) for s in ep] for ep in episodes]
+        ratios = reinforce_surrogate(inflated, p, tiny_hyper, None, *reinforce_weights(inflated)[:2]).ratios
         assert ratios.max() <= 10.0
+        assert np.all(ratios == 10.0)
+
+    def test_weights_come_from_the_rollouts_alone(self, tiny_hyper, monkeypatch):
+        # returns-to-go less each step's recorded value, normalized; no forward
+        p = perturbed_params(tiny_hyper)
+        episodes = self._episodes(p, tiny_hyper, k=4, seed=5)
+        monkeypatch.setattr(training, "forward_with_cache", lambda *args: pytest.fail("a forward ran"))
+        adv, targets, returns = reinforce_weights(episodes)
+        want_returns = [sum(s.reward for s in ep[t:]) for ep in episodes for t in range(len(ep))]
+        assert np.allclose(returns, want_returns, rtol=0, atol=1e-12)
+        raw = returns - [s.behavior_value for ep in episodes for s in ep]
+        assert np.array_equal(adv, (raw - raw.mean()) / raw.std())
+        assert np.array_equal(targets, np.clip(returns, 0.0, 1.0))
+        # a policy without a value head baselines at 0
+        headless = [[replace(s, behavior_value=None) for s in ep] for ep in episodes]
+        assert np.array_equal(reinforce_weights(headless)[0], (returns - returns.mean()) / returns.std())
 
     def test_policy_entropy_is_the_mean_step_entropy(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper, k=4, seed=3)
-        res = reinforce_surrogate(episodes, p, tiny_hyper, *reinforce_weights(episodes, p, tiny_hyper)[:3])
+        res = reinforce_surrogate(episodes, p, tiny_hyper, None, *reinforce_weights(episodes)[:2])
         entropies = []
         for ep in episodes:
             for step in ep:
@@ -523,13 +536,10 @@ class TestReinforcePieces:
         unions = pack_steps(episodes)
         singles = [step.observation for ep in episodes for step in ep]     # a plain graph is one part
         assert len(unions) < len(singles)
-        got, want = reinforce_weights(episodes, p, tiny_hyper, unions), reinforce_weights(episodes, p, tiny_hyper,
-                                                                                           singles)
-        for a, b in zip(got, want):
-            assert_rounding_close(a, b)
-        got = reinforce_surrogate(episodes, p, tiny_hyper, *want[:3], unions)
-        want = reinforce_surrogate(episodes, p, tiny_hyper, *want[:3], singles)
-        for key in ("total", "policy_loss", "value_loss", "mean_return", "policy_entropy"):
+        adv, targets, _ = reinforce_weights(episodes)
+        got = reinforce_surrogate(episodes, p, tiny_hyper, None, adv, targets, unions)
+        want = reinforce_surrogate(episodes, p, tiny_hyper, None, adv, targets, singles)
+        for key in ("total", "policy_loss", "value_loss", "mean_return", "policy_entropy", "ratios"):
             assert_rounding_close(getattr(got, key), getattr(want, key), key)
         for name, g in got.grads.items():
             assert_rounding_close(g, want.grads[name], name)
@@ -538,16 +548,14 @@ class TestReinforcePieces:
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper, k=2, seed=4)
         graphs = [step.observation for ep in episodes for step in ep]
-        weights = reinforce_weights(episodes, p, tiny_hyper)
+        weights = reinforce_weights(episodes)
         short = [disjoint_union(graphs[:-1])]
         extra = [disjoint_union(graphs + graphs[:1])]
         swapped = [disjoint_union([graphs[-1], *graphs[:-1]])]
         assert graphs[-1].parts != graphs[0].parts
         for unions in (short, extra, swapped):
             with pytest.raises(ValueError, match="do not match"):
-                reinforce_weights(episodes, p, tiny_hyper, unions)
-            with pytest.raises(ValueError, match="do not match"):
-                reinforce_surrogate(episodes, p, tiny_hyper, *weights[:3], unions)
+                reinforce_surrogate(episodes, p, tiny_hyper, None, *weights[:2], unions)
 
     def test_empty_batch_rejected(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
@@ -557,7 +565,7 @@ class TestReinforcePieces:
     def test_returns_clamped_for_value_head(self, tiny_hyper):
         p = perturbed_params(tiny_hyper)
         episodes = self._episodes(p, tiny_hyper, k=4, seed=9)
-        _, _, targets, returns = reinforce_weights(episodes, p, tiny_hyper)
+        _, targets, returns = reinforce_weights(episodes)
         assert (targets >= 0).all() and (targets <= 1).all()
         assert np.all(targets == np.clip(returns, 0.0, 1.0))
 
@@ -617,6 +625,41 @@ class TestTrainRl:
         cfg = RLConfig(workers=2, episodes_per_worker=1, grad_steps=2, batches=2, lr=1e-3, seed=5)
         for row in train_rl(formulas, hp, cfg).history:
             assert row["rollout_s"] > 0.0 and row["update_s"] > 0.0
+            # the update's time inside its passes, a part of the update's time
+            assert row["forward_s"] > 0.0 and row["backward_s"] > 0.0
+            assert row["forward_s"] + row["backward_s"] <= row["update_s"]
+
+    @pytest.mark.parametrize("grad_steps", [1, 3])
+    def test_every_grad_step_uses_the_batch_constants(self, monkeypatch, grad_steps):
+        # the advantages and value targets of every step are those of
+        # reinforce_weights(episodes); each step's ratios are read from its
+        # own forward at that step's params
+        calls = []
+        surrogate = training.reinforce_surrogate
+
+        def spy(episodes, params, hp, ratios, advantages, value_targets, unions=None):
+            res = surrogate(episodes, params, hp, ratios, advantages, value_targets, unions)
+            calls.append((episodes, params.copy(), ratios, advantages, value_targets, res.ratios))
+            return res
+
+        monkeypatch.setattr(training, "reinforce_surrogate", spy)
+        hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=1, n_c=1, n_p=2, dropout=0.0)
+        formulas = [random_ksat(20, 85, 3, s) for s in range(4)]
+        cfg = RLConfig(workers=2, episodes_per_worker=2, grad_steps=grad_steps, batches=2, lr=0.05, seed=1)
+        train_rl(formulas, hp, cfg)
+        assert len(calls) == cfg.batches * grad_steps
+        for k, (episodes, params, ratios, adv, targets, got) in enumerate(calls):
+            want_adv, want_targets, _ = reinforce_weights(episodes)
+            assert ratios is None
+            assert np.array_equal(adv, want_adv) and np.array_equal(targets, want_targets)
+            steps = [step for ep in episodes for step in ep]
+            want = [min(max(np.exp(log_softmax(forward(params, hp, s.observation).policy_logits)[s.action]
+                                   - s.behavior_logprob), 0.0), 10.0) for s in steps]
+            assert_rounding_close(got, want)
+            if k % grad_steps == 0:     # the rollout snapshot's params
+                assert_rounding_close(got, np.ones(len(steps)))
+        if grad_steps > 1:
+            assert any(not np.allclose(got, 1.0) for *_, got in calls)
 
     @pytest.mark.parametrize("grad_steps", [1, 3])
     def test_history_records_ratio_clips_and_entropy(self, grad_steps):
@@ -638,9 +681,7 @@ class TestTrainRl:
     def test_forward_and_backward_counts(self, monkeypatch):
         # a batch of S steps packed into U unions makes S rollout forwards,
         # one per step on its own graph; then, per grad step, one forward
-        # and one backward per union, and from the second grad step on one
-        # more forward per union first, for the step's weights (the first
-        # takes them from the rollouts).  Every pass kind sees each step's
+        # and one backward per union.  Every pass kind sees each step's
         # graph exactly once, and every grad step the same union objects,
         # so each union's operators are built once per batch
         episodes, passes = [], []
@@ -676,11 +717,10 @@ class TestTrainRl:
             backwards = [graph for kind, graph in passes if kind == "backward"]
             U = len(backwards) // grad_steps
             unions = backwards[:U]
-            assert sum(kind == "forward" for kind, _ in passes) == S + (2 * grad_steps - 1) * U
+            assert sum(kind == "forward" for kind, _ in passes) == S + grad_steps * U
             assert len(backwards) == grad_steps * U
             surrogate = [(kind, u) for u in unions for kind in ("forward", "backward")]
-            want = [("forward", g) for g in graphs] + surrogate
-            want += ([("forward", u) for u in unions] + surrogate) * (grad_steps - 1)
+            want = [("forward", g) for g in graphs] + surrogate * grad_steps
             assert len(passes) == len(want)
             assert all(kind == want_kind and graph is want_graph
                        for (kind, graph), (want_kind, want_graph) in zip(passes, want))
