@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import HyperParams, NetParams, _gather, _pool, _scatter
+from .network import HyperParams, NetParams, _gather, _scatter
 
 __all__ = ["backward_from_heads", "check_finite", "zero_grads"]
 
@@ -27,13 +27,12 @@ def _add_swapped(acc, m, n):
     return acc
 
 
-def _mlp_backward(layers, caches, dout, slope, grads, prefix, pool, gather_t=None):
+def _mlp_backward(layers, caches, dout, slope, grads, prefix, gather_t=None):
     # caches[i] is (layer i's input, its dropout mask or None), as
     # network._mlp_forward keeps them; the first layer's product went
     # through the forward's gather, and gather_t is its transpose as a
     # dense row (iteration 0's sizes) or G itself, whose transpose
-    # network._scatter applies; the leaky derivatives, the upstream
-    # products and the scattered rows come from pool
+    # network._scatter applies
     upstream = dout
     h_next = None
     for i in range(len(layers) - 1, -1, -1):
@@ -47,7 +46,7 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix, pool, gather_t=Non
             # dropout zeroed it upstream * mask is 0, so either factor gives
             # the same bits; for 0 <= slope <= 1 this max gives exactly
             # where(z > 0, 1.0, slope) without a branch per element
-            dz = np.greater(h_next, 0, out=pool.take(h_next.shape))
+            dz = np.greater(h_next, 0, out=np.empty(h_next.shape))
             np.maximum(dz, slope, out=dz)
             if mask is not None:
                 upstream *= mask
@@ -56,17 +55,16 @@ def _mlp_backward(layers, caches, dout, slope, grads, prefix, pool, gather_t=Non
         if isinstance(gather_t, np.ndarray) and i == 0:
             dz = gather_t @ dz
         elif gather_t is not None and i == 0:
-            out = pool.take((gather_t.shape[1], dz.shape[1]))
-            out.fill(0.0)
+            out = np.zeros((gather_t.shape[1], dz.shape[1]))
             _scatter(gather_t, 0, gather_t.shape[0], dz, out)
             dz = out
         grads[f"{prefix}.{i}.w"] += h.T @ dz
-        upstream = np.matmul(dz, w.T, out=pool.take((len(dz), len(w))))
+        upstream = dz @ w.T
         h_next = h
     return upstream
 
 
-def _standardize_backward(dy, y, inv, pool):
+def _standardize_backward(dy, y, inv):
     # y = (x - mean(x)) * inv with inv = 1/sqrt(var + eps), per row; returns
     # inv * (dy - mean(dy) - y * mean(dy * y)) with the row means spelled as
     # sum / width, which is what ndarray.mean computes; computed in place in
@@ -74,7 +72,7 @@ def _standardize_backward(dy, y, inv, pool):
     width = dy.shape[1]
     dy_mean = dy.sum(axis=1, keepdims=True)
     dy_mean /= width
-    prod = np.multiply(dy, y, out=pool.take(dy.shape))
+    prod = dy * y
     prod_mean = prod.sum(axis=1, keepdims=True)
     prod_mean /= width
     dy -= dy_mean
@@ -110,13 +108,11 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
     n = cache["n"]
     dl = hp.delta_l
     slope = hp.leaky_slope
-    pool = _pool()
 
-    dX_final = pool.take((2 * n, 2 * dl))
-    dX_final.fill(0.0)
+    dX_final = np.zeros((2 * n, 2 * dl))
     dlogits = np.asarray(dlogits, dtype=float).reshape(n, 1)
     if np.any(dlogits):
-        dX_final[:n] += _mlp_backward(params.v_policy, cache["p_cache"], dlogits, slope, grads, "v_policy", pool)
+        dX_final[:n] += _mlp_backward(params.v_policy, cache["p_cache"], dlogits, slope, grads, "v_policy")
     if params.v_value is not None and np.any(dvalue):
         # each part's value is the sigmoid of the mean of its 2 n_j score
         # rows, n_j positive and n_j negative: its gradient spreads evenly
@@ -125,7 +121,7 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         v = cache["values"]
         dscores = np.repeat(np.asarray(dvalue, dtype=float) * v * (1.0 - v) / (2 * counts), counts)
         dscores = np.concatenate((dscores, dscores))[:, None]
-        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value", pool)
+        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value")
 
     cache["p_cache"] = cache["v_cache"] = None
     dL = _add_swapped(dX_final[:, :dl].copy(), dX_final[:, dl:], n)
@@ -136,16 +132,16 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         xhat, ln_inv = it["xhat"], it["ln_inv"]
         grads["ln_scale"] += (dL * xhat).sum(axis=0)
         grads["ln_shift"] += dL.sum(axis=0)
-        dxhat = np.multiply(dL, params.ln_scale, out=pool.take(dL.shape))
-        dres = _standardize_backward(dxhat, xhat, ln_inv, pool)
+        dxhat = dL * params.ln_scale
+        dres = _standardize_backward(dxhat, xhat, ln_inv)
         dprev = 0.1 * dres
-        dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update", pool)
+        dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update")
         # iteration 0 ran the clause update once per size class: its
         # gradient sums over each class through by_size, and the class
         # aggregates were sizes times [l_init, l_init]
         gather_t, spread_t = (sizes[None], by_size) if index == 0 else (g, g)
-        dC = _standardize_backward(_gather(spread_t, 0, spread_t.shape[0], dB, pool), it["c_std"], it["c_inv"], pool)
-        dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", pool, gather_t)
+        dC = _standardize_backward(_gather(spread_t, 0, spread_t.shape[0], dB), it["c_std"], it["c_inv"])
+        dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", gather_t)
         if index == 0:
             grads["l_init"] += dprev.sum(axis=0) + dX[0, :dl] + dX[0, dl:]
         else:

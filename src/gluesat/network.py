@@ -12,10 +12,9 @@ value per graph.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
-import sys
-import threading
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -191,78 +190,41 @@ def init_params(hp: HyperParams, seed=None, value_head: bool = False) -> NetPara
     )
 
 
-# ------------------------------------------------------------------ buffers
+# ------------------------------------------------------------------ allocator
 
-# Arrays of at least this many float64s (128 KiB, glibc's default mmap
-# threshold) are served by glibc's mmap or by a heap top it trims on free,
-# so a fresh one faults its pages in again on every pass.
-_POOL_FLOOR = 16_384
-_POOL_MAX = 64          # buffers one thread retains at most
-
-
-def _free_refcount():
-    # sys.getrefcount of a buffer that only its pool's list holds, read as
-    # _Pool.take reads it: through a local name bound from the list
-    bufs = [np.empty(1)]
-    buf = bufs[0]
-    return sys.getrefcount(buf)
+# glibc hands each freed block of 128 KiB or more back to the OS and trims
+# the heap top above 128 KiB of free space, so a pass's arrays would fault
+# their pages in again on every pass.  Raising both thresholds keeps freed
+# arrays' pages in the process for the next pass: mmap only blocks of 32 MiB
+# or more (glibc's 64-bit ceiling), and trim only above twice that (the
+# ratio glibc's own dynamic rule keeps).  The setting holds for the whole
+# process.
+_M_TRIM_THRESHOLD = -1          # mallopt's parameter numbers (malloc.h)
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
 
 
-_FREE = _free_refcount()
+def _set_allocator(libc):
+    """Set glibc's mmap and trim thresholds through ``libc``'s mallopt;
+    a libc without one (macOS, some others) is left as it is."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
-class _Pool:
-    """One thread's retained float64 buffers, smallest first.  ``take``
-    hands out a view of a buffer that no live array references, so a
-    cache or logits still held keep their memory."""
-
-    def __init__(self):
-        self.bufs = []
-
-    def take(self, shape):
-        """An uninitialized float64 array of the 2-D ``shape``: below the
-        floor a fresh one, else a view of the smallest free buffer that
-        holds it."""
-        size = shape[0] * shape[1]
-        if size < _POOL_FLOOR:
-            return np.empty(shape)
-        bufs = self.bufs
-        spare = None
-        for i in range(len(bufs)):
-            buf = bufs[i]
-            if sys.getrefcount(buf) == _FREE:
-                if buf.size >= size:
-                    return buf[:size].reshape(shape)
-                spare = i
-        buf = None              # no longer holds the last buffer seen
-        if spare is not None:
-            del bufs[spare]     # the largest free buffer, too small: replaced
-        elif len(bufs) >= _POOL_MAX:
-            return np.empty(shape)
-        buf = np.empty(size)
-        bufs.append(buf)
-        bufs.sort(key=len)
-        return buf.reshape(shape)
+_set_allocator(ctypes.CDLL(None))
 
 
-_local = threading.local()
-
-
-def _pool():
-    """This thread's pool, made on first use."""
-    if not hasattr(_local, "pool"):
-        _local.pool = _Pool()
-    return _local.pool
-
-
-def _pairs(L, n, lo, hi, pool):
+def _pairs(L, n, lo, hi):
     # rows [lo, hi) of the literal pairs, each literal's embedding beside its
     # negation's (rows v-1 and n+v-1 swap); a single shared embedding (1-D
     # L) gives the one row [L, L]
     if L.ndim == 1:
         return np.concatenate((L, L))[None]
     d = L.shape[1]
-    X = pool.take((hi - lo, 2 * d))
+    X = np.empty((hi - lo, 2 * d))
     X[:, :d] = L[lo:hi]
     mid = min(max(n, lo), hi)           # rows [lo, mid) are positive literals
     X[: mid - lo, d:] = L[lo + n : mid + n]
@@ -270,7 +232,7 @@ def _pairs(L, n, lo, hi, pool):
     return X
 
 
-def _activate(z, b, slope, dropout, drng, pool, hidden):
+def _activate(z, b, slope, dropout, drng, hidden):
     """Add the bias to z in place and, on a hidden layer, apply leaky ReLU
     and dropout; returns the dropout mask or None."""
     z += b
@@ -279,30 +241,28 @@ def _activate(z, b, slope, dropout, drng, pool, hidden):
     # leaky ReLU in place: for 0 <= slope <= 1 (HyperParams enforces it)
     # this max is exactly where(z > 0, z, slope * z), without a branch per
     # element
-    np.maximum(z, np.multiply(z, slope, out=pool.take(z.shape)), out=z)
+    np.maximum(z, z * slope, out=z)
     if drng is None:
         return None
-    mask = drng.random(out=pool.take(z.shape))
+    mask = drng.random(z.shape)
     np.greater_equal(mask, dropout, out=mask)
     mask /= 1.0 - dropout
     z *= mask
     return mask
 
 
-def _mlp_forward(layers, h, slope, dropout, drng, cache, pool):
+def _mlp_forward(layers, h, slope, dropout, drng, cache):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
     every layer but the last.
 
     When cache is a list, each layer appends (its input, its dropout mask or
     None); the pre-activations are not kept, since a hidden layer's output
     is positive exactly where its pre-activation is.  With no cache, no
-    reference to a layer's input outlives the computation of its output.
-    The dense products, the leaky ReLU temporary and the dropout masks come
-    from ``pool``."""
+    reference to a layer's input outlives the computation of its output."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = np.matmul(h, w, out=pool.take((len(h), w.shape[1])))
-        mask = _activate(z, b, slope, dropout, drng, pool, i < last)
+        z = h @ w
+        mask = _activate(z, b, slope, dropout, drng, i < last)
         if cache is not None:
             cache.append((h, mask))
         h = z
@@ -372,8 +332,8 @@ def _by_rows(stage, bounds, args, take=None):
 
 
 # ------------------------------------------------------------------ stages
-# A stage computes rows [lo, hi) of one step of an iteration with its
-# thread's buffer pool; ``_by_rows`` runs it over a pass's row blocks.
+# A stage computes rows [lo, hi) of one step of an iteration; ``_by_rows``
+# runs it over a pass's row blocks.
 
 
 def _csr_rows(m, lo, hi):
@@ -383,12 +343,10 @@ def _csr_rows(m, lo, hi):
     return m.indptr[lo : hi + 1] - start, m.indices[start:end], m.data[start:end]
 
 
-def _gather(m, lo, hi, x, pool):
-    """Rows [lo, hi) of m @ x, for the ``cnf.CSR`` matrix m, in a buffer
-    from ``pool``: scipy's CSR kernel added into zeros, as scipy's ``@``
-    adds, so the same bits."""
-    out = pool.take((hi - lo, x.shape[1]))
-    out.fill(0.0)
+def _gather(m, lo, hi, x):
+    """Rows [lo, hi) of m @ x, for the ``cnf.CSR`` matrix m: scipy's CSR
+    kernel added into zeros, as scipy's ``@`` adds, so the same bits."""
+    out = np.zeros((hi - lo, x.shape[1]))
     _sparsetools().csr_matvecs(hi - lo, m.shape[1], x.shape[1], *_csr_rows(m, lo, hi), x, out)
     return out
 
@@ -407,7 +365,7 @@ def _pair_rows(lo, hi, L, n, w, P, cache):
     """Rows [lo, hi) of the clause update's first product P: the literal
     pairs' rows times its first weight.  A kept ``cache`` gets the pairs,
     the first layer's input."""
-    X = _pairs(L, n, lo, hi, _pool())
+    X = _pairs(L, n, lo, hi)
     np.matmul(X, w, out=P[lo:hi])
     if cache is not None:
         cache.append(X)
@@ -419,16 +377,15 @@ def _clause_rows(lo, hi, gather, P, params, hp, drng, cache):
     standardized per clause; returns the standardized rows and their
     inverse deviations.  A kept ``cache`` arrives holding the first layer's
     input, which goes in with that layer's dropout mask."""
-    pool = _pool()
     if isinstance(gather, np.ndarray):      # iteration 0's one size column
-        z = np.matmul(gather[lo:hi], P, out=pool.take((hi - lo, P.shape[1])))
+        z = gather[lo:hi] @ P
     else:
-        z = _gather(gather, lo, hi, P, pool)
+        z = _gather(gather, lo, hi, P)
     layers = params.c_update
-    mask = _activate(z, layers[0][1], hp.leaky_slope, hp.dropout, drng, pool, len(layers) > 1)
+    mask = _activate(z, layers[0][1], hp.leaky_slope, hp.dropout, drng, len(layers) > 1)
     if cache is not None:
         cache.append((cache.pop(), mask))
-    z = _mlp_forward(layers[1:], z, hp.leaky_slope, hp.dropout, drng, cache, pool)
+    z = _mlp_forward(layers[1:], z, hp.leaky_slope, hp.dropout, drng, cache)
     return _standardize_rows(z, hp.ln_eps)
 
 
@@ -437,8 +394,7 @@ def _literal_rows(lo, hi, B, L, out, params, hp, drng, cache):
     messages B through the literal MLP, the residual 0.1 L and the layer
     norm, into out[lo:hi]; returns the layer norm's standardized input
     rows and their inverse deviations."""
-    pool = _pool()
-    L_res = _mlp_forward(params.l_update, B[lo:hi], hp.leaky_slope, hp.dropout, drng, cache, pool)
+    L_res = _mlp_forward(params.l_update, B[lo:hi], hp.leaky_slope, hp.dropout, drng, cache)
     L_res += 0.1 * (L if L.ndim == 1 else L[lo:hi])
     xhat, inv = _standardize_rows(L_res, hp.ln_eps)
     block = out[lo:hi]
@@ -477,7 +433,6 @@ def _forward(params, hp, graph, dropout_seed, keep):
             raise ValueError(f"part {j} of {len(graph.parts)} of the graph has no variables")
     g, sizes, by_size = graph.matrices()
     n = graph.num_vars
-    pool = _pool()
     drng = None if dropout_seed is None or hp.dropout == 0.0 else np.random.default_rng(dropout_seed)
     whole = keep or drng is not None
     # every literal starts at l_init, so in iteration 0 a clause's aggregate
@@ -492,12 +447,9 @@ def _forward(params, hp, graph, dropout_seed, keep):
     for it in range(hp.tau_iters):
         gather, scatter = (sizes[:, None], by_size) if it == 0 else (g, g)
         c_cache, l_cache = ([], []) if keep else (None, None)
-        # B first: it takes the last iteration's B buffer, which P, half as
-        # wide, would otherwise take
-        B = pool.take((2 * n, hp.delta_c))
-        B.fill(0.0)
+        B = np.zeros((2 * n, hp.delta_c))
         pair_rows = 1 if it == 0 else 2 * n
-        P = pool.take((pair_rows, w.shape[1]))
+        P = np.empty((pair_rows, w.shape[1]))
         _by_rows(_pair_rows, _block_bounds(pair_rows, whole), (L, n, w, P, c_cache))
         kept = _by_rows(_clause_rows, _block_bounds(gather.shape[0], whole), (gather, P, params, hp, drng, c_cache),
                         lambda lo, hi, out: _scatter(scatter, lo, hi, out[0], B))
@@ -506,7 +458,7 @@ def _forward(params, hp, graph, dropout_seed, keep):
             C_std, c_inv = kept
             iters.append({"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv, "l_cache": l_cache})
         del kept
-        L_new = pool.take((2 * n, hp.delta_l))
+        L_new = np.empty((2 * n, hp.delta_l))
         kept = _by_rows(_literal_rows, _block_bounds(2 * n, whole), (B, L, L_new, params, hp, drng, l_cache))
         del B
         if keep:
@@ -515,16 +467,16 @@ def _forward(params, hp, graph, dropout_seed, keep):
         L = L_new
         if not np.isfinite(L).all():
             raise FloatingPointError(f"non-finite literal embeddings at iteration {it}")
-    X_final = _pairs(L, n, 0, 2 * n, pool)
+    X_final = _pairs(L, n, 0, 2 * n)
     del L
     p_cache = [] if keep else None
-    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache, pool).ravel()
+    logits = _mlp_forward(params.v_policy, X_final[:n], hp.leaky_slope, hp.dropout, drng, p_cache).ravel()
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite policy logits")
     values = None
     v_cache = [] if keep else None
     if params.v_value is not None:
-        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache, pool)
+        v_scores = _mlp_forward(params.v_value, X_final, hp.leaky_slope, hp.dropout, drng, v_cache)
         values = _part_values(v_scores, graph.part_bounds()[1])
     out = ForwardOutput(policy_logits=logits, values=values)
     if not keep:
@@ -570,7 +522,7 @@ def forward(params: NetParams, hp: HyperParams, graph, dropout_seed=None) -> For
     calling thread, and each block of clause embeddings is added into the
     literal messages as it comes, so the pass holds its O(N x delta_c)
     literal state and a block of clause state, not O(M x delta_c); at 3M
-    edges that was about 160 bytes of peak RSS per edge, against 480-515
+    edges that was about 120 bytes of peak RSS per edge, against 480-515
     with whole stages.  A pass with dropout masks, like
     ``forward_with_cache``, runs each stage as one block."""
     out, _ = _forward(params, hp, graph, dropout_seed, keep=False)

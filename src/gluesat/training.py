@@ -230,7 +230,12 @@ _worker_lock = threading.Lock()
 
 def _network_worker() -> ThreadPoolExecutor:
     """The one thread that runs a training batch's forwards, started on
-    first use and kept, so that its buffer pool persists."""
+    first use and kept: over 40 train-supervised epochs on perfbench's
+    seed-51 and seed-52 examples (one BLAS thread, 2 vCPUs), a thread
+    started per batch peaked at 79.7-80.5 MB of RSS against 63.3-64.2 MB
+    with this one: the new threads took a second glibc arena, and each
+    arena keeps its freed pages (two thread arenas of about 17 MB, not
+    one)."""
     global _worker
     with _worker_lock:
         if _worker is None:
@@ -422,15 +427,14 @@ def _returns_to_go(episodes):
 # The gradient passes of a batch run over disjoint unions of consecutive
 # episode steps of at most this many edges (a larger step runs alone): at
 # a few hundred edges per step, per-call overhead sets much of a pass's
-# cost.  A union's forward cache grows with its edges, and its buffers
-# pass the pool floor and stay retained, so the budget trades time for
-# memory.  perfbench train-rl (rl preset, steps of 240-540 edges, one
-# forward and one backward per union per grad step, one BLAS thread,
-# 2-vCPU Xeon VM, --seconds 12), seeds 31-33, op_s_p50 and peak_rss_mb:
-# budget 1,200 0.267-0.276 s and 56.0-56.3 MB; 1,500 0.260-0.267 s and
-# 56.9-57.6 MB; 2,000 0.252-0.274 s and 62.9-63.7 MB; 3,000 0.251-0.264 s
-# and 68.6-69.9 MB.  The larger budgets' times overlap 1,500's, while
-# their peaks grow by 6 MB at 2,000 and 12 MB at 3,000.
+# cost.  A union's forward cache grows with its edges, so the budget
+# trades time for memory.  perfbench train-rl (rl preset, steps of 240-540
+# edges, one forward and one backward per union per grad step, one BLAS
+# thread, 2-vCPU Xeon VM, --seconds 12), seeds 31-33, op_s_p50 and
+# peak_rss_mb: budget 1,200 0.267-0.276 s and 56.0-56.3 MB; 1,500
+# 0.260-0.267 s and 56.9-57.6 MB; 2,000 0.252-0.274 s and 62.9-63.7 MB;
+# 3,000 0.251-0.264 s and 68.6-69.9 MB.  The larger budgets' times overlap
+# 1,500's, while their peaks grow by 6 MB at 2,000 and 12 MB at 3,000.
 _UNION_MAX_EDGES = 1_500
 
 

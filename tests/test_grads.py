@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gluesat
 from gluesat.cnf import SparseGraph, clause_literal_graph, disjoint_union, random_ksat
 from gluesat.grads import backward_from_heads, check_finite, zero_grads
-from gluesat.network import _POOL_FLOOR, _pool, forward, forward_with_cache, init_params, preset
+from gluesat.network import forward, forward_with_cache, init_params, preset
 from gluesat.training import (
     kl_grads,
     kl_loss,
@@ -228,9 +228,12 @@ class TestNonFiniteDetection:
                 forward(p, tiny_hyper, graph_6x8)
 
 
-class TestBufferPool:
-    """Large intermediates come from per-thread buffers that later passes
-    reuse; a buffer is reused only once no live array references it."""
+class TestFreedArraysServeLaterPasses:
+    """Arrays a pass frees serve the passes after it: caches still held and
+    threads running at once keep their bits, and repeated passes fault no
+    pages in.  The graphs' largest arrays reach glibc's default mmap
+    threshold, 128 KiB or 16,384 float64s, which the allocator setting
+    raises."""
 
     @staticmethod
     def largest_intermediate(graph, hp):
@@ -248,7 +251,7 @@ class TestBufferPool:
         p = init_params(hp, seed=1, value_head=True)
         graphs = [clause_literal_graph(random_ksat(500, 2130, 3, 1)),
                   clause_literal_graph(random_ksat(450, 1900, 3, 2))]
-        assert all(self.largest_intermediate(g, hp) >= _POOL_FLOOR for g in graphs)
+        assert all(self.largest_intermediate(g, hp) >= 16_384 for g in graphs)
         sequential = []
         for k, g in enumerate(graphs):
             _, cache = forward_with_cache(p, hp, g, dropout_seed=k)
@@ -260,28 +263,12 @@ class TestBufferPool:
             for name, want in sequential[k].items():
                 assert np.array_equal(got[name], want), (k, name)
 
-    def test_small_graph_leaves_the_pool_empty(self):
-        # a train-rl-sized graph: every buffer of its pass is below the
-        # floor, so each is allocated fresh and the pool retains none
-        hp = preset("rl")
-        p = init_params(hp, seed=3, value_head=True)
-        g = clause_literal_graph(random_ksat(30, 180, 3, 0))
-        assert self.largest_intermediate(g, hp) < _POOL_FLOOR
-
-        def run():
-            _, cache = forward_with_cache(p, hp, g, dropout_seed=0)
-            self.pass_grads(p, hp, g, cache, 0)
-            return _pool().bufs
-
-        with ThreadPoolExecutor(1) as ex:
-            assert ex.submit(run).result(timeout=60) == []
-
     def test_threads_at_once_match_serial_bits(self):
         # more threads than a 2-core runner has cores, each on its own graph
         hp = preset("supervised")
         p = init_params(hp, seed=2, value_head=True)
         graphs = [clause_literal_graph(random_ksat(300 + 20 * k, 1280 + 85 * k, 3, k)) for k in range(4)]
-        assert all(self.largest_intermediate(g, hp) >= _POOL_FLOOR for g in graphs)
+        assert all(self.largest_intermediate(g, hp) >= 16_384 for g in graphs)
         rounds = 6
 
         def run(g, barrier=None):
@@ -305,13 +292,13 @@ class TestBufferPool:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
     def test_repeated_passes_fault_no_pages_in(self):
-        # without the pool each pass faults in about 3,600 pages (glibc
-        # returns its large arrays to the OS on free); with it, the
-        # warm-up's buffers serve the later passes, of which the first may
-        # still replace a buffer and grow the heap: five passes stay below
-        # what one pass faults in without the pool.  A fresh interpreter
-        # runs them, since what the allocator does with the arrays left
-        # outside the pool (the sparse products) depends on its history
+        # with glibc's default thresholds each pass faults in about 3,100
+        # pages (glibc returns its large arrays to the OS on free); with
+        # network's allocator setting the warm-up's freed pages serve the
+        # later passes, of which the first may still grow the heap: five
+        # passes stay below what one pass faults in without it.  A fresh
+        # interpreter runs them, since what the allocator does depends on
+        # its history
         script = textwrap.dedent("""
             import resource, sys
             import numpy as np

@@ -6,7 +6,7 @@ import textwrap
 import threading
 import tracemalloc
 from dataclasses import replace
-from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,28 +250,20 @@ class TestCacheFreeForward:
     @pytest.mark.parametrize("name", ["supervised", "rl"])
     def test_peak_below_half_the_retained_cache(self, name):
         # forward frees each intermediate after its last use, so its peak
-        # stays well below what forward_with_cache hands back to the caller.
-        # Each pass runs on a fresh thread: its buffer pool starts empty, so
-        # the peak counts the buffers the pass takes, and the thread's end
-        # frees those that the cache does not hold
+        # stays well below what forward_with_cache hands back to the caller
         hp = preset(name)
         p = init_params(hp, seed=0, value_head=True)
         g = clause_literal_graph(random_ksat(500, 2130, 3, 1))
         g.matrices()                        # the CSR build is not the pass's
-
-        def on_fresh_thread(fn):
-            with ThreadPoolExecutor(1) as ex:
-                return ex.submit(fn).result(timeout=60)
-
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            kept = on_fresh_thread(lambda: forward_with_cache(p, hp, g))
+            kept = forward_with_cache(p, hp, g)
             retained = tracemalloc.get_traced_memory()[0] - base
             del kept
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            on_fresh_thread(lambda: forward(p, hp, g))
+            forward(p, hp, g)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -282,8 +274,7 @@ class TestCacheFreeForward:
         # at a fixed variable count, a pass holds its literal state and one
         # clause block at a time: four times the clauses, in blocks of the
         # same size, leave its peak where it was (a whole clause stage makes
-        # it grow about threefold).  Each pass runs on a fresh thread, whose
-        # fresh pool serves it alone
+        # it grow about threefold)
         hp = preset(name)
         p = init_params(hp, seed=0, value_head=True)
         peaks = []
@@ -293,8 +284,7 @@ class TestCacheFreeForward:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                with ThreadPoolExecutor(1) as ex:
-                    ex.submit(forward, p, hp, g).result(timeout=60)
+                forward(p, hp, g)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
@@ -309,7 +299,7 @@ class TestCacheFreeForward:
         # fresh interpreter: its peak RSS above the built graph and
         # operators, per edge.  Measured on a 2-vCPU VM, with one BLAS
         # thread and with default BLAS alike: 480-515 bytes per edge
-        # (1.38-1.47 GB) with whole clause stages, about 160 (0.46 GB)
+        # (1.38-1.47 GB) with whole clause stages, about 120 (0.36 GB)
         # streamed.  RSS growth moves with the heap that the operator
         # build freed and the pass reuses, so the pass's own peak of traced
         # allocations above its start, per edge, is bounded beside it
@@ -484,8 +474,7 @@ class TestStreamedForward:
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_an_error_in_a_block_leaves_the_next_pass_exact(self, monkeypatch, failing):
-        # a literal block that raises mid-pass leaves this thread's buffer
-        # pool serving the next pass its bits
+        # a literal block that raises mid-pass leaves the next pass its bits
         monkeypatch.setattr(network, "_BLOCK_ROWS", 256)
         graph = clause_literal_graph(random_ksat(300, 1278, 3, 2))
         hp = preset("supervised")
@@ -507,7 +496,7 @@ class TestStreamedForward:
 
     def test_concurrent_callers_get_the_whole_pass_bits(self, monkeypatch):
         # three callers streaming small blocks, switching threads every few
-        # bytecodes: each runs its blocks on its own buffer pool
+        # bytecodes
         monkeypatch.setattr(network, "_BLOCK_ROWS", 128)
         hp = preset("rl")
         params = init_params(hp, seed=3, value_head=True)
@@ -603,7 +592,7 @@ class TestSparseKernels:
     def test_gathered_blocks_are_the_product(self, seed):
         g = _kernel_graph(seed).matrices()[0]
         P = np.random.default_rng(seed).standard_normal((10, 32))
-        got = [network._gather(g, lo, hi, P, network._pool()).copy() for lo, hi in ((0, 13), (13, 14), (14, 40))]
+        got = [network._gather(g, lo, hi, P) for lo, hi in ((0, 13), (13, 14), (14, 40))]
         assert np.array_equal(np.vstack(got), scipy_csr(g) @ P)
 
     def test_network_processes_never_import_scipy_sparse(self):
@@ -617,7 +606,7 @@ class TestSparseKernels:
             sys.path.insert(0, sys.argv[1])
             from gluesat.cnf import clause_literal_graph, random_ksat
             from gluesat.grads import backward_from_heads
-            from gluesat.network import _gather, _pool, _scatter, forward, forward_with_cache, init_params, preset
+            from gluesat.network import _gather, _scatter, forward, forward_with_cache, init_params, preset
             from gluesat.solver import SolverConfig, solve
 
             hp = preset("supervised")
@@ -638,7 +627,7 @@ class TestSparseKernels:
             G = g.matrices()[0]
             public = csr_matrix((G.data, G.indices, G.indptr), shape=G.shape)
             x = np.random.default_rng(0).standard_normal((G.shape[1], 8))
-            assert np.array_equal(_gather(G, 0, G.shape[0], x, _pool()), public @ x)
+            assert np.array_equal(_gather(G, 0, G.shape[0], x), public @ x)
             y = np.random.default_rng(1).standard_normal((G.shape[0], 8))
             out = np.zeros((G.shape[1], 8))
             _scatter(G, 0, G.shape[0], y, out)
@@ -647,6 +636,19 @@ class TestSparseKernels:
         src = os.path.dirname(os.path.dirname(network.__file__))
         out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
+
+
+class TestAllocatorSetting:
+    """network sets glibc's allocator once, at import, through mallopt."""
+
+    def test_raises_the_mmap_and_trim_thresholds(self):
+        calls = []
+        network._set_allocator(SimpleNamespace(mallopt=lambda param, value: calls.append((param, value))))
+        # M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to 64 MiB
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_a_libc_without_mallopt_is_left_alone(self):
+        network._set_allocator(SimpleNamespace())
 
 
 class TestDisjointUnion:

@@ -310,7 +310,7 @@ class TestOverlappedTraining:
 
     def test_concurrent_callers_share_the_worker(self, overlap_data):
         # three callers on two cores, switching threads every few bytecodes:
-        # their forwards interleave on the one worker and its buffer pool,
+        # their forwards interleave on the one worker,
         # while each caller's backward still reads its own caches
         hp = preset("supervised")
         cfgs = [SupervisedConfig(lr=0.05, epochs=1, batch_size=4, seed=s) for s in range(3)]
