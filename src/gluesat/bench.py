@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
@@ -156,9 +157,24 @@ def _solve_task(args):
 
 
 def _load_records(path) -> list[EvalRecord]:
+    """The records of a records.csv; an empty one, as a run killed before
+    its first record leaves it, holds none.  Raises ValueError naming the
+    columns its header lacks, or an incomplete line: one short of fields,
+    or a last line without its line end, as a run killed mid-write leaves."""
     with open(path, newline="") as fh:
-        return [EvalRecord(**{name: _RECORD_TYPES[name](row[name]) for name in _RECORD_FIELDS})
-                for row in csv.DictReader(fh)]
+        text = fh.read()
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{path}: line {len(text.splitlines())} is incomplete; remove it to resume")
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [name for name in _RECORD_FIELDS if name not in (reader.fieldnames or _RECORD_FIELDS)]
+    if missing:
+        raise ValueError(f"{path}: the header lacks the columns {', '.join(missing)}")
+    records = []
+    for row in reader:
+        if None in row or None in row.values():
+            raise ValueError(f"{path}: line {reader.line_num} does not have the header's fields")
+        records.append(EvalRecord(**{name: _RECORD_TYPES[name](row[name]) for name in _RECORD_FIELDS}))
+    return records
 
 
 def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,

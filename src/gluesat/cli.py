@@ -127,9 +127,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    edge_cap = _config(SolverConfig, args).edge_cap
+    config = _config(SolverConfig, args)
     formula = parse_dimacs(Path(args.input).read_text())
-    solver = Solver(formula)
+    solver = Solver(formula, config)
     if not solver.propagate_root():
         return _error("formula conflicts during propagation")
     if args.assign:
@@ -146,7 +146,7 @@ def _cmd_extract(args) -> int:
                 return _error(f"literal {lit} already falsified")
             if solver.decide(lit) is not None:
                 return _error(f"conflict after assigning {lit}")
-    graph = extract_graph(solver, edge_cap)
+    graph = extract_graph(solver)
     if graph is None:
         print("skip: edge cap exceeded by original clauses")
         return 0

@@ -23,10 +23,10 @@ class TrivialFormulaError(ValueError):
 
 
 class GlueEnv:
-    """One environment per rollout worker; never share instances."""
+    """One environment per rollout worker; never share instances.  Refuses an edge_cap below 1."""
 
     def __init__(self, edge_cap: int = SolverConfig.edge_cap):
-        self.edge_cap = edge_cap
+        self.cfg = SolverConfig(edge_cap=edge_cap)
         self.solver = None
         self.obs = None
         self.terminal = None
@@ -37,14 +37,14 @@ class GlueEnv:
         unit propagation, observation of the residual graph.  ValueError
         when that graph exceeds ``edge_cap``; since an episode never learns
         or backtracks, later observations only shrink and always fit."""
-        solver = Solver(formula)
+        solver = Solver(formula, self.cfg)
         if not solver.propagate_root():
             raise TrivialFormulaError("formula is refuted at the root")
         if len(solver.trail) == solver.n or solver.n == 0:
             raise TrivialFormulaError("root unit propagation decides the formula")
-        obs = extract_graph(solver, self.edge_cap)
+        obs = extract_graph(solver)
         if obs is None:
-            raise ValueError(f"the residual formula has more than edge_cap={self.edge_cap} edges")
+            raise ValueError(f"the residual formula has more than edge_cap={self.cfg.edge_cap} edges")
         self.solver = solver
         self._rng = np.random.default_rng(seed)
         self.terminal = None
@@ -75,5 +75,5 @@ class GlueEnv:
             self.terminal = ("satisfied", None)
             self.obs = None
             return None, 0.0, True
-        self.obs = extract_graph(s, self.edge_cap)
+        self.obs = extract_graph(s)
         return self.obs, -1.0 / s.n, False

@@ -2,7 +2,7 @@
 
 Builds the network input at a decision point: satisfied clauses dropped,
 falsified literals stripped, unassigned variables densely renumbered, with
-original clauses traversed before learned ones under an edge cap.
+original clauses traversed before learned ones under the solver's edge cap.
 """
 
 from __future__ import annotations
@@ -10,24 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 from .cnf import SparseGraph, _flat_literals
-from .solver import SolverConfig
 
 __all__ = ["extract_graph"]
 
 
-def extract_graph(solver, edge_cap: int = SolverConfig.edge_cap) -> SparseGraph | None:
+def extract_graph(solver) -> SparseGraph | None:
     """Extract the simplified clause-literal graph, or None to skip.
 
     Must be called at a propagation fixpoint without conflict: a residual
     clause of size < 2 met before the cap stops traversal is an invariant
     violation and raises RuntimeError.  Traversal stops once adding a clause
-    would push the edge count past ``edge_cap``; if that happens among the
-    original clauses the whole extraction is skipped (returns None).  An
-    original clause's row keeps its surviving literals in formula order
-    (from ``solver.original_flat``, which watch swaps leave alone), a learned
-    clause's row in their current order; ``SparseGraph.matrices`` sorts
-    each row, so the network never sees the order within a row.  Pure read;
-    never mutates state.
+    would push the edge count past the solver's ``cfg.edge_cap``; if that
+    happens among the original clauses the whole extraction is skipped
+    (returns None).  An original clause's row keeps its surviving literals
+    in formula order (from ``solver.original_flat``, which watch swaps leave
+    alone), a learned clause's row in their current order;
+    ``SparseGraph.matrices`` sorts each row, so the network never sees the
+    order within a row.  Pure read; never mutates state.
     """
     n = solver.n
     assign = np.fromiter(solver.assign, dtype=np.int8, count=2 * n + 1)
@@ -52,7 +51,7 @@ def extract_graph(solver, edge_cap: int = SolverConfig.edge_cap) -> SparseGraph 
     live = np.flatnonzero(unsatisfied)
     left = per_clause(free)[live]
     # the first live clause whose edges would push the total past the cap
-    stop = int(np.searchsorted(np.cumsum(left), edge_cap, side="right"))
+    stop = int(np.searchsorted(np.cumsum(left), solver.cfg.edge_cap, side="right"))
     if np.any(left[: stop + 1] < 2):
         raise RuntimeError("unit or empty residual clause at propagation fixpoint")
     if stop < np.searchsorted(live, num_original):

@@ -17,6 +17,7 @@ import io
 import math
 from copy import deepcopy
 from dataclasses import dataclass, fields
+from itertools import pairwise
 from typing import get_type_hints
 
 import numpy as np
@@ -318,22 +319,8 @@ def _block_bounds(rows, whole):
     return [rows * k // count for k in range(count + 1)]
 
 
-def _by_rows(stage, bounds, args, take=None):
-    """Run stage(lo, hi, *args) on each row block [lo, hi) of ``bounds`` in
-    order, each followed by take(lo, hi, its result); returns the last
-    block's result: a one-block stage's is the whole stage's, which a kept
-    cache needs."""
-    for block in zip(bounds[:-1], bounds[1:]):
-        result = None       # a block taken in must not hold its buffers through the next
-        result = stage(*block, *args)
-        if take is not None:
-            take(*block, result)
-    return result
-
-
 # ------------------------------------------------------------------ stages
-# A stage computes rows [lo, hi) of one step of an iteration; ``_by_rows``
-# runs it over a pass's row blocks.
+# Each computes rows [lo, hi) of one step of an iteration, for _forward's block loops.
 
 
 def _csr_rows(m, lo, hi):
@@ -359,16 +346,6 @@ def _scatter(m, lo, hi, x, out):
     give the bits of scipy's CSR product m^T @ x (m^T's indices are
     sorted)."""
     _sparsetools().csc_matvecs(m.shape[1], hi - lo, x.shape[1], *_csr_rows(m, lo, hi), x, out)
-
-
-def _pair_rows(lo, hi, L, n, w, P, cache):
-    """Rows [lo, hi) of the clause update's first product P: the literal
-    pairs' rows times its first weight.  A kept ``cache`` gets the pairs,
-    the first layer's input."""
-    X = _pairs(L, n, lo, hi)
-    np.matmul(X, w, out=P[lo:hi])
-    if cache is not None:
-        cache.append(X)
 
 
 def _clause_rows(lo, hi, gather, P, params, hp, drng, cache):
@@ -421,13 +398,13 @@ def _part_values(v_scores, var_bounds):
 def _forward(params, hp, graph, dropout_seed, keep):
     # the one forward body: with keep, it also returns the cache that
     # backward_from_heads reads; without, each intermediate is freed after
-    # its last use.  Each iteration runs three row stages through
-    # _by_rows: the first product P over literal rows, the clause update
-    # over clause rows, each block added into the literal messages B as it
-    # comes, and the literal update over the rows of B.  A pass that keeps
-    # a cache or draws dropout masks runs each stage as one block; any
-    # other runs row blocks of at most _BLOCK_ROWS rows.  The heads run
-    # whole
+    # its last use.  Each iteration loops over row blocks in order three
+    # times: the first product P over literal pairs, the clause update over
+    # clause rows, each block added into the literal messages B as it comes,
+    # and the literal update over the rows of B; a block's result goes before
+    # the next block runs.  A pass that keeps a cache or draws dropout masks
+    # runs each loop as one block, its result the whole stage's; any other
+    # runs blocks of at most _BLOCK_ROWS rows.  The heads run whole
     for j, (_, num_vars) in enumerate(graph.parts):
         if num_vars == 0:       # no logits, and its value the mean of no scores
             raise ValueError(f"part {j} of {len(graph.parts)} of the graph has no variables")
@@ -450,16 +427,25 @@ def _forward(params, hp, graph, dropout_seed, keep):
         B = np.zeros((2 * n, hp.delta_c))
         pair_rows = 1 if it == 0 else 2 * n
         P = np.empty((pair_rows, w.shape[1]))
-        _by_rows(_pair_rows, _block_bounds(pair_rows, whole), (L, n, w, P, c_cache))
-        kept = _by_rows(_clause_rows, _block_bounds(gather.shape[0], whole), (gather, P, params, hp, drng, c_cache),
-                        lambda lo, hi, out: _scatter(scatter, lo, hi, out[0], B))
+        for lo, hi in pairwise(_block_bounds(pair_rows, whole)):
+            X = _pairs(L, n, lo, hi)
+            np.matmul(X, w, out=P[lo:hi])
+            if keep:
+                c_cache.append(X)       # the first layer's input
+            del X
+        for lo, hi in pairwise(_block_bounds(gather.shape[0], whole)):
+            kept = None
+            kept = _clause_rows(lo, hi, gather, P, params, hp, drng, c_cache)
+            _scatter(scatter, lo, hi, kept[0], B)
         del P
         if keep:
             C_std, c_inv = kept
             iters.append({"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv, "l_cache": l_cache})
         del kept
         L_new = np.empty((2 * n, hp.delta_l))
-        kept = _by_rows(_literal_rows, _block_bounds(2 * n, whole), (B, L, L_new, params, hp, drng, l_cache))
+        for lo, hi in pairwise(_block_bounds(2 * n, whole)):
+            kept = None
+            kept = _literal_rows(lo, hi, B, L, L_new, params, hp, drng, l_cache)
         del B
         if keep:
             iters[-1]["xhat"], iters[-1]["ln_inv"] = kept

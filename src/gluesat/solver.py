@@ -12,6 +12,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
+from . import extract
 from .cnf import Formula, _flat_literals, normalize_clause, satisfies
 from .network import policy_distribution
 
@@ -558,13 +559,7 @@ class Solver:
         """Refocus when ``should_refocus`` holds; returns whether it held."""
         if not self.should_refocus():
             return False
-        # imported here, not at module level: extract imports this module,
-        # and perfbench traces extraction by replacing the attribute
-        # gluesat.extract.extract_graph, which a module-level import would
-        # bind before the patch (its extract.calls would read 0)
-        from .extract import extract_graph
-
-        graph = extract_graph(self, self.cfg.edge_cap)
+        graph = extract.extract_graph(self)
         self._conflicts_at_refocus = self.conflicts
         if graph is not None:
             logits = np.asarray(self.oracle(graph), dtype=float)
@@ -576,7 +571,8 @@ class Solver:
         """Replace EVSIDS scores with oracle probabilities scaled by the
         number of graph variables and kappa; everything else drops to 0.
         Raises ValueError, leaving the scores as they were, unless probs
-        is a finite, non-negative distribution over var_map."""
+        is a finite, non-negative distribution over var_map and var_map
+        holds distinct variables in 1..n."""
         probs = np.asarray(probs, dtype=float)
         if len(probs) != len(var_map):
             raise ValueError("probability vector does not match var_map")
@@ -584,6 +580,8 @@ class Solver:
             raise ValueError("refocus probabilities must be finite and non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-6:
             raise ValueError("refocus distribution is not normalized")
+        if min(var_map) < 1 or max(var_map) > self.n or len(set(var_map)) < len(var_map):
+            raise ValueError(f"var_map must hold distinct variables in 1..{self.n}")
         scale = len(var_map) * self.cfg.kappa
         fresh = np.zeros(self.n + 1)
         fresh[np.asarray(var_map, dtype=np.intp)] = probs * scale

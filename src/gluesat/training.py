@@ -577,9 +577,9 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
              init: NetParams | None = None) -> RLResult:
     """Synchronous multi-worker REINFORCE.
 
-    Each batch, every worker samples a formula and rolls out episodes under a
-    snapshot of the current policy; the learner then applies grad_steps Adam
-    updates, so importance ratios depart from 1 after the first step.
+    Each batch, every worker samples a formula and rolls out episodes under
+    the current policy; then the learner applies grad_steps Adam updates, so
+    importance ratios depart from 1 after the first step.
 
     The advantages and value targets are computed once per batch, by
     ``reinforce_weights`` from the values the rollouts recorded, and serve
@@ -620,7 +620,6 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
     history = []
     for batch_idx in range(cfg.batches):
         started = time.perf_counter()
-        snapshot = params.copy()
         episodes = []
         for worker in range(cfg.workers):
             wrng = np.random.default_rng(np.random.SeedSequence([cfg.seed, batch_idx, worker]))
@@ -628,7 +627,7 @@ def train_rl(formulas, hp: HyperParams, config: RLConfig | None = None,
                 for _attempt in range(32):
                     formula = formulas[int(wrng.integers(len(formulas)))]
                     try:
-                        episodes.append(run_episode(formula, snapshot, hp, wrng))
+                        episodes.append(run_episode(formula, params, hp, wrng))
                         break
                     except TrivialFormulaError:
                         continue

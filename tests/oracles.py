@@ -340,14 +340,15 @@ def solver_state(solver):
     }
 
 
-def reference_extract(solver, edge_cap=10_000_000):
+def reference_extract(solver):
     """Clause-by-clause residual graph extraction, the loop form of
     ``gluesat.extract.extract_graph``: same rows, literal order, var_map,
-    cap handling and skip rule.  Original clauses are read from the
-    formula itself, normalized as the solver keeps them (tautologies and
-    units left out), so their rows follow formula order whatever the
-    watch swaps did to ``solver.original``."""
+    cap handling (the solver's ``cfg.edge_cap``) and skip rule.  Original
+    clauses are read from the formula itself, normalized as the solver
+    keeps them (tautologies and units left out), so their rows follow
+    formula order whatever the watch swaps did to ``solver.original``."""
     n = solver.n
+    edge_cap = solver.cfg.edge_cap
     assign = solver.assign
     unassigned = [v for v in range(1, n + 1) if assign[v + n] == 0]
     index = {v: i for i, v in enumerate(unassigned)}

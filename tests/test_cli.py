@@ -372,6 +372,27 @@ class TestPipelineCommands:
             records = list(csv.DictReader(fh))
         assert sorted(r["instance"] for r in records) == ["i0.cnf", "i1.cnf", "i2.cnf"]
 
+    @pytest.mark.parametrize("records, message", [
+        ("instance,variant,seed,status,runtime\r\nf.cnf,vanilla,0,SAT,0.01\r\n",
+         "the header lacks the columns decisions, conflicts, propagations, restarts, refocuses, avg_glue, glr"),
+        ("instance,variant,seed,status,runtime,decisions,conflicts,propagations,restarts,refocuses,avg_glue,glr\r\n"
+         "f.cnf,vanilla,0,SAT,0.01,3,1,10,0,0,2.0,0.5\r\nf.cnf,vanilla,1,SAT,0.0", "line 3 is incomplete"),
+    ])
+    def test_bench_refuses_a_damaged_records_file(self, tmp_path, capsys, records, message):
+        # a header without every record column, and a last row cut off
+        # mid-write, as a killed run leaves it
+        (tmp_path / "inst").mkdir()
+        (tmp_path / "inst" / "f.cnf").write_text("p cnf 2 1\n1 2 0\n")
+        out_dir = tmp_path / "bench"
+        out_dir.mkdir()
+        (out_dir / "records.csv").write_bytes(records.encode())
+        code = main(["bench", "--instances", str(tmp_path / "inst"), "--out", str(out_dir),
+                     "--variants", "vanilla", "--seeds", "0", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert (out_dir / "records.csv").read_bytes() == records.encode()
+
     def test_bench_rejects_clashing_file_names(self, tmp_path, capsys):
         for name in ("sat", "unsat"):
             (tmp_path / name).mkdir()
@@ -504,7 +525,10 @@ class TestConfigDefaults:
         calls = _intercept(monkeypatch, cli, "extract_graph")
         with pytest.raises(_Stop):
             main(["extract", sat_file])
-        assert calls[0][1] == SolverConfig().edge_cap
+        assert len(calls[0]) == 1 and calls[0][0].cfg == SolverConfig()
+        with pytest.raises(_Stop):
+            main(["extract", sat_file, "--edge-cap", "7"])
+        assert calls[1][0].cfg == SolverConfig(edge_cap=7)
 
     def test_datagen(self, tmp_path, monkeypatch):
         calls = _intercept(monkeypatch, cli, "build_dataset")

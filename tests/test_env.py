@@ -60,6 +60,11 @@ class TestReset:
         with pytest.raises(ValueError, match="edge_cap=10 "):
             GlueEnv(edge_cap=10).reset(random_ksat(20, 85, 3, seed=0))
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_impossible_edge_cap_refused_at_construction(self, cap):
+        with pytest.raises(ValueError, match=f"edge_cap must be >= 1, got {cap}"):
+            GlueEnv(edge_cap=cap)
+
 
 class TestStep:
     def test_nonterminal_reward(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gluesat.cnf import Formula, SparseGraph, clause_literal_graph, normalize_clause, random_ksat
 from gluesat.extract import extract_graph
 from gluesat.network import forward, init_params, preset
-from gluesat.solver import Budget, Solver, _Clause
+from gluesat.solver import Budget, Solver, SolverConfig, _Clause
 
 from oracles import drive_watched, edge_pairs, reference_extract
 
@@ -82,24 +82,24 @@ class TestExtractGraph:
 
     def test_edge_cap_skip_on_originals(self):
         f = Formula(2, ((1, 2),))
-        s = Solver(f)
-        assert extract_graph(s, edge_cap=1) is None
+        s = Solver(f, SolverConfig(edge_cap=1))
+        assert extract_graph(s) is None
 
     def test_edge_cap_exact_fit_kept(self):
         f = Formula(2, ((1, 2),))
-        s = Solver(f)
-        g = extract_graph(s, edge_cap=2)
+        s = Solver(f, SolverConfig(edge_cap=2))
+        g = extract_graph(s)
         assert g is not None and g.num_edges == 2
 
     def test_edge_cap_truncates_learned(self):
         from gluesat.solver import _Clause
 
         f = Formula(4, ((1, 2), (3, 4)))
-        s = Solver(f)
+        s = Solver(f, SolverConfig(edge_cap=5))
         c = _Clause([1, 3, 4], glue=3)
         s.learned.append(c)
         s._attach(c)
-        g = extract_graph(s, edge_cap=5)
+        g = extract_graph(s)
         # both originals fit (4 edges); the learned clause would exceed the cap
         assert g.num_clauses == 2
         assert g.num_edges == 4
@@ -141,9 +141,9 @@ class TestExtractGraph:
         rng = np.random.default_rng(9)
         for _ in range(20):
             f = random_ksat(12, 40, 3, int(rng.integers(1 << 30)))
-            s = Solver(f)
             cap = int(rng.integers(3, 100))
-            g = extract_graph(s, edge_cap=cap)
+            s = Solver(f, SolverConfig(edge_cap=cap))
+            g = extract_graph(s)
             if g is not None:
                 assert g.num_edges <= cap
 
@@ -170,28 +170,30 @@ def residual_edges(solver, clauses):
 
 def edge_caps(draw, solver):
     """Caps below, at and above the original edge count, and inside the
-    learned clauses' edges."""
+    learned clauses' edges; each at least 1, as SolverConfig requires."""
     base = residual_edges(solver, solver.original)
     full = base + residual_edges(solver, solver.learned)
-    return [
+    caps = [
         draw(st.integers(0, max(base - 1, 0))),
         base,
         draw(st.integers(base, max(full, base))),
         full + draw(st.integers(0, 3)),
         10_000_000,
     ]
+    return [max(cap, 1) for cap in caps]
 
 
-def outcome(extract, solver, cap, error):
+def outcome(extract, solver, error):
     try:
-        return extract(solver, cap)
+        return extract(solver)
     except error:
         return "invalid state"
 
 
 def assert_same_extraction(solver, cap):
-    ref = outcome(reference_extract, solver, cap, AssertionError)
-    got = outcome(extract_graph, solver, cap, RuntimeError)
+    solver.cfg = SolverConfig(edge_cap=cap)
+    ref = outcome(reference_extract, solver, AssertionError)
+    got = outcome(extract_graph, solver, RuntimeError)
     if ref is None or isinstance(ref, str):
         assert got == ref
         return
@@ -273,11 +275,13 @@ class TestMatchesReferenceExtraction:
         s._enqueue(-1, None)
         with pytest.raises(RuntimeError, match="fixpoint"):
             extract_graph(s)
+        s.cfg = SolverConfig(edge_cap=4)
         with pytest.raises(RuntimeError, match="fixpoint"):
-            extract_graph(s, edge_cap=4)
+            extract_graph(s)
         # the check reaches the clause the cap stops at, not beyond it
-        assert extract_graph(s, edge_cap=3).num_clauses == 1
-        for cap in range(6):
+        s.cfg = SolverConfig(edge_cap=3)
+        assert extract_graph(s).num_clauses == 1
+        for cap in range(1, 6):
             assert_same_extraction(s, cap)
 
 

@@ -367,15 +367,24 @@ def _same_output(got, want):
 
 
 def _stages(monkeypatch):
-    """Record each stage that a pass runs: its name and block count."""
+    """Record each clause and literal stage that a pass runs: its name and
+    block count, from the calls of its row function (a stage's first block
+    starts at row 0)."""
     blocks = []
-    by_rows = network._by_rows
 
-    def recorded(stage, bounds, *args):
-        blocks.append((stage.__name__, len(bounds) - 1))
-        return by_rows(stage, bounds, *args)
+    def record(name):
+        rows = getattr(network, name)
 
-    monkeypatch.setattr(network, "_by_rows", recorded)
+        def recorded(lo, *args):
+            if lo == 0:
+                blocks.append((name, 0))
+            blocks[-1] = (name, blocks[-1][1] + 1)
+            return rows(lo, *args)
+
+        monkeypatch.setattr(network, name, recorded)
+
+    record("_clause_rows")
+    record("_literal_rows")
     return blocks
 
 
@@ -432,45 +441,6 @@ class TestStreamedForward:
         forward(params, hp, graph)
         forward_with_cache(params, hp, graph)
         assert set(threading.enumerate()) == before
-
-    def test_blocks_are_taken_in_order(self):
-        # each block is taken in before the next one runs, which keeps the
-        # clause stage's additions into the literal messages in order, and
-        # the last block's result is returned
-        ran, taken = [], []
-
-        def stage(lo, hi, x):
-            ran.append((lo, hi))
-            return x[lo:hi].sum()
-
-        def take(lo, hi, result):
-            taken.append((lo, hi, float(result), len(ran)))
-
-        x = np.arange(9.0)
-        assert network._by_rows(stage, [0, 3, 5, 9], (x,), take) == 26.0
-        assert ran == [(0, 3), (3, 5), (5, 9)]
-        assert taken == [(0, 3, 3.0, 1), (3, 5, 7.0, 2), (5, 9, 26.0, 3)]
-        assert network._by_rows(stage, [0, 9], (x,)) == 36.0
-
-    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
-    def test_an_error_in_any_block_raises_here(self, failing):
-        # the blocks before the failing one are taken in, and neither it nor
-        # any later block
-        ran, taken = [], []
-
-        def stage(lo, hi):
-            ran.append(lo)
-            if lo == failing:
-                raise FloatingPointError(f"block {lo}")
-            return lo
-
-        def take(lo, hi, result):
-            taken.append(lo)
-
-        with pytest.raises(FloatingPointError, match=f"block {failing}"):
-            network._by_rows(stage, [0, 1, 2, 3, 4], (), take)
-        assert ran == list(range(failing + 1))
-        assert taken == list(range(failing))
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_an_error_in_a_block_leaves_the_next_pass_exact(self, monkeypatch, failing):

@@ -683,6 +683,17 @@ class TestApplyRefocus:
         assert s.evsids == before
         assert s.refocuses == 0
 
+    @pytest.mark.parametrize("probs, var_map", [
+        ([0.5, 0.5], [-1, 0]), ([0.5, 0.5], [0, 1]), ([0.5, 0.5], [2, 2]), ([1.0], [7]),
+    ])
+    def test_var_map_outside_the_variables_or_repeated_rejected(self, probs, var_map):
+        s = Solver(Formula(3, ((1, 2, 3),)))
+        before = list(s.evsids)
+        with pytest.raises(ValueError, match=r"distinct variables in 1\.\.3"):
+            s.apply_refocus(probs, var_map)
+        assert s.evsids == before
+        assert s.refocuses == 0
+
     def test_outside_graph_zeroed(self):
         s = Solver(random_ksat(6, 15, 3, 0))
         s.evsids = [0.0] + [7.0] * 6
