@@ -16,7 +16,7 @@ from gluesat.bench import (
     write_outputs,
 )
 from gluesat.network import init_params, preset, save_weights
-from gluesat.solver import SolverConfig
+from gluesat.solver import Budget, SolverConfig
 
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory() as tmp:
         warmup_conflicts=0,
         schedule_base=50, schedule_quad=0, schedule_cap=50, refocus_margin=0.0,
     )
-    cfg = BenchConfig(timeout=None, max_conflicts=20_000, parallelism=2, solver=solver_cfg)
+    cfg = BenchConfig(budget=Budget(max_conflicts=20_000), parallelism=2, solver=solver_cfg)
 
     instances = sorted(str(p) for p in inst_dir.glob("*.cnf"))
     records = run_benchmark(
@@ -44,19 +44,20 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     print(f"{len(records)} records (10 instances x 3 variants x 2 seeds)")
 
-    aggs = aggregate(records)
-    scores = par2(aggs, timeout=60.0)
-    print("\nnormalized PAR-2 (lower is better):")
+    # PAR-2 in conflicts: a run costs its own conflicts, an unsolved one
+    # twice the budget
+    scores = par2(records, "conflicts", 20_000)
+    print("\nnormalized PAR-2 in conflicts (lower is better):")
     for variant, splits in sorted(scores.items()):
         print(f"  {variant:8s} overall {splits['overall']:8.3f}  sat {splits['sat']:8.3f}"
               f"  unsat {splits['unsat']:8.3f}")
 
     print("\npairwise share of instances with higher global learning rate:")
-    for row in pairwise_better_fraction(aggs, "glr"):
+    for row in pairwise_better_fraction(aggregate(records), "glr"):
         print(f"  {row['variant_a']} {row['fraction_a']:.0%} vs"
               f" {row['variant_b']} {row['fraction_b']:.0%}")
 
     out_dir = tmp / "out"
-    write_outputs(records, out_dir, timeout=60.0)
+    write_outputs(records, out_dir, cfg.budget)
     print("\noutput files:", sorted(p.name for p in out_dir.iterdir()))
     print("(records.csv is append-only; re-running the benchmark resumes from it)")

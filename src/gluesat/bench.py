@@ -9,14 +9,14 @@ import hashlib
 import io
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
 from .cnf import Formula, parse_dimacs
-from .solver import SAT, UNSAT, Budget, Solver, SolverConfig, SolveStats, random_oracle
+from .solver import SAT, UNKNOWN, UNSAT, Budget, Solver, SolverConfig, SolveStats, random_oracle
 
 __all__ = [
     "AggregateRecord",
@@ -77,16 +77,11 @@ class AggregateRecord:
 
 @dataclass
 class BenchConfig:
-    timeout: float | None = 60.0          # wall-clock per run, None to disable
-    max_conflicts: int | None = None      # conflict budget, None to disable
+    budget: Budget = field(default_factory=lambda: Budget(max_seconds=60.0))    # per run
     parallelism: int = 1
     solver: SolverConfig | None = None    # shared by every run; None for the defaults
 
     def __post_init__(self):
-        for name in ("timeout", "max_conflicts"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:    # NaN fails too
-                raise ValueError(f"{name} must be None or >= 0, got {value}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
@@ -149,9 +144,8 @@ def _solve_task(args):
     path, variant, seed, weights, cfg = args
     name = Path(path).name
     formula = parse_dimacs(Path(path).read_text())
-    oracle = make_oracle(variant, _run_seed(name, variant, seed), weights, formula, cfg.max_conflicts)
-    budget = Budget(max_conflicts=cfg.max_conflicts, max_seconds=cfg.timeout)
-    result = Solver(formula, config=cfg.solver, oracle=oracle).solve(budget=budget)
+    oracle = make_oracle(variant, _run_seed(name, variant, seed), weights, formula, cfg.budget.max_conflicts)
+    result = Solver(formula, config=cfg.solver, oracle=oracle).solve(budget=cfg.budget)
     stats = {field: getattr(result.stats, field) for field in _STAT_FIELDS}
     return EvalRecord(instance=name, variant=variant, seed=seed, status=result.status, **stats)
 
@@ -187,7 +181,10 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
     (the same path twice included) raise ValueError before anything runs,
     as do a repeated variant or seed, a variant outside ``VARIANTS`` and
     ``HINDSIGHT``, neuro without weights and hindsight without a conflict
-    budget.
+    budget.  So does a row of ``records_csv`` that no run under the budget
+    leaves: one past its conflict limit, or, without a time limit, an
+    UNKNOWN one not stopped at that conflict limit.  A row does not show
+    its time limit, so resuming under another one mixes the two unseen.
     """
     by_name = {}
     for path in instances:
@@ -199,10 +196,11 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
         if len(set(values)) < len(values):
             raise ValueError(f"repeated {kind} in {list(values)}: each {kind} runs once per instance")
     cfg = config or BenchConfig()
+    limit = cfg.budget.max_conflicts
     # refuse a bad variant before records.csv is opened; the empty formula
     # makes hindsight's labelling solve instant
     for variant in variants:
-        make_oracle(variant, weights=weights, formula=Formula(0, ()), max_conflicts=cfg.max_conflicts)
+        make_oracle(variant, weights=weights, formula=Formula(0, ()), max_conflicts=limit)
     done = {}
     with ExitStack() as stack:
         writer = None
@@ -210,6 +208,11 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
             records_csv = Path(records_csv)
             if records_csv.exists():
                 for rec in _load_records(records_csv):
+                    if (limit is not None and rec.conflicts > limit) or (
+                            rec.status == UNKNOWN and cfg.budget.max_seconds is None and rec.conflicts != limit):
+                        raise ValueError(f"{records_csv}: the row {rec.instance},{rec.variant},{rec.seed} "
+                                         f"({rec.status} after {rec.conflicts} conflicts) was not run "
+                                         f"under {cfg.budget}")
                     done[(rec.instance, rec.variant, rec.seed)] = rec
             new_file = not records_csv.exists()
             sink = stack.enter_context(open(records_csv, "a", newline=""))
@@ -234,29 +237,33 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
     return records
 
 
+def _verdicts(records) -> dict[str, str]:
+    """Each instance's established status, from any run that solved it.
+    Raises SoundnessError when an instance collects both SAT and UNSAT."""
+    verdicts = {}
+    for rec in records:
+        if rec.status in (SAT, UNSAT) and verdicts.setdefault(rec.instance, rec.status) != rec.status:
+            raise SoundnessError(f"instance {rec.instance} reported both SAT and UNSAT")
+    return verdicts
+
+
 def aggregate(records) -> list[AggregateRecord]:
     """Per (instance, variant): any-seed solved flag, mean successful runtime,
     and per-metric means over all runs.  Raises SoundnessError when any
     instance collects both SAT and UNSAT verdicts."""
-    statuses = {}
-    for rec in records:
-        statuses.setdefault(rec.instance, set()).add(rec.status)
-    for instance, seen in statuses.items():
-        if SAT in seen and UNSAT in seen:
-            raise SoundnessError(f"instance {instance} reported both SAT and UNSAT")
+    verdicts = _verdicts(records)
     groups = {}
     for rec in records:
         groups.setdefault((rec.instance, rec.variant), []).append(rec)
     out = []
     for (instance, variant), recs in sorted(groups.items()):
         solved_recs = [r for r in recs if r.status in (SAT, UNSAT)]
-        status = solved_recs[0].status if solved_recs else None
         out.append(
             AggregateRecord(
                 instance=instance,
                 variant=variant,
                 solved=bool(solved_recs),
-                status=status,
+                status=verdicts[instance] if solved_recs else None,
                 mean_successful_runtime=(
                     float(np.mean([r.runtime for r in solved_recs])) if solved_recs else None
                 ),
@@ -273,44 +280,30 @@ def aggregate(records) -> list[AggregateRecord]:
     return out
 
 
-def _established(aggregates):
-    verdicts = {}
-    for agg in aggregates:
-        if agg.status is not None:
-            verdicts.setdefault(agg.instance, agg.status)
-    return verdicts
-
-
-def par2(aggregates, timeout: float) -> dict[str, dict[str, float]]:
-    """Normalized PAR-2 per variant, with sat-only and unsat-only splits over
-    instances whose status any variant established."""
-    if not aggregates:
-        raise ValueError("no aggregates")
-    verdicts = _established(aggregates)
-    variants = sorted({a.variant for a in aggregates})
-    instances = sorted({a.instance for a in aggregates})
-    by_key = {(a.instance, a.variant): a for a in aggregates}
-    scores = {}
-    for variant in variants:
-        split_sets = {
-            "overall": instances,
-            "sat": [i for i in instances if verdicts.get(i) == SAT],
-            "unsat": [i for i in instances if verdicts.get(i) == UNSAT],
-        }
-        scores[variant] = {}
-        for split, members in split_sets.items():
-            if not members:
-                scores[variant][split] = 0.0
-                continue
-            total = 0.0
-            for instance in members:
-                agg = by_key.get((instance, variant))
-                if agg is not None and agg.solved:
-                    total += agg.mean_successful_runtime
-                else:
-                    total += 2.0 * timeout
-            scores[variant][split] = total / len(members)
-    return scores
+def par2(records, metric: str, limit) -> dict[str, dict[str, float]]:
+    """Normalized PAR-2 per variant: the mean over its runs of each run's
+    cost, its own ``metric`` ("runtime" or "conflicts") when it solved its
+    instance and ``2 * limit`` when not, with sat-only and unsat-only
+    splits over the runs of instances whose status any run established.
+    Raises ValueError for no records, another metric, or an unsolved run
+    without a ``limit``, and SoundnessError as ``aggregate`` does."""
+    if metric not in ("runtime", "conflicts"):
+        raise ValueError(f"metric must be 'runtime' or 'conflicts', got {metric!r}")
+    if not records:
+        raise ValueError("no records")
+    verdicts = _verdicts(records)
+    costs = {}
+    for rec in records:
+        solved = rec.status in (SAT, UNSAT)
+        if not solved and limit is None:
+            raise ValueError(f"the run {rec.instance},{rec.variant},{rec.seed} is unsolved, with no limit to charge")
+        cost = getattr(rec, metric) if solved else 2.0 * limit
+        costs.setdefault(rec.variant, []).append((verdicts.get(rec.instance), cost))
+    return {
+        variant: {split: float(np.mean([cost for verdict, cost in runs if status in (None, verdict)] or [0.0]))
+                  for split, status in (("overall", None), ("sat", SAT), ("unsat", UNSAT))}
+        for variant, runs in sorted(costs.items())
+    }
 
 
 def pairwise_better_fraction(aggregates, metric: str) -> list[dict]:
@@ -365,8 +358,10 @@ def cactus_csv(aggregates, axis: str, path) -> None:
                 writer.writerow([variant, i, cost])
 
 
-def write_outputs(records, out_dir, timeout: float) -> None:
-    """Emit the full file suite: records, aggregates, PAR-2, pairwise, cactus."""
+def write_outputs(records, out_dir, budget: Budget) -> None:
+    """Emit the full file suite: records, aggregates, PAR-2, pairwise, cactus.
+    par2.txt scores each variant in seconds unless ``budget`` sets a
+    conflict limit alone, and in conflicts when it sets a conflict limit."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "records.csv", "w", newline="") as fh:
@@ -378,12 +373,16 @@ def write_outputs(records, out_dir, timeout: float) -> None:
         writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(AggregateRecord)])
         writer.writeheader()
         writer.writerows(asdict(agg) for agg in aggs)
-    scores = par2(aggs, timeout)
+    blocks = []
+    if budget.max_seconds is not None or budget.max_conflicts is None:
+        blocks.append(("seconds", "runtime", budget.max_seconds))
+    if budget.max_conflicts is not None:
+        blocks.append(("conflicts", "conflicts", budget.max_conflicts))
     lines = []
-    for variant, splits in sorted(scores.items()):
-        lines.append(
-            f"{variant}: overall={splits['overall']:.3f} sat={splits['sat']:.3f} unsat={splits['unsat']:.3f}"
-        )
+    for unit, metric, limit in blocks:
+        for variant, splits in par2(records, metric, limit).items():
+            lines.append(f"{variant} {unit}: overall={splits['overall']:.3f} sat={splits['sat']:.3f} "
+                         f"unsat={splits['unsat']:.3f}")
     (out_dir / "par2.txt").write_text("\n".join(lines) + "\n")
     pair_rows = pairwise_better_fraction(aggs, "glr") + pairwise_better_fraction(aggs, "avg_glue")
     with open(out_dir / "pairwise.csv", "w", newline="") as fh:

@@ -56,9 +56,11 @@ def _seed(args) -> int:
 
 
 def _add_solver_flags(p):
-    """The flags solve and bench share: conflict budget and solver settings."""
+    """The flags solve and bench share: the budget and the solver settings."""
     p.add_argument("--conflicts", type=int, dest="max_conflicts", metavar="CONFLICTS",
                    help="conflict budget; none unless given")
+    p.add_argument("--time", type=float, dest="max_seconds", metavar="TIME",
+                   help="wall-clock budget in seconds (default: %(default)s)")
     p.add_argument("--kappa", type=float, default=SolverConfig.kappa)
     p.add_argument("--temperature", type=float, default=SolverConfig.temperature)
     p.add_argument("--schedule", type=int, nargs=3, default=[getattr(SolverConfig, f) for f in _SCHEDULE],
@@ -98,9 +100,10 @@ def _warn_no_refocus(what, reached, cfg: SolverConfig):
 
 def _add_network_flags(p):
     """The flags train-supervised and train-rl share: the network's shape."""
-    p.add_argument("--preset", choices=["supervised", "rl"], default=None)
-    p.add_argument("--hyper", type=int, nargs=6, default=None,
-                   metavar=("DELTA_L", "DELTA_C", "TAU", "N_L", "N_C", "N_P"))
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--preset", choices=["supervised", "rl"], default=None)
+    shape.add_argument("--hyper", type=int, nargs=6, default=None,
+                       metavar=("DELTA_L", "DELTA_C", "TAU", "N_L", "N_C", "N_P"))
 
 
 def _cmd_solve(args) -> int:
@@ -256,11 +259,11 @@ def _cmd_env_rollout(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _config(bench_mod.BenchConfig, args, solver=_solver_config(args))
+    cfg = _config(bench_mod.BenchConfig, args, budget=_config(Budget, args), solver=_solver_config(args))
     variants = args.variants.split(",")
     if any(v != "vanilla" for v in variants):
-        _refuse_unbudgeted_hindsight(variants, cfg.max_conflicts)
-        _refuse_no_refocus(cfg.solver, cfg.max_conflicts)
+        _refuse_unbudgeted_hindsight(variants, cfg.budget.max_conflicts)
+        _refuse_no_refocus(cfg.solver, cfg.budget.max_conflicts)
     instances = sorted(str(p) for d in args.instances for p in Path(d).glob("*.cnf"))
     if not instances:
         return _error("no instances found")
@@ -270,7 +273,7 @@ def _cmd_bench(args) -> int:
         instances, variants, args.seeds, cfg, weights=args.weights,
         records_csv=out_dir / "records.csv",
     )
-    bench_mod.write_outputs(records, out_dir, cfg.timeout or 0.0)
+    bench_mod.write_outputs(records, out_dir, cfg.budget)
     for variant in dict.fromkeys(variants):
         runs = [r for r in records if r.variant == variant]
         if variant != "vanilla" and not any(r.refocuses for r in runs):
@@ -291,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="store_true", help="include the model in the JSON output")
     p.add_argument("--seed", type=int, default=0,
                    help="seeds the random mode's oracle; the other modes do not depend on it")
-    p.add_argument("--time", type=float, dest="max_seconds", metavar="TIME",
-                   help="wall-clock budget in seconds")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -348,21 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=1)
     p.set_defaults(func=_cmd_env_rollout)
 
-    # no abbreviations, so solve's --seed and --time are refused here rather
-    # than read as --seeds and --timeout
+    # no abbreviations, so solve's --seed is refused here rather than read
+    # as --seeds
     p = sub.add_parser("bench", help="compare solver variants over instance directories",
                        allow_abbrev=False)
     p.add_argument("--instances", required=True, nargs="+", metavar="DIR",
                    help="directories whose *.cnf files are benchmarked; file names must be unique")
     p.add_argument("--variants", default=",".join(bench_mod.VARIANTS))
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--timeout", type=float, default=bench_mod.BenchConfig.timeout)
     p.add_argument("--weights", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, dest="parallelism", metavar="WORKERS",
                    default=bench_mod.BenchConfig.parallelism)
     _add_solver_flags(p)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, max_seconds=bench_mod.BenchConfig().budget.max_seconds)
     return parser
 
 

@@ -291,9 +291,9 @@ def _standardize_rows(x, eps):
     return x, inv
 
 
-# A pass that keeps no cache and draws no dropout masks runs each stage in
-# row blocks of at most this many rows, so that it holds O(block x
-# delta_c) of clause state where a whole stage held O(M x delta_c).
+# `forward` (no cache, no dropout masks) runs each stage in row blocks of
+# at most this many rows, so that it holds O(block x delta_c) of clause
+# state where a whole stage held O(M x delta_c).
 # `forward`, supervised preset, random 3-SAT, one BLAS thread, 2 vCPUs of a
 # Xeon VM, for 1,024 / 2,048 / 4,096 / 8,192 rows: 6.1-6.2 / 6.3-6.4 /
 # 6.5-6.6 / 6.6-6.8 ms at 18,000 edges and 139 / 138 / 143 / 139 ms at
@@ -308,7 +308,7 @@ _BLOCK_ROWS = 2_048
 
 def _block_bounds(rows, whole):
     """The bounds [0, ..., rows] of a stage's row blocks: one block for a
-    ``whole`` pass (it keeps a cache or draws dropout masks), otherwise
+    ``whole`` pass (one that keeps a cache), otherwise
     ceil(rows / _BLOCK_ROWS) blocks of near-equal size.  A block has two
     rows or more unless the stage has fewer: numpy multiplies a one-row
     matrix with a matrix-vector kernel, whose bits can differ from the
@@ -402,16 +402,15 @@ def _forward(params, hp, graph, dropout_seed, keep):
     # times: the first product P over literal pairs, the clause update over
     # clause rows, each block added into the literal messages B as it comes,
     # and the literal update over the rows of B; a block's result goes before
-    # the next block runs.  A pass that keeps a cache or draws dropout masks
-    # runs each loop as one block, its result the whole stage's; any other
-    # runs blocks of at most _BLOCK_ROWS rows.  The heads run whole
+    # the next block runs.  A pass that keeps a cache runs each loop as one
+    # block, its result the whole stage's; any other runs blocks of at most
+    # _BLOCK_ROWS rows, and draws no dropout masks.  The heads run whole
     for j, (_, num_vars) in enumerate(graph.parts):
         if num_vars == 0:       # no logits, and its value the mean of no scores
             raise ValueError(f"part {j} of {len(graph.parts)} of the graph has no variables")
     g, sizes, by_size = graph.matrices()
     n = graph.num_vars
     drng = None if dropout_seed is None or hp.dropout == 0.0 else np.random.default_rng(dropout_seed)
-    whole = keep or drng is not None
     # every literal starts at l_init, so in iteration 0 a clause's aggregate
     # is its size times [l_init, l_init]: the clause update runs once per
     # size class and by_size sums the classes back into the literals
@@ -427,13 +426,13 @@ def _forward(params, hp, graph, dropout_seed, keep):
         B = np.zeros((2 * n, hp.delta_c))
         pair_rows = 1 if it == 0 else 2 * n
         P = np.empty((pair_rows, w.shape[1]))
-        for lo, hi in pairwise(_block_bounds(pair_rows, whole)):
+        for lo, hi in pairwise(_block_bounds(pair_rows, keep)):
             X = _pairs(L, n, lo, hi)
             np.matmul(X, w, out=P[lo:hi])
             if keep:
                 c_cache.append(X)       # the first layer's input
             del X
-        for lo, hi in pairwise(_block_bounds(gather.shape[0], whole)):
+        for lo, hi in pairwise(_block_bounds(gather.shape[0], keep)):
             kept = None
             kept = _clause_rows(lo, hi, gather, P, params, hp, drng, c_cache)
             _scatter(scatter, lo, hi, kept[0], B)
@@ -443,7 +442,7 @@ def _forward(params, hp, graph, dropout_seed, keep):
             iters.append({"c_cache": c_cache, "c_std": C_std, "c_inv": c_inv, "l_cache": l_cache})
         del kept
         L_new = np.empty((2 * n, hp.delta_l))
-        for lo, hi in pairwise(_block_bounds(2 * n, whole)):
+        for lo, hi in pairwise(_block_bounds(2 * n, keep)):
             kept = None
             kept = _literal_rows(lo, hi, B, L, L_new, params, hp, drng, l_cache)
         del B
@@ -477,6 +476,9 @@ def _forward(params, hp, graph, dropout_seed, keep):
 def forward_with_cache(params: NetParams, hp: HyperParams, graph, dropout_seed=None):
     """The forward pass of ``forward``, also returning the cache that
     ``backward_from_heads`` reads, once: it empties the cache as it goes.
+    Draws dropout masks from ``default_rng(dropout_seed)`` exactly when
+    given a seed and ``hp.dropout > 0``; without, its outputs are
+    bit-identical to ``forward``'s.
 
     The cache holds, per message-passing iteration, each MLP layer's input
     and dropout mask (the clause update's first input is the literal pairs,
@@ -490,28 +492,26 @@ def forward_with_cache(params: NetParams, hp: HyperParams, graph, dropout_seed=N
     return _forward(params, hp, graph, dropout_seed, keep=True)
 
 
-def forward(params: NetParams, hp: HyperParams, graph, dropout_seed=None) -> ForwardOutput:
+def forward(params: NetParams, hp: HyperParams, graph) -> ForwardOutput:
     """Run the network over a graph: per-variable policy logits plus the
     optional value estimate of each part (``ForwardOutput.value`` for a
     plain graph).  A ``cnf.disjoint_union`` runs as one graph: a part's
     logits are the union's logits at its variables, and its logits and
     value equal those of its own pass to rounding, not bit for bit, since
     BLAS may round a row differently in a product of another shape.
-    Draws dropout masks from ``default_rng(dropout_seed)`` exactly when
-    given a seed and ``hp.dropout > 0``; inference passes no seed.
-    Raises ValueError, before allocating, when a part has no variables.
-    Keeps no cache, so each intermediate is freed after its last use; the
-    outputs are bit-identical to ``forward_with_cache``'s.
+    Draws no dropout masks: training drops units through
+    ``forward_with_cache``.  Raises ValueError, before allocating, when a
+    part has no variables.  Keeps no cache, so each intermediate is freed
+    after its last use.
 
-    Without dropout masks it streams: each message-passing stage runs in
+    It streams: each message-passing stage runs in
     row blocks of at most ``_BLOCK_ROWS`` rows, one after another on the
     calling thread, and each block of clause embeddings is added into the
     literal messages as it comes, so the pass holds its O(N x delta_c)
     literal state and a block of clause state, not O(M x delta_c); at 3M
     edges that was about 120 bytes of peak RSS per edge, against 480-515
-    with whole stages.  A pass with dropout masks, like
-    ``forward_with_cache``, runs each stage as one block."""
-    out, _ = _forward(params, hp, graph, dropout_seed, keep=False)
+    with whole stages, as ``forward_with_cache`` runs them."""
+    out, _ = _forward(params, hp, graph, None, keep=False)
     return out
 
 

@@ -81,9 +81,9 @@ def kl_grads(params, hp, graph, target, grads=None, scale=1.0, dropout_seed=None
     """KL loss for one example, accumulating scaled gradients into ``grads``.
 
     Returns (loss, grads); the gradient of scale*KL lands in the dict.  The
-    forward drops units only with a ``dropout_seed`` (see ``forward``).  As
-    in ``backward_from_heads``, only a dict created here (``grads`` None) is
-    checked for finiteness.
+    forward drops units only with a ``dropout_seed`` (see
+    ``forward_with_cache``).  As in ``backward_from_heads``, only a dict
+    created here (``grads`` None) is checked for finiteness.
     """
     out, cache = forward_with_cache(params, hp, graph, dropout_seed=dropout_seed)
     return _kl_backward(params, hp, out, cache, target, grads, scale)

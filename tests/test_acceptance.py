@@ -450,10 +450,10 @@ class TestCriterion9:
                 restarts=0, refocuses=0, avg_glue=avg_glue, glr=glr,
             )
 
-        aggs = aggregate(
-            [rec("a.cnf", "vanilla", "SAT", 100.0), rec("b.cnf", "vanilla", "UNKNOWN", 5000.0)]
-        )
-        score = par2(aggs, timeout=5000.0)["vanilla"]["overall"]
+        score = par2(
+            [rec("a.cnf", "vanilla", "SAT", 100.0), rec("b.cnf", "vanilla", "UNKNOWN", 5000.0)],
+            "runtime", 5000.0,
+        )["vanilla"]["overall"]
         par2_ok = score == 5050.0
 
         rng = np.random.default_rng(1)
@@ -526,9 +526,7 @@ class TestCriterion10:
             warmup_conflicts=0,
             schedule_base=500, schedule_quad=0, schedule_cap=500, refocus_margin=0.0,
         )
-        bench_cfg = BenchConfig(
-            timeout=None, max_conflicts=50_000, parallelism=4, solver=solver_cfg
-        )
+        bench_cfg = BenchConfig(budget=Budget(max_conflicts=50_000), parallelism=4, solver=solver_cfg)
         bench_out.mkdir()
         instance_paths = sorted(str(p) for p in instances.glob("*.cnf"))
         records = run_benchmark(
@@ -536,7 +534,7 @@ class TestCriterion10:
             bench_cfg, weights=str(weights_path),
             records_csv=bench_out / "records.csv",
         )
-        write_outputs(records, bench_out, timeout=60.0)
+        write_outputs(records, bench_out, bench_cfg.budget)
 
         bench_files_ok = all(
             (bench_out / name).exists()

@@ -39,8 +39,7 @@ def desk_config(**kw):
         warmup_conflicts=0,
         schedule_base=5, schedule_quad=0, schedule_cap=5, refocus_margin=0.0,
     )
-    kw.setdefault("timeout", None)
-    kw.setdefault("max_conflicts", 10_000)
+    kw.setdefault("budget", Budget(max_conflicts=10_000))
     return BenchConfig(solver=solver, **kw)
 
 
@@ -121,6 +120,24 @@ class TestRunBenchmark:
             rows_after = list(csv.DictReader(fh))
         assert len(second) == 4
         assert rows_before == rows_after  # no new work appended
+
+    def test_resume_refuses_rows_of_another_budget(self, tmp_path):
+        instances = make_instances(tmp_path / "inst", 3, n=60, m=256)
+        out = tmp_path / "records.csv"
+        first = run_benchmark(instances, ["vanilla"], [0], desk_config(budget=Budget(max_conflicts=30)),
+                              records_csv=out)
+        assert [r.status for r in first].count("UNKNOWN") > 0
+        before = out.read_bytes()
+        # rows past the new conflict limit, UNKNOWN rows stopped short of
+        # it, and UNKNOWN rows under no limit at all
+        for budget in (Budget(max_conflicts=20), Budget(max_conflicts=40), Budget()):
+            with pytest.raises(ValueError, match=r"records.csv: the row inst\d\d.cnf,vanilla,0 \(UNKNOWN after 30"):
+                run_benchmark(instances, ["vanilla"], [0], desk_config(budget=budget), records_csv=out)
+            assert out.read_bytes() == before
+        # under a time limit an UNKNOWN row may have stopped on the clock
+        resumed = run_benchmark(instances, ["vanilla"], [0],
+                                desk_config(budget=Budget(max_conflicts=40, max_seconds=60.0)), records_csv=out)
+        assert resumed == first and out.read_bytes() == before
 
     def test_vanilla_seed_invariant_in_conflict_mode(self, tmp_path):
         instances = make_instances(tmp_path / "inst", 3)
@@ -215,7 +232,7 @@ class TestHindsightOracle:
             make_oracle("hindsight", max_conflicts=100)
         instances = make_instances(tmp_path / "inst", 1)
         with pytest.raises(ValueError, match="hindsight variant requires the formula and a conflict budget"):
-            run_benchmark(instances, ["vanilla", "hindsight"], [0], desk_config(max_conflicts=None),
+            run_benchmark(instances, ["vanilla", "hindsight"], [0], desk_config(budget=Budget()),
                           records_csv=tmp_path / "records.csv")
         assert not (tmp_path / "records.csv").exists()
 
@@ -250,56 +267,82 @@ class TestAggregate:
 
 class TestPar2:
     def test_paper_example(self):
-        aggs = aggregate(
-            [
-                rec("a.cnf", "vanilla", 0, "SAT", 100.0),
-                rec("b.cnf", "vanilla", 0, "UNKNOWN", 5000.0),
-            ]
-        )
-        scores = par2(aggs, timeout=5000.0)
+        records = [
+            rec("a.cnf", "vanilla", 0, "SAT", 100.0),
+            rec("b.cnf", "vanilla", 0, "UNKNOWN", 5000.0),
+        ]
+        scores = par2(records, "runtime", 5000.0)
         assert scores["vanilla"]["overall"] == pytest.approx(5050.0)
 
     def test_all_solved_instantly(self):
-        aggs = aggregate(
-            [rec(f"{i}.cnf", "vanilla", 0, "SAT", 0.0) for i in range(4)]
-        )
-        assert par2(aggs, timeout=100.0)["vanilla"]["overall"] == 0.0
+        records = [rec(f"{i}.cnf", "vanilla", 0, "SAT", 0.0) for i in range(4)]
+        assert par2(records, "runtime", 100.0)["vanilla"]["overall"] == 0.0
 
     def test_all_unsolved(self):
-        aggs = aggregate(
-            [rec(f"{i}.cnf", "vanilla", 0, "UNKNOWN", 60.0) for i in range(4)]
-        )
-        assert par2(aggs, timeout=60.0)["vanilla"]["overall"] == pytest.approx(120.0)
+        records = [rec(f"{i}.cnf", "vanilla", 0, "UNKNOWN", 60.0) for i in range(4)]
+        assert par2(records, "runtime", 60.0)["vanilla"]["overall"] == pytest.approx(120.0)
 
     def test_sat_unsat_splits(self):
-        aggs = aggregate(
-            [
-                rec("a.cnf", "vanilla", 0, "SAT", 10.0),
-                rec("b.cnf", "vanilla", 0, "UNSAT", 20.0),
-                rec("a.cnf", "random", 0, "UNKNOWN", 60.0),
-                rec("b.cnf", "random", 0, "UNSAT", 30.0),
-            ]
-        )
-        scores = par2(aggs, timeout=60.0)
+        records = [
+            rec("a.cnf", "vanilla", 0, "SAT", 10.0),
+            rec("b.cnf", "vanilla", 0, "UNSAT", 20.0),
+            rec("a.cnf", "random", 0, "UNKNOWN", 60.0),
+            rec("b.cnf", "random", 0, "UNSAT", 30.0),
+        ]
+        scores = par2(records, "runtime", 60.0)
         assert scores["vanilla"]["sat"] == pytest.approx(10.0)
         assert scores["vanilla"]["unsat"] == pytest.approx(20.0)
         assert scores["random"]["sat"] == pytest.approx(120.0)  # unsolved on the sat split
         assert scores["random"]["unsat"] == pytest.approx(30.0)
 
     def test_monotone_under_unsolving(self):
-        solved = aggregate(
-            [
-                rec("a.cnf", "vanilla", 0, "SAT", 30.0),
-                rec("b.cnf", "vanilla", 0, "SAT", 40.0),
-            ]
-        )
-        partial = aggregate(
-            [
-                rec("a.cnf", "vanilla", 0, "SAT", 30.0),
-                rec("b.cnf", "vanilla", 0, "UNKNOWN", 60.0),
-            ]
-        )
-        assert par2(partial, 60.0)["vanilla"]["overall"] >= par2(solved, 60.0)["vanilla"]["overall"]
+        solved = [
+            rec("a.cnf", "vanilla", 0, "SAT", 30.0),
+            rec("b.cnf", "vanilla", 0, "SAT", 40.0),
+        ]
+        partial = [
+            rec("a.cnf", "vanilla", 0, "SAT", 30.0),
+            rec("b.cnf", "vanilla", 0, "UNKNOWN", 60.0),
+        ]
+        overall = {name: par2(records, "runtime", 60.0)["vanilla"]["overall"]
+                   for name, records in (("solved", solved), ("partial", partial))}
+        assert overall["partial"] >= overall["solved"]
+
+    def test_each_unsolved_seed_is_charged(self):
+        # one seed of three solved in 1 s must not score as if all three were
+        flaky = [rec("a.cnf", "flaky", 0, "SAT", 1.0)] + [rec("a.cnf", "flaky", s, "UNKNOWN", 60.0) for s in (1, 2)]
+        steady = [rec("a.cnf", "steady", s, "SAT", 2.0) for s in range(3)]
+        scores = par2(flaky + steady, "runtime", 60)
+        assert scores["flaky"]["overall"] == pytest.approx((1.0 + 120.0 + 120.0) / 3)
+        assert scores["flaky"]["overall"] == pytest.approx(80.333, abs=1e-3)
+        assert scores["steady"]["overall"] == pytest.approx(2.0)
+
+    def test_conflicts_metric_charges_twice_the_conflict_budget(self):
+        records = [
+            rec("a.cnf", "vanilla", 0, "SAT", 0.5, conflicts=40),
+            rec("b.cnf", "vanilla", 0, "UNSAT", 0.5, conflicts=90),
+            rec("c.cnf", "vanilla", 0, "UNKNOWN", 0.5, conflicts=300),
+        ]
+        scores = par2(records, "conflicts", 300)["vanilla"]
+        assert scores == {"overall": pytest.approx((40 + 90 + 600) / 3), "sat": 40.0, "unsat": 90.0}
+
+    @pytest.mark.parametrize("metric, limit, match", [
+        ("decisions", 60.0, "metric must be 'runtime' or 'conflicts'"),
+        ("runtime", None, "the run a.cnf,vanilla,1 is unsolved, with no limit to charge"),
+    ], ids=["unknown-metric", "unsolved-without-limit"])
+    def test_refuses(self, metric, limit, match):
+        records = [rec("a.cnf", "vanilla", 0, "SAT", 1.0), rec("a.cnf", "vanilla", 1, "UNKNOWN", 1.0)]
+        with pytest.raises(ValueError, match=match):
+            par2(records, metric, limit)
+        # with every run solved, no limit is needed
+        assert par2(records[:1], "runtime", None)["vanilla"]["overall"] == 1.0
+        with pytest.raises(ValueError, match="no records"):
+            par2([], "runtime", 60.0)
+
+    def test_soundness_gate(self):
+        records = [rec("a.cnf", "vanilla", 0, "SAT", 1.0), rec("a.cnf", "random", 0, "UNSAT", 1.0)]
+        with pytest.raises(SoundnessError):
+            par2(records, "runtime", 60.0)
 
 
 class TestPairwise:
@@ -378,7 +421,7 @@ class TestWriteOutputs:
     def test_mean_refocuses_column(self, tmp_path):
         instances = make_instances(tmp_path / "inst", 3, n=30, m=128)
         records = run_benchmark(instances, ["vanilla", "random"], [0, 1], desk_config())
-        write_outputs(records, tmp_path / "out", timeout=60.0)
+        write_outputs(records, tmp_path / "out", Budget(max_seconds=60.0))
         with open(tmp_path / "out" / "aggregates.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         refocuses = {}
@@ -396,11 +439,39 @@ class TestWriteOutputs:
             instances, ["vanilla", "neuro", "random"], [0],
             desk_config(), weights=weights_file,
         )
-        write_outputs(records, tmp_path / "out", timeout=60.0)
+        write_outputs(records, tmp_path / "out", Budget(max_seconds=60.0))
         for name in (
             "records.csv", "aggregates.csv", "par2.txt", "pairwise.csv",
             "cactus_runtime.csv", "cactus_decisions.csv",
         ):
             assert (tmp_path / "out" / name).exists(), name
-        par2_text = (tmp_path / "out" / "par2.txt").read_text()
-        assert "vanilla" in par2_text and "neuro" in par2_text
+        par2_lines = (tmp_path / "out" / "par2.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in par2_lines] == [
+            f"{variant} seconds" for variant in ("neuro", "random", "vanilla")]
+
+    @pytest.mark.parametrize("budget, units", [
+        (Budget(max_seconds=60.0), ["seconds"]),
+        (Budget(max_conflicts=20), ["conflicts"]),
+        (Budget(max_conflicts=20, max_seconds=60.0), ["seconds", "conflicts"]),
+        (Budget(), ["seconds"]),
+    ], ids=["time", "conflicts", "both", "unbounded"])
+    def test_par2_blocks_follow_the_budget(self, tmp_path, budget, units):
+        records = [rec("a.cnf", "vanilla", 0, "SAT", 0.01, conflicts=5)]
+        if budget != Budget():      # an unbounded run always ends solved
+            records.append(rec("b.cnf", "vanilla", 0, "UNKNOWN", 0.02, conflicts=20))
+        write_outputs(records, tmp_path, budget)
+        lines = (tmp_path / "par2.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"vanilla {unit}" for unit in units]
+        for unit, line in zip(units, lines):
+            limit = budget.max_seconds if unit == "seconds" else budget.max_conflicts
+            metric = "runtime" if unit == "seconds" else "conflicts"
+            assert line == "vanilla {}: overall={overall:.3f} sat={sat:.3f} unsat={unsat:.3f}".format(
+                unit, **par2(records, metric, limit)["vanilla"])
+
+    def test_conflict_budget_alone_never_charges_zero(self, tmp_path):
+        # an unsolved run under a conflict budget alone costs twice that
+        # budget, never twice a missing time limit
+        records = [rec("a.cnf", "vanilla", 0, "SAT", 0.001, conflicts=5),
+                   rec("b.cnf", "vanilla", 0, "UNKNOWN", 0.002, conflicts=300)]
+        write_outputs(records, tmp_path, Budget(max_conflicts=300))
+        assert (tmp_path / "par2.txt").read_text() == "vanilla conflicts: overall=302.500 sat=5.000 unsat=0.000\n"

@@ -168,7 +168,7 @@ class TestRefocusBudget:
 
     def test_bench_without_refocus_warns(self, formula_dir, tmp_path, capsys):
         argv = ["bench", "--instances", str(formula_dir), "--out", str(tmp_path / "out"),
-                "--variants", "vanilla,random", "--timeout", "0", *self.SHORT]
+                "--variants", "vanilla,random", "--time", "0", *self.SHORT]
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert err == ("warning: bench variant 'random' never refocused, so it ran the vanilla search: "
@@ -183,7 +183,7 @@ class TestRefocusBudget:
     def test_bench(self, formula_dir, weights_file, tmp_path, capsys, variants, budget, code):
         out = tmp_path / "out"
         argv = ["bench", "--instances", str(formula_dir), "--out", str(out), "--variants", variants,
-                "--weights", weights_file, "--timeout", "60", *self.SHORT, "--conflicts", budget]
+                "--weights", weights_file, "--time", "60", *self.SHORT, "--conflicts", budget]
         assert main(argv) == code
         if code == 2:
             assert f"error: --conflicts {budget} " in capsys.readouterr().err
@@ -307,7 +307,7 @@ class TestPipelineCommands:
             [
                 "bench", "--instances", str(instances), "--out", str(out_dir),
                 "--variants", "vanilla,neuro,random", "--seeds", "0", "1",
-                "--weights", str(weights), "--conflicts", "5000", "--timeout", "60",
+                "--weights", str(weights), "--conflicts", "5000", "--time", "60",
                 "--warmup-conflicts", "0",
                 "--schedule", "5", "0", "5",
             ]
@@ -318,6 +318,8 @@ class TestPipelineCommands:
         with open(out_dir / "records.csv", newline="") as fh:
             records = list(csv.DictReader(fh))
         assert len(records) == 4 * 3 * 2
+        heads = [line.split(":")[0] for line in (out_dir / "par2.txt").read_text().splitlines()]
+        assert heads == [f"{v} {unit}" for unit in ("seconds", "conflicts") for v in ("neuro", "random", "vanilla")]
 
     def test_train_rl_command(self, tmp_path, capsys):
         formulas = tmp_path / "formulas"
@@ -371,6 +373,51 @@ class TestPipelineCommands:
         with open(out_dir / "records.csv", newline="") as fh:
             records = list(csv.DictReader(fh))
         assert sorted(r["instance"] for r in records) == ["i0.cnf", "i1.cnf", "i2.cnf"]
+
+    def test_bench_scores_par2_in_both_budget_units(self, tmp_path, capsys):
+        # a run that a generous time limit never stops costs twice the
+        # conflict budget in the conflicts block, whatever it cost in seconds
+        (tmp_path / "inst").mkdir()
+        for seed in range(4):
+            (tmp_path / "inst" / f"i{seed}.cnf").write_text(write_dimacs(random_ksat(60, 256, 3, seed)))
+        out_dir = tmp_path / "bench"
+        assert main(["bench", "--instances", str(tmp_path / "inst"), "--out", str(out_dir),
+                     "--variants", "vanilla", "--conflicts", "30", "--time", "3600"]) == 0
+        with open(out_dir / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        unsolved = [row for row in rows if row["status"] == "UNKNOWN"]
+        assert unsolved and all(row["conflicts"] == "30" for row in unsolved)
+        costs = [60 if row["status"] == "UNKNOWN" else int(row["conflicts"]) for row in rows]
+        seconds, conflicts = (out_dir / "par2.txt").read_text().splitlines()
+        assert seconds.startswith("vanilla seconds: overall=")
+        assert conflicts.startswith(f"vanilla conflicts: overall={sum(costs) / len(costs):.3f} ")
+
+    def test_bench_refuses_to_resume_under_another_budget(self, tmp_path, capsys):
+        (tmp_path / "inst").mkdir()
+        for seed in range(3):
+            (tmp_path / "inst" / f"i{seed}.cnf").write_text(write_dimacs(random_ksat(60, 256, 3, seed)))
+        out_dir = tmp_path / "bench"
+        argv = ["bench", "--instances", str(tmp_path / "inst"), "--out", str(out_dir), "--variants", "vanilla"]
+        assert main([*argv, "--conflicts", "300"]) == 0
+        capsys.readouterr()
+        before = (out_dir / "records.csv").read_bytes()
+        assert main([*argv, "--conflicts", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {out_dir / 'records.csv'}: the row i")
+        assert ",vanilla,0 (" in captured.err and "was not run under Budget(max_conflicts=100" in captured.err
+        assert (out_dir / "records.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["train-supervised", "train-rl"])
+    def test_preset_and_hyper_exclude_each_other(self, tmp_path, capsys, command):
+        out = tmp_path / "w.ngw"
+        inputs = {"train-supervised": "--data", "train-rl": "--formulas"}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, inputs, str(tmp_path), "--out", str(out),
+                  "--preset", "supervised", "--hyper", "8", "8", "1", "1", "1", "1"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("records, message", [
         ("instance,variant,seed,status,runtime\r\nf.cnf,vanilla,0,SAT,0.01\r\n",
@@ -428,7 +475,7 @@ class TestPipelineCommands:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out_dir / "records.csv").exists()
 
-    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--time", "5"], ["--decisions", "10"]])
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--timeout", "60"], ["--decisions", "10"]])
     def test_bench_rejects_flags_it_ignores(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--instances", str(tmp_path), "--out", str(tmp_path / "out"), *flag])
@@ -563,7 +610,7 @@ class TestConfigDefaults:
         _, variants, seeds, cfg = calls[0]
         assert (variants, seeds) == (list(bench.VARIANTS), [0])
         assert cfg == bench.BenchConfig(solver=SolverConfig())
-        assert cfg.max_conflicts is None
+        assert cfg.budget == Budget(max_seconds=60.0)
 
 
 class TestImpossibleSolverFlags:
@@ -583,7 +630,7 @@ class TestImpossibleSolverFlags:
         ("solve", ["--time", "nan"], "max_seconds"),
         ("solve", ["--time", "-1"], "max_seconds"),
         ("bench", ["--workers", "0"], "parallelism"),
-        ("bench", ["--timeout", "-1"], "timeout"),
+        ("bench", ["--time", "-1"], "max_seconds"),
         ("datagen", ["--dump-interval", "0"], "dump_interval"),
         ("datagen", ["--budget-conflicts", "-5"], "budget_conflicts"),
         ("datagen", ["--max-clauses", "0"], "max_clauses"),

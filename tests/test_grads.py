@@ -89,9 +89,8 @@ class TestMatchesReferenceNetwork:
         params = perturbed_params(hp, seed=seed % 1000)
         dropout_seed = seed if dropout else None
         want_logits, want_value, tape = reference_network(params, hp, graph, dropout_seed)
-        lean = forward(params, hp, graph, dropout_seed)
         full, cache = forward_with_cache(params, hp, graph, dropout_seed)
-        for out in (lean, full):
+        for out in [full] if dropout else [forward(params, hp, graph), full]:
             assert_rel_close(out.policy_logits, want_logits, "logits")
             assert_rel_close(out.value, want_value, "value")
         rng = np.random.default_rng(seed)
@@ -122,7 +121,7 @@ class TestKlFiniteDifferences:
         _, grads = kl_grads(p, hp, graph_6x8, target, dropout_seed=77)
 
         def loss():
-            out = forward(p, hp, graph_6x8, dropout_seed=77)
+            out, _ = forward_with_cache(p, hp, graph_6x8, dropout_seed=77)
             return kl_loss(target, out.policy_logits)
 
         worst, name = max_rel_error(grads, fd_gradients(p, loss))
@@ -274,7 +273,7 @@ class TestFreedArraysServeLaterPasses:
         def run(g, barrier=None):
             if barrier is not None:
                 barrier.wait(timeout=60)
-            return [forward(p, hp, g, dropout_seed=r).policy_logits for r in range(rounds)]
+            return [forward_with_cache(p, hp, g, dropout_seed=r)[0].policy_logits for r in range(rounds)]
 
         serial = [run(g) for g in graphs]
         barrier = threading.Barrier(len(graphs))

@@ -150,9 +150,9 @@ class TestForward:
         hp = HyperParams(delta_l=4, delta_c=4, tau_iters=1, n_l=2, n_c=2, n_p=2, dropout=0.3)
         p = init_params(hp, seed=4)
         eval_out = forward(p, hp, small_graph)
-        train_a = forward(p, hp, small_graph, dropout_seed=1)
-        train_b = forward(p, hp, small_graph, dropout_seed=2)
-        train_a2 = forward(p, hp, small_graph, dropout_seed=1)
+        train_a, _ = forward_with_cache(p, hp, small_graph, dropout_seed=1)
+        train_b, _ = forward_with_cache(p, hp, small_graph, dropout_seed=2)
+        train_a2, _ = forward_with_cache(p, hp, small_graph, dropout_seed=1)
         assert not np.allclose(eval_out.policy_logits, train_a.policy_logits)
         assert not np.allclose(train_a.policy_logits, train_b.policy_logits)
         assert np.array_equal(train_a.policy_logits, train_a2.policy_logits)
@@ -164,7 +164,7 @@ class TestForward:
         p = init_params(hp, seed=2, value_head=True)
         g = clause_literal_graph(random_ksat(40, 170, 3, 1))
         unseeded = forward(p, hp, g)
-        zero = forward(p, replace(hp, dropout=0.0), g, dropout_seed=5)
+        zero, _ = forward_with_cache(p, replace(hp, dropout=0.0), g, dropout_seed=5)
         assert np.array_equal(unseeded.policy_logits, zero.policy_logits)
         assert unseeded.value == zero.value
 
@@ -236,14 +236,12 @@ class TestForward:
 
 class TestCacheFreeForward:
     @pytest.mark.parametrize("name", ["supervised", "rl"])
-    @pytest.mark.parametrize("dropout", [False, True])
-    def test_same_bits_as_forward_with_cache(self, name, dropout):
-        dropout_seed = 9 if dropout else None
+    def test_same_bits_as_forward_with_cache(self, name):
         hp = preset(name)
         p = init_params(hp, seed=2, value_head=True)
         g = clause_literal_graph(random_ksat(60, 256, 3, 4))
-        lean = forward(p, hp, g, dropout_seed)
-        full, _ = forward_with_cache(p, hp, g, dropout_seed)
+        lean = forward(p, hp, g)
+        full, _ = forward_with_cache(p, hp, g)
         assert np.array_equal(lean.policy_logits, full.policy_logits)
         assert lean.value == full.value
 
@@ -354,11 +352,11 @@ def block_graphs(draw):
     return SparseGraph(m, n, rows, cols, tuple(range(1, n + 1)))
 
 
-def _whole(params, hp, graph, dropout_seed=None):
+def _whole(params, hp, graph):
     """forward as one block per stage."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_BLOCK_ROWS", 10**9)
-        return forward(params, hp, graph, dropout_seed)
+        return forward(params, hp, graph)
 
 
 def _same_output(got, want):
@@ -389,35 +387,31 @@ def _stages(monkeypatch):
 
 
 class TestStreamedForward:
-    """A pass that keeps no cache and draws no dropout masks runs each stage
-    in row blocks of at most _BLOCK_ROWS rows on the calling thread, and
-    adds each clause block into the literal messages in block order: with
-    blocks of a few rows it must give the one-block pass's bits, and a pass
-    that keeps a cache or draws dropout masks stays one block."""
+    """forward, which keeps no cache and draws no dropout masks, runs each
+    stage in row blocks of at most _BLOCK_ROWS rows on the calling thread,
+    and adds each clause block into the literal messages in block order:
+    with blocks of a few rows it must give the one-block pass's bits, and
+    forward_with_cache, with or without dropout masks, stays one block."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(block_graphs(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000), st.integers(2, 7),
-           st.sampled_from([None, 5]))
-    def test_same_bits_as_one_block(self, graph, name, seed, block_rows, dropout_seed):
+    @given(block_graphs(), st.sampled_from(["supervised", "rl"]), st.integers(0, 1000), st.integers(2, 7))
+    def test_same_bits_as_one_block(self, graph, name, seed, block_rows):
         hp = preset(name)
         params = init_params(hp, seed=seed, value_head=True)
-        want = _whole(params, hp, graph, dropout_seed)
+        want = _whole(params, hp, graph)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(network, "_BLOCK_ROWS", block_rows)
             blocks = _stages(patch)
-            got = forward(params, hp, graph, dropout_seed)
-            kept, _ = forward_with_cache(params, hp, graph, dropout_seed)
+            got = forward(params, hp, graph)
+            kept, _ = forward_with_cache(params, hp, graph)
         _same_output(got, want)
         _same_output(kept, want)
         counts = {stage: max(k for s, k in blocks if s == stage) for stage, _ in blocks}
-        if dropout_seed is not None:
-            assert set(counts.values()) == {1}
-        else:
-            # past iteration 0, clause rows are the graph's clauses and
-            # literal rows its 2N literals; no block has fewer than 2 rows
-            for stage, rows in (("_clause_rows", graph.num_clauses), ("_literal_rows", 2 * graph.num_vars)):
-                assert (counts[stage] > 1) == (rows >= 4 and rows > block_rows)
-                assert counts[stage] >= -(-rows // block_rows) or counts[stage] == max(1, rows // 2)
+        # past iteration 0, clause rows are the graph's clauses and literal
+        # rows its 2N literals; no block has fewer than 2 rows
+        for stage, rows in (("_clause_rows", graph.num_clauses), ("_literal_rows", 2 * graph.num_vars)):
+            assert (counts[stage] > 1) == (rows >= 4 and rows > block_rows)
+            assert counts[stage] >= -(-rows // block_rows) or counts[stage] == max(1, rows // 2)
 
     @pytest.mark.parametrize("name", ["supervised", "rl"])
     def test_streams_at_the_real_block_size(self, monkeypatch, name):
@@ -503,7 +497,8 @@ class TestStreamedForward:
         blocks = _stages(monkeypatch)
         kept, _ = forward_with_cache(params, hp, graph, 0 if dropout else None)
         assert blocks and {k for _, k in blocks} == {1}
-        _same_output(kept, _whole(params, hp, graph, 0 if dropout else None))
+        if not dropout:
+            _same_output(kept, _whole(params, hp, graph))
 
     @pytest.mark.parametrize("name", ["supervised", "rl"])
     def test_a_union_streams_like_a_plain_graph(self, monkeypatch, name):
