@@ -9,8 +9,7 @@ from pathlib import Path
 from gluesat import random_ksat, write_dimacs
 from gluesat.bench import (
     BenchConfig,
-    aggregate,
-    pairwise_better_fraction,
+    paired,
     par2,
     run_benchmark,
     write_outputs,
@@ -52,10 +51,12 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"  {variant:8s} overall {splits['overall']:8.3f}  sat {splits['sat']:8.3f}"
               f"  unsat {splits['unsat']:8.3f}")
 
-    print("\npairwise share of instances with higher global learning rate:")
-    for row in pairwise_better_fraction(aggregate(records), "glr"):
-        print(f"  {row['variant_a']} {row['fraction_a']:.0%} vs"
-              f" {row['variant_b']} {row['fraction_b']:.0%}")
+    # paired over the (instance, seed) runs both variants made: the run
+    # with the lower PAR-2 cost in conflicts wins
+    print("\npaired wins/losses/ties in conflicts:")
+    for row in paired(records, "conflicts", 20_000):
+        print(f"  {row['variant_a']:8s} vs {row['variant_b']:8s}"
+              f"  {row['wins_a']}/{row['wins_b']}/{row['ties']}")
 
     out_dir = tmp / "out"
     write_outputs(records, out_dir, cfg.budget)

@@ -3,7 +3,7 @@ refocused by a clause-literal graph network trained to predict glue
 variables, with the data-generation, training, and benchmarking tooling
 around it."""
 
-from .bench import aggregate, cactus_csv, pairwise_better_fraction, par2, run_benchmark
+from .bench import aggregate, cactus_csv, paired, par2, run_benchmark
 from .cnf import (
     DimacsError,
     Formula,

@@ -1,5 +1,5 @@
 """Benchmark harness: run solver variants over instances and seeds, then
-aggregate into PAR-2 scores, pairwise metric comparisons, and cactus data.
+score the runs: PAR-2, paired wins, losses and ties, and cactus data.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .cnf import Formula, parse_dimacs
 from .solver import SAT, UNKNOWN, UNSAT, Budget, Solver, SolverConfig, SolveStats, random_oracle
 
 __all__ = [
-    "AggregateRecord",
     "BenchConfig",
     "EvalRecord",
     "HINDSIGHT",
@@ -28,7 +27,7 @@ __all__ = [
     "aggregate",
     "cactus_csv",
     "make_oracle",
-    "pairwise_better_fraction",
+    "paired",
     "par2",
     "run_benchmark",
     "write_outputs",
@@ -58,21 +57,6 @@ class EvalRecord:
     refocuses: int
     avg_glue: float
     glr: float
-
-
-@dataclass(frozen=True)
-class AggregateRecord:
-    instance: str
-    variant: str
-    solved: bool
-    status: str | None                    # established verdict, if any
-    mean_successful_runtime: float | None
-    mean_successful_decisions: float | None
-    mean_decisions: float
-    mean_conflicts: float
-    mean_refocuses: float
-    mean_avg_glue: float
-    mean_glr: float
 
 
 @dataclass
@@ -214,10 +198,9 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
                                          f"({rec.status} after {rec.conflicts} conflicts) was not run "
                                          f"under {cfg.budget}")
                     done[(rec.instance, rec.variant, rec.seed)] = rec
-            new_file = not records_csv.exists()
             sink = stack.enter_context(open(records_csv, "a", newline=""))
             writer = csv.DictWriter(sink, fieldnames=_RECORD_FIELDS)
-            if new_file:
+            if sink.tell() == 0:    # a new file, or one a run killed before its first record left
                 writer.writeheader()
         tasks = []
         for path in instances:
@@ -247,46 +230,40 @@ def _verdicts(records) -> dict[str, str]:
     return verdicts
 
 
-def aggregate(records) -> list[AggregateRecord]:
-    """Per (instance, variant): any-seed solved flag, mean successful runtime,
-    and per-metric means over all runs.  Raises SoundnessError when any
-    instance collects both SAT and UNSAT verdicts."""
+def aggregate(records) -> list[dict]:
+    """Per (instance, variant), sorted: the instance's established
+    ``status`` (None when no run solved it), the count of ``runs`` and of
+    ``solved`` runs, and ``mean_<name>`` over its runs of every statistic a
+    solve fills in.  Raises SoundnessError as ``_verdicts`` does."""
     verdicts = _verdicts(records)
     groups = {}
     for rec in records:
         groups.setdefault((rec.instance, rec.variant), []).append(rec)
-    out = []
-    for (instance, variant), recs in sorted(groups.items()):
-        solved_recs = [r for r in recs if r.status in (SAT, UNSAT)]
-        out.append(
-            AggregateRecord(
-                instance=instance,
-                variant=variant,
-                solved=bool(solved_recs),
-                status=verdicts[instance] if solved_recs else None,
-                mean_successful_runtime=(
-                    float(np.mean([r.runtime for r in solved_recs])) if solved_recs else None
-                ),
-                mean_successful_decisions=(
-                    float(np.mean([r.decisions for r in solved_recs])) if solved_recs else None
-                ),
-                mean_decisions=float(np.mean([r.decisions for r in recs])),
-                mean_conflicts=float(np.mean([r.conflicts for r in recs])),
-                mean_refocuses=float(np.mean([r.refocuses for r in recs])),
-                mean_avg_glue=float(np.mean([r.avg_glue for r in recs])),
-                mean_glr=float(np.mean([r.glr for r in recs])),
-            )
-        )
-    return out
+    return [
+        {"instance": instance, "variant": variant, "status": verdicts.get(instance), "runs": len(recs),
+         "solved": sum(rec.status in (SAT, UNSAT) for rec in recs),
+         **{f"mean_{name}": float(np.mean([getattr(rec, name) for rec in recs])) for name in _STAT_FIELDS}}
+        for (instance, variant), recs in sorted(groups.items())
+    ]
+
+
+def _cost(rec, metric: str, limit) -> float:
+    """A run's cost: its own ``metric`` when it solved its instance, and
+    ``2 * limit`` when not.  Raises ValueError for an unsolved run without
+    a ``limit``."""
+    if rec.status in (SAT, UNSAT):
+        return getattr(rec, metric)
+    if limit is None:
+        raise ValueError(f"the run {rec.instance},{rec.variant},{rec.seed} is unsolved, with no limit to charge")
+    return 2.0 * limit
 
 
 def par2(records, metric: str, limit) -> dict[str, dict[str, float]]:
-    """Normalized PAR-2 per variant: the mean over its runs of each run's
-    cost, its own ``metric`` ("runtime" or "conflicts") when it solved its
-    instance and ``2 * limit`` when not, with sat-only and unsat-only
+    """Normalized PAR-2 per variant: the mean of its runs' ``_cost`` in
+    ``metric`` ("runtime" or "conflicts"), with sat-only and unsat-only
     splits over the runs of instances whose status any run established.
     Raises ValueError for no records, another metric, or an unsolved run
-    without a ``limit``, and SoundnessError as ``aggregate`` does."""
+    without a ``limit``, and SoundnessError as ``_verdicts`` does."""
     if metric not in ("runtime", "conflicts"):
         raise ValueError(f"metric must be 'runtime' or 'conflicts', got {metric!r}")
     if not records:
@@ -294,11 +271,7 @@ def par2(records, metric: str, limit) -> dict[str, dict[str, float]]:
     verdicts = _verdicts(records)
     costs = {}
     for rec in records:
-        solved = rec.status in (SAT, UNSAT)
-        if not solved and limit is None:
-            raise ValueError(f"the run {rec.instance},{rec.variant},{rec.seed} is unsolved, with no limit to charge")
-        cost = getattr(rec, metric) if solved else 2.0 * limit
-        costs.setdefault(rec.variant, []).append((verdicts.get(rec.instance), cost))
+        costs.setdefault(rec.variant, []).append((verdicts.get(rec.instance), _cost(rec, metric, limit)))
     return {
         variant: {split: float(np.mean([cost for verdict, cost in runs if status in (None, verdict)] or [0.0]))
                   for split, status in (("overall", None), ("sat", SAT), ("unsat", UNSAT))}
@@ -306,90 +279,80 @@ def par2(records, metric: str, limit) -> dict[str, dict[str, float]]:
     }
 
 
-def pairwise_better_fraction(aggregates, metric: str) -> list[dict]:
-    """For each variant pair, the fraction of instances on which each side is
-    better (higher GLR / lower average glue); ties split evenly."""
-    if metric not in ("glr", "avg_glue"):
-        raise ValueError("metric must be 'glr' or 'avg_glue'")
-    field_name = "mean_glr" if metric == "glr" else "mean_avg_glue"
-    higher_wins = metric == "glr"
-    variants = sorted({a.variant for a in aggregates})
-    by_key = {(a.instance, a.variant): a for a in aggregates}
-    instances = sorted({a.instance for a in aggregates})
+def paired(records, metric: str, limit=None) -> list[dict]:
+    """For each pair of variants a < b, the runs each wins and the ties,
+    over the (instance, seed) runs both made: on "runtime" and "conflicts"
+    the lower ``_cost`` wins, on "avg_glue" the lower value and on "glr"
+    the higher.  Raises ValueError for another metric, and for an unsolved
+    run without a ``limit`` on a cost metric."""
+    if metric in ("runtime", "conflicts"):
+        loss = lambda rec: _cost(rec, metric, limit)     # noqa: E731
+    elif metric in ("avg_glue", "glr"):
+        sign = -1.0 if metric == "glr" else 1.0
+        loss = lambda rec: sign * getattr(rec, metric)   # noqa: E731
+    else:
+        raise ValueError(f"metric must be 'runtime', 'conflicts', 'avg_glue' or 'glr', got {metric!r}")
+    runs = {}
+    for rec in records:
+        runs.setdefault(rec.variant, {})[rec.instance, rec.seed] = loss(rec)
+    variants = sorted(runs)
     rows = []
     for i, va in enumerate(variants):
         for vb in variants[i + 1:]:
-            wins_a = 0.0
-            count = 0
-            for instance in instances:
-                a = by_key.get((instance, va))
-                b = by_key.get((instance, vb))
-                if a is None or b is None:
-                    continue
-                count += 1
-                ma, mb = getattr(a, field_name), getattr(b, field_name)
-                if ma == mb:
-                    wins_a += 0.5
-                elif (ma > mb) == higher_wins:
-                    wins_a += 1.0
-            frac_a = wins_a / count if count else 0.5
-            rows.append(
-                {"variant_a": va, "variant_b": vb, "metric": metric,
-                 "fraction_a": frac_a, "fraction_b": 1.0 - frac_a, "instances": count}
-            )
+            pairs = [(runs[va][key], runs[vb][key]) for key in runs[va].keys() & runs[vb].keys()]
+            wins_a = sum(a < b for a, b in pairs)
+            wins_b = sum(a > b for a, b in pairs)
+            rows.append({"variant_a": va, "variant_b": vb, "metric": metric,
+                         "wins_a": wins_a, "wins_b": wins_b, "ties": len(pairs) - wins_a - wins_b})
     return rows
 
 
-def cactus_csv(aggregates, axis: str, path) -> None:
-    """Sorted per-variant success costs: row i says "solved i+1 instances
-    within cost".  Header: variant,solved,cost."""
+def cactus_csv(records, axis: str, path) -> None:
+    """Each variant's solved runs sorted by their ``axis`` ("runtime" or
+    "decisions"): row i says "solved i runs within cost".  Header:
+    variant,solved,cost."""
     if axis not in ("runtime", "decisions"):
         raise ValueError("axis must be 'runtime' or 'decisions'")
-    attr = "mean_successful_runtime" if axis == "runtime" else "mean_successful_decisions"
-    variants = sorted({a.variant for a in aggregates})
+    costs = {}
+    for rec in records:
+        if rec.status in (SAT, UNSAT):
+            costs.setdefault(rec.variant, []).append(float(getattr(rec, axis)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "solved", "cost"])
-        for variant in variants:
-            costs = sorted(
-                getattr(a, attr) for a in aggregates if a.variant == variant and a.solved
-            )
-            for i, cost in enumerate(costs, start=1):
+        for variant, solved in sorted(costs.items()):
+            for i, cost in enumerate(sorted(solved), start=1):
                 writer.writerow([variant, i, cost])
 
 
 def write_outputs(records, out_dir, budget: Budget) -> None:
-    """Emit the full file suite: records, aggregates, PAR-2, pairwise, cactus.
-    par2.txt scores each variant in seconds unless ``budget`` sets a
-    conflict limit alone, and in conflicts when it sets a conflict limit."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "records.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_RECORD_FIELDS)
-        writer.writeheader()
-        writer.writerows(asdict(rec) for rec in records)
-    aggs = aggregate(records)
-    with open(out_dir / "aggregates.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(AggregateRecord)])
-        writer.writeheader()
-        writer.writerows(asdict(agg) for agg in aggs)
+    """Emit the full file suite: records, aggregates, PAR-2, paired W/L/T,
+    cactus.  par2.txt scores each variant in seconds unless ``budget`` sets
+    a conflict limit alone, and in conflicts when it sets a conflict limit;
+    pairwise.csv compares GLR, average glue and the metric of each par2.txt
+    block."""
     blocks = []
     if budget.max_seconds is not None or budget.max_conflicts is None:
         blocks.append(("seconds", "runtime", budget.max_seconds))
     if budget.max_conflicts is not None:
         blocks.append(("conflicts", "conflicts", budget.max_conflicts))
-    lines = []
+    lines, pair_rows = [], paired(records, "glr") + paired(records, "avg_glue")
     for unit, metric, limit in blocks:
         for variant, splits in par2(records, metric, limit).items():
             lines.append(f"{variant} {unit}: overall={splits['overall']:.3f} sat={splits['sat']:.3f} "
                          f"unsat={splits['unsat']:.3f}")
+        pair_rows += paired(records, metric, limit)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    aggs = aggregate(records)
+    for name, columns, rows in (
+            ("records.csv", _RECORD_FIELDS, map(asdict, records)),
+            ("aggregates.csv", list(aggs[0]), aggs),
+            ("pairwise.csv", ["variant_a", "variant_b", "metric", "wins_a", "wins_b", "ties"], pair_rows)):
+        with open(out_dir / name, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
     (out_dir / "par2.txt").write_text("\n".join(lines) + "\n")
-    pair_rows = pairwise_better_fraction(aggs, "glr") + pairwise_better_fraction(aggs, "avg_glue")
-    with open(out_dir / "pairwise.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["variant_a", "variant_b", "metric", "fraction_a", "fraction_b", "instances"]
-        )
-        writer.writeheader()
-        writer.writerows(pair_rows)
-    cactus_csv(aggs, "runtime", out_dir / "cactus_runtime.csv")
-    cactus_csv(aggs, "decisions", out_dir / "cactus_decisions.csv")
+    cactus_csv(records, "runtime", out_dir / "cactus_runtime.csv")
+    cactus_csv(records, "decisions", out_dir / "cactus_decisions.csv")

@@ -60,7 +60,8 @@ def _add_solver_flags(p):
     p.add_argument("--conflicts", type=int, dest="max_conflicts", metavar="CONFLICTS",
                    help="conflict budget; none unless given")
     p.add_argument("--time", type=float, dest="max_seconds", metavar="TIME",
-                   help="wall-clock budget in seconds (default: %(default)s)")
+                   help="wall-clock budget in seconds; none unless given, except that bench defaults "
+                   f"to {bench_mod.BenchConfig().budget.max_seconds:g} when --conflicts is not given either")
     p.add_argument("--kappa", type=float, default=SolverConfig.kappa)
     p.add_argument("--temperature", type=float, default=SolverConfig.temperature)
     p.add_argument("--schedule", type=int, nargs=3, default=[getattr(SolverConfig, f) for f in _SCHEDULE],
@@ -259,7 +260,10 @@ def _cmd_env_rollout(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _config(bench_mod.BenchConfig, args, budget=_config(Budget, args), solver=_solver_config(args))
+    budget = _config(Budget, args)
+    if budget == Budget():      # neither --time nor --conflicts
+        budget = bench_mod.BenchConfig().budget
+    cfg = _config(bench_mod.BenchConfig, args, budget=budget, solver=_solver_config(args))
     variants = args.variants.split(",")
     if any(v != "vanilla" for v in variants):
         _refuse_unbudgeted_hindsight(variants, cfg.budget.max_conflicts)
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, dest="parallelism", metavar="WORKERS",
                    default=bench_mod.BenchConfig.parallelism)
     _add_solver_flags(p)
-    p.set_defaults(func=_cmd_bench, max_seconds=bench_mod.BenchConfig().budget.max_seconds)
+    p.set_defaults(func=_cmd_bench)
     return parser
 
 

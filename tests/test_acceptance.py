@@ -11,9 +11,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from gluesat.bench import BenchConfig, aggregate, pairwise_better_fraction, par2, run_benchmark, write_outputs
+from gluesat.bench import BenchConfig, aggregate, paired, par2, run_benchmark, write_outputs
 from gluesat.cnf import Formula, brute_force, clause_literal_graph, random_ksat, write_dimacs
 from gluesat.datagen import DatagenConfig, build_dataset, load_dataset
 from gluesat.env import GlueEnv
@@ -465,9 +464,8 @@ class TestCriterion9:
                     rec(f"{i}.cnf", variant, status, float(rng.uniform(1, 50)),
                         glr=float(rng.random()), avg_glue=float(rng.uniform(2, 8)))
                 )
-        aggs = aggregate(records)
         path = tmp_path / "cactus.csv"
-        cactus_csv(aggs, "runtime", path)
+        cactus_csv(records, "runtime", path)
         monotone = True
         by_variant = {}
         with open(path, newline="") as fh:
@@ -478,16 +476,16 @@ class TestCriterion9:
                 monotone = False
 
         complementary = all(
-            row["fraction_a"] + row["fraction_b"] == pytest.approx(1.0)
-            for metric in ("glr", "avg_glue")
-            for row in pairwise_better_fraction(aggs, metric)
+            row["wins_a"] + row["wins_b"] + row["ties"] == 9
+            for metric, limit in (("glr", None), ("avg_glue", None), ("runtime", 50.0))
+            for row in paired(records, metric, limit)
         )
         ok = par2_ok and monotone and complementary
         report(
             9,
             ok,
             f"PAR-2 example = {score} (expected 5050 exactly); cactus monotone: {monotone}; "
-            f"pairwise fractions complementary: {complementary}",
+            f"paired wins, losses and ties cover every run: {complementary}",
         )
 
 
@@ -543,14 +541,14 @@ class TestCriterion10:
         )
         records_ok = len(records) == 50 * 3 * 3
         aggs = aggregate(records)  # raises on any SAT/UNSAT disagreement
-        solved = sum(1 for a in aggs if a.variant == "vanilla" and a.solved)
+        solved = sum(1 for a in aggs if a["variant"] == "vanilla" and a["solved"])
         statuses = {r.status for r in records}
         status_ok = statuses <= {SAT, UNSAT, "UNKNOWN"} and solved > 0
 
         complementary = all(
-            row["fraction_a"] + row["fraction_b"] == pytest.approx(1.0)
-            for metric in ("glr", "avg_glue")
-            for row in pairwise_better_fraction(aggs, metric)
+            row["wins_a"] + row["wins_b"] + row["ties"] == 50 * 3
+            for metric in ("glr", "avg_glue", "conflicts")
+            for row in paired(records, metric, bench_cfg.budget.max_conflicts)
         )
         elapsed = time.time() - t0
         ok = (

@@ -1,17 +1,17 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gluesat.bench import (
-    AggregateRecord,
     BenchConfig,
     EvalRecord,
     SoundnessError,
     aggregate,
     cactus_csv,
     make_oracle,
-    pairwise_better_fraction,
+    paired,
     par2,
     run_benchmark,
     write_outputs,
@@ -120,6 +120,17 @@ class TestRunBenchmark:
             rows_after = list(csv.DictReader(fh))
         assert len(second) == 4
         assert rows_before == rows_after  # no new work appended
+
+    def test_resume_from_an_empty_records_file(self, tmp_path):
+        # a run killed before its first record leaves an empty file
+        instances = make_instances(tmp_path / "inst", 2)
+        out = tmp_path / "records.csv"
+        out.touch()
+        records = run_benchmark(instances, ["vanilla"], [0], desk_config(), records_csv=out)
+        with open(out, newline="") as fh:
+            assert next(csv.reader(fh)) == [f.name for f in fields(EvalRecord)]
+        resumed = run_benchmark(instances, ["vanilla"], [0], desk_config(), records_csv=out)
+        assert resumed == records
 
     def test_resume_refuses_rows_of_another_budget(self, tmp_path):
         instances = make_instances(tmp_path / "inst", 3, n=60, m=256)
@@ -238,23 +249,32 @@ class TestHindsightOracle:
 
 
 class TestAggregate:
-    def test_solved_any_seed_and_mean_successful(self):
+    def test_counts_runs_and_means_every_statistic(self):
         records = [
-            rec("a.cnf", "vanilla", 0, "SAT", 100.0),
-            rec("a.cnf", "vanilla", 1, "UNKNOWN", 60.0),
+            rec("a.cnf", "vanilla", 0, "SAT", 100.0, conflicts=40),
+            rec("a.cnf", "vanilla", 1, "UNKNOWN", 60.0, conflicts=300),
         ]
         aggs = aggregate(records)
         assert len(aggs) == 1
         agg = aggs[0]
-        assert agg.solved
-        assert agg.status == "SAT"
-        assert agg.mean_successful_runtime == pytest.approx(100.0)
-        assert agg.mean_decisions == pytest.approx(100.0)
+        assert (agg["instance"], agg["variant"], agg["status"], agg["runs"], agg["solved"]) == (
+            "a.cnf", "vanilla", "SAT", 2, 1)
+        assert agg["mean_runtime"] == pytest.approx(80.0)
+        assert agg["mean_conflicts"] == pytest.approx(170.0)
+        assert [key for key in agg if key.startswith("mean_")] == [
+            f"mean_{name}" for name in ("runtime", "decisions", "conflicts", "propagations", "restarts",
+                                        "refocuses", "avg_glue", "glr")]
+
+    def test_status_is_the_instances_verdict(self):
+        records = [rec("a.cnf", "vanilla", 0, "UNSAT", 1.0), rec("a.cnf", "random", 0, "UNKNOWN", 60.0)]
+        by_variant = {agg["variant"]: agg for agg in aggregate(records)}
+        assert by_variant["random"]["status"] == "UNSAT" and by_variant["random"]["solved"] == 0
+        assert by_variant["vanilla"]["solved"] == 1
 
     def test_all_timeouts_unsolved(self):
         aggs = aggregate([rec("a.cnf", "vanilla", s, "UNKNOWN", 60.0) for s in range(3)])
-        assert not aggs[0].solved
-        assert aggs[0].mean_successful_runtime is None
+        assert (aggs[0]["runs"], aggs[0]["solved"], aggs[0]["status"]) == (3, 0, None)
+        assert aggs[0]["mean_runtime"] == pytest.approx(60.0)
 
     def test_soundness_gate(self):
         records = [
@@ -345,36 +365,42 @@ class TestPar2:
             par2(records, "runtime", 60.0)
 
 
+def flaky_and_steady():
+    """One seed of three solved in 1 s, against three of three in 2 s."""
+    flaky = [rec("a.cnf", "flaky", 0, "SAT", 1.0)] + [rec("a.cnf", "flaky", s, "UNKNOWN", 60.0) for s in (1, 2)]
+    return flaky + [rec("a.cnf", "steady", s, "SAT", 2.0) for s in range(3)]
+
+
+def wlt(rows, variant_a):
+    """The (wins_a, wins_b, ties) of the one row whose variant_a is ``variant_a``."""
+    (row,) = [r for r in rows if r["variant_a"] == variant_a]
+    return row["wins_a"], row["wins_b"], row["ties"]
+
+
 class TestPairwise:
-    def test_identical_metrics_split_evenly(self):
-        aggs = aggregate(
-            [
-                rec("a.cnf", "vanilla", 0, "SAT", 1.0, glr=0.5),
-                rec("a.cnf", "random", 0, "SAT", 1.0, glr=0.5),
-            ]
-        )
-        rows = pairwise_better_fraction(aggs, "glr")
-        assert rows[0]["fraction_a"] == 0.5 and rows[0]["fraction_b"] == 0.5
+    def test_identical_metrics_tie(self):
+        records = [
+            rec("a.cnf", "vanilla", 0, "SAT", 1.0, glr=0.5),
+            rec("a.cnf", "random", 0, "SAT", 1.0, glr=0.5),
+        ]
+        assert paired(records, "glr") == [
+            {"variant_a": "random", "variant_b": "vanilla", "metric": "glr", "wins_a": 0, "wins_b": 0, "ties": 1}]
 
     def test_dominant_variant(self):
         records = []
         for i in range(4):
             records.append(rec(f"{i}.cnf", "neuro", 0, "SAT", 1.0, glr=0.9))
             records.append(rec(f"{i}.cnf", "vanilla", 0, "SAT", 1.0, glr=0.2))
-        rows = pairwise_better_fraction(aggregate(records), "glr")
-        row = next(r for r in rows if r["variant_a"] == "neuro")
-        assert row["fraction_a"] == 1.0 and row["fraction_b"] == 0.0
+        assert wlt(paired(records, "glr"), "neuro") == (4, 0, 0)
 
     def test_lower_avg_glue_wins(self):
         records = [
             rec("a.cnf", "neuro", 0, "SAT", 1.0, avg_glue=2.0),
             rec("a.cnf", "vanilla", 0, "SAT", 1.0, avg_glue=4.0),
         ]
-        rows = pairwise_better_fraction(aggregate(records), "avg_glue")
-        row = next(r for r in rows if r["variant_a"] == "neuro")
-        assert row["fraction_a"] == 1.0
+        assert wlt(paired(records, "avg_glue"), "neuro") == (1, 0, 0)
 
-    def test_fractions_complementary(self):
+    def test_counts_cover_every_pair(self):
         rng = np.random.default_rng(0)
         records = []
         for i in range(7):
@@ -382,39 +408,77 @@ class TestPairwise:
                 records.append(
                     rec(f"{i}.cnf", variant, 0, "SAT", 1.0, glr=float(rng.random()))
                 )
-        for row in pairwise_better_fraction(aggregate(records), "glr"):
-            assert row["fraction_a"] + row["fraction_b"] == pytest.approx(1.0)
+        rows = paired(records, "glr")
+        assert len(rows) == 3
+        for row in rows:
+            assert row["wins_a"] + row["wins_b"] + row["ties"] == 7
+
+    def test_each_seed_is_a_pair(self):
+        assert wlt(paired(flaky_and_steady(), "runtime", 60.0), "flaky") == (1, 2, 0)
+
+    def test_solved_beats_unsolved_on_conflicts(self):
+        # even at the same count, an unsolved run costs twice the limit
+        records = [rec("a.cnf", "neuro", 0, "SAT", 1.0, conflicts=100),
+                   rec("a.cnf", "vanilla", 0, "UNKNOWN", 1.0, conflicts=100),
+                   rec("b.cnf", "neuro", 0, "UNKNOWN", 1.0, conflicts=100),
+                   rec("b.cnf", "vanilla", 0, "UNSAT", 1.0, conflicts=90)]
+        assert wlt(paired(records, "conflicts", 100), "neuro") == (1, 1, 0)
+
+    def test_two_unsolved_runs_tie(self):
+        records = [rec("a.cnf", "neuro", 0, "UNKNOWN", 1.0, conflicts=80),
+                   rec("a.cnf", "vanilla", 0, "UNKNOWN", 2.0, conflicts=100)]
+        assert wlt(paired(records, "conflicts", 100), "neuro") == (0, 0, 1)
+        assert wlt(paired(records, "runtime", 2.0), "neuro") == (0, 0, 1)
+
+    def test_a_seed_one_variant_ran_is_not_paired(self):
+        records = [rec("a.cnf", "neuro", 0, "SAT", 1.0), rec("a.cnf", "neuro", 1, "SAT", 1.0),
+                   rec("b.cnf", "neuro", 0, "SAT", 1.0), rec("a.cnf", "vanilla", 0, "SAT", 2.0)]
+        assert wlt(paired(records, "runtime"), "neuro") == (1, 0, 0)
+
+    @pytest.mark.parametrize("metric, limit, match", [
+        ("decisions", 60.0, "metric must be 'runtime', 'conflicts', 'avg_glue' or 'glr'"),
+        ("conflicts", None, "the run a.cnf,vanilla,1 is unsolved, with no limit to charge"),
+    ], ids=["unknown-metric", "unsolved-without-limit"])
+    def test_refuses(self, metric, limit, match):
+        records = [rec("a.cnf", "neuro", 1, "SAT", 1.0), rec("a.cnf", "vanilla", 1, "UNKNOWN", 1.0)]
+        with pytest.raises(ValueError, match=match):
+            paired(records, metric, limit)
+        # no limit is needed for the statistics, or with every run solved
+        assert wlt(paired(records, "glr"), "neuro") == (0, 0, 1)
+        solved = [records[0], rec("a.cnf", "vanilla", 1, "SAT", 2.0, conflicts=60)]
+        assert wlt(paired(solved, "conflicts"), "neuro") == (1, 0, 0)
 
 
 class TestCactus:
-    def test_sorted_costs(self, tmp_path):
-        aggs = aggregate(
-            [
-                rec("a.cnf", "vanilla", 0, "SAT", 3.0),
-                rec("b.cnf", "vanilla", 0, "SAT", 1.0),
-                rec("c.cnf", "vanilla", 0, "SAT", 2.0),
-            ]
-        )
-        path = tmp_path / "cactus.csv"
-        cactus_csv(aggs, "runtime", path)
+    def read(self, path):
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        costs = [float(r["cost"]) for r in rows]
-        assert costs == [1.0, 2.0, 3.0]
-        assert [int(r["solved"]) for r in rows] == [1, 2, 3]
+            return [(r["variant"], int(r["solved"]), float(r["cost"])) for r in csv.DictReader(fh)]
+
+    def test_sorted_costs(self, tmp_path):
+        records = [
+            rec("a.cnf", "vanilla", 0, "SAT", 3.0),
+            rec("b.cnf", "vanilla", 0, "SAT", 1.0),
+            rec("c.cnf", "vanilla", 0, "SAT", 2.0),
+        ]
+        path = tmp_path / "cactus.csv"
+        cactus_csv(records, "runtime", path)
+        assert self.read(path) == [("vanilla", 1, 1.0), ("vanilla", 2, 2.0), ("vanilla", 3, 3.0)]
 
     def test_unsolved_contribute_no_row(self, tmp_path):
-        aggs = aggregate(
-            [
-                rec("a.cnf", "vanilla", 0, "SAT", 3.0),
-                rec("b.cnf", "vanilla", 0, "UNKNOWN", 60.0),
-            ]
-        )
+        records = [
+            rec("a.cnf", "vanilla", 0, "SAT", 3.0),
+            rec("b.cnf", "vanilla", 0, "UNKNOWN", 60.0),
+        ]
         path = tmp_path / "cactus.csv"
-        cactus_csv(aggs, "runtime", path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
+        cactus_csv(records, "runtime", path)
+        assert self.read(path) == [("vanilla", 1, 3.0)]
+
+    def test_each_solved_run_is_a_row(self, tmp_path):
+        records = flaky_and_steady() + [rec("a.cnf", "flaky", 3, "SAT", 5.0, decisions=7)]
+        path = tmp_path / "cactus.csv"
+        cactus_csv(records, "decisions", path)
+        assert self.read(path) == [("flaky", 1, 7.0), ("flaky", 2, 100.0)] + [
+            ("steady", i, 100.0) for i in (1, 2, 3)]
 
 
 class TestWriteOutputs:
@@ -430,8 +494,29 @@ class TestWriteOutputs:
         assert refocuses["vanilla"] == [0.0] * 3
         assert sum(refocuses["random"]) > 0
         for agg in aggregate(records):
-            runs = [r.refocuses for r in records if (r.instance, r.variant) == (agg.instance, agg.variant)]
-            assert agg.mean_refocuses == pytest.approx(np.mean(runs))
+            runs = [r.refocuses for r in records if (r.instance, r.variant) == (agg["instance"], agg["variant"])]
+            assert agg["mean_refocuses"] == pytest.approx(np.mean(runs))
+
+    def test_every_score_counts_runs(self, tmp_path):
+        write_outputs(flaky_and_steady(), tmp_path, Budget(max_seconds=60.0))
+
+        def rows(name):
+            with open(tmp_path / name, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        assert [(r["variant"], r["cost"]) for r in rows("cactus_runtime.csv")] == [
+            ("flaky", "1.0"), ("steady", "2.0"), ("steady", "2.0"), ("steady", "2.0")]
+        assert [(r["variant"], r["runs"], r["solved"]) for r in rows("aggregates.csv")] == [
+            ("flaky", "3", "1"), ("steady", "3", "3")]
+        by_metric = {r["metric"]: (r["wins_a"], r["wins_b"], r["ties"]) for r in rows("pairwise.csv")}
+        assert by_metric == {"glr": ("0", "0", "3"), "avg_glue": ("0", "0", "3"), "runtime": ("1", "2", "0")}
+        assert (tmp_path / "par2.txt").read_text() == (
+            "flaky seconds: overall=80.333 sat=80.333 unsat=0.000\n"
+            "steady seconds: overall=2.000 sat=2.000 unsat=0.000\n")
+
+    def test_a_lone_variant_writes_the_headers(self, tmp_path):
+        write_outputs([rec("a.cnf", "vanilla", 0, "SAT", 1.0)], tmp_path, Budget(max_conflicts=100))
+        assert (tmp_path / "pairwise.csv").read_text() == "variant_a,variant_b,metric,wins_a,wins_b,ties\n"
 
     def test_full_file_suite(self, tmp_path, weights_file):
         instances = make_instances(tmp_path / "inst", 2)

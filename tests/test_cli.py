@@ -392,6 +392,18 @@ class TestPipelineCommands:
         assert seconds.startswith("vanilla seconds: overall=")
         assert conflicts.startswith(f"vanilla conflicts: overall={sum(costs) / len(costs):.3f} ")
 
+    def test_bench_under_conflicts_alone_scores_conflicts_alone(self, tmp_path, capsys):
+        # no 60 s default beside --conflicts: an unsolved run is charged
+        # twice the conflict budget, and nothing in seconds
+        (tmp_path / "inst").mkdir()
+        for seed in range(3):
+            (tmp_path / "inst" / f"i{seed}.cnf").write_text(write_dimacs(random_ksat(60, 256, 3, seed)))
+        out_dir = tmp_path / "bench"
+        assert main(["bench", "--instances", str(tmp_path / "inst"), "--out", str(out_dir),
+                     "--variants", "vanilla", "--conflicts", "30"]) == 0
+        assert [line.split(":")[0] for line in (out_dir / "par2.txt").read_text().splitlines()] == [
+            "vanilla conflicts"]
+
     def test_bench_refuses_to_resume_under_another_budget(self, tmp_path, capsys):
         (tmp_path / "inst").mkdir()
         for seed in range(3):
@@ -611,6 +623,19 @@ class TestConfigDefaults:
         assert (variants, seeds) == (list(bench.VARIANTS), [0])
         assert cfg == bench.BenchConfig(solver=SolverConfig())
         assert cfg.budget == Budget(max_seconds=60.0)
+
+    @pytest.mark.parametrize("flags, budget", [
+        (["--conflicts", "30"], Budget(max_conflicts=30)),
+        (["--time", "5"], Budget(max_seconds=5.0)),
+        (["--conflicts", "30", "--time", "5"], Budget(max_conflicts=30, max_seconds=5.0)),
+    ], ids=["conflicts", "time", "both"])
+    def test_a_bench_budget_flag_replaces_the_default_budget(self, sat_file, tmp_path, monkeypatch, flags,
+                                                             budget):
+        calls = _intercept(monkeypatch, bench, "run_benchmark")
+        with pytest.raises(_Stop):
+            main(["bench", "--instances", str(tmp_path), "--out", str(tmp_path / "out"), "--variants", "vanilla",
+                  *flags])
+        assert calls[0][3].budget == budget
 
 
 class TestImpossibleSolverFlags:
