@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -211,6 +210,9 @@ def run_benchmark(instances, variants, seeds, config: BenchConfig | None = None,
         records = list(done.values())
         run = map
         if cfg.parallelism > 1 and len(tasks) > 1:
+            # imported only here: it loads multiprocessing, which nothing else needs
+            from concurrent.futures import ProcessPoolExecutor
+
             run = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.parallelism)).map
         for rec in run(_solve_task, tasks):
             records.append(rec)

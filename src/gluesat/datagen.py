@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +152,9 @@ def build_dataset(input_dir, output_dir, config: DatagenConfig | None = None) ->
     rows = []
     errors = []
     if cfg.workers > 1 and len(tasks) > 1:
+        # imported only here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_process_file, tasks))
     else:

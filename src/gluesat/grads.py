@@ -27,29 +27,32 @@ def _add_swapped(acc, m, n):
     return acc
 
 
-def _mlp_backward(layers, caches, dout, slope, grads, prefix, gather_t=None):
-    # caches[i] is (layer i's input, its dropout mask or None), as
-    # network._mlp_forward keeps them; the first layer's product went
-    # through the forward's gather, and gather_t is its transpose as a
-    # dense row (iteration 0's sizes) or G itself, whose transpose
-    # network._scatter applies
+def _mlp_backward(layers, caches, dout, hp, grads, prefix, gather_t=None):
+    # caches[i] is (layer i's input, its bool dropout keep mask or None), as
+    # network._mlp_forward keeps them, and kept units are scaled by
+    # keep_scale as network._activate scales them; the first layer's
+    # product went through the forward's gather, and gather_t is its
+    # transpose as a dense row (iteration 0's sizes) or G itself, whose
+    # transpose network._scatter applies
+    slope, keep_scale = hp.leaky_slope, 1.0 / (1.0 - hp.dropout)
     upstream = dout
     h_next = None
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        h, mask = caches[i]
+        h, keep = caches[i]
         if h_next is None:
             dz = upstream
         else:
             # leaky ReLU derivative, 1 where z > 0 and slope elsewhere: the
             # next layer's input is positive exactly where z > 0, and where
-            # dropout zeroed it upstream * mask is 0, so either factor gives
+            # dropout zeroed it upstream * keep is 0, so either factor gives
             # the same bits; for 0 <= slope <= 1 this max gives exactly
             # where(z > 0, 1.0, slope) without a branch per element
             dz = np.greater(h_next, 0, out=np.empty(h_next.shape))
             np.maximum(dz, slope, out=dz)
-            if mask is not None:
-                upstream *= mask
+            if keep is not None:
+                upstream *= keep
+                upstream *= keep_scale
             dz *= upstream
         grads[f"{prefix}.{i}.b"] += dz.sum(axis=0)
         if isinstance(gather_t, np.ndarray) and i == 0:
@@ -107,12 +110,11 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
     sizes, by_size = cache["first_round"]
     n = cache["n"]
     dl = hp.delta_l
-    slope = hp.leaky_slope
 
     dX_final = np.zeros((2 * n, 2 * dl))
     dlogits = np.asarray(dlogits, dtype=float).reshape(n, 1)
     if np.any(dlogits):
-        dX_final[:n] += _mlp_backward(params.v_policy, cache["p_cache"], dlogits, slope, grads, "v_policy")
+        dX_final[:n] += _mlp_backward(params.v_policy, cache["p_cache"], dlogits, hp, grads, "v_policy")
     if params.v_value is not None and np.any(dvalue):
         # each part's value is the sigmoid of the mean of its 2 n_j score
         # rows, n_j positive and n_j negative: its gradient spreads evenly
@@ -121,7 +123,7 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         v = cache["values"]
         dscores = np.repeat(np.asarray(dvalue, dtype=float) * v * (1.0 - v) / (2 * counts), counts)
         dscores = np.concatenate((dscores, dscores))[:, None]
-        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, slope, grads, "v_value")
+        dX_final += _mlp_backward(params.v_value, cache["v_cache"], dscores, hp, grads, "v_value")
 
     cache["p_cache"] = cache["v_cache"] = None
     dL = _add_swapped(dX_final[:, :dl].copy(), dX_final[:, dl:], n)
@@ -135,13 +137,13 @@ def backward_from_heads(params: NetParams, hp: HyperParams, cache, dlogits, dval
         dxhat = dL * params.ln_scale
         dres = _standardize_backward(dxhat, xhat, ln_inv)
         dprev = 0.1 * dres
-        dB = _mlp_backward(params.l_update, it["l_cache"], dres, slope, grads, "l_update")
+        dB = _mlp_backward(params.l_update, it["l_cache"], dres, hp, grads, "l_update")
         # iteration 0 ran the clause update once per size class: its
         # gradient sums over each class through by_size, and the class
         # aggregates were sizes times [l_init, l_init]
         gather_t, spread_t = (sizes[None], by_size) if index == 0 else (g, g)
         dC = _standardize_backward(_gather(spread_t, 0, spread_t.shape[0], dB), it["c_std"], it["c_inv"])
-        dX = _mlp_backward(params.c_update, it["c_cache"], dC, slope, grads, "c_update", gather_t)
+        dX = _mlp_backward(params.c_update, it["c_cache"], dC, hp, grads, "c_update", gather_t)
         if index == 0:
             grads["l_init"] += dprev.sum(axis=0) + dX[0, :dl] + dX[0, dl:]
         else:

@@ -235,7 +235,14 @@ def _pairs(L, n, lo, hi):
 
 def _activate(z, b, slope, dropout, drng, hidden):
     """Add the bias to z in place and, on a hidden layer, apply leaky ReLU
-    and dropout; returns the dropout mask or None."""
+    and dropout; returns the dropout keep mask or None.
+
+    Dropout draws one uniform float per unit and keeps the unit where it is
+    at least ``dropout``; the mask is kept as a bool array, one byte per
+    unit, and the kept units are scaled by the scalar 1 / (1 - dropout).
+    z * keep * scale gives the bits of z times a float mask of 0 and
+    1 / (1 - dropout): a kept unit gets z * scale, a dropped one the signed
+    zero z * 0.0."""
     z += b
     if not hidden:
         return None
@@ -245,27 +252,27 @@ def _activate(z, b, slope, dropout, drng, hidden):
     np.maximum(z, z * slope, out=z)
     if drng is None:
         return None
-    mask = drng.random(z.shape)
-    np.greater_equal(mask, dropout, out=mask)
-    mask /= 1.0 - dropout
-    z *= mask
-    return mask
+    keep = drng.random(z.shape) >= dropout
+    z *= keep
+    z *= 1.0 / (1.0 - dropout)
+    return keep
 
 
 def _mlp_forward(layers, h, slope, dropout, drng, cache):
     """Run an MLP on h: leaky ReLU and, when drng is given, dropout after
     every layer but the last.
 
-    When cache is a list, each layer appends (its input, its dropout mask or
-    None); the pre-activations are not kept, since a hidden layer's output
-    is positive exactly where its pre-activation is.  With no cache, no
-    reference to a layer's input outlives the computation of its output."""
+    When cache is a list, each layer appends (its input, its dropout keep
+    mask or None), the mask a bool array that ``_activate`` returns; the
+    pre-activations are not kept, since a hidden layer's output is positive
+    exactly where its pre-activation is.  With no cache, no reference to a
+    layer's input outlives the computation of its output."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = h @ w
-        mask = _activate(z, b, slope, dropout, drng, i < last)
+        keep = _activate(z, b, slope, dropout, drng, i < last)
         if cache is not None:
-            cache.append((h, mask))
+            cache.append((h, keep))
         h = z
     return h
 
@@ -353,15 +360,15 @@ def _clause_rows(lo, hi, gather, P, params, hp, drng, cache):
     rows of gather @ P, the first bias and the rest of the MLP,
     standardized per clause; returns the standardized rows and their
     inverse deviations.  A kept ``cache`` arrives holding the first layer's
-    input, which goes in with that layer's dropout mask."""
+    input, which goes in with that layer's dropout keep mask."""
     if isinstance(gather, np.ndarray):      # iteration 0's one size column
         z = gather[lo:hi] @ P
     else:
         z = _gather(gather, lo, hi, P)
     layers = params.c_update
-    mask = _activate(z, layers[0][1], hp.leaky_slope, hp.dropout, drng, len(layers) > 1)
+    keep = _activate(z, layers[0][1], hp.leaky_slope, hp.dropout, drng, len(layers) > 1)
     if cache is not None:
-        cache.append((cache.pop(), mask))
+        cache.append((cache.pop(), keep))
     z = _mlp_forward(layers[1:], z, hp.leaky_slope, hp.dropout, drng, cache)
     return _standardize_rows(z, hp.ln_eps)
 
@@ -481,8 +488,10 @@ def forward_with_cache(params: NetParams, hp: HyperParams, graph, dropout_seed=N
     bit-identical to ``forward``'s.
 
     The cache holds, per message-passing iteration, each MLP layer's input
-    and dropout mask (the clause update's first input is the literal pairs,
-    one row [l_init, l_init] in iteration 0), the standardized clause
+    and dropout mask (the mask a bool keep array of one byte per unit, the
+    1 / (1 - dropout) scale a scalar that the backward takes from hp; the
+    clause update's first input is the literal pairs, one row
+    [l_init, l_init] in iteration 0), the standardized clause
     embeddings ``c_std`` (one row per size class in iteration 0 without
     dropout) and the layer-normalized literals ``xhat`` with their inverse
     deviations; the same per layer for both heads; iteration 0's

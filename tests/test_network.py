@@ -6,6 +6,7 @@ import textwrap
 import threading
 import tracemalloc
 from dataclasses import replace
+from itertools import pairwise
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,6 +168,50 @@ class TestForward:
         zero, _ = forward_with_cache(p, replace(hp, dropout=0.0), g, dropout_seed=5)
         assert np.array_equal(unseeded.policy_logits, zero.policy_logits)
         assert unseeded.value == zero.value
+
+    @pytest.mark.parametrize("name", ["supervised", "rl"])
+    def test_cached_dropout_masks_are_one_byte_per_unit(self, name):
+        # every hidden layer keeps a bool keep mask the shape of its output,
+        # the next layer's input; without a dropout seed every layer keeps
+        # None
+        hp = preset(name)
+        p = init_params(hp, seed=2, value_head=True)
+        g = clause_literal_graph(random_ksat(40, 170, 3, 1))
+        for seed in (3, None):
+            _, cache = forward_with_cache(p, hp, g, dropout_seed=seed)
+            mlps = [(it["c_cache"], p.c_update) for it in cache["iters"]]
+            mlps += [(it["l_cache"], p.l_update) for it in cache["iters"]]
+            mlps += [(cache["p_cache"], p.v_policy), (cache["v_cache"], p.v_value)]
+            for layers_cache, layers in mlps:
+                assert len(layers_cache) == len(layers)
+                for (_, mask), (h_next, _) in pairwise(layers_cache):
+                    if seed is None:
+                        assert mask is None
+                    else:
+                        assert mask.dtype == np.bool_ and mask.nbytes == mask.size
+                        assert mask.shape == h_next.shape
+                assert layers_cache[-1][1] is None
+
+    def test_dropout_cache_size(self):
+        # the arrays that a dropout forward_with_cache keeps on a
+        # 5,112-edge graph: 6.99 MB with float64 masks, 5.33 MB with bool
+        hp = preset("supervised")
+        p = init_params(hp, seed=0)
+        g = clause_literal_graph(random_ksat(400, 1704, 3, 0))
+        _, cache = forward_with_cache(p, hp, g, dropout_seed=1)
+
+        def arrays(x):
+            if isinstance(x, np.ndarray):
+                yield x
+            elif isinstance(x, dict):
+                for v in x.values():
+                    yield from arrays(v)
+            elif isinstance(x, (list, tuple)):
+                for v in x:
+                    yield from arrays(v)
+
+        total = sum(a.nbytes for a in arrays(cache))
+        assert total < 6.0e6, total
 
     def test_permutation_equivariance(self, tiny_hyper):
         rng = np.random.default_rng(0)
@@ -601,6 +646,25 @@ class TestSparseKernels:
         src = os.path.dirname(os.path.dirname(network.__file__))
         out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
+
+
+def test_a_forward_leaves_the_process_pool_unimported():
+    # the process pool loads multiprocessing; only run_benchmark and
+    # build_dataset import it, when they start a pool
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import gluesat
+        from gluesat.cnf import clause_literal_graph, random_ksat
+
+        hp = gluesat.preset("supervised")
+        gluesat.forward(gluesat.init_params(hp, seed=0), hp, clause_literal_graph(random_ksat(40, 170, 3, 1)))
+        loaded = [name for name in ("multiprocessing", "concurrent.futures.process") if name in sys.modules]
+        assert not loaded, loaded
+    """)
+    src = os.path.dirname(os.path.dirname(network.__file__))
+    out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 class TestAllocatorSetting:
